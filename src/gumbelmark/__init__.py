@@ -28,7 +28,6 @@ from .detectors import (
     ScoreKind,
     SumScore,
     TrGoF,
-    detector_from_config,
     hc_plus,
     ind,
     k_s,
@@ -36,9 +35,7 @@ from .detectors import (
     null_moments,
     opt,
     phi_s,
-    reject_rule,
     score,
-    sum_test,
     trgof_stat,
 )
 from .calibrate import (

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._validation import check_unit_open
 from .pivotal import PivotSeries, alt_pdf
@@ -114,7 +113,8 @@ def k_s_plus(u: float, v: float, s: float) -> float:
 
 
 def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    """Vectorized k_s_plus over aligned arrays; u in (0, 1], v in (0, 1)."""
+    """Vectorized k_s_plus over arrays that broadcast together; u in (0, 1], v in (0, 1)."""
+    u, v = np.broadcast_arrays(u, v)
     out = np.zeros_like(v)
     pos = u > v
     inner = pos & (u < 1.0)
@@ -157,51 +157,53 @@ def _as_pvalues(series) -> np.ndarray:
 
 
 def _sorted_terms(p: np.ndarray, c_plus: float):
-    n = p.size
-    ps = np.sort(p)
+    """Sorted p-values along the last axis, u = t/n, and the admissible mask
+    p_(t+1) >= c_plus (with p_(n+1) = 1, so t = n is always admissible)."""
+    n = p.shape[-1]
+    ps = np.sort(p, axis=-1)
     u = np.arange(1, n + 1) / n
-    p_next = np.append(ps[1:], 1.0)  # convention p_(n+1) = 1
-    return ps, u, p_next >= c_plus
+    admissible = np.empty(ps.shape, dtype=bool)
+    np.greater_equal(ps[..., 1:], c_plus, out=admissible[..., :-1])
+    admissible[..., -1] = True
+    return ps, u, admissible
 
 
-def trgof_stat(series, s: float, c_plus: float) -> float:
+def _float_if_scalar(stat: np.ndarray):
+    """A reduction over the last axis: float for one series, array for a block."""
+    return float(stat) if stat.ndim == 0 else stat
+
+
+def trgof_stat(series, s: float, c_plus: float):
     """S_n_plus(s): max of K_s_plus(t/n, p_(t)) over {t : p_(t+1) >= c_plus}.
 
-    Returns 0 when the admissible set is empty or every term truncates to 0.
+    ``series`` holds p-values of shape (n,) or (rows, n); the statistic is
+    taken along the last axis, a float for one series and an array of
+    ``rows`` values for a block. Returns 0 when every term truncates to 0.
     """
     if not 0.0 <= c_plus <= 1.0:
         raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
     p = _as_pvalues(series)
     ps, u, admissible = _sorted_terms(p, c_plus)
-    vals = _k_s_plus_terms(u, ps, s)[admissible]
-    return float(vals.max()) if vals.size else 0.0
+    vals = _k_s_plus_terms(u, ps, s)
+    return _float_if_scalar(vals.max(axis=-1, where=admissible, initial=0.0))
 
 
-def hc_plus(series, c_plus: float) -> float:
+def hc_plus(series, c_plus: float):
     """Higher Criticism HC_n_plus: max of sqrt(n) (t/n - p_(t)) / sqrt(p_(t)(1 - p_(t)))
     over the admissible set {t : p_(t+1) >= c_plus}.
 
-    The t = n index is always admissible (p_(n+1) = 1) and its deviation is
-    positive, so the maximum is positive for any p-value vector.
+    ``series`` holds p-values of shape (n,) or (rows, n), reduced along the
+    last axis as in ``trgof_stat``. The t = n index is always admissible
+    (p_(n+1) = 1) and its deviation is positive, so the maximum exists and
+    is positive for any p-value vector.
     """
     if not 0.0 <= c_plus <= 1.0:
         raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
     p = _as_pvalues(series)
-    n = p.size
+    n = p.shape[-1]
     ps, u, admissible = _sorted_terms(p, c_plus)
     terms = math.sqrt(n) * (u - ps) / np.sqrt(ps * (1.0 - ps))
-    terms = terms[admissible]
-    if not terms.size:
-        raise ValueError("no admissible index for HC (c_plus too large)")
-    return float(terms.max())
-
-
-def reject_rule(stat: float, n: int, delta: float) -> bool:
-    """The asymptotic rule: reject when n * stat >= (1 + delta) log log n."""
-    n = int(n)
-    if n < 3:
-        raise ValueError("log log n <= 0 for n < 3; rule needs n >= 3")
-    return n * float(stat) >= (1.0 + delta) * math.log(math.log(n))
+    return _float_if_scalar(terms.max(axis=-1, where=admissible, initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +271,14 @@ def null_moments(kind: ScoreKind) -> tuple[float, float]:
         d = kind.param
         return 1.0 - d, d * (1.0 - d)
 
+    from scipy.integrate import quad  # deferred so that importing the package skips scipy
+
     def h(y):
         return score(min(max(y, _P_CLIP_LO), _P_CLIP_HI), kind)
 
     mean = quad(h, 0.0, 1.0, epsabs=1e-12, limit=300)[0]
     second = quad(lambda y: h(y) ** 2, 0.0, 1.0, epsabs=1e-12, limit=300)[0]
     return mean, second - mean * mean
-
-
-def sum_test(series, kind: ScoreKind, threshold: float) -> bool:
-    """Reject when the summed score reaches ``threshold`` (supplied by calibrate)."""
-    if isinstance(series, PivotSeries):
-        y = series.y
-    else:
-        y = np.asarray(series, dtype=float)
-    y = np.clip(y, 1.0 - _P_CLIP_HI, _P_CLIP_HI)
-    return bool(score(y, kind).sum() >= threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +316,9 @@ class Detector:
 
     # -- statistic / decision -------------------------------------------------
 
-    def statistic(self, series) -> float:
+    def statistic(self, series):
+        """The test statistic of pivots of shape (n,) or (rows, n): a float
+        for one series, an array of ``rows`` values for a block."""
         raise NotImplementedError
 
     def decision_function(self, series) -> float:
@@ -372,7 +368,7 @@ class TrGoF(Detector):
         self.c_plus = float(c_plus)
         self.critical_value = critical_value
 
-    def statistic(self, series) -> float:
+    def statistic(self, series):
         if not isinstance(series, PivotSeries):
             series = PivotSeries.from_y(np.asarray(series, dtype=float))
         return trgof_stat(series, self.s, self.c_plus)
@@ -395,7 +391,7 @@ class HigherCriticism(Detector):
         self.c_plus = float(c_plus)
         self.critical_value = critical_value
 
-    def statistic(self, series) -> float:
+    def statistic(self, series):
         if not isinstance(series, PivotSeries):
             series = PivotSeries.from_y(np.asarray(series, dtype=float))
         return hc_plus(series, self.c_plus)
@@ -417,13 +413,13 @@ class SumScore(Detector):
         self.kind = kind
         self.critical_value = critical_value
 
-    def statistic(self, series) -> float:
+    def statistic(self, series):
         if isinstance(series, PivotSeries):
             y = series.y
         else:
             y = np.asarray(series, dtype=float)
         y = np.clip(y, 1.0 - _P_CLIP_HI, _P_CLIP_HI)
-        return float(score(y, self.kind).sum())
+        return _float_if_scalar(score(y, self.kind).sum(axis=-1))
 
     def fit(self, n: int, alpha: float = 0.01, reps: int = 10_000, outer: int = 10, seed: int = 0):
         """Sum rules calibrate in closed form through the CLT threshold."""
@@ -440,15 +436,3 @@ class SumScore(Detector):
             "delta0": self.kind.param,
             "critical_value": self._effective_cv(),
         }
-
-
-def detector_from_config(cfg: dict) -> Detector:
-    kind = cfg.get("kind")
-    cv = cfg.get("critical_value")
-    if kind == "trgof":
-        return TrGoF(s=cfg.get("s", 2.0), c_plus=cfg.get("c_plus", 0.0), critical_value=cv)
-    if kind == "hc":
-        return HigherCriticism(c_plus=cfg.get("c_plus", 0.0), critical_value=cv)
-    if kind == "sum":
-        return SumScore(kind=ScoreKind(cfg["score"], cfg.get("delta0")), critical_value=cv)
-    raise ValueError(f"unknown detector kind {kind!r}")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .pivotal import _grouped
 from .tokensource import least_favorable
@@ -42,6 +41,8 @@ class EfficiencyQuery:
 
 def optimal_rate(query: EfficiencyQuery) -> float:
     """KL rate of the least-favorable mixture at (delta, epsilon)."""
+    from scipy.integrate import quad  # deferred so that importing the package skips scipy
+
     vals, counts = _grouped(least_favorable(query.delta))
     expo = 1.0 / vals - 1.0
     tol = query.quad_tolerance

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import empirical_quantile, tradeoff_curve
-from .detectors import ScoreKind, hc_plus, score, trgof_stat
+from .detectors import _P_CLIP_HI, _P_CLIP_LO, ScoreKind, SumScore, hc_plus, score, trgof_stat
 from .pivotal import PivotSeries, alt_cdf, alt_pdf, alt_sample
 from .streams import substream
 from .tokensource import entropy_of, make_m1, make_m2
@@ -213,6 +213,7 @@ def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, f
     at most 2 N + 1 candidates.
     """
     stats = {sp.name: (np.empty(cfg.trials), np.empty(cfg.trials)) for sp in specs}
+    sums = {sp.name: SumScore(sp.score_kind) for sp in specs if sp.kind == "sum"}
     for t in range(cfg.trials):
         rng = substream(cfg.seed, t)
         mix, null = sample_mixture(cfg, rng)
@@ -222,8 +223,8 @@ def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, f
                 s0 = trgof_stat(null, sp.s, cp)
                 s1 = trgof_stat(mix, sp.s, cp)
             else:
-                s0 = float(score(np.clip(null.y, 1e-16, 1 - 1e-16), sp.score_kind).sum())
-                s1 = float(score(np.clip(mix.y, 1e-16, 1 - 1e-16), sp.score_kind).sum())
+                s0 = sums[sp.name].statistic(null)
+                s1 = sums[sp.name].statistic(mix)
             stats[sp.name][0][t] = s0
             stats[sp.name][1][t] = s1
     return {name: float(tradeoff_curve(s0, s1).sum(axis=1).min()) for name, (s0, s1) in stats.items()}
@@ -275,7 +276,7 @@ def analytic_gap_bounds(probs, kind: ScoreKind) -> tuple[float, float]:
     from scipy.integrate import quad
 
     g = quad(
-        lambda y: float(score(min(max(y, 1e-300), 1 - 1e-16), kind)) * (alt_pdf(probs, y) - 1.0),
+        lambda y: float(score(min(max(y, _P_CLIP_LO), _P_CLIP_HI), kind)) * (alt_pdf(probs, y) - 1.0),
         0.0, 1.0, epsabs=1e-10, limit=300,
     )[0]
     return g, g
@@ -298,8 +299,7 @@ def entropy_gap_check(probs, kinds, trials: int, seed: int = 0) -> list[GapCheck
     """
     rng = substream(seed, 0)
     y1 = alt_sample(probs, rng.random(trials))
-    y0 = rng.random(trials)
-    y0 = np.clip(y0, 1e-16, 1 - 1e-16)
+    y0 = np.clip(rng.random(trials), 1.0 - _P_CLIP_HI, _P_CLIP_HI)
     rows = []
     for kind in kinds:
         h1 = score(y1, kind)

@@ -14,6 +14,20 @@ from gumbelmark import (
     norm_quantile,
     tradeoff_curve,
 )
+from gumbelmark.calibrate import MC_BLOCK_VALUES, empirical_quantile
+from gumbelmark.streams import substream
+
+
+def per_rep_critical(detector, n, alpha, reps, outer, seed):
+    """Reference calibration: one statistic call per replication, one
+    substream per (outer, rep), mean of the per-round quantiles."""
+    quantiles = np.empty(outer)
+    stats = np.empty(reps)
+    for o in range(outer):
+        for r in range(reps):
+            stats[r] = detector.statistic(substream(seed, o, r).random(n))
+        quantiles[o] = empirical_quantile(stats, 1.0 - alpha)
+    return float(quantiles.mean())
 
 
 class TestNormQuantile:
@@ -85,6 +99,31 @@ class TestMcCritical:
         back = CalibrationResult.from_json(res.to_json())
         assert back == res
         assert len(res.cache_key()) == 16
+
+    @pytest.mark.parametrize("n", [57, 195, MC_BLOCK_VALUES + 3])
+    def test_blocked_matches_per_rep_loop(self, n):
+        # reps = 200 is not a multiple of the block rows at n = 57 (71) or
+        # n = 195 (21); above MC_BLOCK_VALUES each block is a single row
+        dets = [TrGoF(s=s, c_plus=c) for s in (2.0, 1.0, 0.0, -1.0) for c in (0.0, 1.0 / n, 0.3)]
+        dets += [HigherCriticism(c_plus=c) for c in (0.0, 1.0 / n, 0.3)]
+        for det in dets:
+            got = mc_critical(det, n, 0.05, reps=200, outer=2, seed=17).critical_value
+            want = per_rep_critical(det, n, 0.05, reps=200, outer=2, seed=17)
+            assert got == want, (det, n)
+
+    def test_statistic_called_once_per_block(self):
+        shapes = []
+
+        class Recording(TrGoF):
+            def statistic(self, series):
+                shapes.append(np.shape(series))
+                return super().statistic(series)
+
+        n, reps = 195, 250
+        mc_critical(Recording(s=2.0, c_plus=0.0), n, 0.05, reps=reps, outer=2, seed=1)
+        rows = MC_BLOCK_VALUES // n
+        one_round = [(rows, n)] * (reps // rows) + [(reps % rows, n)]
+        assert shapes == one_round * 2
 
     def test_fit_sets_fitted_value(self):
         det = TrGoF(s=2.0, c_plus=0.02).fit(40, alpha=0.1, reps=200, outer=1, seed=2)

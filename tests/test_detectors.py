@@ -11,7 +11,6 @@ from gumbelmark import (
     ScoreKind,
     SumScore,
     TrGoF,
-    detector_from_config,
     hc_plus,
     ind,
     k_s,
@@ -19,9 +18,7 @@ from gumbelmark import (
     null_moments,
     opt,
     phi_s,
-    reject_rule,
     score,
-    sum_test,
     trgof_stat,
 )
 
@@ -172,20 +169,6 @@ class TestHCPlus:
         assert hc_plus(p, 0.0) == pytest.approx(want, abs=1e-12)
 
 
-class TestRejectRule:
-    def test_zero_stat(self):
-        assert reject_rule(0.0, 100, 0.2) is False
-
-    def test_arithmetic(self):
-        # n stat = 3 > 1.2 log log 1e4 ~ 2.664
-        assert reject_rule(3.0 / 10_000, 10_000, 0.2) is True
-        assert reject_rule(2.5 / 10_000, 10_000, 0.2) is False
-
-    def test_small_n(self):
-        with pytest.raises(ValueError):
-            reject_rule(1.0, 2, 0.1)
-
-
 # frozen from the closed-form formula log(y**(d/(1-d)) + y**(1/d - 1))
 OPT_04_AT_HALF = -0.016623492253922244
 
@@ -246,14 +229,14 @@ class TestNullMoments:
 
 class TestSumTest:
     def test_infinite_threshold(self):
-        assert sum_test(np.array([0.5, 0.6]), ARS, math.inf) is False
+        assert SumScore(ARS, critical_value=math.inf).predict(np.array([0.5, 0.6])) is False
 
     def test_boundary(self):
         n = 100
         y = np.full(n, 1.0 - 1.0 / math.e)
         total = float(score(y, ARS).sum())
         assert abs(total - n) <= 1e-9 * n
-        assert sum_test(y, ARS, total) is True  # >= at the boundary
+        assert SumScore(ARS, critical_value=total).predict(y) is True  # >= at the boundary
 
     def test_clt_null_rate(self):
         # vectorized 1e4-trial null check at alpha = 0.01, n = 400
@@ -276,13 +259,6 @@ class TestDetectorObjects:
         with pytest.raises(ValueError):
             det.set_params(bogus=1)
 
-    def test_config_roundtrip(self):
-        for det in (TrGoF(s=1.0, c_plus=0.01, critical_value=2.5),
-                    HigherCriticism(c_plus=0.0, critical_value=3.0),
-                    SumScore(opt(0.1), critical_value=410.0)):
-            back = detector_from_config(det.to_config())
-            assert back.to_config() == det.to_config()
-
     def test_predict_requires_critical_value(self):
         det = TrGoF(s=2.0, c_plus=0.0)
         with pytest.raises(ValueError):
@@ -303,3 +279,43 @@ class TestDetectorObjects:
         assert HigherCriticism(c_plus=0.0).statistic(y) == hc_plus(1.0 - y, 0.0)
         piv = PivotSeries.from_y(y)
         assert SumScore(ARS).statistic(piv) == SumScore(ARS).statistic(y)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBlockEvaluation:
+    """A (rows, n) block gives, bit for bit, the row-by-row 1-D statistics."""
+
+    @staticmethod
+    def pivots(rows=6, n=60):
+        y = np.random.default_rng(15).random((rows, n))
+        # 1 - 1e-17 rounds to 1.0; both ends hit the p-value and pivot clips
+        y[1, :3] = 0.0
+        y[2, -4:] = 1.0 - 1e-17
+        y[3, :2] = (0.0, 1.0 - 1e-17)
+        return y
+
+    def test_trgof_and_hc_functions(self):
+        p = 1.0 - self.pivots()
+        n = p.shape[1]
+        for c in (0.0, 1.0 / n, 0.3, 1.0):
+            for s in S_GRID:
+                got = trgof_stat(p, s, c)
+                assert got.shape == (p.shape[0],)
+                assert hexes(got) == hexes(trgof_stat(row, s, c) for row in p), (s, c)
+            got = hc_plus(p, c)
+            assert got.shape == (p.shape[0],)
+            assert hexes(got) == hexes(hc_plus(row, c) for row in p), c
+
+    def test_detector_objects(self):
+        n = 60
+        dets = [TrGoF(s=s, c_plus=c) for s in S_GRID for c in (0.0, 1.0 / n)]
+        dets += [HigherCriticism(c_plus=c) for c in (0.0, 1.0 / n)]
+        dets += [SumScore(k) for k in (ARS, LOG, ind(0.5), opt(0.1))]
+        for y in (self.pivots(n=n), self.pivots(n=n)[:1]):
+            for det in dets:
+                got = det.statistic(y)
+                assert got.shape == (y.shape[0],)
+                assert hexes(got) == hexes(det.statistic(row) for row in y), det
