@@ -244,33 +244,32 @@ def _suite_hist(args, outputs: list[str]) -> None:
     outputs.append(ppath)
 
 
-def _suite_boundary(args, outputs: list[str]) -> None:
+def _boundary_grid(args) -> ExperimentGrid:
+    """The (p, q) grid of the boundary suites; q starts where the top
+    probability 1 - n**-q would drop under 1/V."""
     q_min = math.log(args.vocab_size / (args.vocab_size - 1)) / math.log(args.n)
-    grid = ExperimentGrid(
+    return ExperimentGrid(
         p_values=tuple(grid_points(0.01, 1.0, args.grid)),
         q_values=tuple(grid_points(max(q_min, 0.01), 1.0, args.grid)),
         n=args.n, trials=args.trials, seed=args.seed,
     )
+
+
+def _suite_boundary(args, outputs: list[str]) -> None:
     spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
-    rows = boundary_grid(grid, [spec], vocab_size=args.vocab_size, ntp_mode=args.mode)
+    rows = boundary_grid(_boundary_grid(args), [spec], vocab_size=args.vocab_size, ntp_mode=args.mode)
     path = os.path.join(args.out_dir, "boundary.csv")
     write_boundary_csv(rows, path)
     outputs.append(path)
 
 
 def _suite_sumboundary(args, outputs: list[str]) -> None:
-    q_min = math.log(args.vocab_size / (args.vocab_size - 1)) / math.log(args.n)
-    grid = ExperimentGrid(
-        p_values=tuple(grid_points(0.01, 1.0, args.grid)),
-        q_values=tuple(grid_points(max(q_min, 0.01), 1.0, args.grid)),
-        n=args.n, trials=args.trials, seed=args.seed,
-    )
     specs = []
     for token in args.scores.split(","):
         name, _, param = token.partition(":")
         kind = _score_kind(name, float(param) if param else None)
         specs.append(BoundarySpec(name=kind.label(), kind="sum", score_kind=kind))
-    rows = boundary_grid(grid, specs, vocab_size=args.vocab_size, ntp_mode=args.mode)
+    rows = boundary_grid(_boundary_grid(args), specs, vocab_size=args.vocab_size, ntp_mode=args.mode)
     path = os.path.join(args.out_dir, "sumboundary.csv")
     write_boundary_csv(rows, path)
     outputs.append(path)

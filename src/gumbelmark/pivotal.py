@@ -8,6 +8,10 @@ Y is U(0, 1); under the watermark with NTP vector P its CDF is
 
 with density f_P(r) = sum_w r**(1 / P_w - 1). Zero-probability tokens
 contribute nothing (the P_w -> 0 limit of P_w * r**(1/P_w) is 0 for r < 1).
+
+F_P is exactly the law of Y = V**P_W with W ~ P and V ~ U(0, 1) independent,
+since P(V**P_w <= r) = r**(1/P_w). ``alt_sample`` draws Y that way from one
+uniform per draw.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import numpy as np
 
 from ._validation import check_ntp_dist, check_token_ids
 from .prf import prf_uniform
-
-ALT_SAMPLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,28 +95,24 @@ def alt_pdf(probs, r):
 
 
 def alt_sample(probs, u):
-    """Inverse-CDF sample(s) from the watermarked pivot law.
+    """Exact sample(s) from the watermarked pivot law, one uniform u per draw.
 
-    Solves alt_cdf(P, r) = u by bisection to absolute tolerance 1e-12; the
-    CDF is strictly increasing on (0, 1) so the root is unique. Bisection is
-    used deliberately: the density can be nearly flat close to 0, where a
-    Newton step would be unreliable.
+    Y = V**P_W with W ~ P and V ~ U(0, 1). Tokens sharing a probability form
+    a group g of weight count_g * P_g; g is the inverse CDF of u over the
+    cumulative group weights, and the residual v = (u - lower_g) / weight_g,
+    where lower_g is the weight of the groups before g, is U(0, 1) given g,
+    so it serves as V. The map from u to Y is not monotone; only a
+    single-group P gives the inverse CDF of F_P.
     """
     vals, counts = _grouped(probs)
-    expo = 1.0 / vals
     weights = counts * vals
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie strictly in (0, 1)")
-    lo = np.zeros_like(u_arr, dtype=float)
-    hi = np.ones_like(u_arr, dtype=float)
-    # 50 halvings take the bracket below 1e-12 with margin to spare.
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        f = (weights * mid[..., None] ** expo).sum(axis=-1)
-        below = f < u_arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    r = 0.5 * (lo + hi)
-    r = np.clip(r, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    edges = np.concatenate(([0.0], np.cumsum(weights)))
+    # edges[g] <= u by construction, so v >= 0; clamped because rounding can
+    # leave the total weight just below u.
+    g = np.minimum(np.searchsorted(edges[1:], u_arr, side="right"), vals.size - 1)
+    v = (u_arr - edges[g]) / weights[g]
+    r = np.clip(v ** vals[g], np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return r if u_arr.ndim else float(r)

@@ -77,6 +77,19 @@ class TestSampleMixture:
         mix, null = sample_mixture(cfg, substream(4, 0))
         assert np.all((mix.y > 0) & (mix.y < 1))
 
+    @pytest.mark.parametrize("mode, per_signal", [("m2", 1), ("m1", 3)])
+    def test_stream_layout(self, mode, per_signal):
+        # y0, then one uniform per signal entry; m1 adds make_m1's two shape draws
+        cfg = MixtureConfig(n=300, p=0.3, q=0.4, vocab_size=12, ntp_mode=mode, seed=5)
+        k = cfg.n_signal
+        for t in range(3):
+            rng = substream(5, t)
+            _, null = sample_mixture(cfg, rng)
+            assert np.array_equal(null.y, substream(5, t).random(cfg.n))
+            fresh = substream(5, t)
+            fresh.random(cfg.n + per_signal * k)
+            assert rng.random() == fresh.random()
+
 
 class TestHistogramStudy:
     def test_runs_and_reports_power(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +13,7 @@ from gumbelmark import (
     alt_pdf,
     alt_sample,
     generate,
+    least_favorable,
     make_m1,
     make_m2,
     pivot_series,
@@ -63,14 +66,18 @@ class TestAltPdf:
             assert total == pytest.approx(1.0, abs=1e-8)
 
 
-class TestAltSample:
-    def test_inverse_contract(self):
-        rng = np.random.default_rng(3)
-        for p in random_dists(4, 15):
-            u = rng.random(50)
-            r = alt_sample(p, u)
-            assert np.all(np.abs(alt_cdf(p, r) - u) <= 1e-10)
+# Laws for the exact-sampler checks. Each alt_cdf temporary of shape
+# (N, groups) stays under ~40 MB at the sample sizes used.
+EXACT_LAWS = [
+    pytest.param(make_m1(0.063, 200, np.random.default_rng(11)), id="m1_0.063_200"),
+    pytest.param(least_favorable(0.7), id="least_favorable_0.7"),
+    pytest.param(make_m2(0.025, 1000), id="m2_0.025_1000"),
+]
+# The last law's total weight sits below 1 - 2**-53, inside the sum tolerance.
+EDGE_LAWS = EXACT_LAWS + [pytest.param(np.array([0.5, 0.5 - 1e-13]), id="total_below_one")]
 
+
+class TestAltSample:
     def test_square_law_point(self):
         # F(r) = r^2 for (0.5, 0.5), so u = 0.25 inverts to r = 0.5
         assert alt_sample([0.5, 0.5], 0.25) == pytest.approx(0.5, abs=1e-11)
@@ -81,6 +88,31 @@ class TestAltSample:
         n = 100_000
         draws = alt_sample(p, rng.random(n))
         assert ks_distance(draws, cdf=lambda x: alt_cdf(p, x)) <= 0.01
+
+    @pytest.mark.parametrize("p", EXACT_LAWS)
+    def test_exact_law_ks(self, p):
+        n = 20_000
+        draws = alt_sample(p, np.random.default_rng(21).random(n))
+        assert ks_distance(draws, cdf=lambda x: alt_cdf(p, x)) < ks_critical(n, 0.05)
+
+    @pytest.mark.parametrize("p", EXACT_LAWS)
+    def test_mean_closed_form(self, p):
+        # E[V**P_w] = 1 / (1 + P_w), so E[Y] = sum_w P_w / (1 + P_w)
+        n = 200_000
+        draws = alt_sample(p, np.random.default_rng(22).random(n))
+        expected = float(np.sum(p / (1.0 + p)))
+        se = draws.std(ddof=1) / math.sqrt(n)
+        assert abs(draws.mean() - expected) <= 4.0 * se
+
+    @pytest.mark.parametrize("p", EDGE_LAWS)
+    def test_draws_open_interval_at_edges(self, p):
+        vals, counts = np.unique(p[p > 0.0], return_counts=True)
+        edges = np.cumsum(counts * vals)
+        u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [2.0**-53, 1.0 - 2.0**-53]))
+        u = u[(u > 0.0) & (u < 1.0)]
+        r = alt_sample(p, u)
+        assert np.all((r > 0.0) & (r < 1.0))
 
     def test_rejects_boundary_u(self):
         with pytest.raises(ValueError):
