@@ -3,7 +3,7 @@
 The package covers the full pipeline on synthetic token sources: keyed
 pseudorandom generation, watermark embedding with repeated-context masking,
 human-edit simulation, detection through truncated goodness-of-fit / Higher Criticism /
-sum-rule statistics, Monte Carlo calibration, and the phase-transition and
+sum-rule statistics, exact and CLT calibration, and the phase-transition and
 efficiency experiment harness.
 """
 
@@ -41,8 +41,10 @@ from .detectors import (
 from .calibrate import (
     CalibrationResult,
     clt_critical,
+    exact_critical,
     mc_critical,
     norm_quantile,
+    null_sf,
     tradeoff_curve,
 )
 from .edits import (

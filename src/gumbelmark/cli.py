@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .calibrate import CalibrationResult, mc_critical
+from .calibrate import null_sf
 from .detectors import (
     ARS,
     LOG,
@@ -64,7 +64,8 @@ class UsageError(Exception):
     pass
 
 
-def _write_manifest(command: str, config: dict, seed, outputs: list[str], started: float) -> str:
+def _write_manifest(command: str, config: dict, seed, outputs: list[str], started: float,
+                    timings: dict | None = None) -> str:
     path = outputs[0] + ".manifest.json" if len(outputs) == 1 else os.path.join(
         os.path.dirname(outputs[0]) or ".", "manifest.json"
     )
@@ -76,6 +77,8 @@ def _write_manifest(command: str, config: dict, seed, outputs: list[str], starte
         "outputs": outputs,
         "wall_clock_s": round(time.time() - started, 6),
     }
+    if timings is not None:
+        manifest["timings_s"] = {stage: round(sec, 6) for stage, sec in timings.items()}
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -182,39 +185,39 @@ def cmd_detect(args) -> int:
     started = time.time()
     if args.critical_value is None and not args.calibrate:
         raise UsageError("need --critical-value or --calibrate")
+    t0 = time.perf_counter()
     seq = _load_seq(args.infile)
     key = _resolve_key(args)
+    t1 = time.perf_counter()
     vocab = args.vocab_size if args.vocab_size is not None else max(seq.tokens) + 1
     piv = pivot_series(seq, key, vocab)
     detector = _build_detector(args, piv.n)
+    t2 = time.perf_counter()
     if args.calibrate:
-        detector.fit(piv.n, alpha=args.alpha, reps=args.reps, outer=args.outer, seed=args.seed)
+        detector.fit(piv.n, alpha=args.alpha)
+    t3 = time.perf_counter()
+    statistic = detector.statistic(piv)
     verdict = {
-        "statistic": detector.statistic(piv),
+        "statistic": statistic,
+        "p_value": null_sf(detector, piv.n, statistic),
         "n_scored": piv.n,
         "critical_value": detector.threshold,
-        "reject": detector.predict(piv),
+        "reject": bool(statistic >= detector.threshold),
         "detector": detector.to_config(),
     }
+    t4 = time.perf_counter()
     with open(args.out, "w") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)
         fh.write("\n")
     config = {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}
-    _write_manifest("detect", config, args.seed, [args.out], started)
+    timings = {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}
+    _write_manifest("detect", config, args.seed, [args.out], started, timings)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
     started = time.time()
-    detector = _build_detector(args, args.n)
-    if isinstance(detector, SumScore):
-        detector.fit(args.n, alpha=args.alpha)
-        result = CalibrationResult(
-            detector=detector.to_config(), n=args.n, alpha=args.alpha,
-            critical_value=detector.critical_value_, reps=0, outer=0, seed=args.seed,
-        )
-    else:
-        result = mc_critical(detector, args.n, args.alpha, reps=args.reps, outer=args.outer, seed=args.seed)
+    result = _build_detector(args, args.n).fit(args.n, alpha=args.alpha).calibration_
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_path = os.path.join(args.cache_dir, result.cache_key() + ".json")
@@ -224,8 +227,8 @@ def cmd_calibrate(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
         fh.write("\n")
-    _write_manifest("calibrate", {"detector": result.detector, "n": args.n, "alpha": args.alpha,
-                                  "reps": args.reps, "outer": args.outer}, args.seed, [args.out], started)
+    _write_manifest("calibrate", {"detector": result.detector, "n": args.n, "alpha": args.alpha},
+                    args.seed, [args.out], started)
     return EXIT_OK
 
 
@@ -307,8 +310,7 @@ def _suite_gapcheck(args, outputs: list[str]) -> None:
 def _suite_tolerance(args, outputs: list[str]) -> None:
     key = _resolve_key(args)
     detector = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n_test - args.m))
-    detector.fit(args.n_test - args.m, alpha=args.alpha, reps=args.reps, outer=args.outer,
-                 seed=child_seed(args.seed, 0))
+    detector.fit(args.n_test - args.m, alpha=args.alpha)
 
     def decide(ts: TokenSeq) -> bool:
         return detector.predict(pivot_series(ts, key, args.vocab_size))
@@ -369,8 +371,9 @@ def _add_detector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta0", type=float, default=0.1)
     p.add_argument("--critical-value", type=float, default=None, dest="critical_value")
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--outer", type=int, default=10)
+    ignored = "accepted but unused: TrGoF/HC calibration is exact, sum rules use the CLT threshold"
+    p.add_argument("--reps", type=int, default=10_000, help=ignored)
+    p.add_argument("--outer", type=int, default=10, help=ignored)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--key", default=None)
     d.add_argument("--vocab-size", type=int, default=None, dest="vocab_size")
     d.add_argument("--calibrate", action="store_true",
-                   help="Monte Carlo-calibrate the critical value first")
+                   help="calibrate the critical value first: exact null law for trgof/hc, CLT for sum")
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", required=True)
     _add_detector_args(d)
@@ -447,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--n0", type=int, default=200, help="tolerance suite: initial length")
     x.add_argument("--n-test", type=int, default=105, dest="n_test")
     x.add_argument("--delta", type=float, default=0.3)
-    x.add_argument("--reps", type=int, default=2000)
-    x.add_argument("--outer", type=int, default=5)
     x.add_argument("--out-dir", required=True, dest="out_dir")
     x.set_defaults(func=cmd_experiment)
 

@@ -337,11 +337,13 @@ class Detector:
         """True when the watermark hypothesis is accepted (H0 rejected)."""
         return bool(self.statistic(series) >= self.threshold)
 
-    def fit(self, n: int, alpha: float = 0.01, reps: int = 10_000, outer: int = 10, seed: int = 0):
-        """Monte Carlo-calibrate the critical value for length-n null series."""
-        from .calibrate import mc_critical
+    def fit(self, n: int, alpha: float = 0.01):
+        """Calibrate the critical value for length-n null series from the exact
+        null law (``calibrate.exact_critical``); ``calibrate.mc_critical`` is
+        its Monte Carlo oracle."""
+        from .calibrate import exact_critical
 
-        result = mc_critical(self, n, alpha, reps=reps, outer=outer, seed=seed)
+        result = exact_critical(self, n, alpha)
         self.critical_value_ = result.critical_value
         self.calibration_ = result
         return self
@@ -421,12 +423,15 @@ class SumScore(Detector):
         y = np.clip(y, 1.0 - _P_CLIP_HI, _P_CLIP_HI)
         return _float_if_scalar(score(y, self.kind).sum(axis=-1))
 
-    def fit(self, n: int, alpha: float = 0.01, reps: int = 10_000, outer: int = 10, seed: int = 0):
+    def fit(self, n: int, alpha: float = 0.01):
         """Sum rules calibrate in closed form through the CLT threshold."""
-        from .calibrate import clt_critical
+        from .calibrate import CalibrationResult, clt_critical
 
-        self.critical_value_ = clt_critical(self.kind, n, alpha)
-        self.calibration_ = None
+        cv = clt_critical(self.kind, n, alpha)
+        self.calibration_ = CalibrationResult(
+            detector=self.to_config(), n=int(n), alpha=float(alpha), critical_value=cv, reps=0, outer=0, seed=0,
+        )
+        self.critical_value_ = cv
         return self
 
     def to_config(self) -> dict:

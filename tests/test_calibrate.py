@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from gumbelmark import (
     ARS,
     CalibrationResult,
     HigherCriticism,
+    SumScore,
     TrGoF,
     clt_critical,
+    exact_critical,
     mc_critical,
     norm_quantile,
+    null_sf,
     tradeoff_curve,
 )
 from gumbelmark.calibrate import MC_BLOCK_VALUES, empirical_quantile
@@ -126,9 +130,84 @@ class TestMcCritical:
         assert shapes == one_round * 2
 
     def test_fit_sets_fitted_value(self):
-        det = TrGoF(s=2.0, c_plus=0.02).fit(40, alpha=0.1, reps=200, outer=1, seed=2)
+        det = TrGoF(s=2.0, c_plus=0.02).fit(40, alpha=0.1)
         assert det.critical_value_ == det.calibration_.critical_value
         assert det.threshold == det.critical_value_
+
+
+def gof_detectors(c_plus_values):
+    dets = [TrGoF(s=s, c_plus=c) for c in c_plus_values for s in (2.0, 1.0, 0.5, 0.0, -1.0)]
+    return dets + [HigherCriticism(c_plus=c) for c in c_plus_values]
+
+
+def assert_tail_matches_sample(det, n, stats, levels):
+    """null_sf within 4 binomial SEs of the sample's tail at its quantiles."""
+    for level in levels:
+        c = float(np.quantile(stats, level))
+        want = null_sf(det, n, c)
+        got = float(np.mean(stats >= c))
+        se = math.sqrt(want * (1.0 - want) / stats.size)
+        assert abs(got - want) <= 4.0 * se + 1e-12, (det, n, level, got, want)
+
+
+class TestExactNull:
+    @pytest.mark.parametrize("n", [20, 57, 195])
+    def test_matches_monte_carlo_tail(self, n):
+        # one block of null series shared by all 18 detectors, scored in one
+        # statistic call per detector
+        pivots = substream(31, n).random((20_000, n))
+        for det in gof_detectors((0.0, 1.0 / n, 0.3)):
+            assert_tail_matches_sample(det, n, det.statistic(pivots), (0.5, 0.9, 0.99))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_most_points_below_c_plus(self, n):
+        # with c+ >= 0.6 the count J below c+ is often n, where only t = n is
+        # admissible and s <= 0 truncates it to 0: checks the t = J factor and
+        # the raw b_n that J = n keeps
+        pivots = substream(32, n).random((50_000, n))
+        for det in gof_detectors((0.6, 0.95)):
+            assert_tail_matches_sample(det, n, det.statistic(pivots), (0.3, 0.6, 0.9, 0.99))
+
+    def test_type_one_with_exact_thresholds(self):
+        # criterion 04's fresh null draws, thresholds from the exact law
+        n, alpha, trials = 400, 0.01, 5000
+        for s in (1.0, 2.0):
+            det = TrGoF(s=s, c_plus=1.0 / n)
+            crit = exact_critical(det, n, alpha).critical_value
+            y = np.stack([substream(777, int(s), t).random(n) for t in range(trials)])
+            rate = float(np.mean(det.statistic(y) >= crit))
+            assert 0.006 <= rate <= 0.014, (s, rate)
+
+    def test_critical_value_solves_tail(self):
+        for det in gof_detectors((0.0, 1.0 / 60, 0.3)):
+            for alpha in (0.01, 0.2):
+                res = exact_critical(det, 60, alpha)
+                assert null_sf(det, 60, res.critical_value) == pytest.approx(alpha, rel=1e-6)
+                assert (res.reps, res.outer, res.seed) == (0, 0, 0)
+
+    def test_guards(self):
+        det = TrGoF(s=2.0, c_plus=0.0)
+        with pytest.raises(ValueError):
+            exact_critical(det, 2, 0.01)
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                exact_critical(det, 50, bad)
+        with pytest.raises(ValueError):
+            exact_critical(det, 50, 1e-300)  # far below the law's accuracy
+        with pytest.raises(TypeError):
+            exact_critical(SumScore(ARS), 50, 0.01)
+
+    def test_sum_rule_tail_is_the_clt_tail(self):
+        assert null_sf(SumScore(ARS), 400, clt_critical(ARS, 400, 0.01)) == pytest.approx(0.01, rel=1e-9)
+
+    def test_fast_at_n_395(self):
+        for det in (TrGoF(s=1.0, c_plus=1 / 395), TrGoF(s=2.0, c_plus=1 / 395), HigherCriticism(c_plus=1 / 395)):
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                exact_critical(det, 395, 0.01)
+                best = min(best, time.perf_counter() - t0)
+            assert best < 0.5, (det, best)
 
 
 class TestTradeoffCurve:

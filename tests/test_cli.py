@@ -106,6 +106,39 @@ class TestDetect:
         assert rc == 0
         assert read_json(out)["reject"] is True
 
+    @pytest.mark.parametrize("detector", [["trgof", "--s", "2"], ["trgof", "--s", "1"], ["hc"],
+                                          ["sum", "--score", "ars"]])
+    @pytest.mark.parametrize("key", [KEY, "deadbeef"])
+    def test_reject_is_p_value_at_most_alpha(self, seq_file, tmp_path, detector, key):
+        out = str(tmp_path / "p.json")
+        assert run("detect", "--in", seq_file, "--key", key, "--detector", *detector,
+                   "--calibrate", "--alpha", "0.01", "--out", out) == 0
+        verdict = read_json(out)
+        assert 0.0 <= verdict["p_value"] <= 1.0
+        assert verdict["reject"] is (verdict["p_value"] <= 0.01)
+
+    def test_verdict_and_manifest_schema(self, seq_file, tmp_path):
+        out = str(tmp_path / "v.json")
+        assert run("detect", "--in", seq_file, "--key", KEY, "--calibrate", "--out", out) == 0
+        verdict = read_json(out)
+        assert set(verdict) == {"statistic", "p_value", "n_scored", "critical_value", "reject", "detector"}
+        manifest = read_json(out + ".manifest.json")
+        assert set(manifest) == {"command", "config", "seed", "version", "outputs", "wall_clock_s", "timings_s"}
+        timings = manifest["timings_s"]
+        assert set(timings) == {"load", "pivots", "calibrate", "score"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= manifest["wall_clock_s"] + 1e-3
+
+    def test_too_few_scored_positions_is_data_error(self, tmp_path, capsys):
+        seq = str(tmp_path / "short.json")
+        assert run("generate", "--key", KEY, "--n", "2", "--m", "5", "--seed", "1", "--out", seq) == 0
+        capsys.readouterr()
+        assert run("detect", "--in", seq, "--key", KEY, "--vocab-size", "20", "--calibrate",
+                   "--out", str(tmp_path / "v.json")) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n >= 3" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         out = str(tmp_path / "x.json")
         assert run("detect", "--in", str(tmp_path / "nope.json"), "--key", KEY,
@@ -150,6 +183,7 @@ class TestCalibrateCmd:
         assert rc == 0
         res = read_json(out)
         assert res["n"] == 100 and res["alpha"] == 0.05
+        assert (res["reps"], res["outer"]) == (0, 0)
         assert len(os.listdir(cache)) == 1
 
     def test_sum_clt(self, tmp_path):
@@ -247,7 +281,7 @@ class TestRemainingSuites:
         out_dir = str(tmp_path / "tol")
         rc = run("experiment", "tolerance", "--key", KEY, "--vocab-size", "20",
                  "--n0", "120", "--n-test", "65", "--m", "5", "--delta", "0.3",
-                 "--trials", "1", "--reps", "1200", "--outer", "2", "--alpha", "0.01",
+                 "--trials", "1", "--alpha", "0.01",
                  "--seed", "3", "--out-dir", out_dir)
         assert rc == 0
         rows = read_text(os.path.join(out_dir, "tolerance.csv")).strip().split("\n")[1:]

@@ -14,3 +14,22 @@ def test_import_leaves_scipy_unloaded():
     probe = "import sys, gumbelmark, gumbelmark.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_calibrated_detect_leaves_scipy_unloaded(tmp_path):
+    # exact calibration needs numpy and the standard library only
+    src = str(Path(gumbelmark.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = f"""
+import sys
+from gumbelmark import cli
+seq, out = {str(tmp_path / "seq.json")!r}, {str(tmp_path / "verdict.json")!r}
+key = ["--key", "00112233445566778899aabbccddeeff"]
+assert cli.main(["generate", *key, "--n", "200", "--seed", "1", "--out", seq]) == 0
+for detector in (["trgof", "--s", "2"], ["trgof", "--s", "1"], ["hc"]):
+    assert cli.main(["detect", "--in", seq, *key, "--vocab-size", "20", "--calibrate",
+                     "--detector", *detector, "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
