@@ -30,11 +30,9 @@ from .detectors import (
     TrGoF,
     hc_plus,
     ind,
-    k_s,
     k_s_plus,
     null_moments,
     opt,
-    phi_s,
     score,
     trgof_stat,
 )
@@ -43,7 +41,6 @@ from .calibrate import (
     clt_critical,
     exact_critical,
     mc_critical,
-    norm_quantile,
     null_sf,
     tradeoff_curve,
 )

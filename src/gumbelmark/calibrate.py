@@ -25,11 +25,11 @@ Sum rules instead use the CLT threshold
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -73,36 +73,6 @@ class CalibrationResult:
     @classmethod
     def from_json(cls, text: str) -> "CalibrationResult":
         return cls(**json.loads(text))
-
-    def cache_key(self) -> str:
-        """Stable disk-cache key over (detector, n, alpha, reps, outer, seed)."""
-        ident = {k: v for k, v in self.__dict__.items() if k != "critical_value"}
-        blob = json.dumps(ident, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def norm_quantile(p: float) -> float:
-    """Standard normal quantile, accurate to well below 1e-9.
-
-    A short rational approximation seeds two Newton corrections against the
-    exact CDF (via erfc), so no special-function dependency is needed.
-    """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        # reflect into the lower tail, where erfc keeps full relative precision
-        return -norm_quantile(1.0 - p)
-    # Hastings-style seed, |error| < 5e-4
-    t = math.sqrt(-2.0 * math.log(p))
-    x = -(t - (2.30753 + 0.27061 * t) / (1.0 + 0.99229 * t + 0.04481 * t * t))
-    for _ in range(3):
-        cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        x -= (cdf - p) / pdf
-    return x
 
 
 def empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -369,14 +339,15 @@ def exact_critical(detector: Detector, n: int, alpha: float) -> CalibrationResul
 
 
 def clt_critical(kind: ScoreKind, n: int, alpha: float) -> float:
-    """CLT threshold for a sum rule at Type I level alpha."""
+    """CLT threshold for a sum rule at Type I level alpha, with z(1 - alpha)
+    from the standard library's normal inverse CDF."""
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     mean, var = null_moments(kind)
-    return n * mean + norm_quantile(1.0 - alpha) * math.sqrt(n * var)
+    return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)
 
 
 def tradeoff_curve(stats_h0, stats_h1) -> np.ndarray:

@@ -117,20 +117,8 @@ def _build_detector(args, n: int) -> Detector:
         return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
     if args.detector == "hc":
         return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
-    kind = _score_kind(args.score, args.delta0)
+    kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
     return SumScore(kind=kind, critical_value=args.critical_value)
-
-
-def _score_kind(name: str, delta0: float) -> ScoreKind:
-    if name == "ars":
-        return ARS
-    if name == "log":
-        return LOG
-    if name == "ind":
-        return ind(delta0)
-    if name == "opt":
-        return opt(delta0)
-    raise UsageError(f"unknown score {name!r}")
 
 
 def _c_plus_arg(text: str):
@@ -218,12 +206,6 @@ def cmd_detect(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.time()
     result = _build_detector(args, args.n).fit(args.n, alpha=args.alpha).calibration_
-    if args.cache_dir:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        cache_path = os.path.join(args.cache_dir, result.cache_key() + ".json")
-        with open(cache_path, "w") as fh:
-            fh.write(result.to_json())
-            fh.write("\n")
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
         fh.write("\n")
@@ -270,7 +252,10 @@ def _suite_sumboundary(args, outputs: list[str]) -> None:
     specs = []
     for token in args.scores.split(","):
         name, _, param = token.partition(":")
-        kind = _score_kind(name, float(param) if param else None)
+        try:
+            kind = ScoreKind(name, float(param) if param else None)
+        except ValueError as exc:
+            raise UsageError(f"bad --scores entry {token!r}: {exc}") from exc
         specs.append(BoundarySpec(name=kind.label(), kind="sum", score_kind=kind))
     rows = boundary_grid(_boundary_grid(args), specs, vocab_size=args.vocab_size, ntp_mode=args.mode)
     path = os.path.join(args.out_dir, "sumboundary.csv")
@@ -420,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("calibrate", help="compute a critical value")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--cache-dir", default=None, dest="cache_dir")
     c.add_argument("--out", required=True)
     _add_detector_args(c)
     c.set_defaults(func=cmd_calibrate)

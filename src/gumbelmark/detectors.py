@@ -8,9 +8,11 @@ Two families are provided.
       S_n_plus(s) = max over admissible t of K_s_plus(t/n, p_(t)),
 
   with p-values sorted ascending, the convention p_(n+1) = 1, and the
-  admissible set {t : p_(t+1) >= c_plus}. K_s_plus truncates the Bernoulli
-  phi_s-divergence K_s to positive deviations (0 unless v < u). Higher
-  Criticism is the s = 2 member: n * S_n_plus(2) = max(HC_n_plus, 0)**2 / 2.
+  admissible set {t : p_(t+1) >= c_plus}. K_s_plus is the Bernoulli
+  phi_s-divergence truncated to positive deviations (0 unless v < u). One
+  kernel evaluates it, for the statistic, for the exact null boundary in
+  ``calibrate`` and for the public ``k_s_plus``. Higher Criticism is the
+  s = 2 member: n * S_n_plus(2) = max(HC_n_plus, 0)**2 / 2.
 
 * Sum rules: T_h = sum of a score h(Y_t), rejecting above a threshold.
   Scores: ars(y) = -log(1-y), log(y), the indicator 1{y >= delta}, and the
@@ -18,8 +20,8 @@ Two families are provided.
 
 Detector objects follow the familiar estimator surface: constructor
 parameters are stored as-is, ``fit`` calibrates the critical value against
-the null and sets ``critical_value_``, ``decision_function`` returns the
-statistic, and ``predict`` returns the reject decision.
+the null and sets ``critical_value_``, ``statistic`` returns the statistic,
+and ``predict`` returns the reject decision.
 """
 
 from __future__ import annotations
@@ -34,86 +36,41 @@ from ._validation import check_unit_open
 from .pivotal import PivotSeries, alt_pdf
 from .tokensource import least_favorable
 
-S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the limit branch of phi_s
+S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the KL limit branch of K_s_plus
 _P_CLIP_LO = 1e-300
 _P_CLIP_HI = 1.0 - 1e-16
 
 
 # ---------------------------------------------------------------------------
-# phi_s divergence and its Bernoulli form
+# the truncated Bernoulli divergence K_s^+
 # ---------------------------------------------------------------------------
 
-def phi_s(x, s: float):
-    """The convex generator phi_s, minimized at x = 1 with value 0.
+def k_s_plus(u, v, s: float):
+    """K_s^+(u, v): the phi_s-divergence between Bernoulli(u) and Bernoulli(v),
 
-    phi_1(x) = x log x - x + 1, phi_0(x) = -log x + x - 1, and otherwise
-    (1 - s + s x - x**s) / (s (1 - s)). The limit branches are selected within
-    1e-9 of s = 0, 1 to avoid catastrophic cancellation in the generic form.
+        (1 - u**s v**(1-s) - (1-u)**s (1-v)**(1-s)) / (s (1 - s)),
+
+    when v < u, else 0.
+
+    ``u`` in [0, 1] and ``v`` in (0, 1) are scalars or arrays that broadcast
+    together; the result is a float for scalars and an array otherwise.
+    Within S_BRANCH_TOL of s = 0 and s = 1 the limits, the two Bernoulli KL
+    divergences, replace the generic form, which cancels there. At u = 1
+    the finite closed form is used when one exists (every s > 0); for
+    s <= 0 none exists and the term truncates to 0, which keeps the s <= 0
+    statistics finite.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("phi_s requires x > 0")
-    if abs(s - 1.0) < S_BRANCH_TOL:
-        out = x_arr * np.log(x_arr) - x_arr + 1.0
-    elif abs(s) < S_BRANCH_TOL:
-        out = -np.log(x_arr) + x_arr - 1.0
-    else:
-        out = (1.0 - s + s * x_arr - x_arr**s) / (s * (1.0 - s))
-    return out if x_arr.ndim else float(out)
-
-
-def k_s(u: float, v: float, s: float) -> float:
-    """phi_s-divergence between Bernoulli(u) and Bernoulli(v).
-
-    Finite closed forms are used at the endpoints u in {0, 1} where they
-    exist (s = 1 via the 0 log 0 = 0 convention, otherwise the generic
-    closed form); genuinely divergent endpoint cases return +inf.
-    """
-    u, v = float(u), float(v)
-    if not 0.0 < v < 1.0:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.all((v > 0.0) & (v < 1.0)):
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    if not 0.0 <= u <= 1.0:
+    if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
-    near1 = abs(s - 1.0) < S_BRANCH_TOL
-    near0 = abs(s) < S_BRANCH_TOL
-    if u == 1.0:
-        if near1:
-            return -math.log(v)
-        if s > 0.0:
-            return (1.0 - v ** (1.0 - s)) / (s * (1.0 - s))
-        return math.inf
-    if u == 0.0:
-        if near1:
-            return -math.log(1.0 - v)
-        if s > 0.0:
-            return (1.0 - (1.0 - v) ** (1.0 - s)) / (s * (1.0 - s))
-        return math.inf
-    if near1:
-        return u * math.log(u / v) + (1.0 - u) * math.log((1.0 - u) / (1.0 - v))
-    if near0:
-        return v * math.log(v / u) + (1.0 - v) * math.log((1.0 - v) / (1.0 - u))
-    return (1.0 - u**s * v ** (1.0 - s) - (1.0 - u) ** s * (1.0 - v) ** (1.0 - s)) / (s * (1.0 - s))
-
-
-def k_s_plus(u: float, v: float, s: float) -> float:
-    """Positive-part truncation of k_s: k_s(u, v) when 0 < v < u < 1, else 0.
-
-    The u = 1 boundary is included through the finite closed form when one
-    exists (all s > 0); for s <= 0 no finite form exists there and the term
-    truncates to 0, which keeps the s <= 0 statistics finite.
-    """
-    u, v = float(u), float(v)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    if u <= v:
-        return 0.0
-    if u >= 1.0 and s <= S_BRANCH_TOL:
-        return 0.0
-    return k_s(min(u, 1.0), v, s)
+    return _float_if_scalar(_k_s_plus_terms(u, v, s))
 
 
 def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    """Vectorized k_s_plus over arrays that broadcast together; u in (0, 1], v in (0, 1)."""
+    """K_s^+(u, v) over arrays that broadcast together, u in [0, 1] and v in (0, 1), unchecked."""
     u, v = np.broadcast_arrays(u, v)
     out = np.zeros_like(v)
     pos = u > v
@@ -169,7 +126,7 @@ def _sorted_terms(p: np.ndarray, c_plus: float):
 
 
 def _float_if_scalar(stat: np.ndarray):
-    """A reduction over the last axis: float for one series, array for a block."""
+    """A float for a 0-d result (one series), the array otherwise (a block)."""
     return float(stat) if stat.ndim == 0 else stat
 
 
@@ -294,21 +251,9 @@ class Detector:
     the sum rules).
     """
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "Detector":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
+        names = [p for p in inspect.signature(type(self).__init__).parameters if p != "self"]
+        return {name: getattr(self, name) for name in names}
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
@@ -320,9 +265,6 @@ class Detector:
         """The test statistic of pivots of shape (n,) or (rows, n): a float
         for one series, an array of ``rows`` values for a block."""
         raise NotImplementedError
-
-    def decision_function(self, series) -> float:
-        return self.statistic(series)
 
     @property
     def threshold(self) -> float:

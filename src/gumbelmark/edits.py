@@ -6,9 +6,11 @@ count toward the edit budget). Adversarial edits recompute all pivots under
 the true key and replace the tokens carrying the strongest watermark signal.
 The prompt region is never touched.
 
-The tolerance limit is the largest edit count a detector survives, found by
-binary search over nested edit sets: a fixed random permutation of the
-editable positions determines which positions the first k edits touch.
+One engine, ``EditPlan``, makes every random edit: a fixed random
+permutation of the editable positions determines which positions the first
+k edits touch. ``apply_random_edit`` takes the first ceil(fraction * n)
+edits of a plan, and the tolerance limit (the largest edit count a detector
+survives) binary-searches k over the nested edit sets of one plan.
 """
 
 from __future__ import annotations
@@ -42,68 +44,6 @@ class EditSpec:
 
 def _editable_positions(seq: TokenSeq) -> np.ndarray:
     return np.array([i for i, c in enumerate(seq.provenance) if c != PROMPT], dtype=int)
-
-
-def apply_random_edit(seq: TokenSeq, spec: EditSpec) -> TokenSeq:
-    """Substitute, insert, or delete ceil(fraction * generated length) tokens."""
-    if spec.kind == "adv":
-        raise ValueError("adversarial edits need a key; use apply_adversarial_edit")
-    rng = np.random.default_rng(spec.seed)
-    editable = _editable_positions(seq)
-    k = math.ceil(spec.fraction * editable.size)
-    if k == 0:
-        return TokenSeq(list(seq.tokens), list(seq.provenance), seq.m)
-    tokens = list(seq.tokens)
-    prov = list(seq.provenance)
-    if spec.kind == "sub":
-        pos = rng.choice(editable, size=k, replace=False)
-        for i in sorted(int(p) for p in pos):
-            tokens[i] = int(rng.integers(0, spec.vocab_size))
-            prov[i] = EDITED
-    elif spec.kind == "ins":
-        first_gen = int(editable.min())
-        for _ in range(k):
-            at = int(rng.integers(first_gen, len(tokens) + 1))
-            tokens.insert(at, int(rng.integers(0, spec.vocab_size)))
-            prov.insert(at, EDITED)
-    else:  # del
-        if len(tokens) - k < seq.m + 1:
-            raise ValueError(f"deleting {k} tokens would leave fewer than m + 1 = {seq.m + 1}")
-        pos = {int(p) for p in rng.choice(editable, size=k, replace=False)}
-        tokens = [t for i, t in enumerate(tokens) if i not in pos]
-        prov = [c for i, c in enumerate(prov) if i not in pos]
-    return TokenSeq(tokens, prov, seq.m)
-
-
-def apply_adversarial_edit(
-    seq: TokenSeq, fraction: float, key, vocab_size: int, seed: int
-) -> TokenSeq:
-    """Replace the fraction of scored tokens with the largest pivots.
-
-    Models an editor who knows the key: pivots are recomputed exactly as the
-    verifier would, and the strongest-signal positions are overwritten with
-    uniform vocabulary draws.
-    """
-    check_fraction(fraction)
-    rng = np.random.default_rng(seed)
-    piv = pivot_series(seq, key, vocab_size)
-    k = math.ceil(fraction * piv.n)
-    if k == 0:
-        return TokenSeq(list(seq.tokens), list(seq.provenance), seq.m)
-    tokens = list(seq.tokens)
-    prov = list(seq.provenance)
-    order = np.argsort(-piv.y, kind="stable")
-    replaced = 0
-    for j in order:
-        at = seq.m + int(j)
-        if prov[at] == PROMPT:
-            continue
-        tokens[at] = int(rng.integers(0, vocab_size))
-        prov[at] = EDITED
-        replaced += 1
-        if replaced == k:
-            break
-    return TokenSeq(tokens, prov, seq.m)
 
 
 class EditPlan:
@@ -148,6 +88,49 @@ class EditPlan:
             tokens = [t for i, t in enumerate(tokens) if i not in drop]
             prov = [c for i, c in enumerate(prov) if i not in drop]
         return TokenSeq(tokens, prov, self.seq.m)
+
+
+def apply_random_edit(seq: TokenSeq, spec: EditSpec) -> TokenSeq:
+    """Substitute, insert, or delete ceil(fraction * generated length) tokens:
+    the first edits of an ``EditPlan`` seeded with ``spec.seed``."""
+    if spec.kind == "adv":
+        raise ValueError("adversarial edits need a key; use apply_adversarial_edit")
+    plan = EditPlan(seq, spec.kind, spec.vocab_size, spec.seed)
+    k = math.ceil(spec.fraction * plan.n_editable)
+    if spec.kind == "del" and len(seq.tokens) - k < seq.m + 1:
+        raise ValueError(f"deleting {k} tokens would leave fewer than m + 1 = {seq.m + 1}")
+    return plan.apply(k)
+
+
+def apply_adversarial_edit(
+    seq: TokenSeq, fraction: float, key, vocab_size: int, seed: int
+) -> TokenSeq:
+    """Replace the fraction of scored tokens with the largest pivots.
+
+    Models an editor who knows the key: pivots are recomputed exactly as the
+    verifier would, and the strongest-signal positions are overwritten with
+    uniform vocabulary draws.
+    """
+    check_fraction(fraction)
+    rng = np.random.default_rng(seed)
+    piv = pivot_series(seq, key, vocab_size)
+    k = math.ceil(fraction * piv.n)
+    if k == 0:
+        return TokenSeq(list(seq.tokens), list(seq.provenance), seq.m)
+    tokens = list(seq.tokens)
+    prov = list(seq.provenance)
+    order = np.argsort(-piv.y, kind="stable")
+    replaced = 0
+    for j in order:
+        at = seq.m + int(j)
+        if prov[at] == PROMPT:
+            continue
+        tokens[at] = int(rng.integers(0, vocab_size))
+        prov[at] = EDITED
+        replaced += 1
+        if replaced == k:
+            break
+    return TokenSeq(tokens, prov, seq.m)
 
 
 @dataclass(frozen=True)

@@ -176,15 +176,16 @@ class TestEdit:
 class TestCalibrateCmd:
     def test_writes_result_and_cache(self, tmp_path):
         out = str(tmp_path / "calib.json")
-        cache = str(tmp_path / "cache")
         rc = run("calibrate", "--detector", "trgof", "--s", "2", "--n", "100",
                  "--alpha", "0.05", "--reps", "500", "--outer", "2", "--seed", "1",
-                 "--cache-dir", cache, "--out", out)
+                 "--out", out)
         assert rc == 0
         res = read_json(out)
         assert res["n"] == 100 and res["alpha"] == 0.05
         assert (res["reps"], res["outer"]) == (0, 0)
-        assert len(os.listdir(cache)) == 1
+        # exact calibration is cheap enough that nothing is cached
+        assert sorted(os.listdir(tmp_path)) == ["calib.json", "calib.json.manifest.json"]
+        assert run("calibrate", "--n", "100", "--cache-dir", str(tmp_path / "cache"), "--out", out) == 2
 
     def test_sum_clt(self, tmp_path):
         out = str(tmp_path / "calib.json")
@@ -268,6 +269,15 @@ class TestRemainingSuites:
         assert rc == 0
         rows = read_text(os.path.join(out_dir, "sumboundary.csv")).strip().split("\n")
         assert len(rows) == 1 + 9 * 4  # header + grid cells x four scores
+
+    @pytest.mark.parametrize("scores", ["ind", "ars:0.5", "opt:2", "ind:x", "nope"])
+    def test_sumboundary_bad_scores_is_usage_error(self, tmp_path, capsys, scores):
+        # ind needs a parameter, ars takes none, opt's lies in (0, 1)
+        rc = run("experiment", "sumboundary", "--scores", f"ars,{scores}", "--n", "300", "--grid", "2",
+                 "--trials", "5", "--vocab-size", "20", "--out-dir", str(tmp_path / "sb"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and scores in err and err.count("\n") == 1
 
     def test_gapcheck_suite(self, tmp_path):
         out_dir = str(tmp_path / "gc")

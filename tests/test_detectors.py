@@ -13,11 +13,9 @@ from gumbelmark import (
     TrGoF,
     hc_plus,
     ind,
-    k_s,
     k_s_plus,
     null_moments,
     opt,
-    phi_s,
     score,
     trgof_stat,
 )
@@ -25,72 +23,53 @@ from gumbelmark import (
 S_GRID = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)
 
 
-class TestPhiS:
-    def test_zero_at_one(self):
-        for s in S_GRID:
-            assert phi_s(1.0, s) == pytest.approx(0.0, abs=1e-12)
-
-    def test_kl_branch_value(self):
-        assert phi_s(2.0, 1.0) == pytest.approx(2 * math.log(2) - 1, abs=1e-12)
-
-    def test_continuity_in_s(self):
-        xs = np.linspace(0.1, 10.0, 60)
-        for s0 in (0.0, 1.0):
-            for eps in (-1e-6, 1e-6):
-                gap = np.abs(phi_s(xs, s0 + eps) - phi_s(xs, s0))
-                assert gap.max() <= 1e-4
-
-    def test_convexity(self):
-        xs = np.linspace(0.05, 20.0, 400)
-        h = xs[1] - xs[0]
-        for s in S_GRID:
-            v = phi_s(xs, s)
-            second = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-            assert second.min() >= -1e-8
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            phi_s(0.0, 1.0)
-        with pytest.raises(ValueError):
-            phi_s(-1.0, 0.5)
-
-
 class TestKs:
+    """K_s^+ at u >= v, where it equals the untruncated Bernoulli divergence K_s."""
+
     def test_zero_on_diagonal(self):
         for s in S_GRID:
             for v in (0.1, 0.5, 0.9):
-                assert k_s(v, v, s) == pytest.approx(0.0, abs=1e-12)
+                assert k_s_plus(v, v, s) == 0.0
+                assert k_s_plus(v + 1e-9, v, s) == pytest.approx(0.0, abs=1e-12)
 
     def test_chi_square_closed_form(self):
         # s = 2: (u - v)^2 / (2 v (1 - v))
-        assert k_s(0.5, 0.25, 2.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert k_s_plus(0.5, 0.25, 2.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
         u, v = 0.73, 0.21
-        assert k_s(u, v, 2.0) == pytest.approx((u - v) ** 2 / (2 * v * (1 - v)), abs=1e-12)
+        assert k_s_plus(u, v, 2.0) == pytest.approx((u - v) ** 2 / (2 * v * (1 - v)), abs=1e-12)
 
     def test_bernoulli_kl(self):
+        # s = 1 is KL(Bern(u) || Bern(v)), s = 0 is KL(Bern(v) || Bern(u))
         want = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert k_s(0.5, 0.25, 1.0) == pytest.approx(want, abs=1e-9)
+        assert k_s_plus(0.5, 0.25, 1.0) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.143841, abs=1e-6)
+        reverse = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
+        assert k_s_plus(0.5, 0.25, 0.0) == pytest.approx(reverse, abs=1e-12)
 
     def test_nonnegative_grid(self):
         us = np.linspace(0.0, 1.0, 21)
         vs = np.linspace(0.05, 0.95, 19)
         for s in S_GRID:
-            for u in us:
-                for v in vs:
-                    assert k_s(float(u), float(v), s) >= -1e-12
+            grid = k_s_plus(us[:, None], vs[None, :], s)
+            assert grid.shape == (21, 19)
+            assert grid.min() >= -1e-12
+            # nonincreasing in v, which the exact null boundary's bisection needs
+            assert np.diff(grid, axis=1).max() <= 1e-12
 
     def test_continuity_in_s(self):
+        points = ((0.6, 0.3), (0.8, 0.2), (0.5, 0.05), (0.999, 0.4))
         for s0 in (0.0, 1.0):
-            for u, v in ((0.3, 0.6), (0.8, 0.2), (0.05, 0.5)):
+            # at u = 1 the s <= 0 term truncates, so only s = 1 is continuous there
+            for u, v in points + (((1.0, 0.3),) if s0 == 1.0 else ()):
                 for eps in (-1e-6, 1e-6):
-                    assert abs(k_s(u, v, s0 + eps) - k_s(u, v, s0)) <= 1e-4
+                    assert abs(k_s_plus(u, v, s0 + eps) - k_s_plus(u, v, s0)) <= 1e-4, (s0, u, v)
 
     def test_v_domain(self):
+        for u, v in ((0.5, 0.0), (0.5, 1.0), (0.5, math.nan), (1.5, 0.5), (-0.1, 0.5)):
+            with pytest.raises(ValueError):
+                k_s_plus(u, v, 1.0)
         with pytest.raises(ValueError):
-            k_s(0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            k_s(0.5, 1.0, 1.0)
+            k_s_plus(np.array([0.5, 0.6]), np.array([0.2, 1.0]), 2.0)
 
 
 class TestKsPlus:
@@ -98,9 +77,15 @@ class TestKsPlus:
         for s in S_GRID:
             assert k_s_plus(0.2, 0.5, s) == 0.0
             assert k_s_plus(0.5, 0.5, s) == 0.0
+            assert k_s_plus(0.0, 0.5, s) == 0.0
 
     def test_passthrough(self):
-        assert k_s_plus(0.5, 0.25, 2.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        # scalars give a float, arrays an array of the broadcast shape
+        got = k_s_plus(0.5, 0.25, 2.0)
+        assert isinstance(got, float) and got == pytest.approx(1.0 / 6.0, abs=1e-12)
+        arr = k_s_plus(np.array([0.2, 0.5, 1.0]), 0.25, 2.0)
+        assert arr.shape == (3,)
+        assert arr[0] == 0.0 and arr[1] == got and arr[2] == k_s_plus(1.0, 0.25, 2.0)
 
     def test_u_one_closed_forms(self):
         v = 0.3
@@ -252,12 +237,11 @@ class TestSumTest:
 
 class TestDetectorObjects:
     def test_get_set_params(self):
+        # parameters are read back, never set after construction
         det = TrGoF(s=1.5, c_plus=0.001)
         assert det.get_params() == {"s": 1.5, "c_plus": 0.001, "critical_value": None}
-        det.set_params(s=2.0)
-        assert det.s == 2.0
-        with pytest.raises(ValueError):
-            det.set_params(bogus=1)
+        assert repr(det) == "TrGoF(s=1.5, c_plus=0.001, critical_value=None)"
+        assert not hasattr(det, "set_params")
 
     def test_predict_requires_critical_value(self):
         det = TrGoF(s=2.0, c_plus=0.0)
@@ -266,10 +250,8 @@ class TestDetectorObjects:
 
     def test_predict_uses_threshold(self):
         y = np.array([0.99, 0.98, 0.97, 0.99])
-        det = TrGoF(s=2.0, c_plus=0.0, critical_value=1e9)
-        assert det.predict(y) is False
-        det.set_params(critical_value=0.0)
-        assert det.predict(y) is True
+        assert TrGoF(s=2.0, c_plus=0.0, critical_value=1e9).predict(y) is False
+        assert TrGoF(s=2.0, c_plus=0.0, critical_value=0.0).predict(y) is True
 
     def test_object_takes_pivots(self):
         # statistic(y) must equal the p-value functions applied to 1 - y

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -33,3 +34,16 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # perfbench/ imports package names and traces functions by module
+    # attribute; a deletion that breaks either fails here, not only in a
+    # benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+    import workloads  # noqa: F401  (its imports are the check)
+
+    missing = [f"{layer}.{attr}" for layer, attr in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(f"gumbelmark.{layer}"), attr, None))]
+    assert missing == []
