@@ -5,8 +5,8 @@ law of S_n^+(s) and HC_n^+ depends only on (n, s, c+): {S < c} is the event
 that the uniform order statistics stay above a boundary, and its probability
 comes from a Poisson counting recursion, conditioned on the count of
 p-values below c+ (``null_sf``). ``exact_critical`` solves null_sf = alpha
-by a bracketed root-finder; calibration at n = 395 takes under 0.1 s and
-uses numpy and the standard library only.
+by a bracketed root-finder; at n = 395 and c+ = 1/n it takes 60-100 ms on a
+2-core Xeon and uses numpy and the standard library only.
 
 Monte Carlo calibration (``mc_critical``) is the test oracle for the exact
 law. It draws null pivot series (i.i.d. uniforms), evaluates the detector
@@ -35,6 +35,7 @@ import numpy as np
 
 from .detectors import (
     Detector,
+    S_BRANCH_TOL,
     HigherCriticism,
     ScoreKind,
     SumScore,
@@ -48,11 +49,14 @@ from .streams import substream
 # hold more memory.
 MC_BLOCK_VALUES = 4096
 
-# Exact null law: bisection steps for a boundary point (its interval (0, t/n)
-# shrinks to 2**-60 of its width), the Binomial weight of J = #{p < c+} below
+# Exact null law: the most Newton steps for a boundary point and the relative
+# step (4 ulps) at which they stop, the mass below which a count leaves the
+# band of the Poisson recursion, the Binomial weight of J = #{p < c+} below
 # which a term is dropped, and the relative width at which the root-finder for
 # the critical value stops.
 BOUNDARY_STEPS = 60
+NEWTON_RTOL = 2.0**-50
+BAND_FLOOR = 1e-290
 BINOMIAL_TAIL = 1e-20
 CRITICAL_RTOL = 1e-10
 
@@ -140,22 +144,51 @@ def _boundary(s: float, n: int, c: float) -> np.ndarray:
     """b_t(c) for t = 1 .. n: the largest p at which K_s^+(t/n, p) >= c, or 0
     when no p does.
 
-    K_s^+(t/n, p) is nonincreasing in p and 0 for p >= t/n, so the t-th term
-    stays below c exactly when p_(t) > b_t. At s = 2 the root is the smaller
-    root of (t/n - p)**2 = 2c p (1 - p), in cancellation-free form; other s
-    bisect the statistic's own term function on (0, t/n).
+    K_s^+(t/n, p) is an f-divergence, convex and decreasing in p on (0, t/n)
+    and 0 beyond, so the t-th term stays below c exactly when p_(t) > b_t. At
+    s = 2, b_t is the smaller root of (t/n - p)**2 = 2c p (1 - p) in
+    cancellation-free form; other s start there a Newton iteration on
+    g = K_s^+ - c, over the rows with K_s^+(t/n, 1e-300) >= c. A row steps in
+    p from lo, its largest point with g >= 0, which by convexity stops short
+    of the root; a step past hi, its least point with g < 0, lands in rounding
+    noise, so the row steps back from hi as far. Until it has a lo it steps in
+    log p, and at least twice as far as before up to p / 2. It ends at lo once
+    the step from lo is below NEWTON_RTOL lo (shorter steps are lengthened to
+    NEWTON_RTOL t/n) or hi - lo below NEWTON_RTOL t/n.
     """
     u = np.arange(1, n + 1) / n
+    d = 2.0 * c
+    b = 2.0 * u * u / (2.0 * u + d + np.sqrt(d * (4.0 * u * (1.0 - u) + d)))
     if s == 2.0:
-        d = 2.0 * c
-        return 2.0 * u * u / (2.0 * u + d + np.sqrt(d * (4.0 * u * (1.0 - u) + d)))
-    lo, hi = np.zeros(n), u.copy()
+        return b
+    rows = np.flatnonzero(_k_s_plus_terms(u, np.full(n, 1e-300), s) >= c)
+    u, p, b, m = u[rows], b[rows], np.zeros(n), rows.size
+    lo, hi, step_lo, gap = np.zeros(m), u.copy(), np.zeros(m), np.zeros(m)
     for _ in range(BOUNDARY_STEPS):
-        mid = 0.5 * (lo + hi)
-        hit = _k_s_plus_terms(u, mid, s) >= c
-        lo = np.where(hit, mid, lo)
-        hi = np.where(hit, hi, mid)
-    return lo
+        g = _k_s_plus_terms(u, p, s) - c
+        step = -g * p / _k_s_plus_log_slope(u, p, s)  # the Newton step from p
+        left = g >= 0.0
+        lo, step_lo, hi = np.where(left, p, lo), np.where(left, step, step_lo), np.where(left, hi, p)
+        done = (lo > 0.0) & ((step_lo <= NEWTON_RTOL * lo) | (hi - lo <= NEWTON_RTOL * u))
+        q = lo + np.maximum(step_lo, NEWTON_RTOL * u)
+        q = np.where(q < hi, q, np.maximum(hi - np.maximum(q - hi, 0.5 * NEWTON_RTOL * u), 0.5 * (lo + hi)))
+        right = np.minimum(p * np.exp(np.minimum(step / p, 0.0)), np.maximum(p - 2.0 * gap, 0.5 * p))
+        q = np.where(lo > 0.0, q, np.minimum(right, np.nextafter(p, 0.0)))
+        b[rows[done]] = lo[done]
+        keep = ~done
+        if not keep.any():
+            return b
+        rows, u, gap, p, lo, hi, step_lo = (x[keep] for x in (rows, u, p - q, q, lo, hi, step_lo))
+    b[rows] = lo
+    return b
+
+
+def _k_s_plus_log_slope(u: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
+    """p dK_s^+(u, p)/dp = (p (1-u)^s (1-p)^-s - u^s p^(1-s)) / s for 0 < p < u <= 1,
+    which the s -> 1 branch of K_s^+ shares and whose s -> 0 limit is p log(p (1-u) / (u (1-p)))."""
+    if abs(s) < S_BRANCH_TOL:
+        return p * np.log(p * (1.0 - u) / (u * (1.0 - p)))
+    return (p * ((1.0 - u) / (1.0 - p)) ** s - u * (u / p) ** (s - 1.0)) / s
 
 
 def _trgof_cdf(s: float, c_plus: float, n: int):
@@ -218,28 +251,35 @@ def _upper_no_crossing(b_run: np.ndarray, c_plus: float, m_max: int, logfact: np
     dropping the counts below k + 1, and divides by the Poisson(m; lam)
     probability of N(1) = m at the end. Every term is nonnegative, and the
     increment law is cut at mu + 9 sqrt(mu) + 20, beyond which its tail mass
-    is below 1e-19 for every mean mu.
+    is below 1e-19 for every mean mu. The kernels of steps 1 .. m_max - 1 come
+    from one exp over a table as wide as the widest (step 0, with mean up to
+    ~40, gets its own); each step convolves only the counts up to the last
+    one with mass above BAND_FLOOR.
     """
     out = np.ones(m_max + 1)
     if m_max == 0:
         return out
     lam = b_run.size * (1.0 - c_plus)
     a = np.minimum((1.0 - b_run[::-1][:m_max]) / (1.0 - c_plus), 1.0)
-    f = np.zeros(m_max + 1)
-    f[0] = 1.0
-    last = np.empty(m_max)  # f[k + 1] after step k: N(a_k) = k + 1 on the event
-    a_prev = 0.0
-    for k in range(m_max):
-        # f[k:] is the law of N(a_(k-1)) on the event; counts below k + 1 at
-        # a_k leave it with the slice f[k + 1:] of the next step
-        mu = lam * (a[k] - a_prev)
-        if mu > 0.0:
-            width = min(m_max - k, int(mu + 9.0 * math.sqrt(mu)) + 20)
-            i = np.arange(width + 1)
-            kernel = np.exp(i * math.log(mu) - mu - logfact[: width + 1])
-            f[k:] = np.convolve(f[k:], kernel)[: m_max + 1 - k]
-            a_prev = a[k]
-        last[k] = f[k + 1]
+    mu = lam * np.diff(a, prepend=0.0)
+    width = np.minimum(np.arange(m_max, 0, -1), (mu + 9.0 * np.sqrt(mu)).astype(int) + 20)
+    # math.log, not np.log, so that each kernel is bit-identical to exp of its own row
+    log_mu = [math.log(x) if x > 0.0 else 0.0 for x in mu.tolist()]
+    w = int(width[1:].max(initial=0)) + 1
+    kernels = np.multiply.outer(log_mu[1:], np.arange(w))
+    kernels -= mu[1:, None]
+    kernels -= logfact[:w]
+    np.exp(kernels, out=kernels)
+    band = np.ones(1)  # law of N(a_(k-1)) on the event over the counts k, k + 1, ...
+    last = np.empty(m_max)  # P(N(a_k) = k + 1 on the event so far)
+    for k, (step, wk) in enumerate(zip(mu.tolist(), width.tolist())):
+        if step > 0.0 and band.size:
+            kernel = kernels[k - 1, : wk + 1] if k else np.exp(np.arange(wk + 1) * log_mu[0] - step - logfact[: wk + 1])
+            band = np.convolve(band, kernel)[: m_max + 1 - k]
+            if band[-1] <= BAND_FLOOR:
+                band = band[: band.size - (band[::-1] > BAND_FLOOR).argmax()]
+        last[k] = band[1] if band.size > 1 else 0.0
+        band = band[1:]  # counts below k + 1 at a_k leave the event
     m = np.arange(1, m_max + 1)
     with np.errstate(divide="ignore"):
         out[1:] = np.exp(np.log(last) + lam * a - m * math.log(lam) + logfact[1 : m_max + 1])

@@ -112,13 +112,20 @@ def _make_source(args, seed: int) -> ToySource:
 
 
 def _build_detector(args, n: int) -> Detector:
-    c_plus = resolve_c_plus(args.c_plus, n)
-    if args.detector == "trgof":
-        return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
-    if args.detector == "hc":
-        return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
-    kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
-    return SumScore(kind=kind, critical_value=args.critical_value)
+    """The detector the flags name, for a series of length n. A flag value
+    out of its range (--s, --c-plus, --delta0, --alpha) is a usage error."""
+    try:
+        if not 0.0 < args.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
+        c_plus = resolve_c_plus(args.c_plus, n)
+        if args.detector == "trgof":
+            return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
+        if args.detector == "hc":
+            return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
+        kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
+        return SumScore(kind=kind, critical_value=args.critical_value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _c_plus_arg(text: str):

@@ -17,7 +17,8 @@ from gumbelmark import (
     null_sf,
     tradeoff_curve,
 )
-from gumbelmark.calibrate import MC_BLOCK_VALUES, empirical_quantile
+from gumbelmark.calibrate import MC_BLOCK_VALUES, _boundary, _upper_no_crossing, empirical_quantile
+from gumbelmark.detectors import S_BRANCH_TOL, _k_s_plus_terms
 from gumbelmark.streams import substream
 
 
@@ -31,6 +32,46 @@ def per_rep_critical(detector, n, alpha, reps, outer, seed):
             stats[r] = detector.statistic(substream(seed, o, r).random(n))
         quantiles[o] = empirical_quantile(stats, 1.0 - alpha)
     return float(quantiles.mean())
+
+
+def bisection_boundary(s, n, c, steps=60):
+    """Reference boundary: the largest p in (0, t/n) with K_s^+(t/n, p) >= c
+    by bisection, each interval shrinking to 2**-steps of its width."""
+    u = np.arange(1, n + 1) / n
+    lo, hi = np.zeros(n), u.copy()
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        hit = _k_s_plus_terms(u, mid, s) >= c
+        lo = np.where(hit, mid, lo)
+        hi = np.where(hit, hi, mid)
+    return lo
+
+
+def per_step_upper_no_crossing(b_run, c_plus, m_max, logfact):
+    """Reference Poisson recursion: one exp per step for its increment kernel,
+    and the whole count vector convolved at every step."""
+    out = np.ones(m_max + 1)
+    if m_max == 0:
+        return out
+    lam = b_run.size * (1.0 - c_plus)
+    a = np.minimum((1.0 - b_run[::-1][:m_max]) / (1.0 - c_plus), 1.0)
+    f = np.zeros(m_max + 1)
+    f[0] = 1.0
+    last = np.empty(m_max)
+    a_prev = 0.0
+    for k in range(m_max):
+        mu = lam * (a[k] - a_prev)
+        if mu > 0.0:
+            width = min(m_max - k, int(mu + 9.0 * math.sqrt(mu)) + 20)
+            i = np.arange(width + 1)
+            kernel = np.exp(i * math.log(mu) - mu - logfact[: width + 1])
+            f[k:] = np.convolve(f[k:], kernel)[: m_max + 1 - k]
+            a_prev = a[k]
+        last[k] = f[k + 1]
+    m = np.arange(1, m_max + 1)
+    with np.errstate(divide="ignore"):
+        out[1:] = np.exp(np.log(last) + lam * a - m * math.log(lam) + logfact[1 : m_max + 1])
+    return out
 
 
 class TestCltCritical:
@@ -146,13 +187,23 @@ def assert_tail_matches_sample(det, n, stats, levels):
 
 
 class TestExactNull:
-    @pytest.mark.parametrize("n", [20, 57, 195])
+    @pytest.mark.parametrize("n", [20, 57, 195, 1000])
     def test_matches_monte_carlo_tail(self, n):
-        # one block of null series shared by all 18 detectors, scored in one
-        # statistic call per detector
-        pivots = substream(31, n).random((20_000, n))
-        for det in gof_detectors((0.0, 1.0 / n, 0.3)):
-            assert_tail_matches_sample(det, n, det.statistic(pivots), (0.5, 0.9, 0.99))
+        # 20 000 null series shared by the detectors (all 18 up to n = 195;
+        # Tr-GoF s = 2, s = 1 and HC at c+ = 1/n at n = 1000), drawn and
+        # scored in blocks of at most 1e6 values (8 MB)
+        if n < 1000:
+            dets = gof_detectors((0.0, 1.0 / n, 0.3))
+        else:
+            dets = [TrGoF(s=2.0, c_plus=1.0 / n), TrGoF(s=1.0, c_plus=1.0 / n), HigherCriticism(c_plus=1.0 / n)]
+        rng, reps, rows = substream(31, n), 20_000, max(1, 1_000_000 // n)
+        stats = np.empty((len(dets), reps))
+        for start in range(0, reps, rows):
+            pivots = rng.random((min(rows, reps - start), n))
+            for i, det in enumerate(dets):
+                stats[i, start : start + len(pivots)] = det.statistic(pivots)
+        for det, sample in zip(dets, stats):
+            assert_tail_matches_sample(det, n, sample, (0.5, 0.9, 0.99))
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_most_points_below_c_plus(self, n):
@@ -194,6 +245,77 @@ class TestExactNull:
 
     def test_sum_rule_tail_is_the_clt_tail(self):
         assert null_sf(SumScore(ARS), 400, clt_critical(ARS, 400, 0.01)) == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [20, 195, 1000])
+    @pytest.mark.parametrize("s", [1.5, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.5, 0.0, -1.0])
+    def test_boundary_matches_bisection(self, s, n):
+        u = np.arange(1, n + 1) / n
+        # 1 + 1e-9 lies just outside S_BRANCH_TOL, so K_s^+ runs the general
+        # formula: its numerator cancels to ~1e-16 over s (1 - s) ~ -1e-9 and
+        # K is known only to ~1e-7, which fixes a root only to that over |dK/dp|
+        general = abs(s - 1.0) >= S_BRANCH_TOL and abs(s) >= S_BRANCH_TOL
+        noisy = general and abs(s * (1.0 - s)) < 1e-6
+        some_zero = reached_edge = False
+        for c in (0.2 / n, 3.0 / n, 0.5):
+            got, want = _boundary(s, n, c), bisection_boundary(s, n, c)
+            pos = got > 0.0
+            assert np.all(_k_s_plus_terms(u[pos], got[pos], s) >= c), (s, n, c)
+            tol = 1e-12 * u
+            if noisy:
+                p = np.where(pos, got, 0.5 * u)
+                slope = np.abs((((1.0 - u) / (1.0 - p)) ** s - (u / p) ** s) / s)
+                tol = tol + 1e-15 / abs(s * (1.0 - s)) / slope
+            assert np.all(np.abs(got - want) <= tol), (s, n, c, np.max(np.abs(got - want) / u))
+            some_zero |= bool(np.any(got == 0.0))
+            reached_edge |= bool(got[-1] > 0.0)
+        # for s >= 1, K_s^+ grows without bound as p -> 0, so every t has a
+        # root; for s <= 0 it truncates to 0 at t = n
+        assert some_zero or s >= 1.0 or abs(s - 1.0) < S_BRANCH_TOL
+        assert reached_edge or s <= 0.0
+
+    @pytest.mark.parametrize("n", [20, 195, 1000])
+    def test_recursion_matches_per_step_kernels(self, n):
+        logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+        for c_plus in (0.0, 1.0 / n, 0.3):
+            for c in (1.0 / n, 4.0 / n, 16.0 / n):
+                b_run = np.maximum.accumulate(_boundary(2.0, n, c))
+                got = _upper_no_crossing(b_run, c_plus, n, logfact)
+                want = per_step_upper_no_crossing(b_run, c_plus, n, logfact)
+                assert np.max(np.abs(got - want)) <= 1e-15, (n, c_plus, c)
+
+    # critical_value.hex() at alpha = 0.01 before the Newton boundary and the
+    # batched kernels, columns s = 2, 1, 0.5, -1 and HC
+    GOLDEN = {
+        (57, "0"): ("0x1.ca1cbdd5bd3d3p-1", "0x1.bfccd7f921572p-4", "0x1.489b74f6bfb1ep-3",
+                    "0x1.0f37722740abdp-2", "0x1.432fc6ff1340ap+3"),
+        (57, "1/n"): ("0x1.8b87a314c4bd0p-2", "0x1.b8a1a340d3431p-4", "0x1.489b6fac47281p-3",
+                      "0x1.0f377227408cfp-2", "0x1.a8b0a4689a644p+2"),
+        (57, "0.3"): ("0x1.5d939d24db860p-4", "0x1.95299bd8aa094p-4", "0x1.486b9300fbc9cp-3",
+                      "0x1.0f376f507c795p-2", "0x1.8f420b30151b9p+1"),
+        (195, "0"): ("0x1.0bef1bb754973p-2", "0x1.118d7aa961539p-5", "0x1.87dd836efe840p-5",
+                     "0x1.57e7b252d431ap-4", "0x1.434177790971dp+3"),
+        (195, "1/n"): ("0x1.ccca2a568bdd0p-4", "0x1.0e39000c00b7cp-5", "0x1.87dd7fdf58391p-5",
+                       "0x1.57e7b252cd2f1p-4", "0x1.a7eb773360201p+2"),
+        (195, "0.3"): ("0x1.a7aebb20409d6p-6", "0x1.f017b3dbb360ep-6", "0x1.87734f2111f4ep-5",
+                       "0x1.57e7b11480fd8p-4", "0x1.967e17a2a2eb1p+1"),
+        (400, "0"): ("0x1.0542667a0fc21p-3", "0x1.105ad3d4cee91p-6", "0x1.80349d46be03dp-6",
+                     "0x1.5540889811873p-5", "0x1.434538d402cb2p+3"),
+        (400, "1/n"): ("0x1.c0efa42e71468p-5", "0x1.0d78735cd93dbp-6", "0x1.80349a63a835ep-6",
+                       "0x1.5540889818593p-5", "0x1.a7c3226f18d16p+2"),
+        (400, "0.3"): ("0x1.a8fcb25d92a92p-7", "0x1.ee7e0af3d51ccp-7", "0x1.7fa62674aaa0fp-6",
+                       "0x1.5540870084ae1p-5", "0x1.9c4de6d4f8186p+1"),
+    }
+
+    @pytest.mark.parametrize("n, rule", sorted(GOLDEN))
+    def test_golden_critical_values(self, n, rule):
+        c_plus = {"0": 0.0, "1/n": 1.0 / n, "0.3": 0.3}[rule]
+        dets = [TrGoF(s=s, c_plus=c_plus) for s in (2.0, 1.0, 0.5, -1.0)] + [HigherCriticism(c_plus=c_plus)]
+        for det, hexed in zip(dets, self.GOLDEN[n, rule]):
+            got, want = exact_critical(det, n, 0.01).critical_value, float.fromhex(hexed)
+            if isinstance(det, HigherCriticism) or det.s == 2.0:
+                assert got.hex() == hexed, (det, n, rule)
+            else:
+                assert abs(got - want) <= 1e-12 * want, (det, n, rule, got / want - 1.0)
 
     def test_fast_at_n_395(self):
         for det in (TrGoF(s=1.0, c_plus=1 / 395), TrGoF(s=2.0, c_plus=1 / 395), HigherCriticism(c_plus=1 / 395)):

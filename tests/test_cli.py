@@ -139,6 +139,20 @@ class TestDetect:
         assert err.count("\n") == 1 and "n >= 3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--detector", "trgof", "--s", "3"),
+        ("--detector", "sum", "--score", "ind", "--delta0", "1.5"),
+        ("--alpha", "1.5"),
+        ("--c-plus", "1.5"),
+    ])
+    def test_bad_detector_flag_is_usage_error(self, seq_file, tmp_path, capsys, flags):
+        assert run("detect", "--in", seq_file, "--key", KEY, "--vocab-size", "20", "--calibrate",
+                   *flags, "--out", str(tmp_path / "v.json")) == 2
+        assert run("calibrate", "--n", "100", *flags, "--out", str(tmp_path / "c.json")) == 2
+        err = capsys.readouterr().err
+        assert err.count("usage error") == 2 and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "v.json") and not os.path.exists(tmp_path / "c.json")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         out = str(tmp_path / "x.json")
         assert run("detect", "--in", str(tmp_path / "nope.json"), "--key", KEY,
