@@ -24,6 +24,16 @@ def check_ntp_dist(probs) -> np.ndarray:
     return p
 
 
+def check_ntp_rows(probs) -> np.ndarray:
+    """``check_ntp_dist`` applied to each row of a (k, V) block."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.shape[1] < 2:
+        raise ValueError("NTP block must be a (k, V) array with V >= 2")
+    if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL):
+        raise ValueError(f"an NTP row has negative entries or a total off 1 by more than {PROB_SUM_TOL}")
+    return p
+
+
 def check_unit_open(x, name: str = "value"):
     """Check that all entries of ``x`` lie strictly inside (0, 1)."""
     arr = np.asarray(x, dtype=float)

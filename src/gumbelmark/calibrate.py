@@ -303,10 +303,10 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
     """P0(statistic >= c) for a length-n null series: the p-value of an
     observed statistic c.
 
-    Exact for TrGoF and HigherCriticism (see ``_trgof_cdf``) up to rounding,
-    about 1e-13 in absolute terms at n = 400 and 1e-12 at n = 3000, so
-    smaller tails read as 0. For a SumScore it is the CLT normal tail that
-    ``clt_critical`` inverts.
+    Exact for TrGoF and HigherCriticism (see ``_trgof_cdf``) up to an
+    absolute rounding error below ``null_sf_error``, so smaller tails can read
+    as 0. For a SumScore it is the CLT normal tail that ``clt_critical``
+    inverts.
     """
     n = int(n)
     if n < 1:
@@ -316,6 +316,22 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
         mean, var = null_moments(detector.kind)
         return 0.5 * math.erfc((c - n * mean) / math.sqrt(2.0 * n * var))
     return min(max(1.0 - _gof_cdf(detector, n)(c), 0.0), 1.0)
+
+
+def null_sf_error(detector: Detector, n: int) -> float:
+    """Bound on the absolute rounding error of ``null_sf`` at length n.
+
+    Each term of the exact law is exp(log last + lam a - m log lam + log m!)
+    (``_upper_no_crossing``). Where the terms carry mass the exponent nearly
+    cancels, so its rounding error is about eps = 2**-52 times twice the sum
+    of the parts it cancels, n + n log n + log n!, and exp makes that the
+    term's relative error: 2.1e-12 at n = 400, 2.1e-11 at n = 3000, 4-20x the
+    largest |1 - cdf| where the tail is negligible. 0 for a SumScore, whose
+    normal tail has only relative error.
+    """
+    if isinstance(detector, SumScore):
+        return 0.0
+    return 2.0 * 2.0**-52 * (n + n * math.log(n) + math.lgamma(n + 1.0))
 
 
 def exact_critical(detector: Detector, n: int, alpha: float) -> CalibrationResult:

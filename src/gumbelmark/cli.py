@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .calibrate import null_sf
+from .calibrate import null_sf, null_sf_error
 from .detectors import (
     ARS,
     LOG,
@@ -192,9 +192,12 @@ def cmd_detect(args) -> int:
         detector.fit(piv.n, alpha=args.alpha)
     t3 = time.perf_counter()
     statistic = detector.statistic(piv)
+    # a tail within rounding error e of 0 is reported as its bound, p <= 2 e
+    p_value, err = null_sf(detector, piv.n, statistic), null_sf_error(detector, piv.n)
     verdict = {
         "statistic": statistic,
-        "p_value": null_sf(detector, piv.n, statistic),
+        "p_value": 2.0 * err if p_value < err else p_value,
+        "p_value_floor": p_value < err,
         "n_scored": piv.n,
         "critical_value": detector.threshold,
         "reject": bool(statistic >= detector.threshold),

@@ -11,7 +11,9 @@ contribute nothing (the P_w -> 0 limit of P_w * r**(1/P_w) is 0 for r < 1).
 
 F_P is exactly the law of Y = V**P_W with W ~ P and V ~ U(0, 1) independent,
 since P(V**P_w <= r) = r**(1/P_w). ``alt_sample`` draws Y that way from one
-uniform per draw.
+uniform per draw, from one law or from a (k, V) block of laws, one draw per
+row. ``alt_cdf`` and ``alt_pdf`` evaluate their sums over distinct
+probabilities as a group-major table, groups on the leading axis.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist, check_token_ids
+from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids
 from .prf import prf_uniform
 
 
@@ -75,27 +77,35 @@ def _grouped(probs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def alt_cdf(probs, r):
-    """Watermarked-pivot CDF sum_w P_w * r**(1/P_w); accepts scalar or array r."""
+    """Watermarked-pivot CDF sum_w P_w * r**(1/P_w); accepts scalar or array r.
+
+    The terms form a group-major (G,) + r.shape table, one slab per distinct
+    probability, summed over its leading axis.
+    """
     vals, counts = _grouped(probs)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0) or np.any(r_arr > 1.0):
         raise ValueError("r must lie in [0, 1]")
-    expo = 1.0 / vals
-    out = (counts * vals * r_arr[..., None] ** expo).sum(axis=-1)
+    col = (-1,) + (1,) * r_arr.ndim
+    out = ((counts * vals).reshape(col) * r_arr ** (1.0 / vals).reshape(col)).sum(axis=0)
     return out if r_arr.ndim else float(out)
 
 
 def alt_pdf(probs, r):
-    """Watermarked-pivot density sum_w r**(1/P_w - 1); accepts scalar or array r."""
+    """Watermarked-pivot density sum_w r**(1/P_w - 1); accepts scalar or array r,
+    over the same group-major table as ``alt_cdf``."""
     vals, counts = _grouped(probs)
     r_arr = np.asarray(r, dtype=float)
-    expo = 1.0 / vals - 1.0
-    out = (counts * r_arr[..., None] ** expo).sum(axis=-1)
+    col = (-1,) + (1,) * r_arr.ndim
+    out = (counts.reshape(col) * r_arr ** (1.0 / vals - 1.0).reshape(col)).sum(axis=0)
     return out if r_arr.ndim else float(out)
 
 
 def alt_sample(probs, u):
     """Exact sample(s) from the watermarked pivot law, one uniform u per draw.
+
+    ``probs`` is one NTP vector, with u of any shape, or a (k, V) block of
+    them with u of shape (k,), one draw per row.
 
     Y = V**P_W with W ~ P and V ~ U(0, 1). Tokens sharing a probability form
     a group g of weight count_g * P_g; g is the inverse CDF of u over the
@@ -103,16 +113,35 @@ def alt_sample(probs, u):
     where lower_g is the weight of the groups before g, is U(0, 1) given g,
     so it serves as V. The map from u to Y is not monotone; only a
     single-group P gives the inverse CDF of F_P.
+
+    Each row is sorted and carries its group weight at the group's last
+    entry and 0 elsewhere, so the running sum over entries takes the same
+    values as the sum over groups and a draw lands on a group's last entry.
+    Block draws take the final power per draw on Python floats, as a scalar
+    u does: numpy's array power can differ from it in the last bit.
     """
-    vals, counts = _grouped(probs)
-    weights = counts * vals
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie strictly in (0, 1)")
-    edges = np.concatenate(([0.0], np.cumsum(weights)))
-    # edges[g] <= u by construction, so v >= 0; clamped because rounding can
-    # leave the total weight just below u.
-    g = np.minimum(np.searchsorted(edges[1:], u_arr, side="right"), vals.size - 1)
-    v = (u_arr - edges[g]) / weights[g]
-    r = np.clip(v ** vals[g], np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    block = np.ndim(probs) == 2
+    vals = np.sort(check_ntp_rows(probs) if block else check_ntp_dist(probs)[None], axis=1)
+    if block and u_arr.shape != vals.shape[:1]:
+        raise ValueError(f"a block of {len(vals)} laws needs u of shape ({len(vals)},)")
+    last = np.ones(vals.shape, dtype=bool)
+    last[:, :-1] = vals[:, 1:] != vals[:, :-1]
+    weights = np.where(last, vals, 0.0)
+    if not last.all():  # a group of ties weighs count_g * P_g
+        ends = np.flatnonzero(last)
+        weights.ravel()[ends] *= np.ediff1d(ends, to_begin=ends[0] + 1)
+    edges = np.cumsum(weights, axis=1)
+    if block:
+        row, g = np.arange(len(vals)), (edges <= u_arr[:, None]).sum(axis=1)
+    else:
+        row, g = 0, np.searchsorted(edges[0], u_arr, side="right")
+    # edges[g - 1] <= u by construction, so v >= 0; clamped because rounding
+    # can leave the total weight just below u.
+    g = np.minimum(g, vals.shape[1] - 1)
+    v, expo = (u_arr - np.where(g > 0, edges[row, g - 1], 0.0)) / weights[row, g], vals[row, g]
+    y = np.array([x**e for x, e in zip(v.tolist(), expo.tolist())]) if block else v**expo
+    r = np.clip(y, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return r if u_arr.ndim else float(r)

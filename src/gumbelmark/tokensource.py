@@ -49,15 +49,19 @@ def make_m1(delta: float, vocab_size: int, rng: np.random.Generator) -> np.ndarr
     The tail shape parameters are drawn fresh from the caller's stream:
     a ~ U(0.95, 1.5) and b ~ U(0.01, 0.1).
     """
+    shape = [rng.uniform(*M1_A_RANGE), rng.uniform(*M1_B_RANGE)]
+    return m1_rows(delta, vocab_size, np.array([shape]))[0]
+
+
+def m1_rows(delta: float, vocab_size: int, shapes: np.ndarray) -> np.ndarray:
+    """One ``make_m1`` vector per row (a, b) of a (k, 2) array of tail shapes."""
     delta = _check_delta(delta)
     vocab_size = int(vocab_size)
     if vocab_size < 2:
         raise ValueError(f"vocab size must be >= 2, got {vocab_size}")
-    a = rng.uniform(*M1_A_RANGE)
-    b = rng.uniform(*M1_B_RANGE)
-    tail = (np.arange(1, vocab_size) + b) ** (-a)
-    tail *= delta / tail.sum()
-    return np.concatenate(([1.0 - delta], tail))
+    tail = (np.arange(1, vocab_size) + shapes[:, 1:]) ** (-shapes[:, :1])
+    tail *= delta / tail.sum(axis=1, keepdims=True)
+    return np.concatenate((np.full((len(tail), 1), 1.0 - delta), tail), axis=1)
 
 
 def least_favorable(delta: float) -> np.ndarray:

@@ -17,7 +17,14 @@ from gumbelmark import (
     null_sf,
     tradeoff_curve,
 )
-from gumbelmark.calibrate import MC_BLOCK_VALUES, _boundary, _upper_no_crossing, empirical_quantile
+from gumbelmark.calibrate import (
+    MC_BLOCK_VALUES,
+    _boundary,
+    _gof_cdf,
+    _upper_no_crossing,
+    empirical_quantile,
+    null_sf_error,
+)
 from gumbelmark.detectors import S_BRANCH_TOL, _k_s_plus_terms
 from gumbelmark.streams import substream
 
@@ -242,6 +249,18 @@ class TestExactNull:
             exact_critical(det, 50, 1e-300)  # far below the law's accuracy
         with pytest.raises(TypeError):
             exact_critical(SumScore(ARS), 50, 0.01)
+
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_rounding_error_bound(self, s, n):
+        # 10-1000x past the alpha = 1e-9 critical value the tail is negligible,
+        # so 1 - cdf is rounding, which must stay within null_sf_error
+        det = TrGoF(s=s, c_plus=1.0 / n)
+        cdf = _gof_cdf(det, n)
+        far = exact_critical(det, n, 1e-9).critical_value * np.geomspace(10.0, 1000.0, 12)
+        err = null_sf_error(det, n)
+        assert all(abs(1.0 - cdf(c)) <= err for c in far)
+        assert null_sf_error(SumScore(ARS), n) == 0.0
 
     def test_sum_rule_tail_is_the_clt_tail(self):
         assert null_sf(SumScore(ARS), 400, clt_critical(ARS, 400, 0.01)) == pytest.approx(0.01, rel=1e-9)

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from gumbelmark import TrGoF, null_sf
+from gumbelmark.calibrate import null_sf_error
 from gumbelmark.cli import main
 from gumbelmark.watermark import TokenSeq
 
@@ -121,7 +123,21 @@ class TestDetect:
         out = str(tmp_path / "v.json")
         assert run("detect", "--in", seq_file, "--key", KEY, "--calibrate", "--out", out) == 0
         verdict = read_json(out)
-        assert set(verdict) == {"statistic", "p_value", "n_scored", "critical_value", "reject", "detector"}
+        assert set(verdict) == {"statistic", "p_value", "p_value_floor", "n_scored", "critical_value",
+                                "reject", "detector"}
+        # s = 1 on the watermarked document: the tail is within rounding of 0,
+        # so the verdict gives the bound 2 null_sf_error in place of 0
+        det = TrGoF(s=1.0, c_plus=1.0 / 300)
+        assert run("detect", "--in", seq_file, "--key", KEY, "--s", "1", "--calibrate", "--out", out) == 0
+        strong = read_json(out)
+        assert null_sf(det, 300, strong["statistic"]) < null_sf_error(det, 300)
+        assert strong["p_value_floor"] is True and strong["reject"] is True
+        assert strong["p_value"] == 2.0 * null_sf_error(det, 300)
+        # the wrong key: an ordinary tail, reported as it is
+        assert run("detect", "--in", seq_file, "--key", "deadbeef", "--s", "1", "--calibrate", "--out", out) == 0
+        weak = read_json(out)
+        assert weak["p_value_floor"] is False
+        assert weak["p_value"] == null_sf(det, 300, weak["statistic"]) > 1e-3
         manifest = read_json(out + ".manifest.json")
         assert set(manifest) == {"command", "config", "seed", "version", "outputs", "wall_clock_s", "timings_s"}
         timings = manifest["timings_s"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from gumbelmark import (
     entropy_gap_check,
     histogram_study,
     ind,
+    make_m1,
     make_m2,
     opt,
     sample_mixture,
 )
 from gumbelmark.experiments import (
+    M1_BLOCK_VALUES,
     PI2_OVER_6_MINUS_1,
     SUM_CRIT_GRIDS,
     analytic_gap_bounds,
@@ -26,7 +29,38 @@ from gumbelmark.experiments import (
     min_error_cell,
     resolve_c_plus,
 )
+from gumbelmark.pivotal import _grouped
 from gumbelmark.streams import substream
+from gumbelmark.tokensource import M1_A_RANGE, M1_B_RANGE
+
+
+def loop_make_m1(delta, vocab_size, rng):
+    """The per-entry m1 law: two rng.uniform shape draws, then one vector."""
+    a = rng.uniform(*M1_A_RANGE)
+    b = rng.uniform(*M1_B_RANGE)
+    tail = (np.arange(1, vocab_size) + b) ** (-a)
+    tail *= delta / tail.sum()
+    return np.concatenate(([1.0 - delta], tail))
+
+
+def loop_alt_sample(probs, u):
+    """One draw with a scalar u over np.unique groups of probs."""
+    vals, counts = _grouped(probs)
+    weights = counts * vals
+    edges = np.concatenate(([0.0], np.cumsum(weights)))
+    g = min(np.searchsorted(edges[1:], u, side="right"), vals.size - 1)
+    v = (u - edges[g]) / weights[g]
+    return float(np.clip(v ** vals[g], np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+
+
+def loop_sample_mixture(cfg, rng):
+    """The m1 mixture drawn one signal entry at a time: the oracle for the batch."""
+    y0 = rng.random(cfg.n)
+    y1 = y0.copy()
+    u = rng.random(cfg.n_signal)
+    for i in range(cfg.n_signal):
+        y1[i] = loop_alt_sample(loop_make_m1(cfg.delta, cfg.vocab_size, rng), u[i])
+    return y1, y0
 
 
 class TestMixtureConfig:
@@ -76,6 +110,43 @@ class TestSampleMixture:
         cfg = MixtureConfig(n=100, p=0.2, q=0.4, vocab_size=12, ntp_mode="m1", seed=4)
         mix, null = sample_mixture(cfg, substream(4, 0))
         assert np.all((mix.y > 0) & (mix.y < 1))
+
+    @pytest.mark.parametrize("n, p, q, vocab", [
+        pytest.param(1000, 0.5, 0.4, 1000, id="benchmark_cell"),
+        pytest.param(200, 0.3, 0.4, 2, id="V2"),
+        # top 1/3 under the first tail entry: sorted order differs from construction order
+        pytest.param(300, 0.3, math.log(1.5) / math.log(300), 3, id="V3_q_min"),
+        pytest.param(300, 0.0, 0.4, 20, id="p0_all_replaced"),
+        # 70 laws at 4 per block: 18 blocks, the last one partial
+        pytest.param(200, 0.2, 0.4, 4000, id="many_blocks"),
+    ])
+    def test_m1_matches_per_entry_loop(self, n, p, q, vocab):
+        cfg = MixtureConfig(n=n, p=p, q=q, vocab_size=vocab, ntp_mode="m1", seed=6)
+        if vocab == 4000:
+            assert cfg.n_signal * vocab > 10 * M1_BLOCK_VALUES
+            assert cfg.n_signal % (M1_BLOCK_VALUES // vocab) != 0
+        law = loop_make_m1(cfg.delta, vocab, substream(6, 0))
+        assert np.array_equal(make_m1(cfg.delta, vocab, substream(6, 0)), law)
+        if vocab == 3:
+            assert law[0] < law[1]
+        for t in range(4):
+            mix, null = sample_mixture(cfg, substream(6, t))
+            y1, y0 = loop_sample_mixture(cfg, substream(6, t))
+            assert np.array_equal(null.y, y0)
+            assert np.array_equal(mix.y, y1), t
+
+    def test_m1_trial_memory_is_bounded(self):
+        # 934 laws over V = 1000: the whole (k, V) table would take 7.5 MB per
+        # temporary; blocks keep the trial's peak under a bound of 8 MB
+        cfg = MixtureConfig(n=1000, p=0.01, q=0.4, vocab_size=1000, ntp_mode="m1", seed=7)
+        assert cfg.n_signal == 934
+        tracemalloc.start()
+        try:
+            sample_mixture(cfg, substream(7, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("mode, per_signal", [("m2", 1), ("m1", 3)])
     def test_stream_layout(self, mode, per_signal):
@@ -149,6 +220,26 @@ class TestBoundaryGrid:
         errs = min_error_cell(easy, specs)
         for name, err in errs.items():
             assert err < 0.2, f"{name}: {err}"
+
+    # float.hex of each min error sum before the batched m1 draws and the
+    # group-major densities; any change to a mixture draw or a score that moves
+    # a trial across a threshold changes one of them
+    GOLDEN = {
+        "m1": {"trgof": "0x1.4ccccccccccccp-1", "ars": "0x1.999999999999ap-1", "log": "0x1.b333333333334p-1",
+               "ind": "0x1.ccccccccccccdp-1", "opt": "0x1.8000000000000p-1"},
+        "m2": {"trgof": "0x0.0p+0", "ars": "0x1.999999999999ap-3", "log": "0x1.4cccccccccccdp-1",
+               "ind": "0x1.8000000000000p-1", "opt": "0x1.199999999999ap-1"},
+    }
+
+    @pytest.mark.parametrize("mode, n, p", [("m1", 1000, 0.5), ("m2", 10_000, 0.25)])
+    def test_golden_error_sums(self, mode, n, p):
+        # the m1 and criterion-07 m2 cells of the boundary benchmark, 20 trials
+        specs = [BoundarySpec(name="trgof", kind="trgof", s=2.0, c_plus_rule="1/n")] + [
+            BoundarySpec(name=k.name, kind="sum", score_kind=k) for k in (ARS, LOG, ind(0.5), opt(0.1))
+        ]
+        cfg = MixtureConfig(n=n, p=p, q=0.4, vocab_size=1000, ntp_mode=mode, trials=20, seed=7)
+        errs = min_error_cell(cfg, specs)
+        assert {name: err.hex() for name, err in errs.items()} == self.GOLDEN[mode]
 
     def test_rows_structure(self):
         grid = ExperimentGrid(p_values=(0.1, 0.5), q_values=(0.3, 0.6), n=300, trials=20, seed=9)

@@ -16,8 +16,11 @@ from gumbelmark import (
     least_favorable,
     make_m1,
     make_m2,
+    opt,
     pivot_series,
+    score,
 )
+from gumbelmark.pivotal import _grouped
 
 from util import ks_critical, ks_distance
 
@@ -64,6 +67,47 @@ class TestAltPdf:
         for p in random_dists(2, 10):
             total, _ = quad(lambda r: alt_pdf(p, r), 0.0, 1.0, epsabs=1e-10, limit=200)
             assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def last_axis_cdf(probs, r):
+    """alt_cdf as an (..., G) table reduced over its last axis: the oracle."""
+    vals, counts = _grouped(probs)
+    r_arr = np.asarray(r, dtype=float)
+    return (counts * vals * r_arr[..., None] ** (1.0 / vals)).sum(axis=-1)
+
+
+def last_axis_pdf(probs, r):
+    vals, counts = _grouped(probs)
+    r_arr = np.asarray(r, dtype=float)
+    return (counts * r_arr[..., None] ** (1.0 / vals - 1.0)).sum(axis=-1)
+
+
+DELTA0S = (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)
+
+
+class TestGroupMajorDensities:
+    R = [0.3, np.linspace(0.0, 1.0, 257), np.random.default_rng(41).random((7, 33))]
+
+    @pytest.mark.parametrize("probs", [least_favorable(d) for d in DELTA0S] + [make_m2(0.4, 5)])
+    def test_equal_for_few_groups(self, probs):
+        # fewer than 8 groups: the leading-axis sum adds in the same order
+        assert _grouped(probs)[0].size < 8
+        for r in self.R:
+            assert np.array_equal(alt_cdf(probs, r), last_axis_cdf(probs, r))
+            assert np.array_equal(alt_pdf(probs, r), last_axis_pdf(probs, r))
+
+    def test_within_4_ulp_for_many_groups(self):
+        probs = make_m1(0.063, 200, np.random.default_rng(11))
+        for r in self.R:
+            for new, old in ((alt_cdf(probs, r), last_axis_cdf(probs, r)),
+                             (alt_pdf(probs, r), last_axis_pdf(probs, r))):
+                assert np.all(np.abs(new - old) <= 4 * np.spacing(np.abs(old)))
+
+    @pytest.mark.parametrize("delta0", DELTA0S)
+    def test_opt_score_unchanged(self, delta0):
+        y = np.random.default_rng(42).random(2000)
+        assert np.array_equal(score(y, opt(delta0)), np.log(last_axis_pdf(least_favorable(delta0), y)))
+        assert score(0.3, opt(delta0)) == float(np.log(last_axis_pdf(least_favorable(delta0), 0.3)))
 
 
 # Laws for the exact-sampler checks. Each alt_cdf temporary of shape
@@ -113,6 +157,25 @@ class TestAltSample:
         u = u[(u > 0.0) & (u < 1.0)]
         r = alt_sample(p, u)
         assert np.all((r > 0.0) & (r < 1.0))
+
+    def test_block_matches_one_law_calls(self):
+        # rows with ties (m2, least favorable padded with zeros), a zero entry,
+        # and a Zipf tail: one block call equals per-row scalar-u calls bit for bit
+        rng = np.random.default_rng(31)
+        rows = [make_m2(d, 6) for d in (0.1, 0.5, 5 / 6)]
+        rows += [np.append(least_favorable(d), [0.0] * (6 - least_favorable(d).size)) for d in (0.3, 0.75)]
+        rows += [make_m1(0.2, 6, rng), np.array([0.5, 0.0, 0.25, 0.25, 0.0, 0.0])]
+        block = np.repeat(np.array(rows), 40, axis=0)
+        u = rng.random(len(block))
+        u[:5] = [2.0**-53, 0.9, 0.5, 1.0 - 2.0**-53, 0.25]
+        got = alt_sample(block, u)
+        assert np.array_equal(got, [alt_sample(row, x) for row, x in zip(block, u)])
+
+    def test_block_shape_checks(self):
+        with pytest.raises(ValueError):
+            alt_sample(np.array([[0.5, 0.5], [0.3, 0.7]]), [0.5])
+        with pytest.raises(ValueError):
+            alt_sample(np.array([[0.5, 0.5], [0.3, 0.6]]), [0.5, 0.5])
 
     def test_rejects_boundary_u(self):
         with pytest.raises(ValueError):
