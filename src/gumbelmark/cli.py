@@ -2,8 +2,9 @@
 
 All randomness flows from --seed through named substreams; no ambient
 entropy. Every run writes a manifest JSON recording the command, full
-configuration, seed, tool version, output paths, and wall-clock time. CSV
-output uses '.' decimals, '\\n' line endings, a header row, and UTF-8.
+configuration, seed, tool and library versions, output paths, and wall-clock
+time. CSV output uses '.' decimals, '\\n' line endings, a header row, and
+UTF-8.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
 breach.
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 
@@ -64,6 +66,15 @@ class UsageError(Exception):
     pass
 
 
+def _library_versions() -> dict:
+    """Python's and numpy's versions, and scipy's when this run loaded it:
+    importing scipy only to read its version would slow every command."""
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return versions
+
+
 def _write_manifest(command: str, config: dict, seed, outputs: list[str], started: float,
                     timings: dict | None = None) -> str:
     path = outputs[0] + ".manifest.json" if len(outputs) == 1 else os.path.join(
@@ -74,6 +85,7 @@ def _write_manifest(command: str, config: dict, seed, outputs: list[str], starte
         "config": config,
         "seed": seed,
         "version": __version__,
+        "library_versions": _library_versions(),
         "outputs": outputs,
         "wall_clock_s": round(time.time() - started, 6),
     }
@@ -113,10 +125,13 @@ def _make_source(args, seed: int) -> ToySource:
 
 def _build_detector(args, n: int) -> Detector:
     """The detector the flags name, for a series of length n. A flag value
-    out of its range (--s, --c-plus, --delta0, --alpha) is a usage error."""
+    out of its range (--s, --c-plus, --delta0, --alpha, a non-finite
+    --critical-value) is a usage error."""
     try:
         if not 0.0 < args.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
+        if args.critical_value is not None and not math.isfinite(args.critical_value):
+            raise ValueError(f"critical value must be finite, got {args.critical_value!r}")
         c_plus = resolve_c_plus(args.c_plus, n)
         if args.detector == "trgof":
             return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
@@ -347,7 +362,7 @@ def cmd_experiment(args) -> int:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "suite") and v is not None}
     with open(manifest, "w") as fh:
         json.dump({"command": f"experiment {args.suite}", "config": config, "seed": args.seed,
-                   "version": __version__, "outputs": outputs,
+                   "version": __version__, "library_versions": _library_versions(), "outputs": outputs,
                    "wall_clock_s": round(time.time() - started, 6)}, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return EXIT_OK

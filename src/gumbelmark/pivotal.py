@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids
-from .prf import prf_uniform
+from .prf import _sequence_uniforms
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,7 @@ def pivot_series(seq, key, vocab_size: int) -> PivotSeries:
     m = int(seq.m)
     if len(tokens) <= m:
         raise ValueError(f"sequence of length {len(tokens)} has no scored positions for m={m}")
-    y = np.empty(len(tokens) - m)
-    for i, t in enumerate(range(m, len(tokens))):
-        y[i] = prf_uniform(key, tokens[t - m : t], tokens[t])
-    return PivotSeries.from_y(y)
+    return PivotSeries.from_y(_sequence_uniforms(key, tokens, m))
 
 
 def _grouped(probs) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,11 @@ bit-for-bit across runs, platforms, and languages:
 
 The half-step offset rules out exact 0 and 1, so downstream logs and p-values
 never hit the boundary.
+
+``prf_vector`` (every id after one window) and ``_sequence_uniforms`` (every
+position of a sequence, for ``pivot_series``) copy a shared prefix's hash
+state per preimage and convert all 8-byte digest heads in one numpy pass;
+the floats equal ``prf_uniform``'s.
 """
 
 from __future__ import annotations
@@ -61,6 +66,24 @@ def _digest_to_unit(digest: bytes) -> float:
     return (x53 + 0.5) / _DENOM
 
 
+def _heads_to_unit(heads: bytes) -> np.ndarray:
+    """``_digest_to_unit`` over concatenated 8-byte digest heads. Bit-identical:
+    x53 < 2**53 converts to float exactly, and the + 0.5 and the division are
+    the same IEEE operations."""
+    return ((np.frombuffer(heads, ">u8") >> 11).astype(np.float64) + 0.5) / _DENOM
+
+
+def _chained_uniforms(prefix: "hashlib._Hash", packed: bytes, width: int) -> np.ndarray:
+    """One uniform per preimage prefix || packed[i : i + width], for every
+    start i = 0, 4, 8, ... whose slice lies inside ``packed``."""
+    copy, heads = prefix.copy, bytearray()
+    for i in range(0, len(packed) - width + 1, 4):
+        h = copy()
+        h.update(packed[i : i + width])
+        heads += h.digest()[:8]
+    return _heads_to_unit(heads)
+
+
 def _window_prefix(key: Key, window) -> "hashlib._Hash":
     h = hashlib.sha256()
     h.update(key.data)
@@ -97,10 +120,11 @@ def prf_vector(key, window, vocab_size: int) -> np.ndarray:
     if ids and max(ids) >= vocab_size:
         raise ValueError("window contains token ids outside the vocabulary")
     base = _window_prefix(_as_key(key), ids)
-    out = np.empty(vocab_size)
-    pack = struct.Struct("<I").pack
-    for w in range(vocab_size):
-        h = base.copy()
-        h.update(pack(w))
-        out[w] = _digest_to_unit(h.digest())
-    return out
+    return _chained_uniforms(base, np.arange(vocab_size, dtype="<u4").tobytes(), 4)
+
+
+def _sequence_uniforms(key, tokens, m: int) -> np.ndarray:
+    """``prf_uniform(key, tokens[t - m : t], tokens[t])`` for t = m .. len - 1,
+    hashing each position's preimage key || tokens[t - m .. t] in one pass."""
+    packed = struct.pack(f"<{len(tokens)}I", *tokens)
+    return _chained_uniforms(hashlib.sha256(_as_key(key).data), packed, 4 * (m + 1))

@@ -61,7 +61,17 @@ class TokenSeq:
     @classmethod
     def from_json(cls, text: str) -> "TokenSeq":
         obj = json.loads(text)
-        return cls(tokens=obj["tokens"], provenance=obj["provenance"], m=int(obj["m"]))
+        if not isinstance(obj, dict):
+            raise ValueError("a token sequence must be a JSON object")
+        tokens, provenance, m = obj["tokens"], obj["provenance"], obj["m"]
+        # bool is an int subclass; ids and m must be JSON integers, not true or 1.5
+        if not isinstance(tokens, list) or any(type(t) is not int for t in tokens):
+            raise ValueError("tokens must be a list of integers")
+        if not isinstance(provenance, list) or any(type(c) is not str for c in provenance):
+            raise ValueError("provenance must be a list of strings")
+        if type(m) is not int or m < 0:
+            raise ValueError("m must be a non-negative integer")
+        return cls(tokens=tokens, provenance=provenance, m=m)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import json
 import os
+import platform
+import sys
 
+import numpy as np
 import pytest
 
 from gumbelmark import TrGoF, null_sf
@@ -139,7 +142,12 @@ class TestDetect:
         assert weak["p_value_floor"] is False
         assert weak["p_value"] == null_sf(det, 300, weak["statistic"]) > 1e-3
         manifest = read_json(out + ".manifest.json")
-        assert set(manifest) == {"command", "config", "seed", "version", "outputs", "wall_clock_s", "timings_s"}
+        assert set(manifest) == {"command", "config", "seed", "version", "library_versions", "outputs",
+                                 "wall_clock_s", "timings_s"}
+        # scipy's version only when this process has loaded it (the test suite has)
+        versions = manifest["library_versions"]
+        assert versions["python"] == platform.python_version() and versions["numpy"] == np.__version__
+        assert set(versions) == {"python", "numpy"} | ({"scipy"} & set(sys.modules))
         timings = manifest["timings_s"]
         assert set(timings) == {"load", "pivots", "calibrate", "score"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
@@ -160,6 +168,9 @@ class TestDetect:
         ("--detector", "sum", "--score", "ind", "--delta0", "1.5"),
         ("--alpha", "1.5"),
         ("--c-plus", "1.5"),
+        ("--critical-value", "nan"),
+        ("--critical-value", "inf"),
+        ("--critical-value=-inf",),
     ])
     def test_bad_detector_flag_is_usage_error(self, seq_file, tmp_path, capsys, flags):
         assert run("detect", "--in", seq_file, "--key", KEY, "--vocab-size", "20", "--calibrate",
@@ -173,6 +184,29 @@ class TestDetect:
         out = str(tmp_path / "x.json")
         assert run("detect", "--in", str(tmp_path / "nope.json"), "--key", KEY,
                    "--critical-value", "1", "--out", out) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2, 3]",
+        "null",
+        '{"tokens": 5, "provenance": [], "m": 1}',
+        '{"tokens": [1, 2, 3], "provenance": 7, "m": 1}',
+        '{"tokens": [1, 2, 1.5], "provenance": ["P", "S", "S"], "m": 1}',
+        '{"tokens": [1, 2, true], "provenance": ["P", "S", "S"], "m": 1}',
+        '{"tokens": [1, 2, 3], "provenance": ["P", "S", 0], "m": 1}',
+        '{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"], "m": 1.0}',
+        '{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"], "m": -1}',
+    ], ids=["list", "null", "int_tokens", "int_provenance", "float_id", "bool_id", "int_flag",
+            "float_m", "negative_m"])
+    def test_wrong_shape_file_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("detect", "--in", str(bad), "--key", KEY, "--critical-value", "1",
+                   "--out", str(tmp_path / "v.json")) == 3
+        assert run("edit", "--in", str(bad), "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20",
+                   "--out", str(tmp_path / "e.json")) == 3
+        err = capsys.readouterr().err
+        assert err.count("data error: bad token sequence file") == 2 and err.count("\n") == 2
+        assert not os.path.exists(tmp_path / "v.json") and not os.path.exists(tmp_path / "e.json")
 
     def test_corrupt_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"

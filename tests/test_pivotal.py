@@ -21,6 +21,8 @@ from gumbelmark import (
     score,
 )
 from gumbelmark.pivotal import _grouped
+from gumbelmark.prf import prf_uniform
+from gumbelmark.watermark import TokenSeq
 
 from util import ks_critical, ks_distance
 
@@ -212,10 +214,30 @@ class TestPivotSeries:
         y = np.concatenate(y_all)
         assert ks_distance(y) < ks_critical(y.size, 0.001)
 
+    @pytest.mark.parametrize("vocab", [2, 20, 32000])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_per_position_loop(self, vocab, m):
+        rng = np.random.default_rng(vocab + m)
+        tokens = rng.integers(0, vocab, size=150).tolist()
+        tokens[60:60 + m + 1] = tokens[10:10 + m + 1]  # a repeated (window, token) tuple
+        tokens[40:40 + m + 1] = [vocab - 1] * (m + 1)
+        tokens[-1] = vocab - 1
+        key = Key(rng.bytes(64))
+        seq = TokenSeq(tokens, ["P"] * m + ["S"] * (150 - m), m)
+        # the per-position form the bulk path replaced, kept as the oracle
+        oracle = [prf_uniform(key, tokens[t - m : t], tokens[t]) for t in range(m, len(tokens))]
+        y = pivot_series(seq, key, vocab).y
+        assert y.tolist() == oracle
+        assert y[60] == y[10]  # position t scores tokens[t - m .. t], at index t - m
+
     def test_vocab_overflow(self):
         key, _, seq = self.make_seq()
         with pytest.raises(ValueError):
             pivot_series(seq, key, 4)
+        for bad in (2**32, -1):
+            seq = TokenSeq([1, 2, 3, bad], ["P", "S", "S", "S"], 1)
+            with pytest.raises(ValueError):
+                pivot_series(seq, key, 2**33)
 
     def test_csv_roundtrip(self, tmp_path):
         key, _, seq = self.make_seq()

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from gumbelmark import Key, prf_uniform, prf_vector
+from gumbelmark.prf import _digest_to_unit, _heads_to_unit
 
 from util import ks_critical, ks_distance
 
@@ -9,6 +12,9 @@ from util import ks_critical, ks_distance
 GOLDEN_K_12345_7 = 0.8888511923925577
 GOLDEN_ONE_TOKEN_OFF = 0.7934714554134215  # window [1, 2, 3, 9, 5]
 GOLDEN_ID_8 = 0.20130180255827917
+# sha256 of prf_vector(Key(b"k"), [1, 2, 3, 4, 5], 32000).tobytes(), recorded
+# from the per-id loop (one _digest_to_unit per id) that the bulk path replaced
+GOLDEN_V32000_SHA256 = "ab34dca504e032e8da7c804dc8d14cd5be4e0b31e90d5c3db2545e0e9f7e5989"
 
 
 def test_golden_value():
@@ -36,6 +42,33 @@ def test_vector_matches_scalar():
     assert vec[8] == GOLDEN_ID_8
     for w in range(9):
         assert vec[w] == prf_uniform(key, [1, 2, 3, 4, 5], w)
+
+
+def test_large_vocab_vector_golden():
+    vec = prf_vector(Key(b"k"), [1, 2, 3, 4, 5], 32000)
+    assert hashlib.sha256(vec.tobytes()).hexdigest() == GOLDEN_V32000_SHA256
+    assert vec[7] == GOLDEN_K_12345_7
+
+
+def test_large_vocab_vector_matches_scalar():
+    key, window = Key(b"large-vocab"), [31999, 0, 17, 31999, 5]
+    vec = prf_vector(key, window, 32000)
+    ids = np.random.default_rng(3).choice(32000, size=48, replace=False).tolist() + [0, 31999]
+    for w in ids:
+        assert vec[w] == prf_uniform(key, window, w)
+
+
+def test_bulk_conversion_is_the_scalar_rule():
+    # the digest-to-uniform rule, per digest (prf_uniform) and in bulk (prf_vector, pivots)
+    heads = np.random.default_rng(11).bytes(8 * 10_000)
+    # the extremes of x53, and x53 = 2**52 - 1, 2**52, 2**52 + 1, where x53 + 0.5
+    # starts to round
+    edges = [0, 2**64 - 1, (2**52 - 1) << 11, 2**63, (2**52 + 1) << 11]
+    heads += b"".join(x.to_bytes(8, "big") for x in edges)
+    bulk = _heads_to_unit(heads)
+    scalar = [_digest_to_unit(heads[i : i + 8]) for i in range(0, len(heads), 8)]
+    assert bulk.dtype == np.float64 and bulk.shape == (len(scalar),)
+    assert bulk.tolist() == scalar
 
 
 def test_minimal_vocab_vector():
@@ -73,6 +106,10 @@ def test_input_errors():
         prf_vector(key, [0, 1], 1)  # vocab too small
     with pytest.raises(ValueError):
         prf_vector(key, [5, 0], 5)  # window id outside vocab
+    with pytest.raises(ValueError):
+        prf_vector(key, [-1, 0], 5)  # window id outside the 4-byte range
+    with pytest.raises(ValueError):
+        prf_uniform(key, [2**32, 0], 1)
 
 
 def test_uniformity_ks():
