@@ -199,6 +199,8 @@ def cmd_detect(args) -> int:
     seq = _load_seq(args.infile)
     key = _resolve_key(args)
     t1 = time.perf_counter()
+    if not seq.tokens:
+        raise ValueError(f"token sequence file {args.infile} is empty: no tokens to score")
     vocab = args.vocab_size if args.vocab_size is not None else max(seq.tokens) + 1
     piv = pivot_series(seq, key, vocab)
     detector = _build_detector(args, piv.n)

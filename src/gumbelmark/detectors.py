@@ -113,6 +113,11 @@ def _as_pvalues(series) -> np.ndarray:
     return np.clip(p, _P_CLIP_LO, _P_CLIP_HI)
 
 
+def _clip_pivots(y) -> np.ndarray:
+    """Pivots as floats in [1 - _P_CLIP_HI, _P_CLIP_HI]: the one clip of the sum rules."""
+    return np.clip(np.asarray(y, dtype=float), 1.0 - _P_CLIP_HI, _P_CLIP_HI)
+
+
 def _sorted_terms(p: np.ndarray, c_plus: float):
     """Sorted p-values along the last axis, u = t/n, and the admissible mask
     p_(t+1) >= c_plus (with p_(n+1) = 1, so t = n is always admissible)."""
@@ -201,16 +206,20 @@ def opt(delta0: float) -> ScoreKind:
 
 def score(y, kind: ScoreKind):
     """Evaluate a score function on pivot value(s) in (0, 1)."""
-    y_arr = check_unit_open(y, "y")
-    if kind.name == "ars":
-        out = -np.log1p(-y_arr)
-    elif kind.name == "log":
-        out = np.log(y_arr)
-    elif kind.name == "ind":
-        out = (y_arr >= kind.param).astype(float)
-    else:  # opt: log-density of the least-favorable watermarked pivot law
-        out = np.log(alt_pdf(least_favorable(kind.param), y_arr))
+    out = _score_terms(check_unit_open(y, "y"), kind)
     return out if np.ndim(y) else float(out)
+
+
+def _score_terms(y: np.ndarray, kind: ScoreKind) -> np.ndarray:
+    """The score of each entry of a float array y in (0, 1), unchecked."""
+    if kind.name == "ars":
+        return -np.log1p(-y)
+    if kind.name == "log":
+        return np.log(y)
+    if kind.name == "ind":
+        return (y >= kind.param).astype(float)
+    # opt: log-density of the least-favorable watermarked pivot law
+    return np.log(alt_pdf(least_favorable(kind.param), y))
 
 
 def null_moments(kind: ScoreKind) -> tuple[float, float]:
@@ -358,12 +367,10 @@ class SumScore(Detector):
         self.critical_value = critical_value
 
     def statistic(self, series):
-        if isinstance(series, PivotSeries):
-            y = series.y
-        else:
-            y = np.asarray(series, dtype=float)
-        y = np.clip(y, 1.0 - _P_CLIP_HI, _P_CLIP_HI)
-        return _float_if_scalar(score(y, self.kind).sum(axis=-1))
+        y = _clip_pivots(series.y if isinstance(series, PivotSeries) else series)
+        if y.size == 0:
+            raise ValueError("empty pivot series")
+        return _float_if_scalar(_score_terms(y, self.kind).sum(axis=-1))
 
     def fit(self, n: int, alpha: float = 0.01):
         """Sum rules calibrate in closed form through the CLT threshold."""

@@ -7,6 +7,13 @@ n**-p, singularity delta_n = n**-q). Replaced entries occupy a fixed prefix:
 every detector considered depends only on the multiset of values, so prefix
 placement is equivalent to random placement. Each trial owns a substream, so
 grids parallelize deterministically.
+
+Because a mixture equals its null past the first k entries, a boundary cell
+scores each trial's pair once per sum rule: the score vector of the clipped
+null gives the null sum, and the same vector with its first k entries
+rescored gives the mixture sum, bit for bit ``SumScore.statistic`` of each
+series. The goodness-of-fit statistics rank the whole series and share no
+work between the two.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import empirical_quantile, tradeoff_curve
-from .detectors import _P_CLIP_HI, _P_CLIP_LO, ScoreKind, SumScore, hc_plus, score, trgof_stat
+from .detectors import _P_CLIP_HI, _P_CLIP_LO, ScoreKind, _clip_pivots, _score_terms, hc_plus, score, trgof_stat
 from .pivotal import PivotSeries, alt_cdf, alt_pdf, alt_sample
 from .streams import substream
 from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, m1_rows, make_m2
@@ -225,18 +232,21 @@ def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, f
     at most 2 N + 1 candidates.
     """
     stats = {sp.name: (np.empty(cfg.trials), np.empty(cfg.trials)) for sp in specs}
-    sums = {sp.name: SumScore(sp.score_kind) for sp in specs if sp.kind == "sum"}
+    k = cfg.n_signal
     for t in range(cfg.trials):
         rng = substream(cfg.seed, t)
         mix, null = sample_mixture(cfg, rng)
+        y0, y1_head = _clip_pivots(null.y), _clip_pivots(mix.y[:k])
         for sp in specs:
             if sp.kind == "trgof":
                 cp = resolve_c_plus(sp.c_plus_rule, cfg.n)
                 s0 = trgof_stat(null, sp.s, cp)
                 s1 = trgof_stat(mix, sp.s, cp)
-            else:
-                s0 = sums[sp.name].statistic(null)
-                s1 = sums[sp.name].statistic(mix)
+            else:  # SumScore.statistic of both series, rescoring only the k entries they differ in
+                h = _score_terms(y0, sp.score_kind)
+                s0 = h.sum()
+                h[:k] = _score_terms(y1_head, sp.score_kind)
+                s1 = h.sum()
             stats[sp.name][0][t] = s0
             stats[sp.name][1][t] = s1
     return {name: float(tradeoff_curve(s0, s1).sum(axis=1).min()) for name, (s0, s1) in stats.items()}
@@ -311,7 +321,7 @@ def entropy_gap_check(probs, kinds, trials: int, seed: int = 0) -> list[GapCheck
     """
     rng = substream(seed, 0)
     y1 = alt_sample(probs, rng.random(trials))
-    y0 = np.clip(rng.random(trials), 1.0 - _P_CLIP_HI, _P_CLIP_HI)
+    y0 = _clip_pivots(rng.random(trials))
     rows = []
     for kind in kinds:
         h1 = score(y1, kind)

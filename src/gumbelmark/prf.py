@@ -7,10 +7,12 @@ bit-for-bit across runs, platforms, and languages:
 * preimage = key bytes || window ids as 4-byte little-endian || id as 4-byte
   little-endian,
 * the first 8 digest bytes are read big-endian and the top 53 bits kept,
+  with x53 = 2**53 - 1 lowered to 2**53 - 2,
 * the float is (x53 + 0.5) / 2**53, which is strictly inside (0, 1).
 
-The half-step offset rules out exact 0 and 1, so downstream logs and p-values
-never hit the boundary.
+The half-step offset rules out exact 0, and the cap exact 1: 2**53 - 0.5
+would round to 2**53. So downstream logs and p-values never hit the
+boundary.
 
 ``prf_vector`` (every id after one window) and ``_sequence_uniforms`` (every
 position of a sequence, for ``pivot_series``) copy a shared prefix's hash
@@ -28,6 +30,7 @@ import numpy as np
 
 MAX_KEY_LEN = 64
 _DENOM = float(1 << 53)
+_X53_MAX = (1 << 53) - 2  # the largest x53 whose float stays below 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ def _as_key(key) -> Key:
 
 
 def _digest_to_unit(digest: bytes) -> float:
-    x53 = int.from_bytes(digest[:8], "big") >> 11
+    x53 = min(int.from_bytes(digest[:8], "big") >> 11, _X53_MAX)
     return (x53 + 0.5) / _DENOM
 
 
@@ -70,7 +73,8 @@ def _heads_to_unit(heads: bytes) -> np.ndarray:
     """``_digest_to_unit`` over concatenated 8-byte digest heads. Bit-identical:
     x53 < 2**53 converts to float exactly, and the + 0.5 and the division are
     the same IEEE operations."""
-    return ((np.frombuffer(heads, ">u8") >> 11).astype(np.float64) + 0.5) / _DENOM
+    x53 = np.minimum(np.frombuffer(heads, ">u8") >> 11, _X53_MAX)
+    return (x53.astype(np.float64) + 0.5) / _DENOM
 
 
 def _chained_uniforms(prefix: "hashlib._Hash", packed: bytes, width: int) -> np.ndarray:

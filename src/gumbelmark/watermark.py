@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_ntp_dist
-from .prf import prf_vector
+from .prf import _as_key, _chained_uniforms, _window_prefix
 from .tokensource import ToySource, toy_next_dist
 
 PROMPT, WATERMARKED, SAMPLED, EDITED = "P", "W", "S", "E"
@@ -99,10 +99,14 @@ def gumbel_decode(probs, xi):
         raise ValueError(f"xi has length {x.shape[-1]}, expected {p.size}")
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValueError("xi entries must lie strictly in (0, 1)")
-    with np.errstate(divide="ignore"):
-        scores = np.where(p > 0.0, np.log(x) / p, -np.inf)
-    idx = np.argmax(scores, axis=-1)
+    idx = _gumbel_argmax(p, x)
     return int(idx) if x.ndim == 1 else idx
+
+
+def _gumbel_argmax(p: np.ndarray, x: np.ndarray):
+    """``gumbel_decode`` on a valid NTP vector and uniforms in (0, 1), unchecked."""
+    with np.errstate(divide="ignore"):
+        return np.argmax(np.where(p > 0.0, np.log(x) / p, -np.inf), axis=-1)
 
 
 def _multinomial_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -131,6 +135,7 @@ def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
     prov = [PROMPT] * len(prompt)
     fallback = np.random.default_rng(cfg.seed)
     seen = _prompt_windows(prompt, cfg.m) if cfg.masking else set()
+    key, ids = _as_key(key), np.arange(source.vocab_size, dtype="<u4").tobytes()
     for _ in range(cfg.n):
         window = tuple(tokens[-cfg.m :])
         probs = toy_next_dist(source, tokens)
@@ -138,8 +143,8 @@ def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
             tok = _multinomial_draw(probs, fallback)
             prov.append(SAMPLED)
         else:
-            xi = prf_vector(key, window, source.vocab_size)
-            tok = gumbel_decode(probs, xi)
+            # prf_vector and gumbel_decode on inputs that pass their checks
+            tok = _gumbel_argmax(probs, _chained_uniforms(_window_prefix(key, window), ids, 4))
             prov.append(WATERMARKED)
         if cfg.masking:
             seen.add(window)

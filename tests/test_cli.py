@@ -163,6 +163,16 @@ class TestDetect:
         assert err.count("\n") == 1 and "n >= 3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("vocab", [(), ("--vocab-size", "20")], ids=["inferred_vocab", "given_vocab"])
+    def test_empty_sequence_is_data_error(self, tmp_path, capsys, vocab):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"tokens": [], "provenance": [], "m": 0}')
+        assert run("detect", "--in", str(empty), "--key", KEY, "--critical-value", "1", *vocab,
+                   "--out", str(tmp_path / "v.json")) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: token sequence file {empty} is empty: no tokens to score\n"
+        assert not os.path.exists(tmp_path / "v.json")
+
     @pytest.mark.parametrize("flags", [
         ("--detector", "trgof", "--s", "3"),
         ("--detector", "sum", "--score", "ind", "--delta0", "1.5"),

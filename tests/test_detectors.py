@@ -185,6 +185,12 @@ class TestScores:
             score(0.0, ARS)
         with pytest.raises(ValueError):
             score(1.0, LOG)
+        for kind in (ARS, LOG, ind(0.5), opt(0.1)):
+            for bad in (-0.5, 0.0, 1.0, 1.5):
+                with pytest.raises(ValueError, match="strictly in"):
+                    score(np.array([0.25, bad, 0.75]), kind)
+            with pytest.raises(ValueError, match="empty"):
+                score(np.array([]), kind)
 
     def test_score_kind_validation(self):
         with pytest.raises(ValueError):
@@ -215,6 +221,17 @@ class TestNullMoments:
 class TestSumTest:
     def test_infinite_threshold(self):
         assert SumScore(ARS, critical_value=math.inf).predict(np.array([0.5, 0.6])) is False
+
+    @pytest.mark.parametrize("kind", [ARS, LOG, ind(0.5), opt(0.1)], ids=lambda k: k.label())
+    def test_statistic_clips_then_scores(self, kind):
+        # pivots at or past the boundary are clipped to [1 - (1 - 1e-16), 1 - 1e-16], never rejected
+        y = np.array([[0.0, 0.3, 1.0, 0.7], [-1.0, 1e-300, 2.0, 0.5]])
+        clipped = np.clip(y, 1.0 - (1.0 - 1e-16), 1.0 - 1e-16)
+        want = [float(score(row, kind).sum()) for row in clipped]
+        assert SumScore(kind).statistic(y).tolist() == want
+        assert SumScore(kind).statistic(PivotSeries.from_y(y[0])) == want[0]
+        with pytest.raises(ValueError, match="empty"):
+            SumScore(kind).statistic(np.array([]))
 
     def test_boundary(self):
         n = 100

@@ -10,6 +10,7 @@ from gumbelmark import (
     BoundarySpec,
     ExperimentGrid,
     MixtureConfig,
+    SumScore,
     boundary_grid,
     entropy_gap_check,
     histogram_study,
@@ -19,8 +20,11 @@ from gumbelmark import (
     opt,
     sample_mixture,
 )
+from gumbelmark import experiments
+from gumbelmark.calibrate import tradeoff_curve
 from gumbelmark.experiments import (
     M1_BLOCK_VALUES,
+    NTP_MODES,
     PI2_OVER_6_MINUS_1,
     SUM_CRIT_GRIDS,
     analytic_gap_bounds,
@@ -85,11 +89,15 @@ class TestMixtureConfig:
 
 class TestSampleMixture:
     def test_prefix_replacement(self):
-        cfg = MixtureConfig(n=500, p=0.5, q=0.4, vocab_size=8, seed=1)
-        mix, null = sample_mixture(cfg, substream(1, 0))
-        k = cfg.n_signal
-        assert np.array_equal(mix.y[k:], null.y[k:])
-        assert np.all(mix.y[:k] != null.y[:k])
+        # min_error_cell rescores only the first k entries of the mixture, so it
+        # relies on the mixture equalling its null everywhere past them
+        for mode in NTP_MODES:
+            for p, k in ((0.5, 23), (1.0, 1), (0.0, 500)):
+                cfg = MixtureConfig(n=500, p=p, q=0.4, vocab_size=8, ntp_mode=mode, seed=1)
+                mix, null = sample_mixture(cfg, substream(1, 0))
+                assert cfg.n_signal == k
+                assert np.array_equal(mix.y[k:], null.y[k:])
+                assert np.all(mix.y[:k] != null.y[:k])
 
     def test_all_replaced_when_p_zero(self):
         cfg = MixtureConfig(n=200, p=0.0, q=0.4, vocab_size=8, seed=2)
@@ -240,6 +248,25 @@ class TestBoundaryGrid:
         cfg = MixtureConfig(n=n, p=p, q=0.4, vocab_size=1000, ntp_mode=mode, trials=20, seed=7)
         errs = min_error_cell(cfg, specs)
         assert {name: err.hex() for name, err in errs.items()} == self.GOLDEN[mode]
+
+    @pytest.mark.parametrize("mode", NTP_MODES)
+    @pytest.mark.parametrize("p", [0.5, 1.0, 0.0], ids=["k=32", "k=1", "k=n"])
+    def test_pair_statistics_are_sum_score_statistics(self, monkeypatch, mode, p):
+        # the cell scores a trial's shared entries once and rescores only the
+        # first k for the mixture; its statistics must equal SumScore's bit for bit
+        kinds = (ARS, LOG, ind(0.5), opt(0.1))
+        specs = [BoundarySpec(name="trgof", kind="trgof", s=2.0)] + [
+            BoundarySpec(name=k.label(), kind="sum", score_kind=k) for k in kinds
+        ]
+        cfg = MixtureConfig(n=1000, p=p, q=0.4, vocab_size=50, ntp_mode=mode, trials=4, seed=12)
+        seen = []
+        monkeypatch.setattr(experiments, "tradeoff_curve",
+                            lambda s0, s1: seen.append((s0, s1)) or tradeoff_curve(s0, s1))
+        min_error_cell(cfg, specs)
+        pairs = [sample_mixture(cfg, substream(cfg.seed, t)) for t in range(cfg.trials)]
+        for kind, (s0, s1) in zip(kinds, seen[1:]):
+            assert s0.tolist() == [SumScore(kind).statistic(null) for _, null in pairs]
+            assert s1.tolist() == [SumScore(kind).statistic(mix) for mix, _ in pairs]
 
     def test_rows_structure(self):
         grid = ExperimentGrid(p_values=(0.1, 0.5), q_values=(0.3, 0.6), n=300, trials=20, seed=9)

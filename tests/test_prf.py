@@ -62,13 +62,16 @@ def test_bulk_conversion_is_the_scalar_rule():
     # the digest-to-uniform rule, per digest (prf_uniform) and in bulk (prf_vector, pivots)
     heads = np.random.default_rng(11).bytes(8 * 10_000)
     # the extremes of x53, and x53 = 2**52 - 1, 2**52, 2**52 + 1, where x53 + 0.5
-    # starts to round
-    edges = [0, 2**64 - 1, (2**52 - 1) << 11, 2**63, (2**52 + 1) << 11]
+    # starts to round, and x53 = 2**53 - 2, the cap of the all-ones head
+    edges = [0, 2**64 - 1, (2**52 - 1) << 11, 2**63, (2**52 + 1) << 11, (2**53 - 2) << 11]
     heads += b"".join(x.to_bytes(8, "big") for x in edges)
     bulk = _heads_to_unit(heads)
     scalar = [_digest_to_unit(heads[i : i + 8]) for i in range(0, len(heads), 8)]
     assert bulk.dtype == np.float64 and bulk.shape == (len(scalar),)
     assert bulk.tolist() == scalar
+    assert 0.0 < bulk.min() and bulk.max() < 1.0
+    # x53 = 2**53 - 1 would give (2**53 - 0.5) / 2**53, which rounds to 1.0
+    assert scalar[-5] == scalar[-1] == 1.0 - 2.0**-52
 
 
 def test_minimal_vocab_vector():

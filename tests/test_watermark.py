@@ -10,6 +10,8 @@ from gumbelmark import (
     generate_null,
     gumbel_decode,
     make_m2,
+    prf_vector,
+    toy_next_dist,
 )
 
 from util import ks_critical, ks_distance
@@ -72,6 +74,19 @@ class TestGenerate:
         src = ToySource(2, (0.4, 0.4), seed=4)
         seq = generate(src, self.key, [0, 1, 0, 1, 1], GenConfig(n=50, m=5, masking=True, seed=1))
         assert "S" in seq.provenance[5:]
+
+    @pytest.mark.parametrize("vocab", [2, 5, 20])
+    def test_watermarked_token_is_decoded_prf_vector(self, vocab):
+        # generate hashes and decodes unchecked; each W token must be what the
+        # public prf_vector and gumbel_decode give for its window and NTP vector
+        src = ToySource(vocab, (0.1, 0.5), seed=8)
+        prompt = [t % vocab for t in self.prompt]
+        seq = generate(src, self.key, prompt, GenConfig(n=120, m=5, masking=True, seed=4))
+        flagged = [t for t, c in enumerate(seq.provenance) if c == "W"]
+        assert flagged
+        for t in flagged:
+            xi = prf_vector(self.key, seq.tokens[t - 5 : t], vocab)
+            assert seq.tokens[t] == gumbel_decode(toy_next_dist(src, seq.tokens[:t]), xi)
 
     def test_prompt_too_short(self):
         src = ToySource(16, (0.3, 0.3), seed=5)
