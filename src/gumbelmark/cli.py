@@ -232,6 +232,8 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
+    if args.n < 3:
+        raise UsageError(f"--n must be at least 3, got {args.n}")
     result = _build_detector(args, args.n).fit(args.n, alpha=args.alpha).calibration_
     with open(args.out, "w") as fh:
         fh.write(result.to_json())
@@ -357,6 +359,8 @@ _SUITES = {
 
 def cmd_experiment(args) -> int:
     started = time.time()
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
     os.makedirs(args.out_dir, exist_ok=True)
     outputs: list[str] = []
     _SUITES[args.suite](args, outputs)

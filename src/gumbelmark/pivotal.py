@@ -18,7 +18,6 @@ probabilities as a group-major table, groups on the leading axis.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +41,6 @@ class PivotSeries:
     @property
     def n(self) -> int:
         return int(self.y.size)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "y", "p"])
-            for t, (y, p) in enumerate(zip(self.y, self.p)):
-                w.writerow([t, repr(float(y)), repr(float(p))])
 
 
 def pivot_series(seq, key, vocab_size: int) -> PivotSeries:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from gumbelmark import (
     null_sf,
     tradeoff_curve,
 )
+from gumbelmark import calibrate
 from gumbelmark.calibrate import (
+    CRITICAL_RTOL,
     MC_BLOCK_VALUES,
     _boundary,
     _gof_cdf,
@@ -27,6 +30,8 @@ from gumbelmark.calibrate import (
 )
 from gumbelmark.detectors import S_BRANCH_TOL, _k_s_plus_terms
 from gumbelmark.streams import substream
+
+from util import illinois_critical
 
 
 def per_rep_critical(detector, n, alpha, reps, outer, seed):
@@ -250,6 +255,16 @@ class TestExactNull:
         with pytest.raises(TypeError):
             exact_critical(SumScore(ARS), 50, 0.01)
 
+    def test_atom_at_zero(self):
+        # at n = 3 and c+ = 0.95 most series leave only t = n admissible, which
+        # s = 0 truncates to 0, so null_sf < 0.2 for every c > 0: the smallest
+        # probe, 8**-21 / n, is returned, without a warning
+        det = TrGoF(s=0.0, c_plus=0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            crit = exact_critical(det, 3, 0.2).critical_value
+        assert crit == pytest.approx(8.0**-21 / 3, rel=1e-12) and null_sf(det, 3, crit) < 0.2
+
     @pytest.mark.parametrize("n", [100, 400])
     @pytest.mark.parametrize("s", [1.0, 0.5])
     def test_rounding_error_bound(self, s, n):
@@ -302,27 +317,28 @@ class TestExactNull:
                 want = per_step_upper_no_crossing(b_run, c_plus, n, logfact)
                 assert np.max(np.abs(got - want)) <= 1e-15, (n, c_plus, c)
 
-    # critical_value.hex() at alpha = 0.01 before the Newton boundary and the
-    # batched kernels, columns s = 2, 1, 0.5, -1 and HC
+    # critical_value.hex() at alpha = 0.01 from the factor-8 bracket and
+    # Brent's method, columns s = 2, 1, 0.5, -1 and HC; each lies within
+    # 5e-11 relative of the value the doubling + Illinois solver gave
     GOLDEN = {
-        (57, "0"): ("0x1.ca1cbdd5bd3d3p-1", "0x1.bfccd7f921572p-4", "0x1.489b74f6bfb1ep-3",
-                    "0x1.0f37722740abdp-2", "0x1.432fc6ff1340ap+3"),
-        (57, "1/n"): ("0x1.8b87a314c4bd0p-2", "0x1.b8a1a340d3431p-4", "0x1.489b6fac47281p-3",
-                      "0x1.0f377227408cfp-2", "0x1.a8b0a4689a644p+2"),
-        (57, "0.3"): ("0x1.5d939d24db860p-4", "0x1.95299bd8aa094p-4", "0x1.486b9300fbc9cp-3",
-                      "0x1.0f376f507c795p-2", "0x1.8f420b30151b9p+1"),
-        (195, "0"): ("0x1.0bef1bb754973p-2", "0x1.118d7aa961539p-5", "0x1.87dd836efe840p-5",
-                     "0x1.57e7b252d431ap-4", "0x1.434177790971dp+3"),
-        (195, "1/n"): ("0x1.ccca2a568bdd0p-4", "0x1.0e39000c00b7cp-5", "0x1.87dd7fdf58391p-5",
-                       "0x1.57e7b252cd2f1p-4", "0x1.a7eb773360201p+2"),
-        (195, "0.3"): ("0x1.a7aebb20409d6p-6", "0x1.f017b3dbb360ep-6", "0x1.87734f2111f4ep-5",
-                       "0x1.57e7b11480fd8p-4", "0x1.967e17a2a2eb1p+1"),
-        (400, "0"): ("0x1.0542667a0fc21p-3", "0x1.105ad3d4cee91p-6", "0x1.80349d46be03dp-6",
-                     "0x1.5540889811873p-5", "0x1.434538d402cb2p+3"),
-        (400, "1/n"): ("0x1.c0efa42e71468p-5", "0x1.0d78735cd93dbp-6", "0x1.80349a63a835ep-6",
-                       "0x1.5540889818593p-5", "0x1.a7c3226f18d16p+2"),
-        (400, "0.3"): ("0x1.a8fcb25d92a92p-7", "0x1.ee7e0af3d51ccp-7", "0x1.7fa62674aaa0fp-6",
-                       "0x1.5540870084ae1p-5", "0x1.9c4de6d4f8186p+1"),
+        (57, "0"): ("0x1.ca1cbdd5b89a4p-1", "0x1.bfccd7f98158cp-4", "0x1.489b74f6c3985p-3",
+                    "0x1.0f3772271eb45p-2", "0x1.432fc6ff58248p+3"),
+        (57, "1/n"): ("0x1.8b87a31504740p-2", "0x1.b8a1a34131d2dp-4", "0x1.489b6fac4ae61p-3",
+                      "0x1.0f3772271f1e6p-2", "0x1.a8b0a4689bd52p+2"),
+        (57, "0.3"): ("0x1.5d939d24db932p-4", "0x1.95299bd8aa1bcp-4", "0x1.486b93013e768p-3",
+                      "0x1.0f376f505b57fp-2", "0x1.8f420b30697f5p+1"),
+        (195, "0"): ("0x1.0bef1bb78ac94p-2", "0x1.118d7aa960d24p-5", "0x1.87dd836ed0493p-5",
+                     "0x1.57e7b2531af1dp-4", "0x1.434177794ca28p+3"),
+        (195, "1/n"): ("0x1.ccca2a56e35fep-4", "0x1.0e39000c3a4d8p-5", "0x1.87dd7fdf62282p-5",
+                       "0x1.57e7b252cefb1p-4", "0x1.a7eb77336b043p+2"),
+        (195, "0.3"): ("0x1.a7aebb2041a76p-6", "0x1.f017b3dbb37ccp-6", "0x1.87734f21158d7p-5",
+                       "0x1.57e7b11481594p-4", "0x1.967e17a2f9eb3p+1"),
+        (400, "0"): ("0x1.0542667a3db2cp-3", "0x1.105ad3d4cd31fp-6", "0x1.80349d46c0908p-6",
+                     "0x1.55408898518a9p-5", "0x1.434538d4408adp+3"),
+        (400, "1/n"): ("0x1.c0efa42eba419p-5", "0x1.0d78735d11a92p-6", "0x1.80349a63b30cfp-6",
+                       "0x1.5540889819e92p-5", "0x1.a7c3226f2ee8fp+2"),
+        (400, "0.3"): ("0x1.a8fcb25d8c4ecp-7", "0x1.ee7e0af3d5b42p-7", "0x1.7fa626748fa91p-6",
+                       "0x1.55408700cd33bp-5", "0x1.9c4de6d550278p+1"),
     }
 
     @pytest.mark.parametrize("n, rule", sorted(GOLDEN))
@@ -335,6 +351,41 @@ class TestExactNull:
                 assert got.hex() == hexed, (det, n, rule)
             else:
                 assert abs(got - want) <= 1e-12 * want, (det, n, rule, got / want - 1.0)
+
+    @pytest.mark.parametrize("n", [57, 195, 400])
+    def test_solver_matches_illinois_oracle(self, n):
+        # every critical value rejects at most alpha and lies within
+        # 5 CRITICAL_RTOL of the doubling + Illinois solver's
+        for c_plus in (0.0, 1.0 / n, 0.3):
+            dets = [TrGoF(s=s, c_plus=c_plus) for s in (2.0, 1.5, 1.0, 0.5, 0.0, -1.0)]
+            for det in dets + [HigherCriticism(c_plus=c_plus)]:
+                for alpha in (0.05, 0.01, 0.001):
+                    got, want = exact_critical(det, n, alpha).critical_value, illinois_critical(det, n, alpha)
+                    assert null_sf(det, n, got) <= alpha, (det, n, alpha)
+                    assert abs(got - want) <= 5.0 * CRITICAL_RTOL * want, (det, n, alpha, got / want - 1.0)
+
+    def test_law_passes_at_pipeline_lengths(self, monkeypatch):
+        # evaluations of the exact law over TrGoF s = 2, s = 1 and HC at
+        # c+ = 1/n, alpha = 0.01 and the scored lengths of the pipeline
+        # documents; doubling + Illinois took 228
+        passes = 0
+        trgof_cdf = calibrate._trgof_cdf
+
+        def counted_cdf(*args):
+            cdf = trgof_cdf(*args)
+
+            def count(c):
+                nonlocal passes
+                passes += 1
+                return cdf(c)
+
+            return count
+
+        monkeypatch.setattr(calibrate, "_trgof_cdf", counted_cdf)
+        for n in (175, 195, 215, 355, 395, 435):
+            for det in (TrGoF(s=2.0, c_plus=1 / n), TrGoF(s=1.0, c_plus=1 / n), HigherCriticism(c_plus=1 / n)):
+                exact_critical(det, n, 0.01)
+        assert passes <= 160
 
     def test_fast_at_n_395(self):
         for det in (TrGoF(s=1.0, c_plus=1 / 395), TrGoF(s=2.0, c_plus=1 / 395), HigherCriticism(c_plus=1 / 395)):

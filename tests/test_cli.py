@@ -268,6 +268,23 @@ class TestCalibrateCmd:
         assert rc == 0
         assert read_json(out)["critical_value"] == pytest.approx(446.5269574808168, abs=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        ("calibrate", "--n", "0"),
+        ("calibrate", "--n", "-5"),
+        ("calibrate", "--n", "2"),
+        ("calibrate", "--detector", "sum", "--n", "2"),
+        ("experiment", "boundary", "--n", "0"),
+        ("experiment", "boundary", "--n", "1"),
+        ("experiment", "hist", "--n", "0"),
+        ("experiment", "sumboundary", "--n", "1"),
+    ])
+    def test_too_small_n_is_usage_error(self, tmp_path, capsys, argv):
+        out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "experiment" else ["--out", str(tmp_path / "c.json")]
+        assert run(*argv, *out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--n" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestExperimentSuites:
     def test_efficiency_suite_monotone(self, tmp_path):

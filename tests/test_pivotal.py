@@ -239,15 +239,6 @@ class TestPivotSeries:
             with pytest.raises(ValueError):
                 pivot_series(seq, key, 2**33)
 
-    def test_csv_roundtrip(self, tmp_path):
-        key, _, seq = self.make_seq()
-        piv = pivot_series(seq, key, 12)
-        path = tmp_path / "pivots.csv"
-        piv.write_csv(path)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "t,y,p"
-        assert len(rows) == piv.n + 1
-
     def test_from_y(self):
         piv = PivotSeries.from_y([0.25, 0.75])
         assert np.allclose(piv.p, [0.75, 0.25])
