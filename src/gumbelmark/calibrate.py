@@ -25,7 +25,6 @@ Sum rules instead use the CLT threshold
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,13 +69,6 @@ class CalibrationResult:
     reps: int
     outer: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationResult":
-        return cls(**json.loads(text))
 
 
 def empirical_quantile(values: np.ndarray, level: float) -> float:

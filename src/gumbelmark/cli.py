@@ -3,8 +3,13 @@
 All randomness flows from --seed through named substreams; no ambient
 entropy. Every run writes a manifest JSON recording the command, full
 configuration, seed, tool and library versions, output paths, and wall-clock
-time. CSV output uses '.' decimals, '\\n' line endings, a header row, and
-UTF-8.
+time: ``<out>.manifest.json`` beside a single output, ``<out-dir>/manifest.json``
+for an experiment suite.
+
+Every file is UTF-8 and written by one helper per format: CSV with a header
+row, '.' decimals and '\\n' line endings (``_write_csv``); JSON with indent 2,
+sorted keys and a trailing newline (``_write_json``); token sequences as one
+JSON line (``_write_seq``).
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
 breach.
@@ -13,6 +18,8 @@ breach.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +43,7 @@ from .detectors import (
     opt,
 )
 from .edits import apply_adversarial_edit, apply_random_edit, EditSpec, tolerance_limit
-from .efficiency import rate_curve, write_rate_csv
+from .efficiency import rate_curve
 from .experiments import (
     BoundarySpec,
     ExperimentGrid,
@@ -46,7 +53,6 @@ from .experiments import (
     grid_points,
     histogram_study,
     resolve_c_plus,
-    write_boundary_csv,
 )
 from .pivotal import pivot_series
 from .prf import Key
@@ -75,11 +81,28 @@ def _library_versions() -> dict:
     return versions
 
 
-def _write_manifest(command: str, config: dict, seed, outputs: list[str], started: float,
-                    timings: dict | None = None) -> str:
-    path = outputs[0] + ".manifest.json" if len(outputs) == 1 else os.path.join(
-        os.path.dirname(outputs[0]) or ".", "manifest.json"
-    )
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """A header row, then ``rows`` as they are produced (a generator streams)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_seq(path: str, seq: TokenSeq) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(seq.to_json())
+        fh.write("\n")
+
+
+def _write_manifest(path: str, command: str, config: dict, seed, outputs: list[str], started: float,
+                    timings: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -91,10 +114,7 @@ def _write_manifest(command: str, config: dict, seed, outputs: list[str], starte
     }
     if timings is not None:
         manifest["timings_s"] = {stage: round(sec, 6) for stage, sec in timings.items()}
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(path, manifest)
 
 
 def _resolve_key(args) -> Key:
@@ -158,6 +178,9 @@ def _c_plus_arg(text: str):
 
 def cmd_generate(args) -> int:
     started = time.time()
+    for flag, value in (("--n", args.n), ("--m", args.m)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     source = _make_source(args, seed=child_seed(args.seed, 0))
     cfg = GenConfig(n=args.n, m=args.m, masking=args.masking, seed=child_seed(args.seed, 1))
     prompt = substream(args.seed, 2).integers(0, args.vocab_size, size=args.m).tolist()
@@ -166,11 +189,9 @@ def cmd_generate(args) -> int:
     else:
         key = _resolve_key(args)
         seq = generate(source, key, prompt, cfg)
-    with open(args.out, "w") as fh:
-        fh.write(seq.to_json())
-        fh.write("\n")
+    _write_seq(args.out, seq)
     config = {k: getattr(args, k) for k in ("n", "m", "vocab_size", "delta", "delta_min", "delta_max", "masking", "null")}
-    _write_manifest("generate", config, args.seed, [args.out], started)
+    _write_manifest(args.out + ".manifest.json", "generate", config, args.seed, [args.out], started)
     return EXIT_OK
 
 
@@ -183,11 +204,9 @@ def cmd_edit(args) -> int:
     else:
         spec = EditSpec(kind=args.edit, fraction=args.fraction, seed=args.seed, vocab_size=args.vocab_size)
         out = apply_random_edit(seq, spec)
-    with open(args.out, "w") as fh:
-        fh.write(out.to_json())
-        fh.write("\n")
+    _write_seq(args.out, out)
     config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile}
-    _write_manifest("edit", config, args.seed, [args.out], started)
+    _write_manifest(args.out + ".manifest.json", "edit", config, args.seed, [args.out], started)
     return EXIT_OK
 
 
@@ -221,12 +240,10 @@ def cmd_detect(args) -> int:
         "detector": detector.to_config(),
     }
     t4 = time.perf_counter()
-    with open(args.out, "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, verdict)
     config = {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}
     timings = {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}
-    _write_manifest("detect", config, args.seed, [args.out], started, timings)
+    _write_manifest(args.out + ".manifest.json", "detect", config, args.seed, [args.out], started, timings)
     return EXIT_OK
 
 
@@ -235,49 +252,47 @@ def cmd_calibrate(args) -> int:
     if args.n < 3:
         raise UsageError(f"--n must be at least 3, got {args.n}")
     result = _build_detector(args, args.n).fit(args.n, alpha=args.alpha).calibration_
-    with open(args.out, "w") as fh:
-        fh.write(result.to_json())
-        fh.write("\n")
-    _write_manifest("calibrate", {"detector": result.detector, "n": args.n, "alpha": args.alpha},
-                    args.seed, [args.out], started)
+    _write_json(args.out, dataclasses.asdict(result))
+    _write_manifest(args.out + ".manifest.json", "calibrate",
+                    {"detector": result.detector, "n": args.n, "alpha": args.alpha}, args.seed, [args.out], started)
     return EXIT_OK
 
 
-def _suite_hist(args, outputs: list[str]) -> None:
+def _suite_hist(args) -> list[str]:
     cfg = MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size,
                         ntp_mode=args.mode, trials=args.trials, seed=args.seed)
     s_values = [float(s) for s in args.s_list.split(",")]
     study = histogram_study(cfg, s_values, resolve_c_plus(args.c_plus, args.n), alpha=args.alpha)
     path = os.path.join(args.out_dir, "hist_samples.csv")
-    study.write_csv(path)
-    outputs.append(path)
+    _write_csv(path, ["s", "hypothesis", "log_n_stat"],
+               ([s, hyp, repr(float(v))] for (s, hyp), arr in study.samples.items() for v in arr))
     ppath = os.path.join(args.out_dir, "hist_power.json")
-    with open(ppath, "w") as fh:
-        json.dump({str(s): p for s, p in study.power.items()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(ppath)
+    _write_json(ppath, {str(s): p for s, p in study.power.items()})
+    return [path, ppath]
 
 
-def _boundary_grid(args) -> ExperimentGrid:
-    """The (p, q) grid of the boundary suites; q starts where the top
-    probability 1 - n**-q would drop under 1/V."""
+def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
+    """Min error sums of ``specs`` over the (p, q) grid of the flags; q starts
+    where the top probability 1 - n**-q would drop under 1/V."""
     q_min = math.log(args.vocab_size / (args.vocab_size - 1)) / math.log(args.n)
-    return ExperimentGrid(
+    grid = ExperimentGrid(
         p_values=tuple(grid_points(0.01, 1.0, args.grid)),
         q_values=tuple(grid_points(max(q_min, 0.01), 1.0, args.grid)),
         n=args.n, trials=args.trials, seed=args.seed,
     )
+    rows = boundary_grid(grid, specs, vocab_size=args.vocab_size, ntp_mode=args.mode)
+    path = os.path.join(args.out_dir, name)
+    _write_csv(path, ["p", "q", "name", "min_error_sum"],
+               ([r["p"], r["q"], r["name"], repr(float(r["min_error_sum"]))] for r in rows))
+    return [path]
 
 
-def _suite_boundary(args, outputs: list[str]) -> None:
+def _suite_boundary(args) -> list[str]:
     spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
-    rows = boundary_grid(_boundary_grid(args), [spec], vocab_size=args.vocab_size, ntp_mode=args.mode)
-    path = os.path.join(args.out_dir, "boundary.csv")
-    write_boundary_csv(rows, path)
-    outputs.append(path)
+    return _write_boundary(args, [spec], "boundary.csv")
 
 
-def _suite_sumboundary(args, outputs: list[str]) -> None:
+def _suite_sumboundary(args) -> list[str]:
     specs = []
     for token in args.scores.split(","):
         name, _, param = token.partition(":")
@@ -286,42 +301,32 @@ def _suite_sumboundary(args, outputs: list[str]) -> None:
         except ValueError as exc:
             raise UsageError(f"bad --scores entry {token!r}: {exc}") from exc
         specs.append(BoundarySpec(name=kind.label(), kind="sum", score_kind=kind))
-    rows = boundary_grid(_boundary_grid(args), specs, vocab_size=args.vocab_size, ntp_mode=args.mode)
-    path = os.path.join(args.out_dir, "sumboundary.csv")
-    write_boundary_csv(rows, path)
-    outputs.append(path)
+    return _write_boundary(args, specs, "sumboundary.csv")
 
 
-def _suite_efficiency(args, outputs: list[str]) -> None:
+def _suite_efficiency(args) -> list[str]:
     deltas = np.arange(args.delta_min, args.delta_max + 1e-12, args.step)
     rows = rate_curve(deltas, args.eps)
     if not np.all(np.diff(rows[:, 2]) >= -1e-9):
         raise AssertionError("efficiency rate curve is not monotone")
     path = os.path.join(args.out_dir, "efficiency.csv")
-    write_rate_csv(rows, path)
-    outputs.append(path)
+    _write_csv(path, ["delta", "epsilon", "rate"], ([repr(float(x)) for x in row] for row in rows))
+    return [path]
 
 
-def _suite_gapcheck(args, outputs: list[str]) -> None:
+def _suite_gapcheck(args) -> list[str]:
     kinds = [ARS, LOG, ind(0.5), opt(0.1)]
+    dists = {"half_half": np.array([0.5, 0.5]), "m2_0.4_5": make_m2(0.4, 5)}
     path = os.path.join(args.out_dir, "gapcheck.csv")
-    with open(path, "w", newline="") as fh:
-        import csv as _csv
-
-        w = _csv.writer(fh)
-        w.writerow(["dist", "score", "gap_mc", "se", "lower", "upper", "passed"])
-        dists = {
-            "half_half": np.array([0.5, 0.5]),
-            "m2_0.4_5": make_m2(0.4, 5),
-        }
-        for label, probs in dists.items():
-            for row in entropy_gap_check(probs, kinds, trials=args.trials, seed=args.seed):
-                w.writerow([label, row.score, repr(row.gap_mc), repr(row.se),
-                            repr(row.lower), repr(row.upper), row.passed])
-    outputs.append(path)
+    _write_csv(path, ["dist", "score", "gap_mc", "se", "lower", "upper", "passed"], (
+        [label, row.score, repr(row.gap_mc), repr(row.se), repr(row.lower), repr(row.upper), row.passed]
+        for label, probs in dists.items()
+        for row in entropy_gap_check(probs, kinds, trials=args.trials, seed=args.seed)
+    ))
+    return [path]
 
 
-def _suite_tolerance(args, outputs: list[str]) -> None:
+def _suite_tolerance(args) -> list[str]:
     key = _resolve_key(args)
     detector = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n_test - args.m))
     detector.fit(args.n_test - args.m, alpha=args.alpha)
@@ -329,12 +334,7 @@ def _suite_tolerance(args, outputs: list[str]) -> None:
     def decide(ts: TokenSeq) -> bool:
         return detector.predict(pivot_series(ts, key, args.vocab_size))
 
-    path = os.path.join(args.out_dir, "tolerance.csv")
-    with open(path, "w", newline="") as fh:
-        import csv as _csv
-
-        w = _csv.writer(fh)
-        w.writerow(["sequence", "edit", "tolerance_fraction", "rejected_unedited"])
+    def rows():
         for i in range(args.trials):
             source = ToySource(args.vocab_size, (args.delta, args.delta), child_seed(args.seed, 1, i))
             prompt = substream(args.seed, 2, i).integers(0, args.vocab_size, size=args.m).tolist()
@@ -343,8 +343,11 @@ def _suite_tolerance(args, outputs: list[str]) -> None:
             for kind in ("sub", "ins", "del"):
                 res = tolerance_limit(seq, kind, decide, args.n_test, child_seed(args.seed, 4, i),
                                       args.vocab_size)
-                w.writerow([i, kind, repr(res.fraction), res.rejected_unedited])
-    outputs.append(path)
+                yield [i, kind, repr(res.fraction), res.rejected_unedited]
+
+    path = os.path.join(args.out_dir, "tolerance.csv")
+    _write_csv(path, ["sequence", "edit", "tolerance_fraction", "rejected_unedited"], rows())
+    return [path]
 
 
 _SUITES = {
@@ -361,16 +364,13 @@ def cmd_experiment(args) -> int:
     started = time.time()
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
+    if args.suite == "tolerance" and args.n_test - args.m < 3:
+        raise UsageError(f"--n-test minus --m must be at least 3 scored positions, got {args.n_test - args.m}")
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs: list[str] = []
-    _SUITES[args.suite](args, outputs)
-    manifest = os.path.join(args.out_dir, "manifest.json")
+    outputs = _SUITES[args.suite](args)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "suite") and v is not None}
-    with open(manifest, "w") as fh:
-        json.dump({"command": f"experiment {args.suite}", "config": config, "seed": args.seed,
-                   "version": __version__, "library_versions": _library_versions(), "outputs": outputs,
-                   "wall_clock_s": round(time.time() - started, 6)}, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_manifest(os.path.join(args.out_dir, "manifest.json"), f"experiment {args.suite}", config,
+                    args.seed, outputs, started)
     return EXIT_OK
 
 

@@ -18,14 +18,13 @@ work between the two.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibrate import empirical_quantile, tradeoff_curve
-from .detectors import _P_CLIP_HI, _P_CLIP_LO, ScoreKind, _clip_pivots, _score_terms, hc_plus, score, trgof_stat
+from .detectors import _P_CLIP_HI, _P_CLIP_LO, ScoreKind, _clip_pivots, _score_terms, score, trgof_stat
 from .pivotal import PivotSeries, alt_cdf, alt_pdf, alt_sample
 from .streams import substream
 from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, m1_rows, make_m2
@@ -144,14 +143,6 @@ class HistogramStudy:
     samples: dict = field(default_factory=dict)  # (s, 'H0'|'H1') -> log(n S) array
     power: dict = field(default_factory=dict)  # s -> power at alpha
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["s", "hypothesis", "log_n_stat"])
-            for (s, hyp), arr in self.samples.items():
-                for v in arr:
-                    w.writerow([s, hyp, repr(float(v))])
-
 
 def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
     """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
@@ -172,19 +163,6 @@ def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 
         crit = empirical_quantile(stats[(s, "H0")], 1.0 - alpha)
         out.power[s] = float((stats[(s, "H1")] > crit).mean())
     return out
-
-
-def hc_histogram_study(cfg: MixtureConfig, c_plus: float, alpha: float = 0.05) -> dict:
-    """Same protocol for HC_n_plus (kept on its own scale)."""
-    h0 = np.empty(cfg.trials)
-    h1 = np.empty(cfg.trials)
-    for t in range(cfg.trials):
-        rng = substream(cfg.seed, t)
-        mix, null = sample_mixture(cfg, rng)
-        h0[t] = hc_plus(null, c_plus)
-        h1[t] = hc_plus(mix, c_plus)
-    crit = empirical_quantile(h0, 1.0 - alpha)
-    return {"H0": h0, "H1": h1, "critical": crit, "power": float((h1 > crit).mean())}
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +243,6 @@ def boundary_grid(grid: ExperimentGrid, specs: list[BoundarySpec], vocab_size: i
             for name, err in errs.items():
                 rows.append({"p": p, "q": q, "name": name, "min_error_sum": err})
     return rows
-
-
-def write_boundary_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "q", "name", "min_error_sum"])
-        for r in rows:
-            w.writerow([r["p"], r["q"], r["name"], repr(float(r["min_error_sum"]))])
 
 
 # ---------------------------------------------------------------------------

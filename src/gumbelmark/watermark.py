@@ -116,6 +116,16 @@ def _multinomial_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, probs.size - 1)
 
 
+def _check_prompt(prompt, m: int, vocab_size: int) -> list[int]:
+    """The prompt as a list of ids: at least m of them, all in the vocabulary."""
+    prompt = [int(t) for t in prompt]
+    if len(prompt) < m:
+        raise ValueError(f"prompt length {len(prompt)} < window size {m}")
+    if min(prompt) < 0 or max(prompt) >= vocab_size:
+        raise ValueError("prompt contains tokens outside the source vocabulary")
+    return prompt
+
+
 def _prompt_windows(prompt: list[int], m: int) -> set[tuple[int, ...]]:
     return {tuple(prompt[i : i + m]) for i in range(len(prompt) - m + 1)}
 
@@ -126,11 +136,7 @@ def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
     The prompt must supply at least m tokens so every generated position has a
     full window.
     """
-    prompt = [int(t) for t in prompt]
-    if len(prompt) < cfg.m:
-        raise ValueError(f"prompt length {len(prompt)} < window size {cfg.m}")
-    if min(prompt) < 0 or max(prompt) >= source.vocab_size:
-        raise ValueError("prompt contains tokens outside the source vocabulary")
+    prompt = _check_prompt(prompt, cfg.m, source.vocab_size)
     tokens = list(prompt)
     prov = [PROMPT] * len(prompt)
     fallback = np.random.default_rng(cfg.seed)
@@ -154,9 +160,7 @@ def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
 
 def generate_null(source: ToySource, prompt, cfg: GenConfig) -> TokenSeq:
     """Unwatermarked control: every generated token is multinomially sampled."""
-    prompt = [int(t) for t in prompt]
-    if len(prompt) < cfg.m:
-        raise ValueError(f"prompt length {len(prompt)} < window size {cfg.m}")
+    prompt = _check_prompt(prompt, cfg.m, source.vocab_size)
     tokens = list(prompt)
     prov = [PROMPT] * len(prompt)
     fallback = np.random.default_rng(cfg.seed)

@@ -39,11 +39,12 @@ from gumbelmark import (
     EfficiencyQuery,
     TrGoF,
 )
+from gumbelmark.calibrate import empirical_quantile
 from gumbelmark.experiments import (
     SUM_CRIT_GRIDS,
     entropy_gap_check,
-    hc_histogram_study,
     min_error_cell,
+    sample_mixture,
 )
 from gumbelmark.pivotal import alt_pdf
 from gumbelmark.streams import child_seed, substream
@@ -150,7 +151,11 @@ def test_criterion_05_histogram_powers():
     for i, (p, q) in enumerate([(0.2, 0.5), (0.5, 0.5)]):
         cfg = MixtureConfig(n=n, p=p, q=q, vocab_size=vocab, ntp_mode="m2",
                             trials=trials, seed=500 + i)
-        powers[(p, q)] = hc_histogram_study(cfg, c_plus=1.0 / n, alpha=alpha)["power"]
+        h0, h1 = np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            mix, null = sample_mixture(cfg, substream(cfg.seed, t))
+            h0[t], h1[t] = hc_plus(null, 1.0 / n), hc_plus(mix, 1.0 / n)
+        powers[(p, q)] = float((h1 > empirical_quantile(h0, 1.0 - alpha)).mean())
     elapsed = time.monotonic() - t0
     ok = powers[(0.2, 0.5)] >= 0.90 and powers[(0.5, 0.5)] <= 0.20 and elapsed < 600.0
     report(5, ok, f"power(0.2,0.5)={powers[(0.2, 0.5)]:.3f}, "

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import time
 import warnings
@@ -148,7 +150,8 @@ class TestMcCritical:
     def test_json_and_cache_key(self):
         det = TrGoF(s=2.0, c_plus=0.01)
         res = mc_critical(det, 30, 0.1, reps=200, outer=1, seed=5)
-        back = CalibrationResult.from_json(res.to_json())
+        # the calibrate command writes dataclasses.asdict of the result
+        back = CalibrationResult(**json.loads(json.dumps(dataclasses.asdict(res))))
         assert back == res
         assert not hasattr(res, "cache_key")
 

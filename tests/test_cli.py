@@ -28,6 +28,13 @@ def read_text(path, mode="r"):
         return fh.read()
 
 
+def read_csv_rows(path) -> list[str]:
+    """Lines of a CSV file read as bytes: '\\n' endings only, no '\\r'."""
+    raw = read_text(path, "rb")
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    return raw.decode("utf-8").strip().split("\n")
+
+
 class TestGenerate:
     def test_watermarked_roundtrip(self, tmp_path):
         out = str(tmp_path / "seq.json")
@@ -277,12 +284,17 @@ class TestCalibrateCmd:
         ("experiment", "boundary", "--n", "1"),
         ("experiment", "hist", "--n", "0"),
         ("experiment", "sumboundary", "--n", "1"),
+        ("generate", "--key", KEY, "--n", "0"),
+        ("generate", "--null", "--n", "10", "--m", "0"),
+        ("experiment", "tolerance", "--n-test", "5", "--m", "5"),
+        ("experiment", "tolerance", "--n-test", "7", "--m", "5"),
     ])
     def test_too_small_n_is_usage_error(self, tmp_path, capsys, argv):
         out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "experiment" else ["--out", str(tmp_path / "c.json")]
         assert run(*argv, *out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "--n" in err and "Traceback" not in err
+        # the message names the flag that is too small
+        assert err.startswith("usage error:") and argv[-2] in err and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
 
@@ -292,7 +304,7 @@ class TestExperimentSuites:
         rc = run("experiment", "efficiency", "--eps", "1.0", "--delta-min", "0.05",
                  "--delta-max", "0.5", "--step", "0.05", "--seed", "0", "--out-dir", out_dir)
         assert rc == 0
-        rows = read_text(os.path.join(out_dir, "efficiency.csv")).strip().split("\n")[1:]
+        rows = read_csv_rows(os.path.join(out_dir, "efficiency.csv"))[1:]
         rates = [float(r.split(",")[2]) for r in rows]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         manifest = read_json(os.path.join(out_dir, "manifest.json"))
@@ -304,7 +316,8 @@ class TestExperimentSuites:
                  "--vocab-size", "30", "--trials", "30", "--s-list", "2,1",
                  "--seed", "1", "--out-dir", out_dir)
         assert rc == 0
-        assert os.path.exists(os.path.join(out_dir, "hist_samples.csv"))
+        rows = read_csv_rows(os.path.join(out_dir, "hist_samples.csv"))
+        assert rows[0] == "s,hypothesis,log_n_stat" and len(rows) == 1 + 2 * 2 * 30
         power = read_json(os.path.join(out_dir, "hist_power.json"))
         assert set(power) == {"2.0", "1.0"}
 
@@ -313,7 +326,7 @@ class TestExperimentSuites:
         rc = run("experiment", "boundary", "--n", "200", "--grid", "3", "--trials", "20",
                  "--vocab-size", "20", "--seed", "2", "--out-dir", out_dir)
         assert rc == 0
-        rows = read_text(os.path.join(out_dir, "boundary.csv")).strip().split("\n")
+        rows = read_csv_rows(os.path.join(out_dir, "boundary.csv"))
         assert len(rows) == 1 + 9
 
     def test_reproducible_suite(self, tmp_path):
@@ -358,7 +371,7 @@ class TestRemainingSuites:
         rc = run("experiment", "sumboundary", "--n", "300", "--grid", "3", "--trials", "20",
                  "--vocab-size", "20", "--seed", "1", "--out-dir", out_dir)
         assert rc == 0
-        rows = read_text(os.path.join(out_dir, "sumboundary.csv")).strip().split("\n")
+        rows = read_csv_rows(os.path.join(out_dir, "sumboundary.csv"))
         assert len(rows) == 1 + 9 * 4  # header + grid cells x four scores
 
     @pytest.mark.parametrize("scores", ["ind", "ars:0.5", "opt:2", "ind:x", "nope"])
@@ -375,7 +388,7 @@ class TestRemainingSuites:
         rc = run("experiment", "gapcheck", "--trials", "30000", "--seed", "2",
                  "--out-dir", out_dir)
         assert rc == 0
-        rows = read_text(os.path.join(out_dir, "gapcheck.csv")).strip().split("\n")[1:]
+        rows = read_csv_rows(os.path.join(out_dir, "gapcheck.csv"))[1:]
         assert all(r.endswith("True") for r in rows)
 
     def test_tolerance_suite(self, tmp_path):
@@ -385,7 +398,7 @@ class TestRemainingSuites:
                  "--trials", "1", "--alpha", "0.01",
                  "--seed", "3", "--out-dir", out_dir)
         assert rc == 0
-        rows = read_text(os.path.join(out_dir, "tolerance.csv")).strip().split("\n")[1:]
+        rows = read_csv_rows(os.path.join(out_dir, "tolerance.csv"))[1:]
         assert len(rows) == 3  # sub, ins, del for the one sequence
         for r in rows:
             frac = float(r.split(",")[2])

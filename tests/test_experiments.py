@@ -29,7 +29,6 @@ from gumbelmark.experiments import (
     SUM_CRIT_GRIDS,
     analytic_gap_bounds,
     grid_points,
-    hc_histogram_study,
     min_error_cell,
     resolve_c_plus,
 )
@@ -186,11 +185,6 @@ class TestHistogramStudy:
         sa = histogram_study(a, [2.0], c_plus=0.0)
         sb = histogram_study(b, [2.0], c_plus=0.0)
         assert np.array_equal(sa.samples[(2.0, "H0")], sb.samples[(2.0, "H0")])
-
-    def test_hc_variant(self):
-        cfg = MixtureConfig(n=400, p=0.1, q=0.2, vocab_size=50, trials=60, seed=7)
-        out = hc_histogram_study(cfg, c_plus=1.0 / 400, alpha=0.05)
-        assert out["power"] > 0.9
 
 
 class TestBoundaryGrid:

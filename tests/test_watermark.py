@@ -110,6 +110,17 @@ class TestGenerateNull:
         cfg = GenConfig(n=40, m=5, seed=3)
         assert generate_null(src, [0] * 5, cfg).tokens == generate_null(src, [0] * 5, cfg).tokens
 
+    @pytest.mark.parametrize("prompt", [[99, 1, 2, 3, 4], [-1, 1, 2, 3, 4], [1, 2]],
+                             ids=["id_above_vocab", "negative_id", "too_short"])
+    def test_bad_prompt_rejected_like_generate(self, prompt):
+        src = ToySource(20, (0.3, 0.3), seed=8)
+        cfg = GenConfig(n=10, m=5, seed=1)
+        with pytest.raises(ValueError) as null_err:
+            generate_null(src, prompt, cfg)
+        with pytest.raises(ValueError) as wm_err:
+            generate(src, Key(b"k"), prompt, cfg)
+        assert str(null_err.value) == str(wm_err.value)
+
     def test_null_pivots_uniform(self):
         # scored under an unrelated key, aggregated over many short runs
         from gumbelmark import pivot_series
