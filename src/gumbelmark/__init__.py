@@ -36,14 +36,7 @@ from .detectors import (
     score,
     trgof_stat,
 )
-from .calibrate import (
-    CalibrationResult,
-    clt_critical,
-    exact_critical,
-    mc_critical,
-    null_sf,
-    tradeoff_curve,
-)
+from .calibrate import critical_value, mc_critical, null_sf, tradeoff_curve
 from .edits import (
     EditPlan,
     EditSpec,

@@ -1,12 +1,20 @@
 """Critical values, p-values and error trade-off curves.
 
+This module is the one place that knows the null law of each detector.
+``critical_value(detector, n, alpha)`` calibrates every detector and
+``null_sf`` gives every p-value; ``Detector.fit`` and the CLI go through them.
+
 The goodness-of-fit statistics are calibrated exactly. Under the null the
 law of S_n^+(s) and HC_n^+ depends only on (n, s, c+): {S < c} is the event
 that the uniform order statistics stay above a boundary, and its probability
 comes from a Poisson counting recursion, conditioned on the count of
-p-values below c+ (``null_sf``). ``exact_critical`` solves null_sf = alpha
+p-values below c+ (``null_sf``). ``critical_value`` solves null_sf = alpha
 by Brent's method on log c in 7-9 passes of the recursion; at n = 395 and
 c+ = 1/n that takes 20-55 ms on a 2-core Xeon, with numpy and the stdlib only.
+
+Sum rules instead use the CLT threshold
+
+    gamma = n * E0[h] + z(1 - alpha) * sqrt(n * Var0[h]).
 
 Monte Carlo calibration (``mc_critical``) is the test oracle for the exact
 law. It draws null pivot series (i.i.d. uniforms), evaluates the detector
@@ -17,17 +25,12 @@ buffer are filled from their own substreams and the statistic is taken over
 the whole block in one call. Each (outer, rep) pair still owns a
 counter-based substream and each row is reduced on its own, so the critical
 value is bit-identical to evaluating the replications one at a time.
-
-Sum rules instead use the CLT threshold
-
-    gamma = n * E0[h] + z(1 - alpha) * sqrt(n * Var0[h]).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -36,7 +39,6 @@ from .detectors import (
     Detector,
     S_BRANCH_TOL,
     HigherCriticism,
-    ScoreKind,
     SumScore,
     TrGoF,
     _k_s_plus_terms,
@@ -60,17 +62,6 @@ BINOMIAL_TAIL = 1e-20
 CRITICAL_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    detector: dict
-    n: int
-    alpha: float
-    critical_value: float
-    reps: int
-    outer: int
-    seed: int
-
-
 def empirical_quantile(values: np.ndarray, level: float) -> float:
     """Type-1 (order statistic) quantile: sorted value at index ceil(level * N)."""
     v = np.sort(np.asarray(values, dtype=float))
@@ -85,7 +76,7 @@ def mc_critical(
     reps: int = 10_000,
     outer: int = 10,
     seed: int = 0,
-) -> CalibrationResult:
+) -> float:
     """Monte Carlo critical value: mean over outer rounds of the per-round
     empirical (1 - alpha) quantile of the null statistic.
 
@@ -117,15 +108,7 @@ def mc_critical(
                 substream(seed, o, r).random(out=row)
             stats[start : start + len(chunk)] = detector.statistic(chunk)
         quantiles[o] = empirical_quantile(stats, 1.0 - alpha)
-    return CalibrationResult(
-        detector=detector.to_config(),
-        n=n,
-        alpha=float(alpha),
-        critical_value=float(quantiles.mean()),
-        reps=int(reps),
-        outer=int(outer),
-        seed=int(seed),
-    )
+    return float(quantiles.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +280,7 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
 
     Exact for TrGoF and HigherCriticism (see ``_trgof_cdf``) up to an
     absolute rounding error below ``null_sf_error``, so smaller tails can read
-    as 0. For a SumScore it is the CLT normal tail that ``clt_critical``
+    as 0. For a SumScore it is the CLT normal tail that ``critical_value``
     inverts.
     """
     n = int(n)
@@ -326,25 +309,32 @@ def null_sf_error(detector: Detector, n: int) -> float:
     return 2.0 * 2.0**-52 * (n + n * math.log(n) + math.lgamma(n + 1.0))
 
 
-def exact_critical(detector: Detector, n: int, alpha: float) -> CalibrationResult:
-    """Exact critical value of a TrGoF or HigherCriticism detector: the c
-    with null_sf(detector, n, c) = alpha.
+def critical_value(detector: Detector, n: int, alpha: float) -> float:
+    """The critical value of ``detector`` for length-n null series at Type I
+    level alpha: the c with null_sf(detector, n, c) = alpha.
 
-    Brackets the root by factors of 8 from the statistic's null scale (1/n
-    for TrGoF, 1 for HC), then narrows it by Brent's method on g(log c) =
+    A SumScore takes the CLT threshold in closed form, with z(1 - alpha) from
+    the standard library's normal inverse CDF (n >= 1).
+
+    TrGoF and HigherCriticism take the exact law (n >= 3). The root is
+    bracketed by factors of 8 from the statistic's null scale (1/n for TrGoF,
+    1 for HC), then narrowed by Brent's method on g(log c) =
     log(null_sf / alpha) (inverse quadratic steps, bisection safeguard, no
     step below CRITICAL_RTOL / 2) until the bracket is narrower than
-    CRITICAL_RTOL of its upper end, and returns the end with null_sf < alpha.
+    CRITICAL_RTOL of its upper end; the end with null_sf < alpha is returned.
     If 8**21 = 2**63 times the scale gives no bracket, alpha lies below the
     accuracy of the law (see ``null_sf``): ValueError. If null_sf < alpha even
-    at 8**-21 times the scale, that point is returned. No simulation runs, so
-    the result records reps = outer = seed = 0.
+    at 8**-21 times the scale, that point is returned.
     """
     n = int(n)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    least = 1 if isinstance(detector, SumScore) else 3
+    if n < least:
+        raise ValueError(f"need n >= {least}, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if isinstance(detector, SumScore):
+        mean, var = null_moments(detector.kind)
+        return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)
     cdf = _gof_cdf(detector, n)
     log_alpha = math.log(alpha)
 
@@ -386,20 +376,7 @@ def exact_critical(detector: Detector, n: int, alpha: float) -> CalibrationResul
         x_pre, g_pre = x_cur, g_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
         g_cur = excess(x_cur)
-    return CalibrationResult(detector=detector.to_config(), n=n, alpha=float(alpha), reps=0, outer=0, seed=0,
-                             critical_value=math.exp(x_cur if g_cur < 0.0 else x_blk))
-
-
-def clt_critical(kind: ScoreKind, n: int, alpha: float) -> float:
-    """CLT threshold for a sum rule at Type I level alpha, with z(1 - alpha)
-    from the standard library's normal inverse CDF."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    mean, var = null_moments(kind)
-    return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)
+    return math.exp(x_cur if g_cur < 0.0 else x_blk)
 
 
 def tradeoff_curve(stats_h0, stats_h1) -> np.ndarray:

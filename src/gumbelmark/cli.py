@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -30,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .calibrate import null_sf, null_sf_error
+from .calibrate import critical_value, null_sf, null_sf_error
 from .detectors import (
     ARS,
     LOG,
@@ -251,10 +250,10 @@ def cmd_calibrate(args) -> int:
     started = time.time()
     if args.n < 3:
         raise UsageError(f"--n must be at least 3, got {args.n}")
-    result = _build_detector(args, args.n).fit(args.n, alpha=args.alpha).calibration_
-    _write_json(args.out, dataclasses.asdict(result))
-    _write_manifest(args.out + ".manifest.json", "calibrate",
-                    {"detector": result.detector, "n": args.n, "alpha": args.alpha}, args.seed, [args.out], started)
+    detector = _build_detector(args, args.n)
+    config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
+    _write_json(args.out, dict(config, critical_value=critical_value(detector, args.n, args.alpha)))
+    _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)
     return EXIT_OK
 
 
@@ -362,13 +361,17 @@ _SUITES = {
 
 def cmd_experiment(args) -> int:
     started = time.time()
-    if args.n < 2:
-        raise UsageError(f"--n must be at least 2, got {args.n}")
+    for flag, value, least in (("--n", args.n, 2), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
+                               ("--m", args.m, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if not args.step > 0.0:
+        raise UsageError(f"--step must be positive, got {args.step}")
     if args.suite == "tolerance" and args.n_test - args.m < 3:
         raise UsageError(f"--n-test minus --m must be at least 3 scored positions, got {args.n_test - args.m}")
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = _SUITES[args.suite](args)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "suite") and v is not None}
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "suite", "key") and v is not None}
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), f"experiment {args.suite}", config,
                     args.seed, outputs, started)
     return EXIT_OK

@@ -19,9 +19,10 @@ Two families are provided.
   least-favorable log-density log f_P*(y) for a singularity guess Delta0.
 
 Detector objects follow the familiar estimator surface: constructor
-parameters are stored as-is, ``fit`` calibrates the critical value against
-the null and sets ``critical_value_``, ``statistic`` returns the statistic,
-and ``predict`` returns the reject decision.
+parameters are stored as-is, ``fit`` sets ``critical_value`` from the null
+law (``calibrate.critical_value``, the one module that knows the null laws),
+``statistic`` returns the statistic, and ``predict`` returns the reject
+decision.
 """
 
 from __future__ import annotations
@@ -277,33 +278,23 @@ class Detector:
 
     @property
     def threshold(self) -> float:
-        cv = getattr(self, "critical_value_", None)
-        if cv is None:
-            cv = self.critical_value
-        if cv is None:
+        if self.critical_value is None:
             raise ValueError("no critical value: call fit() or set critical_value")
-        return float(cv)
+        return float(self.critical_value)
 
     def predict(self, series) -> bool:
         """True when the watermark hypothesis is accepted (H0 rejected)."""
         return bool(self.statistic(series) >= self.threshold)
 
     def fit(self, n: int, alpha: float = 0.01):
-        """Calibrate the critical value for length-n null series from the exact
-        null law (``calibrate.exact_critical``); ``calibrate.mc_critical`` is
-        its Monte Carlo oracle."""
-        from .calibrate import exact_critical
+        """Set ``critical_value`` for length-n null series at level alpha
+        (``calibrate.critical_value``) and return the detector."""
+        from .calibrate import critical_value
 
-        result = exact_critical(self, n, alpha)
-        self.critical_value_ = result.critical_value
-        self.calibration_ = result
+        self.critical_value = critical_value(self, n, alpha)
         return self
 
     # -- serialization ----------------------------------------------------------
-
-    def _effective_cv(self):
-        cv = getattr(self, "critical_value_", None)
-        return self.critical_value if cv is None else cv
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -331,7 +322,7 @@ class TrGoF(Detector):
             "kind": "trgof",
             "s": self.s,
             "c_plus": self.c_plus,
-            "critical_value": self._effective_cv(),
+            "critical_value": self.critical_value,
         }
 
 
@@ -353,7 +344,7 @@ class HigherCriticism(Detector):
         return {
             "kind": "hc",
             "c_plus": self.c_plus,
-            "critical_value": self._effective_cv(),
+            "critical_value": self.critical_value,
         }
 
 
@@ -372,21 +363,10 @@ class SumScore(Detector):
             raise ValueError("empty pivot series")
         return _float_if_scalar(_score_terms(y, self.kind).sum(axis=-1))
 
-    def fit(self, n: int, alpha: float = 0.01):
-        """Sum rules calibrate in closed form through the CLT threshold."""
-        from .calibrate import CalibrationResult, clt_critical
-
-        cv = clt_critical(self.kind, n, alpha)
-        self.calibration_ = CalibrationResult(
-            detector=self.to_config(), n=int(n), alpha=float(alpha), critical_value=cv, reps=0, outer=0, seed=0,
-        )
-        self.critical_value_ = cv
-        return self
-
     def to_config(self) -> dict:
         return {
             "kind": "sum",
             "score": self.kind.name,
             "delta0": self.kind.param,
-            "critical_value": self._effective_cv(),
+            "critical_value": self.critical_value,
         }

@@ -128,11 +128,11 @@ def test_criterion_04_type_i_control():
     rates = {}
     for s in (1.0, 2.0):
         det = TrGoF(s=s, c_plus=1.0 / n)
-        res = mc_critical(det, n, alpha, reps=10_000, outer=10, seed=2024)
+        crit = mc_critical(det, n, alpha, reps=10_000, outer=10, seed=2024)
         hits = 0
         for t in range(trials):
             y = substream(777, int(s), t).random(n)
-            hits += det.statistic(y) >= res.critical_value
+            hits += det.statistic(y) >= crit
         rates[s] = hits / trials
     elapsed = time.monotonic() - t0
     ok = all(0.006 <= r <= 0.014 for r in rates.values()) and elapsed < 120.0

@@ -1,5 +1,3 @@
-import dataclasses
-import json
 import math
 import time
 import warnings
@@ -10,14 +8,15 @@ from scipy.special import ndtri
 
 from gumbelmark import (
     ARS,
-    CalibrationResult,
+    LOG,
     HigherCriticism,
     SumScore,
     TrGoF,
-    clt_critical,
-    exact_critical,
+    critical_value,
+    ind,
     mc_critical,
     null_sf,
+    opt,
     tradeoff_curve,
 )
 from gumbelmark import calibrate
@@ -30,7 +29,7 @@ from gumbelmark.calibrate import (
     empirical_quantile,
     null_sf_error,
 )
-from gumbelmark.detectors import S_BRANCH_TOL, _k_s_plus_terms
+from gumbelmark.detectors import S_BRANCH_TOL, Detector, _k_s_plus_terms
 from gumbelmark.streams import substream
 
 from util import illinois_critical
@@ -91,10 +90,10 @@ def per_step_upper_no_crossing(b_run, c_plus, m_max, logfact):
 class TestCltCritical:
     def test_ars_400(self):
         # 400 + z(0.99) * 20 with z(0.99) = 2.3263478740408408
-        assert clt_critical(ARS, 400, 0.01) == pytest.approx(446.5269574808168, abs=1e-6)
+        assert critical_value(SumScore(ARS), 400, 0.01) == pytest.approx(446.5269574808168, abs=1e-6)
 
     def test_alpha_half_is_null_mean(self):
-        assert clt_critical(ARS, 250, 0.5) == pytest.approx(250.0, abs=1e-12)
+        assert critical_value(SumScore(ARS), 250, 0.5) == pytest.approx(250.0, abs=1e-12)
 
     def test_against_scipy(self):
         # ars at n = 1 has mean and variance 1, so the threshold minus 1 is z(1 - alpha)
@@ -104,12 +103,14 @@ class TestCltCritical:
             [0.99, 0.999, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9],
         ])
         for a in alphas:
-            assert abs((clt_critical(ARS, 1, float(a)) - 1.0) - float(ndtri(1.0 - a))) <= 1e-9
+            assert abs((critical_value(SumScore(ARS), 1, float(a)) - 1.0) - float(ndtri(1.0 - a))) <= 1e-9
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
-                clt_critical(ARS, 10, bad)
+                critical_value(SumScore(ARS), 10, bad)
+        with pytest.raises(ValueError):
+            critical_value(SumScore(ARS), 0, 0.01)
 
 
 class TestMcCritical:
@@ -117,22 +118,22 @@ class TestMcCritical:
         det = TrGoF(s=2.0, c_plus=0.01)
         a = mc_critical(det, 50, 0.05, reps=400, outer=3, seed=7)
         b = mc_critical(det, 50, 0.05, reps=400, outer=3, seed=7)
-        assert a.critical_value == b.critical_value
+        assert a == b
 
     def test_monotone_in_alpha(self):
         det = HigherCriticism(c_plus=0.01)
         strict = mc_critical(det, 80, 0.01, reps=1000, outer=2, seed=3)
         loose = mc_critical(det, 80, 0.05, reps=1000, outer=2, seed=3)
-        assert strict.critical_value >= loose.critical_value
+        assert strict >= loose
 
     def test_coverage_quick(self):
         # reduced-size version of the acceptance check
         n, alpha = 100, 0.05
         det = TrGoF(s=2.0, c_plus=1.0 / n)
-        res = mc_critical(det, n, alpha, reps=2000, outer=3, seed=21)
+        crit = mc_critical(det, n, alpha, reps=2000, outer=3, seed=21)
         rng = np.random.default_rng(99)
         hits = np.mean([
-            det.statistic(rng.random(n)) >= res.critical_value for _ in range(3000)
+            det.statistic(rng.random(n)) >= crit for _ in range(3000)
         ])
         assert abs(hits - alpha) <= 3 * math.sqrt(alpha * (1 - alpha) / 3000) + 0.005
 
@@ -147,14 +148,6 @@ class TestMcCritical:
         with pytest.warns(UserWarning):
             mc_critical(det, 10, 0.01, reps=200, outer=1, seed=0)
 
-    def test_json_and_cache_key(self):
-        det = TrGoF(s=2.0, c_plus=0.01)
-        res = mc_critical(det, 30, 0.1, reps=200, outer=1, seed=5)
-        # the calibrate command writes dataclasses.asdict of the result
-        back = CalibrationResult(**json.loads(json.dumps(dataclasses.asdict(res))))
-        assert back == res
-        assert not hasattr(res, "cache_key")
-
     @pytest.mark.parametrize("n", [57, 195, MC_BLOCK_VALUES + 3])
     def test_blocked_matches_per_rep_loop(self, n):
         # reps = 200 is not a multiple of the block rows at n = 57 (71) or
@@ -162,7 +155,7 @@ class TestMcCritical:
         dets = [TrGoF(s=s, c_plus=c) for s in (2.0, 1.0, 0.0, -1.0) for c in (0.0, 1.0 / n, 0.3)]
         dets += [HigherCriticism(c_plus=c) for c in (0.0, 1.0 / n, 0.3)]
         for det in dets:
-            got = mc_critical(det, n, 0.05, reps=200, outer=2, seed=17).critical_value
+            got = mc_critical(det, n, 0.05, reps=200, outer=2, seed=17)
             want = per_rep_critical(det, n, 0.05, reps=200, outer=2, seed=17)
             assert got == want, (det, n)
 
@@ -181,9 +174,11 @@ class TestMcCritical:
         assert shapes == one_round * 2
 
     def test_fit_sets_fitted_value(self):
-        det = TrGoF(s=2.0, c_plus=0.02).fit(40, alpha=0.1)
-        assert det.critical_value_ == det.calibration_.critical_value
-        assert det.threshold == det.critical_value_
+        for det in (TrGoF(s=2.0, c_plus=0.02), HigherCriticism(c_plus=0.02), SumScore(ARS)):
+            want = critical_value(det, 40, 0.1)
+            assert det.fit(40, alpha=0.1) is det
+            assert det.critical_value == det.threshold == want
+            assert det.to_config()["critical_value"] == want
 
 
 def gof_detectors(c_plus_values):
@@ -234,7 +229,7 @@ class TestExactNull:
         n, alpha, trials = 400, 0.01, 5000
         for s in (1.0, 2.0):
             det = TrGoF(s=s, c_plus=1.0 / n)
-            crit = exact_critical(det, n, alpha).critical_value
+            crit = critical_value(det, n, alpha)
             y = np.stack([substream(777, int(s), t).random(n) for t in range(trials)])
             rate = float(np.mean(det.statistic(y) >= crit))
             assert 0.006 <= rate <= 0.014, (s, rate)
@@ -242,21 +237,20 @@ class TestExactNull:
     def test_critical_value_solves_tail(self):
         for det in gof_detectors((0.0, 1.0 / 60, 0.3)):
             for alpha in (0.01, 0.2):
-                res = exact_critical(det, 60, alpha)
-                assert null_sf(det, 60, res.critical_value) == pytest.approx(alpha, rel=1e-6)
-                assert (res.reps, res.outer, res.seed) == (0, 0, 0)
+                crit = critical_value(det, 60, alpha)
+                assert null_sf(det, 60, crit) == pytest.approx(alpha, rel=1e-6)
 
     def test_guards(self):
         det = TrGoF(s=2.0, c_plus=0.0)
         with pytest.raises(ValueError):
-            exact_critical(det, 2, 0.01)
+            critical_value(det, 2, 0.01)
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
-                exact_critical(det, 50, bad)
+                critical_value(det, 50, bad)
         with pytest.raises(ValueError):
-            exact_critical(det, 50, 1e-300)  # far below the law's accuracy
+            critical_value(det, 50, 1e-300)  # far below the law's accuracy
         with pytest.raises(TypeError):
-            exact_critical(SumScore(ARS), 50, 0.01)
+            critical_value(Detector(), 50, 0.01)  # no null law for a bare detector
 
     def test_atom_at_zero(self):
         # at n = 3 and c+ = 0.95 most series leave only t = n admissible, which
@@ -265,7 +259,7 @@ class TestExactNull:
         det = TrGoF(s=0.0, c_plus=0.95)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            crit = exact_critical(det, 3, 0.2).critical_value
+            crit = critical_value(det, 3, 0.2)
         assert crit == pytest.approx(8.0**-21 / 3, rel=1e-12) and null_sf(det, 3, crit) < 0.2
 
     @pytest.mark.parametrize("n", [100, 400])
@@ -275,13 +269,13 @@ class TestExactNull:
         # so 1 - cdf is rounding, which must stay within null_sf_error
         det = TrGoF(s=s, c_plus=1.0 / n)
         cdf = _gof_cdf(det, n)
-        far = exact_critical(det, n, 1e-9).critical_value * np.geomspace(10.0, 1000.0, 12)
+        far = critical_value(det, n, 1e-9) * np.geomspace(10.0, 1000.0, 12)
         err = null_sf_error(det, n)
         assert all(abs(1.0 - cdf(c)) <= err for c in far)
         assert null_sf_error(SumScore(ARS), n) == 0.0
 
     def test_sum_rule_tail_is_the_clt_tail(self):
-        assert null_sf(SumScore(ARS), 400, clt_critical(ARS, 400, 0.01)) == pytest.approx(0.01, rel=1e-9)
+        assert null_sf(SumScore(ARS), 400, critical_value(SumScore(ARS), 400, 0.01)) == pytest.approx(0.01, rel=1e-9)
 
     @pytest.mark.parametrize("n", [20, 195, 1000])
     @pytest.mark.parametrize("s", [1.5, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.5, 0.0, -1.0])
@@ -320,9 +314,11 @@ class TestExactNull:
                 want = per_step_upper_no_crossing(b_run, c_plus, n, logfact)
                 assert np.max(np.abs(got - want)) <= 1e-15, (n, c_plus, c)
 
-    # critical_value.hex() at alpha = 0.01 from the factor-8 bracket and
-    # Brent's method, columns s = 2, 1, 0.5, -1 and HC; each lies within
-    # 5e-11 relative of the value the doubling + Illinois solver gave
+    # critical_value.hex() at alpha = 0.01. The goodness-of-fit rows come
+    # from the factor-8 bracket and Brent's method, columns s = 2, 1, 0.5, -1
+    # and HC; each lies within 5e-11 relative of the value the doubling +
+    # Illinois solver gave. The "sum" rows are the CLT thresholds of ars, log,
+    # ind(0.5) and opt(0.1).
     GOLDEN = {
         (57, "0"): ("0x1.ca1cbdd5b89a4p-1", "0x1.bfccd7f98158cp-4", "0x1.489b74f6c3985p-3",
                     "0x1.0f3772271eb45p-2", "0x1.432fc6ff58248p+3"),
@@ -342,14 +338,24 @@ class TestExactNull:
                        "0x1.5540889819e92p-5", "0x1.a7c3226f2ee8fp+2"),
         (400, "0.3"): ("0x1.a8fcb25d8c4ecp-7", "0x1.ee7e0af3d5b42p-7", "0x1.7fa626748fa91p-6",
                        "0x1.55408700cd33bp-5", "0x1.9c4de6d550278p+1"),
+        (57, "sum"): ("0x1.2a4110f7a5168p+6", "-0x1.3b7dde10b5d30p+5", "0x1.2a4110f7a5168p+5",
+                      "0x1.363d4d957a1e4p+1"),
+        (195, "sum"): ("0x1.c6f8ab112da49p+7", "-0x1.450754eed25b7p+7", "0x1.c6f8ab112da49p+6",
+                       "0x1.e79643b28b80cp+0"),
+        (395, "sum"): ("0x1.b93c395063dd5p+8", "-0x1.5cc3c6af9c22bp+8", "0x1.b93c395063dd5p+7",
+                       "-0x1.574ba4f187a90p-1"),
     }
 
     @pytest.mark.parametrize("n, rule", sorted(GOLDEN))
     def test_golden_critical_values(self, n, rule):
+        if rule == "sum":
+            dets = [SumScore(kind) for kind in (ARS, LOG, ind(0.5), opt(0.1))]
+            assert [det.fit(n, 0.01).critical_value.hex() for det in dets] == list(self.GOLDEN[n, rule])
+            return
         c_plus = {"0": 0.0, "1/n": 1.0 / n, "0.3": 0.3}[rule]
         dets = [TrGoF(s=s, c_plus=c_plus) for s in (2.0, 1.0, 0.5, -1.0)] + [HigherCriticism(c_plus=c_plus)]
         for det, hexed in zip(dets, self.GOLDEN[n, rule]):
-            got, want = exact_critical(det, n, 0.01).critical_value, float.fromhex(hexed)
+            got, want = critical_value(det, n, 0.01), float.fromhex(hexed)
             if isinstance(det, HigherCriticism) or det.s == 2.0:
                 assert got.hex() == hexed, (det, n, rule)
             else:
@@ -363,7 +369,7 @@ class TestExactNull:
             dets = [TrGoF(s=s, c_plus=c_plus) for s in (2.0, 1.5, 1.0, 0.5, 0.0, -1.0)]
             for det in dets + [HigherCriticism(c_plus=c_plus)]:
                 for alpha in (0.05, 0.01, 0.001):
-                    got, want = exact_critical(det, n, alpha).critical_value, illinois_critical(det, n, alpha)
+                    got, want = critical_value(det, n, alpha), illinois_critical(det, n, alpha)
                     assert null_sf(det, n, got) <= alpha, (det, n, alpha)
                     assert abs(got - want) <= 5.0 * CRITICAL_RTOL * want, (det, n, alpha, got / want - 1.0)
 
@@ -387,7 +393,7 @@ class TestExactNull:
         monkeypatch.setattr(calibrate, "_trgof_cdf", counted_cdf)
         for n in (175, 195, 215, 355, 395, 435):
             for det in (TrGoF(s=2.0, c_plus=1 / n), TrGoF(s=1.0, c_plus=1 / n), HigherCriticism(c_plus=1 / n)):
-                exact_critical(det, n, 0.01)
+                critical_value(det, n, 0.01)
         assert passes <= 160
 
     def test_fast_at_n_395(self):
@@ -395,7 +401,7 @@ class TestExactNull:
             best = math.inf
             for _ in range(3):
                 t0 = time.perf_counter()
-                exact_critical(det, 395, 0.01)
+                critical_value(det, 395, 0.01)
                 best = min(best, time.perf_counter() - t0)
             assert best < 0.5, (det, best)
 

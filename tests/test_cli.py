@@ -262,8 +262,8 @@ class TestCalibrateCmd:
                  "--out", out)
         assert rc == 0
         res = read_json(out)
+        assert set(res) == {"alpha", "critical_value", "detector", "n"}
         assert res["n"] == 100 and res["alpha"] == 0.05
-        assert (res["reps"], res["outer"]) == (0, 0)
         # exact calibration is cheap enough that nothing is cached
         assert sorted(os.listdir(tmp_path)) == ["calib.json", "calib.json.manifest.json"]
         assert run("calibrate", "--n", "100", "--cache-dir", str(tmp_path / "cache"), "--out", out) == 2
@@ -288,6 +288,10 @@ class TestCalibrateCmd:
         ("generate", "--null", "--n", "10", "--m", "0"),
         ("experiment", "tolerance", "--n-test", "5", "--m", "5"),
         ("experiment", "tolerance", "--n-test", "7", "--m", "5"),
+        ("experiment", "hist", "--trials", "0"),
+        ("experiment", "efficiency", "--step", "0"),
+        ("experiment", "boundary", "--grid", "1"),
+        ("experiment", "tolerance", "--m", "0"),
     ])
     def test_too_small_n_is_usage_error(self, tmp_path, capsys, argv):
         out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "experiment" else ["--out", str(tmp_path / "c.json")]
@@ -351,7 +355,7 @@ class TestDetectPower:
 
         vocab, m, n = 20, 5, 400
         det = TrGoF(s=2.0, c_plus=1.0 / n)
-        crit = mc_critical(det, n, 0.01, reps=4000, outer=5, seed=55).critical_value
+        crit = mc_critical(det, n, 0.01, reps=4000, outer=5, seed=55)
         key, wrong = Key(bytes.fromhex(KEY)), Key(b"not-the-key")
         hits = miss = 0
         for i in range(200):
@@ -398,6 +402,9 @@ class TestRemainingSuites:
                  "--trials", "1", "--alpha", "0.01",
                  "--seed", "3", "--out-dir", out_dir)
         assert rc == 0
+        # the manifest records the run but never the watermark key
+        with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
+            assert KEY not in fh.read()
         rows = read_csv_rows(os.path.join(out_dir, "tolerance.csv"))[1:]
         assert len(rows) == 3  # sub, ins, del for the one sequence
         for r in rows:

@@ -242,10 +242,8 @@ class TestSumTest:
 
     def test_clt_null_rate(self):
         # vectorized 1e4-trial null check at alpha = 0.01, n = 400
-        from gumbelmark import clt_critical
-
         n, trials, alpha = 400, 10_000, 0.01
-        thr = clt_critical(ARS, n, alpha)
+        thr = SumScore(ARS).fit(n, alpha).threshold
         rng = np.random.default_rng(13)
         sums = -np.log1p(-rng.random((trials, n))).sum(axis=1)
         rate = (sums >= thr).mean()

@@ -18,7 +18,9 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_calibrated_detect_leaves_scipy_unloaded(tmp_path):
-    # exact calibration needs numpy and the standard library only
+    # exact calibration and the CLT threshold of the closed-form sum rules
+    # need numpy and the standard library only; opt's moments integrate with
+    # scipy by design
     src = str(Path(gumbelmark.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = f"""
@@ -27,7 +29,8 @@ from gumbelmark import cli
 seq, out = {str(tmp_path / "seq.json")!r}, {str(tmp_path / "verdict.json")!r}
 key = ["--key", "00112233445566778899aabbccddeeff"]
 assert cli.main(["generate", *key, "--n", "200", "--seed", "1", "--out", seq]) == 0
-for detector in (["trgof", "--s", "2"], ["trgof", "--s", "1"], ["hc"]):
+for detector in (["trgof", "--s", "2"], ["trgof", "--s", "1"], ["hc"],
+                 ["sum", "--score", "ars"], ["sum", "--score", "log"], ["sum", "--score", "ind"]):
     assert cli.main(["detect", "--in", seq, *key, "--vocab-size", "20", "--calibrate",
                      "--detector", *detector, "--out", out]) == 0
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
@@ -47,3 +50,24 @@ def test_benchmark_names_resolve(monkeypatch):
     missing = [f"{layer}.{attr}" for layer, attr in tracing.TARGETS
                if not callable(getattr(importlib.import_module(f"gumbelmark.{layer}"), attr, None))]
     assert missing == []
+
+
+def test_benchmark_workloads_run(monkeypatch, tmp_path):
+    # the first operations of each benchmark workload, against the current
+    # package: a change that breaks a call the benchmark makes (say
+    # fit(...).threshold or the --reps/--outer flags) fails here, not only in
+    # a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS, Recorder
+
+    first_ops = {"pipeline": 4, "large_vocab": 3, "boundary": 3}
+    assert sorted(WORKLOADS) == sorted(first_ops)
+    for name, count in first_ops.items():
+        workload, rec = WORKLOADS[name](1, str(tmp_path)), Recorder()
+        if name == "pipeline":
+            workload.warm_up(rec)
+            assert rec.counts["pipeline.verdicts"] == 1  # the warm-up document went through
+        ops = workload.period(0)
+        for idx in range(count):
+            kind, op = next(ops)
+            assert op(rec, idx) == [], (name, kind, idx)
