@@ -9,8 +9,9 @@ law of S_n^+(s) and HC_n^+ depends only on (n, s, c+): {S < c} is the event
 that the uniform order statistics stay above a boundary, and its probability
 comes from a Poisson counting recursion, conditioned on the count of
 p-values below c+ (``null_sf``). ``critical_value`` solves null_sf = alpha
-by Brent's method on log c in 7-9 passes of the recursion; at n = 395 and
-c+ = 1/n that takes 20-55 ms on a 2-core Xeon, with numpy and the stdlib only.
+by Brent's method on log c in 7-9 passes of the recursion (20-55 ms at n = 395
+and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised per process
+on (null law, n, alpha): a separate CLI process pays those passes again.
 
 Sum rules instead use the CLT threshold
 
@@ -29,6 +30,7 @@ value is bit-identical to evaluating the replications one at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from statistics import NormalDist
@@ -60,6 +62,7 @@ NEWTON_RTOL = 2.0**-50
 BAND_FLOOR = 1e-290
 BINOMIAL_TAIL = 1e-20
 CRITICAL_RTOL = 1e-10
+CRITICAL_MEMO_SIZE = 4096  # the most critical values the memo holds
 
 
 def empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -324,7 +327,7 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     CRITICAL_RTOL of its upper end; the end with null_sf < alpha is returned.
     If 8**21 = 2**63 times the scale gives no bracket, alpha lies below the
     accuracy of the law (see ``null_sf``): ValueError. If null_sf < alpha even
-    at 8**-21 times the scale, that point is returned.
+    at 8**-21 times the scale, that point is returned. Memoised per process.
     """
     n = int(n)
     least = 1 if isinstance(detector, SumScore) else 3
@@ -332,6 +335,20 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
         raise ValueError(f"need n >= {least}, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return _critical_value(_null_law(detector), n, float(alpha))
+
+
+def _null_law(detector: Detector) -> tuple:
+    """(family, s, c+), (family, c+) or (family, score kind): the memo key with n and alpha."""
+    for family, params in ((TrGoF, ("s", "c_plus")), (HigherCriticism, ("c_plus",)), (SumScore, ("kind",))):
+        if isinstance(detector, family):
+            return (family, *(getattr(detector, p) for p in params))
+    raise TypeError(f"no null law for {type(detector).__name__}")
+
+
+@functools.lru_cache(maxsize=CRITICAL_MEMO_SIZE)
+def _critical_value(law: tuple, n: int, alpha: float) -> float:
+    detector = law[0](*law[1:])  # a solve that raises is not memoised
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
         return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)

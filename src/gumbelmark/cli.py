@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .calibrate import critical_value, null_sf, null_sf_error
+from .calibrate import null_sf, null_sf_error
 from .detectors import (
     ARS,
     LOG,
@@ -162,6 +162,10 @@ def _build_detector(args, n: int) -> Detector:
         raise UsageError(str(exc)) from exc
 
 
+def _s_list(text: str) -> list[float]:
+    return [float(s) for s in text.split(",")]
+
+
 def _c_plus_arg(text: str):
     if text in ("0", "1/n", "1/n2"):
         return text
@@ -250,9 +254,9 @@ def cmd_calibrate(args) -> int:
     started = time.time()
     if args.n < 3:
         raise UsageError(f"--n must be at least 3, got {args.n}")
-    detector = _build_detector(args, args.n)
+    detector = _build_detector(args, args.n).fit(args.n, args.alpha)
     config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
-    _write_json(args.out, dict(config, critical_value=critical_value(detector, args.n, args.alpha)))
+    _write_json(args.out, dict(config, critical_value=detector.critical_value))
     _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)
     return EXIT_OK
 
@@ -260,8 +264,7 @@ def cmd_calibrate(args) -> int:
 def _suite_hist(args) -> list[str]:
     cfg = MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size,
                         ntp_mode=args.mode, trials=args.trials, seed=args.seed)
-    s_values = [float(s) for s in args.s_list.split(",")]
-    study = histogram_study(cfg, s_values, resolve_c_plus(args.c_plus, args.n), alpha=args.alpha)
+    study = histogram_study(cfg, args.s_list, resolve_c_plus(args.c_plus, args.n), alpha=args.alpha)
     path = os.path.join(args.out_dir, "hist_samples.csv")
     _write_csv(path, ["s", "hypothesis", "log_n_stat"],
                ([s, hyp, repr(float(v))] for (s, hyp), arr in study.samples.items() for v in arr))
@@ -362,11 +365,11 @@ _SUITES = {
 def cmd_experiment(args) -> int:
     started = time.time()
     for flag, value, least in (("--n", args.n, 2), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
-                               ("--m", args.m, 1)):
+                               ("--m", args.m, 1), ("--vocab-size", args.vocab_size, 2)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
-    if not args.step > 0.0:
-        raise UsageError(f"--step must be positive, got {args.step}")
+    if not (args.step > 0.0 and 0.0 < args.alpha < 1.0 and 0.0 < args.eps <= 1.0):
+        raise UsageError(f"need --step > 0, 0 < --alpha < 1 and 0 < --eps <= 1, got {args.step}, {args.alpha}, {args.eps}")
     if args.suite == "tolerance" and args.n_test - args.m < 3:
         raise UsageError(f"--n-test minus --m must be at least 3 scored positions, got {args.n_test - args.m}")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -453,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--vocab-size", type=int, default=1000, dest="vocab_size")
     x.add_argument("--mode", choices=("m1", "m2"), default="m2")
     x.add_argument("--s", type=float, default=2.0)
-    x.add_argument("--s-list", default="2,1.5,1,0.5,0", dest="s_list")
+    x.add_argument("--s-list", type=_s_list, default="2,1.5,1,0.5,0", dest="s_list")
     x.add_argument("--scores", default="ars,log,ind:0.5,opt:0.1",
                    help="sum rules for the sumboundary suite, e.g. ars,log,ind:0.5,opt:0.1")
     x.add_argument("--c-plus", type=_c_plus_arg, default="1/n", dest="c_plus")

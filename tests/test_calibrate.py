@@ -32,7 +32,7 @@ from gumbelmark.calibrate import (
 from gumbelmark.detectors import S_BRANCH_TOL, Detector, _k_s_plus_terms
 from gumbelmark.streams import substream
 
-from util import illinois_critical
+from util import count_law_passes, illinois_critical
 
 
 def per_rep_critical(detector, n, alpha, reps, outer, seed):
@@ -242,6 +242,7 @@ class TestExactNull:
 
     def test_guards(self):
         det = TrGoF(s=2.0, c_plus=0.0)
+        critical_value(det, 50, 0.01)  # the guards hold with a warm memo too
         with pytest.raises(ValueError):
             critical_value(det, 2, 0.01)
         for bad in (0.0, 1.0):
@@ -376,34 +377,63 @@ class TestExactNull:
     def test_law_passes_at_pipeline_lengths(self, monkeypatch):
         # evaluations of the exact law over TrGoF s = 2, s = 1 and HC at
         # c+ = 1/n, alpha = 0.01 and the scored lengths of the pipeline
-        # documents; doubling + Illinois took 228
-        passes = 0
-        trgof_cdf = calibrate._trgof_cdf
-
-        def counted_cdf(*args):
-            cdf = trgof_cdf(*args)
-
-            def count(c):
-                nonlocal passes
-                passes += 1
-                return cdf(c)
-
-            return count
-
-        monkeypatch.setattr(calibrate, "_trgof_cdf", counted_cdf)
+        # documents, all distinct solves; doubling + Illinois took 228
+        passes = count_law_passes(monkeypatch)
         for n in (175, 195, 215, 355, 395, 435):
             for det in (TrGoF(s=2.0, c_plus=1 / n), TrGoF(s=1.0, c_plus=1 / n), HigherCriticism(c_plus=1 / n)):
                 critical_value(det, n, 0.01)
-        assert passes <= 160
+        assert passes[0] <= 160
 
     def test_fast_at_n_395(self):
+        # each timed call solves afresh: the memo is emptied before it
         for det in (TrGoF(s=1.0, c_plus=1 / 395), TrGoF(s=2.0, c_plus=1 / 395), HigherCriticism(c_plus=1 / 395)):
             best = math.inf
             for _ in range(3):
+                calibrate._critical_value.cache_clear()
                 t0 = time.perf_counter()
                 critical_value(det, 395, 0.01)
                 best = min(best, time.perf_counter() - t0)
             assert best < 0.5, (det, best)
+
+
+class TestMemo:
+    """``critical_value`` memoises each solve per process on (law, n, alpha)."""
+
+    def test_repeat_is_identical_and_solves_nothing(self, monkeypatch):
+        passes = count_law_passes(monkeypatch)
+        for det in (TrGoF(s=1.0, c_plus=1 / 195), HigherCriticism(c_plus=1 / 195), SumScore(opt(0.1))):
+            first = critical_value(det, 195, 0.01)
+            solved = passes[0]
+            # a fresh detector of the same law, with numpy n and alpha, hits the memo
+            twin = type(det)(**{k: v for k, v in det.get_params().items() if k != "critical_value"})
+            again = critical_value(twin, np.int64(195), np.float64(0.01))
+            assert type(again) is float and again.hex() == first.hex()
+            assert twin.fit(195, 0.01).critical_value.hex() == first.hex()
+            assert passes[0] == solved
+        info = calibrate._critical_value.cache_info()
+        assert (info.hits, info.misses) == (6, 3)
+
+    def test_keys_never_collide(self):
+        # one case per key field: alpha, n, c+, s, HC against TrGoF s = 2 at
+        # equal (c+, n), and the sum-rule kinds; a shared key would hand a
+        # later case an earlier case's value, which misses its own tail
+        n = 100
+        cases = [(TrGoF(s=2.0, c_plus=1 / n), n, 0.01), (TrGoF(s=2.0, c_plus=1 / n), n, 0.05),
+                 (TrGoF(s=2.0, c_plus=1 / n), n + 1, 0.01), (TrGoF(s=2.0, c_plus=0.0), n, 0.01),
+                 (TrGoF(s=1.0, c_plus=1 / n), n, 0.01), (HigherCriticism(c_plus=1 / n), n, 0.01)]
+        cases += [(SumScore(kind), n, 0.01) for kind in (ARS, LOG, ind(0.5), ind(0.3), opt(0.1), opt(0.3))]
+        got = [critical_value(det, n_i, alpha) for det, n_i, alpha in cases]
+        assert [critical_value(det, n_i, alpha) for det, n_i, alpha in cases] == got
+        for (det, n_i, alpha), crit in zip(cases, got):
+            assert null_sf(det, n_i, crit) == pytest.approx(alpha, rel=1e-6), (det, n_i, alpha)
+        assert calibrate._critical_value.cache_info().currsize == len(cases)
+
+    def test_failed_solve_is_not_memoised(self):
+        det = TrGoF(s=2.0, c_plus=0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="accuracy"):
+                critical_value(det, 50, 1e-300)
+        assert calibrate._critical_value.cache_info().currsize == 0
 
 
 class TestTradeoffCurve:

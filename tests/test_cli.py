@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from gumbelmark import TrGoF, null_sf
+from gumbelmark import TrGoF, critical_value, null_sf
 from gumbelmark.calibrate import null_sf_error
 from gumbelmark.cli import main
 from gumbelmark.watermark import TokenSeq
+
+from util import count_law_passes
 
 KEY = "00112233445566778899aabbccddeeff"
 
@@ -245,6 +247,25 @@ class TestEdit:
         assert len(after) == len(before)
         assert sum(c == "E" for c in after.provenance) == 10
 
+    def test_repeat_detect_reuses_the_critical_value(self, tmp_path, monkeypatch):
+        # two verdicts on one edited file in one process: the second solves
+        # nothing and runs the one pass of the exact law its p-value takes
+        seq, edited = str(tmp_path / "seq.json"), str(tmp_path / "edited.json")
+        assert run("generate", "--key", KEY, "--n", "200", "--vocab-size", "20",
+                   "--seed", "4", "--out", seq) == 0
+        assert run("edit", "--in", seq, "--edit", "sub", "--fraction", "0.1",
+                   "--seed", "4", "--vocab-size", "20", "--out", edited) == 0
+        passes = count_law_passes(monkeypatch)
+        verdicts, counts = [], []
+        for i in range(2):
+            out, before = str(tmp_path / f"verdict{i}.json"), passes[0]
+            assert run("detect", "--in", edited, "--key", KEY, "--vocab-size", "20",
+                       "--detector", "trgof", "--s", "1", "--calibrate", "--out", out) == 0
+            verdicts.append(read_text(out, "rb"))
+            counts.append(passes[0] - before)
+        assert verdicts[0] == verdicts[1]
+        assert 8 <= counts[0] <= 10 and counts[1] == 1, counts
+
     def test_adversarial_needs_key(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GUMBELMARK_KEY", raising=False)
         seq = str(tmp_path / "seq.json")
@@ -267,6 +288,15 @@ class TestCalibrateCmd:
         # exact calibration is cheap enough that nothing is cached
         assert sorted(os.listdir(tmp_path)) == ["calib.json", "calib.json.manifest.json"]
         assert run("calibrate", "--n", "100", "--cache-dir", str(tmp_path / "cache"), "--out", out) == 2
+
+    def test_detector_block_is_calibrated(self, tmp_path):
+        # a --critical-value flag is replaced, in the detector block as well
+        out = str(tmp_path / "calib.json")
+        assert run("calibrate", "--n", "100", "--critical-value", "5", "--out", out) == 0
+        res = read_json(out)
+        want = critical_value(TrGoF(s=2.0, c_plus=0.01), 100, 0.01)
+        assert res["critical_value"] == res["detector"]["critical_value"] == want
+        assert read_json(out + ".manifest.json")["config"]["detector"] == res["detector"]
 
     def test_sum_clt(self, tmp_path):
         out = str(tmp_path / "calib.json")
@@ -303,6 +333,19 @@ class TestCalibrateCmd:
 
 
 class TestExperimentSuites:
+    @pytest.mark.parametrize("argv", [
+        ("hist", "--alpha", "0"),
+        ("tolerance", "--alpha", "1.5"),
+        ("efficiency", "--eps", "0"),
+        ("hist", "--vocab-size", "1"),
+        ("hist", "--s-list", "2,x"),
+    ])
+    def test_out_of_range_experiment_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_efficiency_suite_monotone(self, tmp_path):
         out_dir = str(tmp_path / "eff")
         rc = run("experiment", "efficiency", "--eps", "1.0", "--delta-min", "0.05",

@@ -1,11 +1,12 @@
-"""Shared test helpers: KS distance and its analytic critical value, and the
-earlier exact critical-value solver as an oracle."""
+"""Shared test helpers: KS distance and its analytic critical value, the
+earlier exact critical-value solver as an oracle, and a counter of exact-law
+passes."""
 
 import math
 
 import numpy as np
 
-from gumbelmark import HigherCriticism
+from gumbelmark import HigherCriticism, calibrate
 from gumbelmark.calibrate import CRITICAL_RTOL, _gof_cdf
 
 
@@ -63,3 +64,22 @@ def illinois_critical(detector, n: int, alpha: float) -> float:
                 g_lo *= 0.5
             side = -1
     return hi
+
+
+def count_law_passes(monkeypatch) -> list[int]:
+    """Count the evaluations of the exact null law (passes of the recursion)
+    from now on, in the one entry of the returned list."""
+    passes = [0]
+    trgof_cdf = calibrate._trgof_cdf
+
+    def counted_cdf(*args):
+        cdf = trgof_cdf(*args)
+
+        def count(c):
+            passes[0] += 1
+            return cdf(c)
+
+        return count
+
+    monkeypatch.setattr(calibrate, "_trgof_cdf", counted_cdf)
+    return passes
