@@ -11,6 +11,10 @@ row, '.' decimals and '\\n' line endings (``_write_csv``); JSON with indent 2,
 sorted keys and a trailing newline (``_write_json``); token sequences as one
 JSON line (``_write_seq``).
 
+The parser is built on the first ``main`` call and shared by every later one
+(``parse_args`` never changes it): a caller that loops over ``main`` skips the
+~1.5 ms rebuild, and importing this module builds none.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
 breach.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -164,6 +169,12 @@ def _build_detector(args, n: int) -> Detector:
 
 def _s_list(text: str) -> list[float]:
     return [float(s) for s in text.split(",")]
+
+
+def _seed_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _c_plus_arg(text: str):
@@ -370,6 +381,9 @@ def cmd_experiment(args) -> int:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
     if not (args.step > 0.0 and 0.0 < args.alpha < 1.0 and 0.0 < args.eps <= 1.0):
         raise UsageError(f"need --step > 0, 0 < --alpha < 1 and 0 < --eps <= 1, got {args.step}, {args.alpha}, {args.eps}")
+    if not (0.0 < args.delta_min <= args.delta_max < 1.0 and all(-1.0 <= s <= 2.0 for s in (args.s, *args.s_list))):
+        raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and --s and every --s-list entry in [-1, 2], "
+                         f"got {args.delta_min}, {args.delta_max}, {args.s}, {args.s_list}")
     if args.suite == "tolerance" and args.n_test - args.m < 3:
         raise UsageError(f"--n-test minus --m must be at least 3 scored positions, got {args.n_test - args.m}")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -398,6 +412,7 @@ def _add_detector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outer", type=int, default=10, help=ignored)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gumbelmark",
                                  description="Gumbel-max watermarking with truncated goodness-of-fit detection")
@@ -412,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--delta", type=float, default=0.3)
     g.add_argument("--delta-min", type=float, default=None, dest="delta_min")
     g.add_argument("--delta-max", type=float, default=None, dest="delta_max")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed_arg, default=0)
     g.add_argument("--null", action="store_true", help="unwatermarked control sequence")
     g.add_argument("--masking", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", required=True)
@@ -422,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--edit", choices=("sub", "ins", "del", "adv"), required=True)
     e.add_argument("--fraction", type=float, required=True)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed_arg, default=0)
     e.add_argument("--vocab-size", type=int, required=True, dest="vocab_size")
     e.add_argument("--key", default=None)
     e.add_argument("--out", required=True)
@@ -434,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--vocab-size", type=int, default=None, dest="vocab_size")
     d.add_argument("--calibrate", action="store_true",
                    help="calibrate the critical value first: exact null law for trgof/hc, CLT for sum")
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed_arg, default=0)
     d.add_argument("--out", required=True)
     _add_detector_args(d)
     d.set_defaults(func=cmd_detect)
 
     c = sub.add_parser("calibrate", help="compute a critical value")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed_arg, default=0)
     c.add_argument("--out", required=True)
     _add_detector_args(c)
     c.set_defaults(func=cmd_calibrate)
@@ -465,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--delta-min", type=float, default=0.01, dest="delta_min")
     x.add_argument("--delta-max", type=float, default=0.9, dest="delta_max")
     x.add_argument("--step", type=float, default=0.005)
-    x.add_argument("--seed", type=int, default=0)
+    x.add_argument("--seed", type=_seed_arg, default=0)
     x.add_argument("--key", default=None)
     x.add_argument("--m", type=int, default=5)
     x.add_argument("--n0", type=int, default=200, help="tolerance suite: initial length")

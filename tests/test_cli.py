@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gumbelmark import TrGoF, critical_value, null_sf
+from gumbelmark import TrGoF, __version__, cli, critical_value, null_sf
 from gumbelmark.calibrate import null_sf_error
 from gumbelmark.cli import main
 from gumbelmark.watermark import TokenSeq
@@ -35,6 +36,10 @@ def read_csv_rows(path) -> list[str]:
     raw = read_text(path, "rb")
     assert b"\r" not in raw and raw.endswith(b"\n")
     return raw.decode("utf-8").strip().split("\n")
+
+
+def suite_must_not_run(args):
+    pytest.fail(f"experiment {args.suite} ran on out-of-range flags")
 
 
 class TestGenerate:
@@ -346,6 +351,34 @@ class TestExperimentSuites:
         assert argv[-2] in err and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("hist", "--s-list", "3"),
+        ("hist", "--s-list", "2,-1.5"),
+        ("boundary", "--s", "3"),
+        ("boundary", "--s", "nan"),
+    ])
+    def test_s_outside_its_range_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # the [-1, 2] that TrGoF and detect --s hold; no suite starts
+        monkeypatch.setitem(cli._SUITES, argv[0], suite_must_not_run)
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "[-1, 2]" in err and argv[1] in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("--delta-max", "1.0"),
+        ("--delta-min", "0.5", "--delta-max", "0.2"),
+        ("--delta-min", "0"),
+    ], ids=["max_at_1", "empty_grid", "min_at_0"])
+    def test_delta_range_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # unchecked, --delta-max 1.0 puts 1 - 1e-16 on the grid and asks
+        # least_favorable for ~9e15 atoms: the stand-in suite fails first
+        monkeypatch.setitem(cli._SUITES, "efficiency", suite_must_not_run)
+        assert run("experiment", "efficiency", *argv, "--out-dir", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: need 0 < --delta-min <= --delta-max < 1") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_efficiency_suite_monotone(self, tmp_path):
         out_dir = str(tmp_path / "eff")
         rc = run("experiment", "efficiency", "--eps", "1.0", "--delta-min", "0.05",
@@ -385,6 +418,69 @@ class TestExperimentSuites:
         fa = read_text(os.path.join(a, "hist_samples.csv"))
         fb = read_text(os.path.join(b, "hist_samples.csv"))
         assert fa == fb
+
+
+class TestParser:
+    """One parser serves every main call of a process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+
+    def test_second_call_adds_no_argument(self, tmp_path, monkeypatch):
+        calls, add = [], argparse._ActionsContainer.add_argument
+
+        def counting(container, *args, **kwargs):
+            calls.append(args)
+            return add(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        counts = []
+        for i in range(2):
+            before = len(calls)
+            assert run("calibrate", "--n", "50", "--out", str(tmp_path / f"c{i}.json")) == 0
+            counts.append(len(calls) - before)
+        assert counts[0] > 60 and counts[1] == 0, counts
+
+    def test_errors_leave_the_parser_usable(self, seq_file, tmp_path, capsys):
+        reused, fresh = str(tmp_path / "reused.json"), str(tmp_path / "fresh.json")
+        detect = ("detect", "--in", seq_file, "--key", KEY, "--calibrate", "--out")
+        assert run(*detect, reused, "--no-such-flag") == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert run("--version") == 0
+        assert capsys.readouterr().out == f"gumbelmark {__version__}\n"
+        assert run(*detect, reused) == 0
+        cli.build_parser.cache_clear()
+        assert run(*detect, fresh) == 0
+        assert read_text(reused, "rb") == read_text(fresh, "rb")
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        null, marked = str(tmp_path / "null.json"), str(tmp_path / "marked.json")
+        assert run("generate", "--null", "--n", "30", "--seed", "4", "--out", null) == 0
+        assert run("generate", "--key", KEY, "--n", "30", "--seed", "4", "--out", marked) == 0
+        assert "W" not in TokenSeq.from_json(read_text(null)).provenance
+        assert "W" in TokenSeq.from_json(read_text(marked)).provenance
+        s_lists = []
+        for i, flags in enumerate((("--s-list", "1"), ())):
+            out_dir = str(tmp_path / f"hist{i}")
+            assert run("experiment", "hist", "--n", "50", "--trials", "2", "--vocab-size", "5", *flags,
+                       "--out-dir", out_dir) == 0
+            s_lists.append(read_json(os.path.join(out_dir, "manifest.json"))["config"]["s_list"])
+        assert s_lists == [[1.0], [2.0, 1.5, 1.0, 0.5, 0.0]]
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--null", "--n", "10"),
+        ("edit", "--in", "{seq}", "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20"),
+        ("detect", "--in", "{seq}", "--key", KEY, "--critical-value", "1"),
+        ("calibrate", "--n", "100"),
+        ("experiment", "gapcheck", "--trials", "10"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, seq_file, tmp_path, capsys, argv):
+        out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "experiment" else ["--out", str(tmp_path / "o.json")]
+        assert run(*(a.format(seq=seq_file) for a in argv), "--seed", "-1", *out) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestDetectPower:

@@ -7,22 +7,46 @@ from pathlib import Path
 import gumbelmark
 
 
+def fresh_python(probe: str, timeout: float = 60) -> str:
+    """What ``probe`` prints in a new interpreter that imports this package."""
+    src = str(Path(gumbelmark.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=timeout, check=True)
+    return out.stdout.strip()
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported only by the calls that integrate numerically, so the
     # package and the CLI module load without it
-    src = str(Path(gumbelmark.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, gumbelmark, gumbelmark.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(probe) == "[]"
+
+
+def test_parser_is_built_on_the_first_main_call():
+    # importing the CLI builds no parser; the first main call builds the top
+    # parser and its five subcommands, and later calls reuse them
+    probe = """
+import argparse
+built, init = [], argparse.ArgumentParser.__init__
+def counting(parser, *args, **kwargs):
+    built.append(parser)
+    init(parser, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from gumbelmark import cli
+counts = [len(built)]
+for _ in range(2):
+    assert cli.main(["calibrate", "--n", "0", "--out", "unused.json"]) == 2
+    counts.append(len(built))
+print(counts)
+"""
+    assert fresh_python(probe) == "[0, 6, 6]"
 
 
 def test_calibrated_detect_leaves_scipy_unloaded(tmp_path):
     # exact calibration and the CLT threshold of the closed-form sum rules
     # need numpy and the standard library only; opt's moments integrate with
     # scipy by design
-    src = str(Path(gumbelmark.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = f"""
 import sys
 from gumbelmark import cli
@@ -35,8 +59,7 @@ for detector in (["trgof", "--s", "2"], ["trgof", "--s", "1"], ["hc"],
                      "--detector", *detector, "--out", out]) == 0
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(probe, timeout=120) == "[]"
 
 
 def test_benchmark_names_resolve(monkeypatch):
