@@ -47,13 +47,12 @@ from .edits import (
 )
 from .experiments import (
     BoundarySpec,
-    ExperimentGrid,
     MixtureConfig,
     boundary_grid,
     entropy_gap_check,
     histogram_study,
     sample_mixture,
 )
-from .efficiency import EfficiencyQuery, optimal_rate, rate_curve
+from .efficiency import optimal_rate, rate_curve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,11 +50,9 @@ from .edits import apply_adversarial_edit, apply_random_edit, EditSpec, toleranc
 from .efficiency import rate_curve
 from .experiments import (
     BoundarySpec,
-    ExperimentGrid,
     MixtureConfig,
     boundary_grid,
     entropy_gap_check,
-    grid_points,
     histogram_study,
     resolve_c_plus,
 )
@@ -168,7 +166,10 @@ def _build_detector(args, n: int) -> Detector:
 
 
 def _s_list(text: str) -> list[float]:
-    return [float(s) for s in text.split(",")]
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad s-list value {text!r}: need comma-separated numbers") from exc
 
 
 def _seed_arg(text: str) -> int:
@@ -288,12 +289,8 @@ def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
     """Min error sums of ``specs`` over the (p, q) grid of the flags; q starts
     where the top probability 1 - n**-q would drop under 1/V."""
     q_min = math.log(args.vocab_size / (args.vocab_size - 1)) / math.log(args.n)
-    grid = ExperimentGrid(
-        p_values=tuple(grid_points(0.01, 1.0, args.grid)),
-        q_values=tuple(grid_points(max(q_min, 0.01), 1.0, args.grid)),
-        n=args.n, trials=args.trials, seed=args.seed,
-    )
-    rows = boundary_grid(grid, specs, vocab_size=args.vocab_size, ntp_mode=args.mode)
+    rows = boundary_grid(np.linspace(0.01, 1.0, args.grid), np.linspace(max(q_min, 0.01), 1.0, args.grid), specs,
+                         n=args.n, vocab_size=args.vocab_size, ntp_mode=args.mode, trials=args.trials, seed=args.seed)
     path = os.path.join(args.out_dir, name)
     _write_csv(path, ["p", "q", "name", "min_error_sum"],
                ([r["p"], r["q"], r["name"], repr(float(r["min_error_sum"]))] for r in rows))
@@ -340,12 +337,16 @@ def _suite_gapcheck(args) -> list[str]:
 
 
 def _suite_tolerance(args) -> list[str]:
+    """Edit tolerance of TrGoF, calibrated at each decided sequence's scored
+    length; fewer than 3 positions (the exact law's least n) is no rejection."""
     key = _resolve_key(args)
-    detector = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n_test - args.m))
-    detector.fit(args.n_test - args.m, alpha=args.alpha)
 
     def decide(ts: TokenSeq) -> bool:
-        return detector.predict(pivot_series(ts, key, args.vocab_size))
+        if len(ts.tokens) - ts.m < 3:
+            return False
+        piv = pivot_series(ts, key, args.vocab_size)
+        detector = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, piv.n)).fit(piv.n, alpha=args.alpha)
+        return detector.predict(piv)
 
     def rows():
         for i in range(args.trials):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_unit_open
-from .pivotal import PivotSeries, alt_pdf
-from .tokensource import least_favorable
+from .pivotal import PivotSeries, _grouped_pdf
+from .tokensource import least_favorable_atoms
 
 S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the KL limit branch of K_s_plus
 _P_CLIP_LO = 1e-300
@@ -220,7 +220,7 @@ def _score_terms(y: np.ndarray, kind: ScoreKind) -> np.ndarray:
     if kind.name == "ind":
         return (y >= kind.param).astype(float)
     # opt: log-density of the least-favorable watermarked pivot law
-    return np.log(alt_pdf(least_favorable(kind.param), y))
+    return np.log(_grouped_pdf(*least_favorable_atoms(kind.param), y))
 
 
 def null_moments(kind: ScoreKind) -> tuple[float, float]:

@@ -15,41 +15,28 @@ integral of -e_min * log(y) equals e_min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .pivotal import _grouped
-from .tokensource import least_favorable
+from .tokensource import least_favorable_atoms
 
 # Absolute error that scipy's quad aims for on every rate integral.
 QUAD_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class EfficiencyQuery:
-    delta: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-
-
-def optimal_rate(query: EfficiencyQuery) -> float:
-    """KL rate of the least-favorable mixture at (delta, epsilon)."""
+def optimal_rate(delta: float, epsilon: float) -> float:
+    """KL rate of the least-favorable mixture at delta in (0, 1) and epsilon in (0, 1]."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     from scipy.integrate import quad  # deferred so that importing the package skips scipy
 
-    vals, counts = _grouped(least_favorable(query.delta))
+    vals, counts = least_favorable_atoms(delta)
     expo = 1.0 / vals - 1.0
 
-    def density(y: float) -> float:
-        return float((counts * y**expo).sum())
-
-    if query.epsilon < 1.0:
-        integrand = lambda y: -math.log((1.0 - query.epsilon) + query.epsilon * density(y))
+    if epsilon < 1.0:
+        integrand = lambda y: -math.log((1.0 - epsilon) + epsilon * (counts * y**expo).sum())
         return quad(integrand, 0.0, 1.0, epsabs=QUAD_TOLERANCE, limit=500)[0]
     # eps = 1: pull out the leading power so the remainder is smooth
     e_min = float(expo.min())
@@ -59,4 +46,4 @@ def optimal_rate(query: EfficiencyQuery) -> float:
 
 def rate_curve(deltas, epsilon: float) -> np.ndarray:
     """Rows of (delta, epsilon, rate) over a grid of singularities."""
-    return np.asarray([(float(d), float(epsilon), optimal_rate(EfficiencyQuery(d, epsilon))) for d in deltas])
+    return np.asarray([(float(d), float(epsilon), optimal_rate(d, epsilon)) for d in deltas])

@@ -8,18 +8,18 @@ every detector considered depends only on the multiset of values, so prefix
 placement is equivalent to random placement. Each trial owns a substream, so
 grids parallelize deterministically.
 
-Because a mixture equals its null past the first k entries, a boundary cell
-scores each trial's pair once per sum rule: the score vector of the clipped
-null gives the null sum, and the same vector with its first k entries
-rescored gives the mixture sum, bit for bit ``SumScore.statistic`` of each
-series. The goodness-of-fit statistics rank the whole series and share no
-work between the two.
+One loop, ``_trial_statistics``, scores the trials of every study. Because a
+mixture equals its null past the first k entries, it scores each trial's pair
+once per sum rule: the score vector of the clipped null gives the null sum,
+and the same vector with its first k entries rescored gives the mixture sum,
+bit for bit ``SumScore.statistic`` of each series. The goodness-of-fit
+statistics rank the whole series and share no work between the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,6 @@ SUM_CRIT_GRIDS = {
     "ind": (-10.0, 10.0, 1000),
     "opt": (-10.0, 10.0, 1000),
 }
-
-
-def grid_points(a: float, b: float, k: int) -> np.ndarray:
-    """K equally spaced points from a to b inclusive."""
-    if k < 2:
-        raise ValueError("need at least 2 grid points")
-    return np.linspace(a, b, k)
 
 
 @dataclass(frozen=True)
@@ -132,41 +125,7 @@ def resolve_c_plus(rule, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# histogram study
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HistogramStudy:
-    s_values: list[float]
-    c_plus: float
-    alpha: float
-    samples: dict = field(default_factory=dict)  # (s, 'H0'|'H1') -> log(n S) array
-    power: dict = field(default_factory=dict)  # s -> power at alpha
-
-
-def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
-    """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
-    at the empirical (1 - alpha) null quantile."""
-    s_values = [float(s) for s in s_values]
-    out = HistogramStudy(s_values=s_values, c_plus=float(c_plus), alpha=float(alpha))
-    stats = {(s, hyp): np.empty(cfg.trials) for s in s_values for hyp in ("H0", "H1")}
-    for t in range(cfg.trials):
-        rng = substream(cfg.seed, t)
-        mix, null = sample_mixture(cfg, rng)
-        for s in s_values:
-            stats[(s, "H0")][t] = trgof_stat(null, s, c_plus)
-            stats[(s, "H1")][t] = trgof_stat(mix, s, c_plus)
-    with np.errstate(divide="ignore"):
-        for key, arr in stats.items():
-            out.samples[key] = np.log(cfg.n * arr)
-    for s in s_values:
-        crit = empirical_quantile(stats[(s, "H0")], 1.0 - alpha)
-        out.power[s] = float((stats[(s, "H1")] > crit).mean())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# detection boundary grids
+# the mixture trials, and the studies that reduce them
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -187,17 +146,47 @@ class BoundarySpec:
             raise ValueError("sum spec needs a score kind")
 
 
-@dataclass(frozen=True)
-class ExperimentGrid:
-    p_values: tuple[float, ...]
-    q_values: tuple[float, ...]
-    n: int = 1000
-    trials: int = 200
-    seed: int = 0
+def _trial_statistics(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Spec name -> (null statistics, mixture statistics) over the trials of
+    ``cfg``; every spec scores trial t's pair from ``substream(cfg.seed, t)``."""
+    stats = {sp.name: (np.empty(cfg.trials), np.empty(cfg.trials)) for sp in specs}
+    k = cfg.n_signal
+    for t in range(cfg.trials):
+        mix, null = sample_mixture(cfg, substream(cfg.seed, t))
+        y0, y1_head = _clip_pivots(null.y), _clip_pivots(mix.y[:k])
+        for sp in specs:
+            s0, s1 = stats[sp.name]
+            if sp.kind == "trgof":
+                cp = resolve_c_plus(sp.c_plus_rule, cfg.n)
+                s0[t] = trgof_stat(null, sp.s, cp)
+                s1[t] = trgof_stat(mix, sp.s, cp)
+            else:  # SumScore.statistic of both series, rescoring only the k entries they differ in
+                h = _score_terms(y0, sp.score_kind)
+                s0[t] = h.sum()
+                h[:k] = _score_terms(y1_head, sp.score_kind)
+                s1[t] = h.sum()
+    return stats
 
-    def __post_init__(self):
-        if not self.p_values or not self.q_values:
-            raise ValueError("grids must be non-empty")
+
+@dataclass(frozen=True)
+class HistogramStudy:
+    samples: dict  # (s, 'H0'|'H1') -> log(n S) array
+    power: dict  # s -> power at alpha
+
+
+def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
+    """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
+    at the empirical (1 - alpha) null quantile. A repeated s is studied once."""
+    s_values = list(dict.fromkeys(float(s) for s in s_values))
+    stats = _trial_statistics(cfg, [BoundarySpec(name=repr(s), kind="trgof", s=s, c_plus_rule=float(c_plus))
+                                     for s in s_values])
+    samples, power = {}, {}
+    for s in s_values:
+        s0, s1 = stats[repr(s)]
+        with np.errstate(divide="ignore"):
+            samples[(s, "H0")], samples[(s, "H1")] = np.log(cfg.n * s0), np.log(cfg.n * s1)
+        power[s] = float((s1 > empirical_quantile(s0, 1.0 - alpha)).mean())
+    return HistogramStudy(samples, power)
 
 
 def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, float]:
@@ -209,38 +198,19 @@ def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, f
     at sample values, so no threshold can do better than the best of these
     at most 2 N + 1 candidates.
     """
-    stats = {sp.name: (np.empty(cfg.trials), np.empty(cfg.trials)) for sp in specs}
-    k = cfg.n_signal
-    for t in range(cfg.trials):
-        rng = substream(cfg.seed, t)
-        mix, null = sample_mixture(cfg, rng)
-        y0, y1_head = _clip_pivots(null.y), _clip_pivots(mix.y[:k])
-        for sp in specs:
-            if sp.kind == "trgof":
-                cp = resolve_c_plus(sp.c_plus_rule, cfg.n)
-                s0 = trgof_stat(null, sp.s, cp)
-                s1 = trgof_stat(mix, sp.s, cp)
-            else:  # SumScore.statistic of both series, rescoring only the k entries they differ in
-                h = _score_terms(y0, sp.score_kind)
-                s0 = h.sum()
-                h[:k] = _score_terms(y1_head, sp.score_kind)
-                s1 = h.sum()
-            stats[sp.name][0][t] = s0
-            stats[sp.name][1][t] = s1
-    return {name: float(tradeoff_curve(s0, s1).sum(axis=1).min()) for name, (s0, s1) in stats.items()}
+    return {name: float(tradeoff_curve(s0, s1).sum(axis=1).min())
+            for name, (s0, s1) in _trial_statistics(cfg, specs).items()}
 
 
-def boundary_grid(grid: ExperimentGrid, specs: list[BoundarySpec], vocab_size: int, ntp_mode: str = "m2") -> list[dict]:
+def boundary_grid(p_values, q_values, specs: list[BoundarySpec], *, n: int, vocab_size: int,
+                  ntp_mode: str = "m2", trials: int = 200, seed: int = 0) -> list[dict]:
     """Min error sums over the (p, q) grid; rows of {p, q, name, min_error_sum}."""
     rows = []
-    for pi, p in enumerate(grid.p_values):
-        for qi, q in enumerate(grid.q_values):
-            cfg = MixtureConfig(
-                n=grid.n, p=p, q=q, vocab_size=vocab_size, ntp_mode=ntp_mode,
-                trials=grid.trials, seed=grid.seed + 1_000_003 * pi + 7919 * qi,
-            )
-            errs = min_error_cell(cfg, specs)
-            for name, err in errs.items():
+    for pi, p in enumerate(p_values):
+        for qi, q in enumerate(q_values):
+            cfg = MixtureConfig(n=n, p=p, q=q, vocab_size=vocab_size, ntp_mode=ntp_mode, trials=trials,
+                                seed=seed + 1_000_003 * pi + 7919 * qi)
+            for name, err in min_error_cell(cfg, specs).items():
                 rows.append({"p": p, "q": q, "name": name, "min_error_sum": err})
     return rows
 

@@ -83,7 +83,11 @@ def alt_cdf(probs, r):
 def alt_pdf(probs, r):
     """Watermarked-pivot density sum_w r**(1/P_w - 1); accepts scalar or array r,
     over the same group-major table as ``alt_cdf``."""
-    vals, counts = _grouped(probs)
+    return _grouped_pdf(*_grouped(probs), r)
+
+
+def _grouped_pdf(vals: np.ndarray, counts: np.ndarray, r):
+    """``alt_pdf`` of the law whose distinct probabilities ``vals`` occur ``counts`` times."""
     r_arr = np.asarray(r, dtype=float)
     col = (-1,) + (1,) * r_arr.ndim
     out = (counts.reshape(col) * r_arr ** (1.0 / vals - 1.0).reshape(col)).sum(axis=0)

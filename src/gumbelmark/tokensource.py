@@ -64,20 +64,28 @@ def m1_rows(delta: float, vocab_size: int, shapes: np.ndarray) -> np.ndarray:
     return np.concatenate((np.full((len(tail), 1), 1.0 - delta), tail), axis=1)
 
 
+def least_favorable_atoms(delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct atoms of ``least_favorable(delta)`` in ascending order and
+    their counts as floats, without its floor(1/(1 - delta)) entries, whose
+    number is unbounded as delta -> 1. The remainder atom is below 1 - delta,
+    since k = floor(1/(1 - delta)) never rounds low.
+    """
+    top = 1.0 - _check_delta(delta)
+    k = math.floor(1.0 / top)
+    rem = 1.0 - k * top
+    if rem > 1e-15:
+        return np.array([rem, top]), np.array([1.0, float(k)])
+    return np.array([top]), np.array([float(k)])
+
+
 def least_favorable(delta: float) -> np.ndarray:
     """The minimal-support distribution with largest probability 1 - delta.
 
     floor(1/(1-delta)) atoms of mass 1 - delta plus one remainder atom
     (dropped when the remainder is zero).
     """
-    delta = _check_delta(delta)
-    top = 1.0 - delta
-    k = math.floor(1.0 / top)
-    atoms = [top] * k
-    rem = 1.0 - k * top
-    if rem > 1e-15:
-        atoms.append(rem)
-    return np.array(atoms)
+    vals, counts = least_favorable_atoms(delta)
+    return np.repeat(vals[::-1], counts[::-1].astype(int))
 
 
 def delta_of(probs) -> float:

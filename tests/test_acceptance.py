@@ -36,7 +36,6 @@ from gumbelmark import (
     score,
     tolerance_limit,
     trgof_stat,
-    EfficiencyQuery,
     TrGoF,
 )
 from gumbelmark.calibrate import empirical_quantile
@@ -299,9 +298,9 @@ def test_criterion_10_efficiency_curve():
     kinks_ok = True
     h = 1e-4
     for d0 in (0.5, 2.0 / 3.0):
-        left = optimal_rate(EfficiencyQuery(d0 - h, 1.0))
-        mid = optimal_rate(EfficiencyQuery(d0, 1.0))
-        right = optimal_rate(EfficiencyQuery(d0 + h, 1.0))
+        left = optimal_rate(d0 - h, 1.0)
+        mid = optimal_rate(d0, 1.0)
+        right = optimal_rate(d0 + h, 1.0)
         gap = abs(right - left)
         jump = abs((right - mid) / h - (mid - left) / h)
         kinks_ok = kinks_ok and gap <= 1e-2 and jump >= 10 * gap
@@ -312,7 +311,7 @@ def test_criterion_10_efficiency_curve():
     for d, e in ((0.4, 1.0), (0.3, 0.5), (0.6, 1.0), (0.55, 0.5), (0.8, 1.0)):
         vals = -np.log((1 - e) + e * alt_pdf(least_favorable(d), y))
         se = vals.std() / math.sqrt(y.size)
-        dev = float(abs(optimal_rate(EfficiencyQuery(d, e)) - vals.mean()) / se)
+        dev = float(abs(optimal_rate(d, e) - vals.mean()) / se)
         devs.append(round(dev, 2))
         mc_ok = mc_ok and dev <= 3.0
     elapsed = time.monotonic() - t0

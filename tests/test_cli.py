@@ -7,9 +7,22 @@ import sys
 import numpy as np
 import pytest
 
-from gumbelmark import TrGoF, __version__, cli, critical_value, null_sf
+from gumbelmark import (
+    GenConfig,
+    Key,
+    ToySource,
+    TrGoF,
+    __version__,
+    cli,
+    critical_value,
+    generate,
+    null_sf,
+    pivot_series,
+    tolerance_limit,
+)
 from gumbelmark.calibrate import null_sf_error
 from gumbelmark.cli import main
+from gumbelmark.streams import child_seed, substream
 from gumbelmark.watermark import TokenSeq
 
 from util import count_law_passes
@@ -351,6 +364,11 @@ class TestExperimentSuites:
         assert argv[-2] in err and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    def test_bad_s_list_names_the_flag_not_the_helper(self, tmp_path, capsys):
+        assert run("experiment", "hist", "--s-list", "2,x", "--out-dir", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "--s-list" in err and "'2,x'" in err and "_s_list" not in err
+
     @pytest.mark.parametrize("argv", [
         ("hist", "--s-list", "3"),
         ("hist", "--s-list", "2,-1.5"),
@@ -371,8 +389,8 @@ class TestExperimentSuites:
         ("--delta-min", "0"),
     ], ids=["max_at_1", "empty_grid", "min_at_0"])
     def test_delta_range_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
-        # unchecked, --delta-max 1.0 puts 1 - 1e-16 on the grid and asks
-        # least_favorable for ~9e15 atoms: the stand-in suite fails first
+        # unchecked, --delta-max 1.0 would put delta = 1 on the grid, where
+        # the least-favorable law does not exist: the stand-in suite fails first
         monkeypatch.setitem(cli._SUITES, "efficiency", suite_must_not_run)
         assert run("experiment", "efficiency", *argv, "--out-dir", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
@@ -549,3 +567,27 @@ class TestRemainingSuites:
         for r in rows:
             frac = float(r.split(",")[2])
             assert 0.0 <= frac <= 1.0
+
+    def test_tolerance_calibrates_at_each_length(self, tmp_path):
+        # deletions leave head(n_test) shorter than n_test; each decision is
+        # calibrated at its own scored length (one threshold at n_test - m = 8
+        # gives 0.75 here), and the search reaches a sequence with fewer than 3
+        # scored positions, which counts as not rejected
+        out_dir = str(tmp_path / "tol")
+        rc = run("experiment", "tolerance", "--key", KEY, "--vocab-size", "200", "--n0", "8", "--n-test", "9",
+                 "--m", "1", "--delta", "0.5", "--alpha", "0.05", "--trials", "1", "--seed", "3", "--out-dir", out_dir)
+        assert rc == 0
+        key = Key.from_hex(KEY)
+        source = ToySource(200, (0.5, 0.5), child_seed(3, 1, 0))
+        prompt = substream(3, 2, 0).integers(0, 200, size=1).tolist()
+        seq = generate(source, key, prompt, GenConfig(n=8, m=1, masking=True, seed=child_seed(3, 3, 0)))
+        lengths = []
+
+        def decide(ts):
+            piv = pivot_series(ts, key, 200)
+            lengths.append(piv.n)
+            return piv.n >= 3 and TrGoF(s=2.0, c_plus=1.0 / piv.n).fit(piv.n, alpha=0.05).predict(piv)
+
+        res = tolerance_limit(seq, "del", decide, 9, child_seed(3, 4, 0), 200)
+        assert read_csv_rows(os.path.join(out_dir, "tolerance.csv"))[3] == f"0,del,{res.fraction!r},True"
+        assert res.fraction == 0.625 and min(lengths) < 3

@@ -1,34 +1,32 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gumbelmark import EfficiencyQuery, least_favorable, optimal_rate, rate_curve
+from gumbelmark import least_favorable, optimal_rate, rate_curve
 from gumbelmark.pivotal import alt_pdf
 
 
 class TestQueryValidation:
     def test_ranges(self):
-        with pytest.raises(ValueError):
-            EfficiencyQuery(delta=0.0, epsilon=0.5)
-        with pytest.raises(ValueError):
-            EfficiencyQuery(delta=0.5, epsilon=0.0)
-        with pytest.raises(ValueError):
-            EfficiencyQuery(delta=0.5, epsilon=1.5)
-        EfficiencyQuery(delta=0.5, epsilon=1.0)  # ok
+        for delta, epsilon in ((0.0, 0.5), (1.0, 0.5), (math.nan, 0.5), (0.5, 0.0), (0.5, 1.5)):
+            with pytest.raises(ValueError):
+                optimal_rate(delta, epsilon)
+        assert optimal_rate(0.5, 1.0) > 0.0
 
 
 class TestOptimalRate:
     def test_vanishes_as_epsilon_to_zero(self):
-        assert optimal_rate(EfficiencyQuery(0.4, 1e-6)) < 1e-6
+        assert optimal_rate(0.4, 1e-6) < 1e-6
 
     def test_vanishes_as_delta_to_zero(self):
-        assert optimal_rate(EfficiencyQuery(1e-5, 1.0)) < 1e-3
+        assert optimal_rate(1e-5, 1.0) < 1e-3
 
     def test_nonnegative(self):
         for d in (0.1, 0.5, 0.9):
             for e in (0.3, 1.0):
-                assert optimal_rate(EfficiencyQuery(d, e)) >= 0.0
+                assert optimal_rate(d, e) >= 0.0
 
     def test_matches_mc_quick(self):
         # reduced-size version of the acceptance spot checks
@@ -38,11 +36,25 @@ class TestOptimalRate:
             f = alt_pdf(least_favorable(d), y)
             vals = -np.log((1 - e) + e * f)
             se = vals.std() / math.sqrt(y.size)
-            assert abs(optimal_rate(EfficiencyQuery(d, e)) - vals.mean()) <= 4 * se
+            assert abs(optimal_rate(d, e) - vals.mean()) <= 4 * se
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    def test_delta_near_one_builds_no_atom_vector(self, epsilon):
+        # floor(1/(1 - delta)) ~ 1e10 atoms; the two distinct ones suffice
+        import scipy.integrate  # noqa: F401  (imported before the memory trace)
+
+        tracemalloc.start()
+        try:
+            rate = optimal_rate(1.0 - 1e-10, epsilon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(rate) and rate > 0.0
+        assert peak < 1e6
 
     def test_smaller_epsilon_smaller_rate(self):
         for d in (0.2, 0.5, 0.8):
-            assert optimal_rate(EfficiencyQuery(d, 0.5)) < optimal_rate(EfficiencyQuery(d, 1.0))
+            assert optimal_rate(d, 0.5) < optimal_rate(d, 1.0)
 
 
 class TestRateCurve:
@@ -52,9 +64,9 @@ class TestRateCurve:
 
     def test_continuity_and_kink_at_half(self):
         h = 1e-4
-        left = optimal_rate(EfficiencyQuery(0.5 - h, 1.0))
-        mid = optimal_rate(EfficiencyQuery(0.5, 1.0))
-        right = optimal_rate(EfficiencyQuery(0.5 + h, 1.0))
+        left = optimal_rate(0.5 - h, 1.0)
+        mid = optimal_rate(0.5, 1.0)
+        right = optimal_rate(0.5 + h, 1.0)
         gap = abs(right - left)
         assert gap <= 1e-2
         slope_jump = abs((right - mid) / h - (mid - left) / h)

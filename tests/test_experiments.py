@@ -8,7 +8,6 @@ from gumbelmark import (
     ARS,
     LOG,
     BoundarySpec,
-    ExperimentGrid,
     MixtureConfig,
     SumScore,
     boundary_grid,
@@ -21,17 +20,17 @@ from gumbelmark import (
     sample_mixture,
 )
 from gumbelmark import experiments
-from gumbelmark.calibrate import tradeoff_curve
+from gumbelmark.calibrate import empirical_quantile, tradeoff_curve
 from gumbelmark.experiments import (
     M1_BLOCK_VALUES,
     NTP_MODES,
     PI2_OVER_6_MINUS_1,
     SUM_CRIT_GRIDS,
     analytic_gap_bounds,
-    grid_points,
     min_error_cell,
     resolve_c_plus,
 )
+from gumbelmark.detectors import trgof_stat
 from gumbelmark.pivotal import _grouped
 from gumbelmark.streams import substream
 from gumbelmark.tokensource import M1_A_RANGE, M1_B_RANGE
@@ -169,7 +168,40 @@ class TestSampleMixture:
             assert rng.random() == fresh.random()
 
 
+def loop_histogram_study(cfg, s_values, c_plus, alpha):
+    """The histogram study's own per-trial loop: the oracle for the shared trial loop."""
+    stats = {(s, hyp): np.empty(cfg.trials) for s in s_values for hyp in ("H0", "H1")}
+    for t in range(cfg.trials):
+        mix, null = sample_mixture(cfg, substream(cfg.seed, t))
+        for s in s_values:
+            stats[(s, "H0")][t] = trgof_stat(null, s, c_plus)
+            stats[(s, "H1")][t] = trgof_stat(mix, s, c_plus)
+    with np.errstate(divide="ignore"):
+        samples = {key: np.log(cfg.n * arr) for key, arr in stats.items()}
+    power = {s: float((stats[(s, "H1")] > empirical_quantile(stats[(s, "H0")], 1.0 - alpha)).mean())
+             for s in s_values}
+    return samples, power
+
+
 class TestHistogramStudy:
+    @pytest.mark.parametrize("mode", NTP_MODES)
+    @pytest.mark.parametrize("c_plus", ["0", "1/n"])
+    def test_matches_per_trial_loop(self, mode, c_plus):
+        cfg = MixtureConfig(n=300, p=0.3, q=0.4, vocab_size=50, ntp_mode=mode, trials=30, seed=14)
+        cp = resolve_c_plus(c_plus, cfg.n)
+        study = histogram_study(cfg, [2.0, 1.0, 0.0], cp, alpha=0.1)
+        samples, power = loop_histogram_study(cfg, [2.0, 1.0, 0.0], cp, alpha=0.1)
+        assert list(study.samples) == list(samples)
+        for key, arr in samples.items():
+            assert np.array_equal(study.samples[key], arr), key
+        assert study.power == power
+
+    def test_repeated_s_is_studied_once(self):
+        cfg = MixtureConfig(n=200, p=0.3, q=0.4, vocab_size=20, trials=10, seed=15)
+        once = histogram_study(cfg, [2.0, 1.0], 0.0)
+        twice = histogram_study(cfg, [2, 2.0, 1.0, 2.0], 0.0)
+        assert list(twice.samples) == list(once.samples) and twice.power == once.power
+
     def test_runs_and_reports_power(self):
         cfg = MixtureConfig(n=400, p=0.1, q=0.2, vocab_size=50, trials=60, seed=5)
         study = histogram_study(cfg, [2.0, 1.0], c_plus=1.0 / 400, alpha=0.05)
@@ -195,11 +227,6 @@ class TestBoundaryGrid:
         assert resolve_c_plus(0.003, 100) == 0.003
         with pytest.raises(ValueError):
             resolve_c_plus("huh", 100)
-
-    def test_grid_points(self):
-        g = grid_points(0.0, 30.0, 1000)
-        assert g.size == 1000 and g[0] == 0.0 and g[-1] == 30.0
-        assert g[1] == pytest.approx(30.0 / 999)
 
     def test_cell_easy_vs_hard(self):
         specs = [BoundarySpec(name="trgof", kind="trgof", s=2.0, c_plus_rule="1/n")]
@@ -263,12 +290,11 @@ class TestBoundaryGrid:
             assert s1.tolist() == [SumScore(kind).statistic(mix) for mix, _ in pairs]
 
     def test_rows_structure(self):
-        grid = ExperimentGrid(p_values=(0.1, 0.5), q_values=(0.3, 0.6), n=300, trials=20, seed=9)
         specs = [
             BoundarySpec(name="trgof", kind="trgof", s=2.0),
             BoundarySpec(name="ars", kind="sum", score_kind=ARS),
         ]
-        rows = boundary_grid(grid, specs, vocab_size=20)
+        rows = boundary_grid((0.1, 0.5), (0.3, 0.6), specs, n=300, vocab_size=20, trials=20, seed=9)
         assert len(rows) == 2 * 2 * 2
         assert {r["name"] for r in rows} == {"trgof", "ars"}
         assert all(0.0 <= r["min_error_sum"] <= 2.0 for r in rows)

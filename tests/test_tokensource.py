@@ -13,6 +13,8 @@ from gumbelmark import (
     toy_next_dist,
 )
 from gumbelmark._validation import check_ntp_dist
+from gumbelmark.pivotal import _grouped
+from gumbelmark.tokensource import least_favorable_atoms
 
 
 def assert_valid_dist(p):
@@ -66,6 +68,15 @@ class TestMakeM1:
             assert_valid_dist(p)
 
 
+def list_least_favorable(delta):
+    """floor(1/(1 - delta)) atoms of 1 - delta and the remainder above 1e-15,
+    one list entry per atom: the reference for the closed form."""
+    top = 1.0 - delta
+    k = math.floor(1.0 / top)
+    rem = 1.0 - k * top
+    return np.array([top] * k + ([rem] if rem > 1e-15 else []))
+
+
 class TestLeastFavorable:
     def test_examples(self):
         assert np.allclose(least_favorable(0.4), [0.6, 0.4])
@@ -79,6 +90,29 @@ class TestLeastFavorable:
             assert p.max() == 1.0 - delta
             k = math.floor(1.0 / (1.0 - delta))
             assert p.size in (k, k + 1)
+
+    def test_atoms_match_the_atom_list(self):
+        # the grid, the exact reciprocals 1 - 1/k and their float neighbours,
+        # where 1/(1 - delta) rounds across an integer
+        edges = 1.0 - 1.0 / np.arange(2.0, 2000.0)
+        deltas = np.concatenate([np.linspace(1e-6, 0.9999, 1999), edges,
+                                 np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        for delta in deltas:
+            want = list_least_favorable(delta)
+            assert np.array_equal(least_favorable(delta), want), delta
+            vals, counts = least_favorable_atoms(delta)
+            want_vals, want_counts = _grouped(want)
+            assert np.array_equal(vals, want_vals) and np.array_equal(counts, want_counts), delta
+            assert counts.dtype == want_counts.dtype == float
+
+    def test_atoms_near_one_in_closed_form(self):
+        # floor(1/(1 - delta)) ~ 1e10 atoms: least_favorable would need ~80 GB
+        delta = 1.0 - 1e-10
+        top = 1.0 - delta
+        k = math.floor(1.0 / top)
+        vals, counts = least_favorable_atoms(delta)
+        assert vals.tolist() == [1.0 - k * top, top] and counts.tolist() == [1.0, k]
+        assert abs((vals * counts).sum() - 1.0) <= 1e-12
 
 
 class TestDeltaEntropy:
