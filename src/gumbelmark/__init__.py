@@ -39,7 +39,6 @@ from .detectors import (
 from .calibrate import critical_value, mc_critical, null_sf, tradeoff_curve
 from .edits import (
     EditPlan,
-    EditSpec,
     ToleranceResult,
     apply_adversarial_edit,
     apply_random_edit,

@@ -46,11 +46,13 @@ from .detectors import (
     ind,
     opt,
 )
-from .edits import apply_adversarial_edit, apply_random_edit, EditSpec, tolerance_limit
+from .edits import apply_adversarial_edit, apply_random_edit, tolerance_limit
 from .efficiency import rate_curve
 from .experiments import (
+    _C_PLUS_RULES,
     BoundarySpec,
     MixtureConfig,
+    _q_floor,
     boundary_grid,
     entropy_gap_check,
     histogram_study,
@@ -92,9 +94,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: str, obj) -> None:
+    """A NaN or infinity is not JSON: a ValueError naming ``path``, and no file."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_seq(path: str, seq: TokenSeq) -> None:
@@ -154,13 +160,13 @@ def _build_detector(args, n: int) -> Detector:
             raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
         if args.critical_value is not None and not math.isfinite(args.critical_value):
             raise ValueError(f"critical value must be finite, got {args.critical_value!r}")
+        if args.detector == "sum":
+            kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
+            return SumScore(kind=kind, critical_value=args.critical_value)
         c_plus = resolve_c_plus(args.c_plus, n)
         if args.detector == "trgof":
             return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
-        if args.detector == "hc":
-            return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
-        kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
-        return SumScore(kind=kind, critical_value=args.critical_value)
+        return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -179,7 +185,7 @@ def _seed_arg(text: str) -> int:
 
 
 def _c_plus_arg(text: str):
-    if text in ("0", "1/n", "1/n2"):
+    if text in _C_PLUS_RULES:
         return text
     try:
         return float(text)
@@ -214,11 +220,9 @@ def cmd_edit(args) -> int:
     started = time.time()
     seq = _load_seq(args.infile)
     if args.edit == "adv":
-        key = _resolve_key(args)
-        out = apply_adversarial_edit(seq, args.fraction, key, args.vocab_size, args.seed)
+        out = apply_adversarial_edit(seq, args.fraction, _resolve_key(args), args.vocab_size, args.seed)
     else:
-        spec = EditSpec(kind=args.edit, fraction=args.fraction, seed=args.seed, vocab_size=args.vocab_size)
-        out = apply_random_edit(seq, spec)
+        out = apply_random_edit(seq, args.edit, args.fraction, args.vocab_size, args.seed)
     _write_seq(args.out, out)
     config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile}
     _write_manifest(args.out + ".manifest.json", "edit", config, args.seed, [args.out], started)
@@ -264,9 +268,10 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
-    if args.n < 3:
-        raise UsageError(f"--n must be at least 3, got {args.n}")
-    detector = _build_detector(args, args.n).fit(args.n, args.alpha)
+    try:  # critical_value owns each detector's least n
+        detector = _build_detector(args, args.n).fit(args.n, args.alpha)
+    except (UsageError, ValueError) as exc:
+        raise UsageError(f"cannot calibrate at --n {args.n}: {exc}") from exc
     config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
     _write_json(args.out, dict(config, critical_value=detector.critical_value))
     _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)
@@ -288,7 +293,7 @@ def _suite_hist(args) -> list[str]:
 def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
     """Min error sums of ``specs`` over the (p, q) grid of the flags; q starts
     where the top probability 1 - n**-q would drop under 1/V."""
-    q_min = math.log(args.vocab_size / (args.vocab_size - 1)) / math.log(args.n)
+    q_min = _q_floor(args.n, args.vocab_size)
     rows = boundary_grid(np.linspace(0.01, 1.0, args.grid), np.linspace(max(q_min, 0.01), 1.0, args.grid), specs,
                          n=args.n, vocab_size=args.vocab_size, ntp_mode=args.mode, trials=args.trials, seed=args.seed)
     path = os.path.join(args.out_dir, name)
@@ -403,7 +408,7 @@ def _add_detector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--detector", choices=("trgof", "hc", "sum"), default="trgof")
     p.add_argument("--s", type=float, default=2.0, help="goodness-of-fit shape parameter in [-1, 2]")
     p.add_argument("--c-plus", type=_c_plus_arg, default="1/n", dest="c_plus",
-                   help="stability parameter: 0, 1/n, 1/n2, or a float")
+                   help=f"stability parameter: {', '.join(_C_PLUS_RULES)}, or a float")
     p.add_argument("--score", choices=("ars", "log", "ind", "opt"), default="ars")
     p.add_argument("--delta0", type=float, default=0.1)
     p.add_argument("--critical-value", type=float, default=None, dest="critical_value")
@@ -428,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--delta", type=float, default=0.3)
     g.add_argument("--delta-min", type=float, default=None, dest="delta_min")
     g.add_argument("--delta-max", type=float, default=None, dest="delta_max")
-    g.add_argument("--seed", type=_seed_arg, default=0)
     g.add_argument("--null", action="store_true", help="unwatermarked control sequence")
     g.add_argument("--masking", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", required=True)
@@ -438,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--edit", choices=("sub", "ins", "del", "adv"), required=True)
     e.add_argument("--fraction", type=float, required=True)
-    e.add_argument("--seed", type=_seed_arg, default=0)
     e.add_argument("--vocab-size", type=int, required=True, dest="vocab_size")
     e.add_argument("--key", default=None)
     e.add_argument("--out", required=True)
@@ -450,14 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--vocab-size", type=int, default=None, dest="vocab_size")
     d.add_argument("--calibrate", action="store_true",
                    help="calibrate the critical value first: exact null law for trgof/hc, CLT for sum")
-    d.add_argument("--seed", type=_seed_arg, default=0)
     d.add_argument("--out", required=True)
     _add_detector_args(d)
     d.set_defaults(func=cmd_detect)
 
     c = sub.add_parser("calibrate", help="compute a critical value")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--seed", type=_seed_arg, default=0)
     c.add_argument("--out", required=True)
     _add_detector_args(c)
     c.set_defaults(func=cmd_calibrate)
@@ -481,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--delta-min", type=float, default=0.01, dest="delta_min")
     x.add_argument("--delta-max", type=float, default=0.9, dest="delta_max")
     x.add_argument("--step", type=float, default=0.005)
-    x.add_argument("--seed", type=_seed_arg, default=0)
     x.add_argument("--key", default=None)
     x.add_argument("--m", type=int, default=5)
     x.add_argument("--n0", type=int, default=200, help="tolerance suite: initial length")
@@ -490,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--out-dir", required=True, dest="out_dir")
     x.set_defaults(func=cmd_experiment)
 
+    for p in (g, e, d, c, x):
+        p.add_argument("--seed", type=_seed_arg, default=0)
     return ap
 
 

@@ -24,27 +24,6 @@ from ._validation import check_fraction
 from .pivotal import pivot_series
 from .watermark import EDITED, PROMPT, TokenSeq
 
-EDIT_KINDS = ("sub", "ins", "del", "adv")
-
-
-@dataclass(frozen=True)
-class EditSpec:
-    kind: str
-    fraction: float
-    seed: int
-    vocab_size: int
-
-    def __post_init__(self):
-        if self.kind not in EDIT_KINDS:
-            raise ValueError(f"edit kind must be one of {EDIT_KINDS}, got {self.kind!r}")
-        check_fraction(self.fraction)
-        if int(self.vocab_size) < 2:
-            raise ValueError("vocab size must be >= 2")
-
-
-def _editable_positions(seq: TokenSeq) -> np.ndarray:
-    return np.array([i for i, c in enumerate(seq.provenance) if c != PROMPT], dtype=int)
-
 
 class EditPlan:
     """Nested edits: ``apply(k)`` edits the positions pi[0:k] of a fixed
@@ -53,14 +32,14 @@ class EditPlan:
 
     def __init__(self, seq: TokenSeq, kind: str, vocab_size: int, seed: int):
         if kind not in ("sub", "ins", "del"):
-            raise ValueError(f"edit plan supports sub/ins/del, got {kind!r}")
+            raise ValueError(f"random edits are sub/ins/del, got {kind!r} (adv: apply_adversarial_edit)")
+        if int(vocab_size) < 2:
+            raise ValueError("vocab size must be >= 2")
         self.seq = seq
         self.kind = kind
-        self.vocab_size = int(vocab_size)
         rng = np.random.default_rng(seed)
-        editable = _editable_positions(seq)
-        self.pi = rng.permutation(editable)
-        self.replacements = rng.integers(0, self.vocab_size, size=self.pi.size)
+        self.pi = rng.permutation([i for i, c in enumerate(seq.provenance) if c != PROMPT])
+        self.replacements = rng.integers(0, int(vocab_size), size=self.pi.size)
         self.slot_uniforms = rng.random(self.pi.size)
 
     @property
@@ -90,14 +69,13 @@ class EditPlan:
         return TokenSeq(tokens, prov, self.seq.m)
 
 
-def apply_random_edit(seq: TokenSeq, spec: EditSpec) -> TokenSeq:
+def apply_random_edit(seq: TokenSeq, kind: str, fraction: float, vocab_size: int, seed: int) -> TokenSeq:
     """Substitute, insert, or delete ceil(fraction * generated length) tokens:
-    the first edits of an ``EditPlan`` seeded with ``spec.seed``."""
-    if spec.kind == "adv":
-        raise ValueError("adversarial edits need a key; use apply_adversarial_edit")
-    plan = EditPlan(seq, spec.kind, spec.vocab_size, spec.seed)
-    k = math.ceil(spec.fraction * plan.n_editable)
-    if spec.kind == "del" and len(seq.tokens) - k < seq.m + 1:
+    the first edits of an ``EditPlan`` seeded with ``seed``."""
+    check_fraction(fraction)
+    plan = EditPlan(seq, kind, vocab_size, seed)
+    k = math.ceil(fraction * plan.n_editable)
+    if kind == "del" and len(seq.tokens) - k < seq.m + 1:
         raise ValueError(f"deleting {k} tokens would leave fewer than m + 1 = {seq.m + 1}")
     return plan.apply(k)
 
@@ -115,21 +93,13 @@ def apply_adversarial_edit(
     rng = np.random.default_rng(seed)
     piv = pivot_series(seq, key, vocab_size)
     k = math.ceil(fraction * piv.n)
-    if k == 0:
-        return TokenSeq(list(seq.tokens), list(seq.provenance), seq.m)
+    order = (seq.m + int(j) for j in np.argsort(-piv.y, kind="stable"))
+    targets = [at for at in order if seq.provenance[at] != PROMPT][:k]
     tokens = list(seq.tokens)
     prov = list(seq.provenance)
-    order = np.argsort(-piv.y, kind="stable")
-    replaced = 0
-    for j in order:
-        at = seq.m + int(j)
-        if prov[at] == PROMPT:
-            continue
+    for at in targets:
         tokens[at] = int(rng.integers(0, vocab_size))
         prov[at] = EDITED
-        replaced += 1
-        if replaced == k:
-            break
     return TokenSeq(tokens, prov, seq.m)
 
 

@@ -49,6 +49,11 @@ SUM_CRIT_GRIDS = {
 }
 
 
+def _q_floor(n: int, vocab_size: int) -> float:
+    """log_n(V/(V-1)): below this q the top probability 1 - n**-q drops under 1/V."""
+    return math.log(vocab_size / (vocab_size - 1)) / math.log(n)
+
+
 @dataclass(frozen=True)
 class MixtureConfig:
     n: int
@@ -66,8 +71,7 @@ class MixtureConfig:
             raise ValueError(f"ntp mode must be one of {NTP_MODES}")
         if int(self.vocab_size) < 2:
             raise ValueError("vocab size must be >= 2")
-        v = self.vocab_size
-        q_min = math.log(v / (v - 1)) / math.log(self.n)
+        q_min = _q_floor(self.n, self.vocab_size)
         if self.q < q_min - 1e-12:
             raise ValueError(
                 f"q = {self.q} below log_n(V/(V-1)) = {q_min:.6f}: "
@@ -114,14 +118,18 @@ def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotS
     return PivotSeries.from_y(y1), PivotSeries.from_y(y0)
 
 
+_C_PLUS_RULES = {"0": lambda n: 0.0, "1/n": lambda n: 1.0 / n, "1/n2": lambda n: 1.0 / n**2}
+
+
 def resolve_c_plus(rule, n: int) -> float:
-    """Map a stability-parameter rule ('0', '1/n', '1/n2', or a number) to a value."""
+    """Map a stability-parameter rule (a name in ``_C_PLUS_RULES`` or a number) to a value."""
     if isinstance(rule, (int, float)):
         return float(rule)
-    table = {"0": 0.0, "1/n": 1.0 / n, "1/n2": 1.0 / n**2}
-    if rule not in table:
+    if rule not in _C_PLUS_RULES:
         raise ValueError(f"unknown c_plus rule {rule!r}")
-    return table[rule]
+    if n < 1:
+        raise ValueError(f"the c_plus rule {rule!r} needs n >= 1, got {n}")
+    return _C_PLUS_RULES[rule](n)
 
 
 # ---------------------------------------------------------------------------

@@ -109,23 +109,6 @@ def _gumbel_argmax(p: np.ndarray, x: np.ndarray):
         return np.argmax(np.where(p > 0.0, np.log(x) / p, -np.inf), axis=-1)
 
 
-def _multinomial_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; keeps masked tokens independent of the watermark PRF."""
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(idx, probs.size - 1)
-
-
-def _check_prompt(prompt, m: int, vocab_size: int) -> list[int]:
-    """The prompt as a list of ids: at least m of them, all in the vocabulary."""
-    prompt = [int(t) for t in prompt]
-    if len(prompt) < m:
-        raise ValueError(f"prompt length {len(prompt)} < window size {m}")
-    if min(prompt) < 0 or max(prompt) >= vocab_size:
-        raise ValueError("prompt contains tokens outside the source vocabulary")
-    return prompt
-
-
 def _prompt_windows(prompt: list[int], m: int) -> set[tuple[int, ...]]:
     return {tuple(prompt[i : i + m]) for i in range(len(prompt) - m + 1)}
 
@@ -136,17 +119,37 @@ def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
     The prompt must supply at least m tokens so every generated position has a
     full window.
     """
-    prompt = _check_prompt(prompt, cfg.m, source.vocab_size)
+    if key is None:
+        raise ValueError("generate needs a key; generate_null is the unwatermarked control")
+    return _generate(source, key, prompt, cfg)
+
+
+def generate_null(source: ToySource, prompt, cfg: GenConfig) -> TokenSeq:
+    """Unwatermarked control: every generated token is multinomially sampled."""
+    return _generate(source, None, prompt, cfg)
+
+
+def _generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
+    """The generation loop; with ``key`` None every position is sampled, as a
+    masked one is. The prompt is checked before the key."""
+    prompt = [int(t) for t in prompt]
+    if len(prompt) < cfg.m:
+        raise ValueError(f"prompt length {len(prompt)} < window size {cfg.m}")
+    if min(prompt) < 0 or max(prompt) >= source.vocab_size:
+        raise ValueError("prompt contains tokens outside the source vocabulary")
     tokens = list(prompt)
     prov = [PROMPT] * len(prompt)
     fallback = np.random.default_rng(cfg.seed)
     seen = _prompt_windows(prompt, cfg.m) if cfg.masking else set()
-    key, ids = _as_key(key), np.arange(source.vocab_size, dtype="<u4").tobytes()
+    if key is not None:
+        key, ids = _as_key(key), np.arange(source.vocab_size, dtype="<u4").tobytes()
     for _ in range(cfg.n):
         window = tuple(tokens[-cfg.m :])
         probs = toy_next_dist(source, tokens)
-        if cfg.masking and window in seen:
-            tok = _multinomial_draw(probs, fallback)
+        if key is None or window in seen:
+            # inverse-CDF draw from the fallback stream, independent of the watermark PRF
+            u = fallback.random()
+            tok = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
             prov.append(SAMPLED)
         else:
             # prf_vector and gumbel_decode on inputs that pass their checks
@@ -155,17 +158,4 @@ def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
         if cfg.masking:
             seen.add(window)
         tokens.append(int(tok))
-    return TokenSeq(tokens, prov, cfg.m)
-
-
-def generate_null(source: ToySource, prompt, cfg: GenConfig) -> TokenSeq:
-    """Unwatermarked control: every generated token is multinomially sampled."""
-    prompt = _check_prompt(prompt, cfg.m, source.vocab_size)
-    tokens = list(prompt)
-    prov = [PROMPT] * len(prompt)
-    fallback = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.n):
-        probs = toy_next_dist(source, tokens)
-        tokens.append(_multinomial_draw(probs, fallback))
-        prov.append(SAMPLED)
     return TokenSeq(tokens, prov, cfg.m)

@@ -14,7 +14,6 @@ from gumbelmark import (
     LOG,
     BoundarySpec,
     EditPlan,
-    EditSpec,
     GenConfig,
     Key,
     MixtureConfig,
@@ -334,7 +333,7 @@ def test_criterion_11_edit_locality():
         seq = generate(src, key, prompt, GenConfig(n=60, m=m, masking=True,
                                                    seed=child_seed(113, i, 2)))
         before = pivot_series(seq, key, vocab).y
-        edited = apply_random_edit(seq, EditSpec("sub", 1e-9, seed=1000 + i, vocab_size=vocab))
+        edited = apply_random_edit(seq, "sub", 1e-9, vocab, seed=1000 + i)
         after = pivot_series(edited, key, vocab).y
         changed = int((before != after).sum())
         worst = max(worst, changed)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from gumbelmark import (
+    ARS,
     GenConfig,
     Key,
+    SumScore,
     ToySource,
     TrGoF,
     __version__,
@@ -96,6 +99,69 @@ class TestGenerate:
                    "--seed", "3", "--out", out) == 0
         seq = TokenSeq.from_json(read_text(out))
         assert len(seq) - 5 == 400
+
+
+# sha256 of the bytes each command writes, recorded before generate and
+# generate_null shared one loop and random edits took plain arguments
+GOLDEN_SHA256 = {
+    "generate": "2487e70d333eae8a592579937f22e580ceb16128de8d9fa59094313c5434a591",
+    "null": "58ee7c36a744d1aaeabe4d06ca44997a58186adb9d0dbae24ce7809f9f31d2ae",
+    "no_masking": "f7be964c64d24f1a6e80e3c0443b7acfba9dd5f165e28a596b4cc9874b8a15ef",
+    "sub": "cd561e12672e871e4749c5cba1b54a9cfb2d4e2ddc271538ab0b5658a05d6ede",
+    "ins": "72678bbcdbfa3e3a4d35db5a8c9eb2c1561f5da2393ae5b56655099ee5dab81d",
+    "del": "3a9d12fbf35ec9c5d45cfea75e0d4e2d4c9aca20223567f01982f635997aa87b",
+    "adv": "df19bc8b4be753865bab35115f402a7b0e4795d549a84ec27a99d48d9ecbe276",
+    "tolerance": "ce2b607955a32804fef4d10d2e697bd4b4838fbf1b6040ca820e8b7327ebbc01",
+    "opt_0.9": "8ab0ba5326b3375553d077e07c39f69de0a66dc843c6f5105ef24f805a9895ee",
+}
+GEN_ARGS = ("--n", "80", "--m", "2", "--vocab-size", "20", "--seed", "5")
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(read_text(path, "rb")).hexdigest()
+
+
+class TestByteGoldens:
+    @pytest.mark.parametrize("name, flags", [
+        ("generate", ("--key", KEY)),
+        ("null", ("--null",)),
+        ("no_masking", ("--key", KEY, "--no-masking")),
+    ])
+    def test_generate(self, tmp_path, name, flags):
+        out = str(tmp_path / "seq.json")
+        assert run("generate", *flags, *GEN_ARGS, "--out", out) == 0
+        assert sha256_of(out) == GOLDEN_SHA256[name]
+
+    @pytest.mark.parametrize("kind", ["sub", "ins", "del", "adv"])
+    def test_edit(self, tmp_path, kind):
+        seq, out = str(tmp_path / "seq.json"), str(tmp_path / "edited.json")
+        assert run("generate", "--key", KEY, *GEN_ARGS, "--out", seq) == 0
+        assert run("edit", "--in", seq, "--edit", kind, "--fraction", "0.2", "--seed", "9",
+                   "--vocab-size", "20", "--key", KEY, "--out", out) == 0
+        assert sha256_of(out) == GOLDEN_SHA256[kind]
+
+    def test_tolerance_suite(self, tmp_path):
+        out_dir = str(tmp_path / "tol")
+        assert run("experiment", "tolerance", "--key", KEY, "--vocab-size", "20", "--n0", "120",
+                   "--n-test", "65", "--m", "5", "--delta", "0.3", "--trials", "2", "--alpha", "0.01",
+                   "--seed", "3", "--out-dir", out_dir) == 0
+        assert sha256_of(os.path.join(out_dir, "tolerance.csv")) == GOLDEN_SHA256["tolerance"]
+
+    @pytest.mark.parametrize("delta0", ["0.9", "0.99", "0.999"])
+    def test_opt_verdict_is_finite_or_a_data_error(self, tmp_path, capsys, delta0):
+        # near delta0 = 1 the opt null moments are NaN (and from 0.999 the
+        # statistic is -inf): no verdict is written rather than a non-JSON one
+        seq, out = str(tmp_path / "seq.json"), str(tmp_path / "verdict.json")
+        assert run("generate", "--key", KEY, "--n", "100", "--vocab-size", "20", "--seed", "1", "--out", seq) == 0
+        rc = run("detect", "--in", seq, "--key", KEY, "--vocab-size", "20", "--detector", "sum", "--score", "opt",
+                 "--delta0", delta0, "--calibrate", "--out", out)
+        if delta0 == "0.9":
+            assert rc == 0 and sha256_of(out) == GOLDEN_SHA256["opt_0.9"]
+            return
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"data error: {out}" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["seq.json", "seq.json.manifest.json"]
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +393,7 @@ class TestCalibrateCmd:
         ("calibrate", "--n", "0"),
         ("calibrate", "--n", "-5"),
         ("calibrate", "--n", "2"),
-        ("calibrate", "--detector", "sum", "--n", "2"),
+        ("calibrate", "--detector", "sum", "--n", "0"),
         ("experiment", "boundary", "--n", "0"),
         ("experiment", "boundary", "--n", "1"),
         ("experiment", "hist", "--n", "0"),
@@ -348,6 +414,18 @@ class TestCalibrateCmd:
         # the message names the flag that is too small
         assert err.startswith("usage error:") and argv[-2] in err and "Traceback" not in err
         assert os.listdir(tmp_path) == []
+
+
+    def test_least_n_is_the_library_rule(self, tmp_path, capsys):
+        # critical_value alone decides the least n: 1 for a sum rule, 3 for the exact laws
+        out = str(tmp_path / "sum" / "c.json")
+        os.makedirs(os.path.dirname(out))
+        assert run("calibrate", "--detector", "sum", "--n", "1", "--out", out) == 0
+        assert read_json(out)["critical_value"] == critical_value(SumScore(ARS), 1, 0.01)
+        empty = tmp_path / "trgof"
+        empty.mkdir()
+        assert run("calibrate", "--detector", "trgof", "--n", "2", "--out", str(empty / "c.json")) == 2
+        assert "--n 2" in capsys.readouterr().err and os.listdir(empty) == []
 
 
 class TestExperimentSuites:

@@ -3,7 +3,6 @@ import pytest
 
 from gumbelmark import (
     EditPlan,
-    EditSpec,
     GenConfig,
     Key,
     ToySource,
@@ -28,47 +27,66 @@ class TestRandomEdits:
     def test_fraction_zero_noop(self):
         seq = make_seq()
         for kind in ("sub", "ins", "del"):
-            out = apply_random_edit(seq, EditSpec(kind, 0.0, seed=1, vocab_size=VOCAB))
+            out = apply_random_edit(seq, kind, 0.0, VOCAB, seed=1)
             assert out.tokens == seq.tokens
             assert out.provenance == seq.provenance
 
     def test_full_substitution(self):
         seq = make_seq()
-        out = apply_random_edit(seq, EditSpec("sub", 1.0, seed=2, vocab_size=VOCAB))
+        out = apply_random_edit(seq, "sub", 1.0, VOCAB, seed=2)
         gen = [c for c in out.provenance if c != "P"]
         assert gen == ["E"] * len(gen)
         assert out.provenance[:5] == ["P"] * 5
 
     def test_insertion_grows(self):
         seq = make_seq()
-        out = apply_random_edit(seq, EditSpec("ins", 0.25, seed=3, vocab_size=VOCAB))
+        out = apply_random_edit(seq, "ins", 0.25, VOCAB, seed=3)
         assert len(out) == len(seq) + int(np.ceil(0.25 * 80))
         assert out.tokens[:5] == seq.tokens[:5]
 
     def test_deletion_shrinks(self):
         seq = make_seq()
-        out = apply_random_edit(seq, EditSpec("del", 0.25, seed=4, vocab_size=VOCAB))
+        out = apply_random_edit(seq, "del", 0.25, VOCAB, seed=4)
         assert len(out) == len(seq) - int(np.ceil(0.25 * 80))
 
     def test_deletion_leaves_enough(self):
         seq = make_seq(n=6)
         with pytest.raises(ValueError):
-            apply_random_edit(seq, EditSpec("del", 1.0, seed=5, vocab_size=VOCAB))
+            apply_random_edit(seq, "del", 1.0, VOCAB, seed=5)
 
     def test_deterministic(self):
         seq = make_seq()
-        spec = EditSpec("sub", 0.3, seed=6, vocab_size=VOCAB)
-        assert apply_random_edit(seq, spec).tokens == apply_random_edit(seq, spec).tokens
+        args = ("sub", 0.3, VOCAB, 6)
+        assert apply_random_edit(seq, *args).tokens == apply_random_edit(seq, *args).tokens
 
     def test_locality_single_substitution(self):
         # one substituted token can break at most m + 1 pivot windows
         for seed in range(20):
             seq = make_seq(seed=seed)
             before = pivot_series(seq, KEY, VOCAB).y
-            out = apply_random_edit(seq, EditSpec("sub", 1e-9, seed=seed, vocab_size=VOCAB))
+            out = apply_random_edit(seq, "sub", 1e-9, VOCAB, seed=seed)
             assert sum(c == "E" for c in out.provenance) == 1
             after = pivot_series(out, KEY, VOCAB).y
             assert (before != after).sum() <= seq.m + 1
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_fraction_outside_unit_interval_raises(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            apply_random_edit(make_seq(), "sub", fraction, VOCAB, seed=1)
+
+
+class TestEditPlan:
+    def test_rejects_adversarial_kind(self):
+        # adversarial edits need the key; only apply_adversarial_edit makes them
+        with pytest.raises(ValueError, match="apply_adversarial_edit"):
+            EditPlan(make_seq(), "adv", VOCAB, seed=1)
+        with pytest.raises(ValueError, match="apply_adversarial_edit"):
+            apply_random_edit(make_seq(), "adv", 0.1, VOCAB, seed=1)
+
+    @pytest.mark.parametrize("vocab_size", [0, 1])
+    def test_rejects_vocab_below_two(self, vocab_size):
+        with pytest.raises(ValueError, match="vocab size"):
+            EditPlan(make_seq(), "sub", vocab_size, seed=1)
 
 
 class TestAdversarialEdits:
@@ -140,14 +158,14 @@ class TestAdversarialVsRandom:
     def test_adversarial_hurts_detector_more(self):
         # equal edit budgets: targeted removal of large pivots should depress
         # the goodness-of-fit statistic at least as much as random edits
-        from gumbelmark import EditSpec, apply_random_edit, trgof_stat
+        from gumbelmark import trgof_stat
 
         n, fraction, trials = 200, 0.1, 120
         adv_stats, rnd_stats = [], []
         for seed in range(trials):
             seq = make_seq(seed=seed, n=n)
             adv = apply_adversarial_edit(seq, fraction, KEY, VOCAB, seed=seed)
-            rnd = apply_random_edit(seq, EditSpec("sub", fraction, seed=seed, vocab_size=VOCAB))
+            rnd = apply_random_edit(seq, "sub", fraction, VOCAB, seed=seed)
             cp = 1.0 / (n)
             adv_stats.append(trgof_stat(pivot_series(adv, KEY, VOCAB), 2.0, cp))
             rnd_stats.append(trgof_stat(pivot_series(rnd, KEY, VOCAB), 2.0, cp))

@@ -121,6 +121,13 @@ class TestGenerateNull:
             generate(src, Key(b"k"), prompt, cfg)
         assert str(null_err.value) == str(wm_err.value)
 
+    def test_generate_refuses_a_missing_key(self):
+        # the shared loop samples every position when it has no key; only
+        # generate_null may ask for that
+        src = ToySource(20, (0.3, 0.3), seed=8)
+        with pytest.raises(ValueError, match="generate_null"):
+            generate(src, None, [0, 1, 2, 3, 4], GenConfig(n=10, m=5, seed=1))
+
     def test_null_pivots_uniform(self):
         # scored under an unrelated key, aggregated over many short runs
         from gumbelmark import pivot_series
