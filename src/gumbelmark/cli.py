@@ -77,12 +77,8 @@ class UsageError(Exception):
 
 
 def _library_versions() -> dict:
-    """Python's and numpy's versions, and scipy's when this run loaded it:
-    importing scipy only to read its version would slow every command."""
-    versions = {"python": platform.python_version(), "numpy": np.__version__}
-    if "scipy" in sys.modules:
-        versions["scipy"] = sys.modules["scipy"].__version__
-    return versions
+    """The versions of Python and numpy, the only libraries the package loads."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

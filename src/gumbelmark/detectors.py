@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_unit_open
-from .pivotal import PivotSeries, _grouped_pdf
+from .pivotal import PivotSeries, _grouped_log_pdf, _grouped_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
 
 S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the KL limit branch of K_s_plus
@@ -227,8 +227,9 @@ def null_moments(kind: ScoreKind) -> tuple[float, float]:
     """Mean and variance of the score under the U(0, 1) null.
 
     ars and log are standard exponential in disguise, ind is Bernoulli; the
-    opt moments have no simple closed form and come from adaptive quadrature
-    (absolute tolerance 1e-10, with the integrable log singularity at 0).
+    opt moments have no simple closed form and come from tanh-sinh quadrature
+    of the split-form log density (``pivotal._null_expectation``, relative
+    tolerance 1e-13), which stays finite at the log singularity at 0.
     """
     if kind.name == "ars":
         return 1.0, 1.0
@@ -237,15 +238,9 @@ def null_moments(kind: ScoreKind) -> tuple[float, float]:
     if kind.name == "ind":
         d = kind.param
         return 1.0 - d, d * (1.0 - d)
-
-    from scipy.integrate import quad  # deferred so that importing the package skips scipy
-
-    def h(y):
-        return score(min(max(y, _P_CLIP_LO), _P_CLIP_HI), kind)
-
-    mean = quad(h, 0.0, 1.0, epsabs=1e-12, limit=300)[0]
-    second = quad(lambda y: h(y) ** 2, 0.0, 1.0, epsabs=1e-12, limit=300)[0]
-    return mean, second - mean * mean
+    vals, counts = least_favorable_atoms(kind.param)
+    mean = _null_expectation(lambda y: _grouped_log_pdf(vals, counts, y))
+    return mean, _null_expectation(lambda y: (_grouped_log_pdf(vals, counts, y) - mean) ** 2)
 
 
 # ---------------------------------------------------------------------------

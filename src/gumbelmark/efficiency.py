@@ -6,10 +6,10 @@ distribution with singularity delta):
 
     R(delta, eps) = integral_0^1 -log((1 - eps) + eps * f_delta(y)) dy.
 
-For eps < 1 the integrand is bounded (the mixture density is at least
-1 - eps). At eps = 1 it has an integrable log singularity at y = 0, which is
-split off exactly: f = y**e_min * g(y) with g smooth and positive, and
-integral of -e_min * log(y) equals e_min.
+The integrand is -logaddexp(log(1 - eps), log(eps) + log f_delta(y)), with
+log f_delta in split form, so at eps = 1 it is -log f_delta exactly and its
+integrable log singularity at y = 0 stays finite at every node. The tanh-sinh
+rule of ``pivotal._null_expectation`` integrates it to QUAD_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ import math
 
 import numpy as np
 
+from .pivotal import _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
-
-# Absolute error that scipy's quad aims for on every rate integral.
-QUAD_TOLERANCE = 1e-9
 
 
 def optimal_rate(delta: float, epsilon: float) -> float:
@@ -30,18 +28,10 @@ def optimal_rate(delta: float, epsilon: float) -> float:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    from scipy.integrate import quad  # deferred so that importing the package skips scipy
-
     vals, counts = least_favorable_atoms(delta)
-    expo = 1.0 / vals - 1.0
-
-    if epsilon < 1.0:
-        integrand = lambda y: -math.log((1.0 - epsilon) + epsilon * (counts * y**expo).sum())
-        return quad(integrand, 0.0, 1.0, epsabs=QUAD_TOLERANCE, limit=500)[0]
-    # eps = 1: pull out the leading power so the remainder is smooth
-    e_min = float(expo.min())
-    rest = lambda y: -math.log((counts * y ** (expo - e_min)).sum())
-    return e_min + quad(rest, 0.0, 1.0, epsabs=QUAD_TOLERANCE, limit=500)[0]
+    log_null = math.log1p(-epsilon) if epsilon < 1.0 else -math.inf
+    log_eps = math.log(epsilon)
+    return _null_expectation(lambda y: -np.logaddexp(log_null, log_eps + _grouped_log_pdf(vals, counts, y)))
 
 
 def rate_curve(deltas, epsilon: float) -> np.ndarray:

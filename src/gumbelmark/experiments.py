@@ -18,22 +18,25 @@ statistics rank the whole series and share no work between the two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import empirical_quantile, tradeoff_curve
-from .detectors import _P_CLIP_HI, _P_CLIP_LO, ScoreKind, _clip_pivots, _score_terms, score, trgof_stat
-from .pivotal import PivotSeries, alt_cdf, alt_pdf, alt_sample
+from .detectors import ScoreKind, _clip_pivots, _score_terms, score, trgof_stat
+from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
 from .streams import substream
-from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, m1_rows, make_m2
+from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, least_favorable_atoms, m1_rows, make_m2
 
 NTP_MODES = ("m1", "m2")
 
-# Probabilities per block of m1 laws in sample_mixture. Each (rows, V) float
-# temporary stays under glibc's 128 KiB mmap threshold, so blocks reuse heap
-# memory instead of faulting in fresh pages (~1.5x faster than 1 << 15).
+# Probabilities per block of m1 laws in sample_mixture: each (rows, V) float
+# temporary holds at most 128 KiB (one row if V is larger) however large
+# k * V grows. Once _keep_freed_heap has run, blocks of 1 << 14 to 1 << 17
+# values take the same time within noise on an m1 cell with k = 1000 at
+# V = 1000.
 M1_BLOCK_VALUES = 1 << 14
 
 # Critical-value grids (a, b, K) that min_error_cell no longer reads: it
@@ -154,9 +157,22 @@ class BoundarySpec:
             raise ValueError("sum spec needs a score kind")
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Allocate and free one 16 MiB block, once per process, whose pages are
+    never touched. Under glibc, freeing an mmapped block raises the dynamic
+    M_MMAP_THRESHOLD to its size and M_TRIM_THRESHOLD to twice that
+    (mallopt(3)). Without it, the trials' ~80 KB temporaries at n = 1e4 are
+    freed at the heap top, trimmed back to the OS and faulted in again on every
+    statistic, which runs ~2x slower. A block of 32 MiB or more does nothing:
+    it is above DEFAULT_MMAP_THRESHOLD_MAX."""
+    np.empty(1 << 21)
+
+
 def _trial_statistics(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Spec name -> (null statistics, mixture statistics) over the trials of
     ``cfg``; every spec scores trial t's pair from ``substream(cfg.seed, t)``."""
+    _keep_freed_heap()
     stats = {sp.name: (np.empty(cfg.trials), np.empty(cfg.trials)) for sp in specs}
     k = cfg.n_signal
     for t in range(cfg.trials):
@@ -242,13 +258,11 @@ def analytic_gap_bounds(probs, kind: ScoreKind) -> tuple[float, float]:
     if kind.name == "ind":
         g = kind.param - alt_cdf(probs, kind.param)
         return g, g
-    # opt: no displayed closed form; integrate h (f1 - 1) directly
-    from scipy.integrate import quad
-
-    g = quad(
-        lambda y: float(score(min(max(y, _P_CLIP_LO), _P_CLIP_HI), kind)) * (alt_pdf(probs, y) - 1.0),
-        0.0, 1.0, epsabs=1e-10, limit=300,
-    )[0]
+    # opt: no displayed closed form; integrate h (f1 - 1) under the null
+    vals0, counts0 = least_favorable_atoms(kind.param)
+    vals1, counts1 = _grouped(probs)
+    g = _null_expectation(
+        lambda y: _grouped_log_pdf(vals0, counts0, y) * (_grouped_pdf(vals1, counts1, y) - 1.0))
     return g, g
 
 

@@ -14,10 +14,14 @@ since P(V**P_w <= r) = r**(1/P_w). ``alt_sample`` draws Y that way from one
 uniform per draw, from one law or from a (k, V) block of laws, one draw per
 row. ``alt_cdf`` and ``alt_pdf`` evaluate their sums over distinct
 probabilities as a group-major table, groups on the leading axis.
+
+Null expectations E[g(Y)], Y ~ U(0, 1), are integrals over [0, 1], which
+``_null_expectation`` computes by tanh-sinh quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +96,54 @@ def _grouped_pdf(vals: np.ndarray, counts: np.ndarray, r):
     col = (-1,) + (1,) * r_arr.ndim
     out = (counts.reshape(col) * r_arr ** (1.0 / vals - 1.0).reshape(col)).sum(axis=0)
     return out if r_arr.ndim else float(out)
+
+
+def _grouped_log_pdf(vals: np.ndarray, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log ``_grouped_pdf`` at a 1-D array y, in the split form
+    e_min log y + log sum counts y**(e - e_min) with e = 1/vals - 1: the group
+    of the least exponent adds counts * y**0, so no y**e underflows into log 0."""
+    expo = (1.0 - vals) / vals  # 1/vals - 1 without its cancellation as vals -> 1
+    e_min = expo.min()
+    return e_min * np.log(y) + np.log((counts[:, None] * y ** (expo - e_min)[:, None]).sum(axis=0))
+
+
+# Relative agreement (absolute below 1) of two successive levels that ends
+# ``_null_expectation``; the finer level is then accurate to rounding.
+QUAD_TOLERANCE = 1e-13
+# Nodes lie at |t| <= T, where y(-T) = 1e-300: nodes below 1e-300 are dropped.
+_TANH_SINH_T = math.asinh(math.log(1e300) / math.pi)
+_TANH_SINH_H = (2.0**-3, 2.0**-12)  # first and finest step
+
+
+def _null_expectation(fn) -> float:
+    """E[fn(Y)] for Y ~ U(0, 1), the integral of fn over [0, 1], by the
+    tanh-sinh rule (Takahasi and Mori, 1974).
+
+    The nodes y = 1/(1 + e^{-pi sinh t}) at t = k h carry the weights
+    h pi cosh t y (1 - y), which decay double-exponentially in t, so
+    integrable log and power singularities at 0 cost few nodes. ``fn`` maps
+    a 1-D array of nodes to the integrand there; it must be finite at y = 1,
+    since the nodes nearest 1 round to 1.0. h halves from 2**-3; each level
+    evaluates only its new nodes (odd k), in one call, and the halving stops
+    when two successive levels agree to QUAD_TOLERANCE.
+    """
+    h, finest = _TANH_SINH_H
+    estimate = None
+    while True:
+        k = np.arange(-math.floor(_TANH_SINH_T / h), math.floor(_TANH_SINH_T / h) + 1)
+        t = (k if estimate is None else k[k % 2 == 1]) * h
+        u = math.pi * np.sinh(t)
+        y = 1.0 / (1.0 + np.exp(-u))
+        part = h * float(np.dot(math.pi * np.cosh(t) * y / (1.0 + np.exp(u)), fn(y)))
+        if estimate is None:
+            estimate = part
+        else:
+            previous, estimate = estimate, 0.5 * estimate + part
+            if abs(estimate - previous) <= QUAD_TOLERANCE * max(1.0, abs(estimate)):
+                return estimate
+        if h <= finest:
+            raise ValueError(f"tanh-sinh quadrature did not converge at step {h!r}")
+        h *= 0.5
 
 
 def alt_sample(probs, u):

@@ -319,7 +319,8 @@ class TestExactNull:
     # from the factor-8 bracket and Brent's method, columns s = 2, 1, 0.5, -1
     # and HC; each lies within 5e-11 relative of the value the doubling +
     # Illinois solver gave. The "sum" rows are the CLT thresholds of ars, log,
-    # ind(0.5) and opt(0.1).
+    # ind(0.5) and opt(0.1); opt(0.1)'s moved by <= 5.8e-14 relative when its
+    # null moments went from scipy's quad to tanh-sinh quadrature.
     GOLDEN = {
         (57, "0"): ("0x1.ca1cbdd5b89a4p-1", "0x1.bfccd7f98158cp-4", "0x1.489b74f6c3985p-3",
                     "0x1.0f3772271eb45p-2", "0x1.432fc6ff58248p+3"),
@@ -340,11 +341,11 @@ class TestExactNull:
         (400, "0.3"): ("0x1.a8fcb25d8c4ecp-7", "0x1.ee7e0af3d5b42p-7", "0x1.7fa626748fa91p-6",
                        "0x1.55408700cd33bp-5", "0x1.9c4de6d550278p+1"),
         (57, "sum"): ("0x1.2a4110f7a5168p+6", "-0x1.3b7dde10b5d30p+5", "0x1.2a4110f7a5168p+5",
-                      "0x1.363d4d957a1e4p+1"),
+                      "0x1.363d4d957a1efp+1"),
         (195, "sum"): ("0x1.c6f8ab112da49p+7", "-0x1.450754eed25b7p+7", "0x1.c6f8ab112da49p+6",
-                       "0x1.e79643b28b80cp+0"),
+                       "0x1.e79643b28b858p+0"),
         (395, "sum"): ("0x1.b93c395063dd5p+8", "-0x1.5cc3c6af9c22bp+8", "0x1.b93c395063dd5p+7",
-                       "-0x1.574ba4f187a90p-1"),
+                       "-0x1.574ba4f187930p-1"),
     }
 
     @pytest.mark.parametrize("n, rule", sorted(GOLDEN))

@@ -217,6 +217,21 @@ class TestNullMoments:
         assert abs(draws.mean() - mean) <= 4 * se
         assert abs(draws.var() - var) <= 0.01
 
+    def test_opt_matches_mpmath(self):
+        # 30-digit mpmath integrals of h and (h - mean)**2 over [0, 1] at the
+        # float atoms of least_favorable_atoms(delta0), computed once and pinned
+        for delta0, want in ((0.1, (-0.028785070301563537, 0.05355363799590825)),
+                             (0.3, (-0.15637703326005103, 0.37580336351330745))):
+            assert null_moments(opt(delta0)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_opt_near_one_atom(self):
+        # at delta0 = 0.99 the law is one atom of count ~100 up to rounding,
+        # h = log 100 + 99 log Y, and -log Y is standard exponential; y**99
+        # underflows below y ~ 1e-3.2, so h must be taken in split form there
+        mean, var = null_moments(opt(0.99))
+        assert mean == pytest.approx(math.log(100.0) - 99.0, rel=1e-12)
+        assert var == pytest.approx(99.0**2, rel=1e-12)
+
 
 class TestSumTest:
     def test_infinite_threshold(self):

@@ -6,6 +6,7 @@ import pytest
 
 from gumbelmark import least_favorable, optimal_rate, rate_curve
 from gumbelmark.pivotal import alt_pdf
+from gumbelmark.tokensource import least_favorable_atoms
 
 
 class TestQueryValidation:
@@ -41,8 +42,6 @@ class TestOptimalRate:
     @pytest.mark.parametrize("epsilon", [0.5, 1.0])
     def test_delta_near_one_builds_no_atom_vector(self, epsilon):
         # floor(1/(1 - delta)) ~ 1e10 atoms; the two distinct ones suffice
-        import scipy.integrate  # noqa: F401  (imported before the memory trace)
-
         tracemalloc.start()
         try:
             rate = optimal_rate(1.0 - 1e-10, epsilon)
@@ -55,6 +54,41 @@ class TestOptimalRate:
     def test_smaller_epsilon_smaller_rate(self):
         for d in (0.2, 0.5, 0.8):
             assert optimal_rate(d, 0.5) < optimal_rate(d, 1.0)
+
+
+class TestQuadratureAccuracy:
+    # 30-digit mpmath integrals of -log((1 - eps) + eps f) over [0, 1], at the
+    # float atoms of least_favorable_atoms(delta), computed once and pinned
+    MPMATH_RATES = {
+        (1e-5, 1.0): 1.7754375735263038e-6,  # scipy's quad gave 1.00001e-5 here
+        (0.999, 0.5): 0.66768547348129921,  # f has a boundary layer of width ~1e-3 at y = 1
+        (0.5, 1.0): 1.0 - math.log(2.0),
+    }
+
+    @pytest.mark.parametrize("delta, epsilon", sorted(MPMATH_RATES))
+    def test_matches_mpmath(self, delta, epsilon):
+        assert abs(optimal_rate(delta, epsilon) - self.MPMATH_RATES[delta, epsilon]) <= 1e-16
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0])
+    def test_matches_scipy_quad_on_suite_grid(self, epsilon):
+        # the efficiency suite's default grid, against scipy's adaptive
+        # quadrature of the same integral; at eps = 1 the oracle splits off
+        # the leading power exactly, so that scipy sees a bounded integrand
+        from scipy.integrate import quad
+
+        worst = 0.0
+        for delta in np.arange(0.01, 0.9 + 1e-12, 0.005):
+            vals, counts = least_favorable_atoms(delta)
+            expo = 1.0 / vals - 1.0
+            if epsilon < 1.0:
+                want = quad(lambda y: -math.log((1 - epsilon) + epsilon * (counts * y**expo).sum()), 0.0, 1.0,
+                            epsabs=1e-10, limit=500)[0]
+            else:
+                e_min = float(expo.min())
+                want = e_min + quad(lambda y: -math.log((counts * y ** (expo - e_min)).sum()), 0.0, 1.0,
+                                    epsabs=1e-10, limit=500)[0]
+            worst = max(worst, abs(optimal_rate(delta, epsilon) - want))
+        assert worst <= 1e-9
 
 
 class TestRateCurve:

@@ -10,6 +10,7 @@ from gumbelmark import (
     BoundarySpec,
     MixtureConfig,
     SumScore,
+    alt_pdf,
     boundary_grid,
     entropy_gap_check,
     histogram_study,
@@ -18,6 +19,7 @@ from gumbelmark import (
     make_m2,
     opt,
     sample_mixture,
+    score,
 )
 from gumbelmark import experiments
 from gumbelmark.calibrate import empirical_quantile, tradeoff_curve
@@ -328,6 +330,16 @@ class TestEntropyGapCheck:
     def test_opt_gap_via_quadrature(self):
         rows = entropy_gap_check(make_m2(0.3, 5), [opt(0.3)], trials=200_000, seed=13)
         assert rows[0].passed
+
+    def test_opt_gap_matches_scipy_quad(self):
+        from scipy.integrate import quad
+
+        for probs in (np.array([0.5, 0.5]), make_m2(0.4, 5), make_m2(0.3, 5)):
+            for kind in (opt(0.1), opt(0.3)):
+                want = quad(lambda y: score(y, kind) * (alt_pdf(probs, y) - 1.0), 0.0, 1.0, epsabs=1e-12,
+                            limit=300)[0]
+                lo, hi = analytic_gap_bounds(probs, kind)
+                assert lo == hi and abs(lo - want) <= 1e-10, (probs, kind)
 
 
 class TestHistogramPowerRegime:

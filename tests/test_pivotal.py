@@ -20,7 +20,8 @@ from gumbelmark import (
     pivot_series,
     score,
 )
-from gumbelmark.pivotal import _grouped
+from gumbelmark.pivotal import _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation
+from gumbelmark.tokensource import least_favorable_atoms
 from gumbelmark.prf import prf_uniform
 from gumbelmark.watermark import TokenSeq
 
@@ -110,6 +111,33 @@ class TestGroupMajorDensities:
         y = np.random.default_rng(42).random(2000)
         assert np.array_equal(score(y, opt(delta0)), np.log(last_axis_pdf(least_favorable(delta0), y)))
         assert score(0.3, opt(delta0)) == float(np.log(last_axis_pdf(least_favorable(delta0), 0.3)))
+
+
+class TestNullExpectation:
+    @pytest.mark.parametrize("fn, want", [
+        (lambda y: y**5, 1.0 / 6.0),
+        (np.log, -1.0),
+        (lambda y: np.log(y) ** 2, 2.0),
+        (lambda y: y**-0.5, 2.0),
+        (lambda y: np.log1p(-y / 2), math.log(2.0) - 1.0),
+    ], ids=["power", "log", "log_squared", "inverse_sqrt", "log1p"])
+    def test_closed_forms(self, fn, want):
+        assert _null_expectation(fn) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_refuses_what_it_cannot_resolve(self):
+        # a period of ~6e-6 needs more nodes than the finest step has
+        with pytest.raises(ValueError, match="did not converge"):
+            _null_expectation(lambda y: np.cos(1e6 * y))
+
+    @pytest.mark.parametrize("delta0", DELTA0S + (0.99, 0.999))
+    def test_split_log_pdf(self, delta0):
+        # log of the density where it is normal, and finite where it underflows
+        vals, counts = least_favorable_atoms(delta0)
+        y = np.concatenate(([1e-300, 1e-10, 1e-3], np.random.default_rng(43).random(500), [1.0]))
+        got, pdf = _grouped_log_pdf(vals, counts, y), _grouped_pdf(vals, counts, y)
+        normal = pdf > 1e-300
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got[normal], np.log(pdf[normal]), rtol=1e-13, atol=1e-13)
 
 
 # Laws for the exact-sampler checks. Each alt_cdf temporary of shape
