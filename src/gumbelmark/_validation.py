@@ -53,10 +53,12 @@ def check_fraction(x: float, name: str = "fraction") -> float:
 
 def check_token_ids(tokens, vocab_size: int | None = None, name: str = "tokens"):
     """Check token ids are non-negative ints (< vocab_size when given)."""
-    toks = list(int(t) for t in tokens)
-    for t in toks:
-        if t < 0 or t >= 2**32:
-            raise ValueError(f"{name} contains id {t} outside the 4-byte range")
-        if vocab_size is not None and t >= vocab_size:
-            raise ValueError(f"{name} contains id {t} >= vocab size {vocab_size}")
+    toks = [int(t) for t in tokens]
+    bound = 2**32 if vocab_size is None else min(vocab_size, 2**32)
+    if toks and (min(toks) < 0 or max(toks) >= bound):
+        for t in toks:  # name the first bad id
+            if t < 0 or t >= 2**32:
+                raise ValueError(f"{name} contains id {t} outside the 4-byte range")
+            if vocab_size is not None and t >= vocab_size:
+                raise ValueError(f"{name} contains id {t} >= vocab size {vocab_size}")
     return toks

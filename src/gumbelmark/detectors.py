@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_unit_open
-from .pivotal import PivotSeries, _grouped_log_pdf, _grouped_pdf, _null_expectation
+from .pivotal import PivotSeries, _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
 
 S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the KL limit branch of K_s_plus
@@ -219,8 +219,8 @@ def _score_terms(y: np.ndarray, kind: ScoreKind) -> np.ndarray:
         return np.log(y)
     if kind.name == "ind":
         return (y >= kind.param).astype(float)
-    # opt: log-density of the least-favorable watermarked pivot law
-    return np.log(_grouped_pdf(*least_favorable_atoms(kind.param), y))
+    # opt: log-density of the least-favorable watermarked pivot law, in split form
+    return _grouped_log_pdf(*least_favorable_atoms(kind.param), y)
 
 
 def null_moments(kind: ScoreKind) -> tuple[float, float]:

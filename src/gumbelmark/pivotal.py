@@ -99,12 +99,13 @@ def _grouped_pdf(vals: np.ndarray, counts: np.ndarray, r):
 
 
 def _grouped_log_pdf(vals: np.ndarray, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """log ``_grouped_pdf`` at a 1-D array y, in the split form
-    e_min log y + log sum counts y**(e - e_min) with e = 1/vals - 1: the group
-    of the least exponent adds counts * y**0, so no y**e underflows into log 0."""
+    """log ``_grouped_pdf`` at an array y of any shape, in the split form
+    e_min log y + log sum counts y**(e - e_min) with e = 1/vals - 1, summed
+    over the same group-major table: the group of the least exponent adds
+    counts * y**0, so no y**e underflows into log 0."""
     expo = (1.0 - vals) / vals  # 1/vals - 1 without its cancellation as vals -> 1
-    e_min = expo.min()
-    return e_min * np.log(y) + np.log((counts[:, None] * y ** (expo - e_min)[:, None]).sum(axis=0))
+    e_min, col = expo.min(), (-1,) + (1,) * y.ndim
+    return e_min * np.log(y) + np.log((counts.reshape(col) * y ** (expo - e_min).reshape(col)).sum(axis=0))
 
 
 # Relative agreement (absolute below 1) of two successive levels that ends

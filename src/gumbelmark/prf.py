@@ -14,10 +14,12 @@ The half-step offset rules out exact 0, and the cap exact 1: 2**53 - 0.5
 would round to 2**53. So downstream logs and p-values never hit the
 boundary.
 
-``prf_vector`` (every id after one window) and ``_sequence_uniforms`` (every
-position of a sequence, for ``pivot_series``) copy a shared prefix's hash
-state per preimage and convert all 8-byte digest heads in one numpy pass;
-the floats equal ``prf_uniform``'s.
+Bulk paths hash through one kernel, ``_prefixed_uniforms``: it copies a
+shared prefix's hash state once per preimage tail and converts the 8-byte
+digest heads block by block. ``prf_vector`` and watermarked generation pass
+one window's prefix and every id's encoding (``_id_chunks``); ``pivot_series``
+passes the key and each position's window-and-token bytes. The floats equal
+``prf_uniform``'s.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import numpy as np
 MAX_KEY_LEN = 64
 _DENOM = float(1 << 53)
 _X53_MAX = (1 << 53) - 2  # the largest x53 whose float stays below 1
+# Digests ``_prefixed_uniforms`` joins at once: one join per block is cheaper
+# than growing the heads per digest, and a block holds only 32 KiB.
+DIGEST_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,25 @@ def _heads_to_unit(heads: bytes) -> np.ndarray:
     return (x53.astype(np.float64) + 0.5) / _DENOM
 
 
-def _chained_uniforms(prefix: "hashlib._Hash", packed: bytes, width: int) -> np.ndarray:
-    """One uniform per preimage prefix || packed[i : i + width], for every
-    start i = 0, 4, 8, ... whose slice lies inside ``packed``."""
-    copy, heads = prefix.copy, bytearray()
-    for i in range(0, len(packed) - width + 1, 4):
-        h = copy()
-        h.update(packed[i : i + width])
-        heads += h.digest()[:8]
+def _prefixed_uniforms(prefix: "hashlib._Hash", chunks: list[bytes]) -> np.ndarray:
+    """One uniform per preimage prefix || chunk, for each chunk in order."""
+    copy, heads = prefix.copy, np.empty(len(chunks), ">u8")
+    for start in range(0, len(chunks), DIGEST_BLOCK):
+        digests = []
+        append = digests.append
+        for chunk in chunks[start : start + DIGEST_BLOCK]:
+            h = copy()
+            h.update(chunk)
+            append(h.digest())
+        # each 32-byte digest is four big-endian words; the first is its head
+        heads[start : start + len(digests)] = np.frombuffer(b"".join(digests), ">u8")[::4]
     return _heads_to_unit(heads)
+
+
+def _id_chunks(vocab_size: int) -> list[bytes]:
+    """The 4-byte little-endian encodings of ids 0 .. vocab_size - 1."""
+    packed = np.arange(vocab_size, dtype="<u4").tobytes()
+    return [packed[i : i + 4] for i in range(0, len(packed), 4)]
 
 
 def _window_prefix(key: Key, window) -> "hashlib._Hash":
@@ -124,11 +139,12 @@ def prf_vector(key, window, vocab_size: int) -> np.ndarray:
     if ids and max(ids) >= vocab_size:
         raise ValueError("window contains token ids outside the vocabulary")
     base = _window_prefix(_as_key(key), ids)
-    return _chained_uniforms(base, np.arange(vocab_size, dtype="<u4").tobytes(), 4)
+    return _prefixed_uniforms(base, _id_chunks(vocab_size))
 
 
 def _sequence_uniforms(key, tokens, m: int) -> np.ndarray:
     """``prf_uniform(key, tokens[t - m : t], tokens[t])`` for t = m .. len - 1,
-    hashing each position's preimage key || tokens[t - m .. t] in one pass."""
-    packed = struct.pack(f"<{len(tokens)}I", *tokens)
-    return _chained_uniforms(hashlib.sha256(_as_key(key).data), packed, 4 * (m + 1))
+    each hashed as key || tokens[t - m .. t]."""
+    packed, width = struct.pack(f"<{len(tokens)}I", *tokens), 4 * (m + 1)
+    tails = [packed[i : i + width] for i in range(0, len(packed) - width + 1, 4)]
+    return _prefixed_uniforms(hashlib.sha256(_as_key(key).data), tails)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import check_ntp_dist
-from .prf import _as_key, _chained_uniforms, _window_prefix
+from .prf import _as_key, _id_chunks, _prefixed_uniforms, _window_prefix
 from .tokensource import ToySource, toy_next_dist
 
 PROMPT, WATERMARKED, SAMPLED, EDITED = "P", "W", "S", "E"
@@ -142,7 +142,8 @@ def _generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
     fallback = np.random.default_rng(cfg.seed)
     seen = _prompt_windows(prompt, cfg.m) if cfg.masking else set()
     if key is not None:
-        key, ids = _as_key(key), np.arange(source.vocab_size, dtype="<u4").tobytes()
+        # built per call, not cached: at V = 32000 the table holds ~1.5 MB
+        key, ids = _as_key(key), _id_chunks(source.vocab_size)
     for _ in range(cfg.n):
         window = tuple(tokens[-cfg.m :])
         probs = toy_next_dist(source, tokens)
@@ -153,7 +154,7 @@ def _generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
             prov.append(SAMPLED)
         else:
             # prf_vector and gumbel_decode on inputs that pass their checks
-            tok = _gumbel_argmax(probs, _chained_uniforms(_window_prefix(key, window), ids, 4))
+            tok = _gumbel_argmax(probs, _prefixed_uniforms(_window_prefix(key, window), ids))
             prov.append(WATERMARKED)
         if cfg.masking:
             seen.add(window)

@@ -22,7 +22,7 @@ from gumbelmark import (
 )
 from gumbelmark.pivotal import _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation
 from gumbelmark.tokensource import least_favorable_atoms
-from gumbelmark.prf import prf_uniform
+from gumbelmark.prf import DIGEST_BLOCK, prf_uniform
 from gumbelmark.watermark import TokenSeq
 
 from util import ks_critical, ks_distance
@@ -106,11 +106,17 @@ class TestGroupMajorDensities:
                              (alt_pdf(probs, r), last_axis_pdf(probs, r))):
                 assert np.all(np.abs(new - old) <= 4 * np.spacing(np.abs(old)))
 
-    @pytest.mark.parametrize("delta0", DELTA0S)
+    @pytest.mark.parametrize("delta0", DELTA0S + (0.99, 0.999))
     def test_opt_score_unchanged(self, delta0):
+        # the split form is log(pdf) to rounding where the density is normal,
+        # and finite where the density underflows (delta0 = 0.99, 0.999)
         y = np.random.default_rng(42).random(2000)
-        assert np.array_equal(score(y, opt(delta0)), np.log(last_axis_pdf(least_favorable(delta0), y)))
-        assert score(0.3, opt(delta0)) == float(np.log(last_axis_pdf(least_favorable(delta0), 0.3)))
+        got, pdf = score(y, opt(delta0)), last_axis_pdf(least_favorable(delta0), y)
+        normal = pdf > 1e-300
+        assert np.all(np.isfinite(got)) and normal.sum() >= 500
+        assert np.allclose(got[normal], np.log(pdf[normal]), rtol=1e-13, atol=1e-13)
+        one = score(0.3, opt(delta0))
+        assert type(one) is float and one == score(np.array([0.3]), opt(delta0))[0]
 
 
 class TestNullExpectation:
@@ -245,18 +251,20 @@ class TestPivotSeries:
     @pytest.mark.parametrize("vocab", [2, 20, 32000])
     @pytest.mark.parametrize("m", [1, 5])
     def test_matches_per_position_loop(self, vocab, m):
-        rng = np.random.default_rng(vocab + m)
-        tokens = rng.integers(0, vocab, size=150).tolist()
-        tokens[60:60 + m + 1] = tokens[10:10 + m + 1]  # a repeated (window, token) tuple
-        tokens[40:40 + m + 1] = [vocab - 1] * (m + 1)
-        tokens[-1] = vocab - 1
-        key = Key(rng.bytes(64))
-        seq = TokenSeq(tokens, ["P"] * m + ["S"] * (150 - m), m)
-        # the per-position form the bulk path replaced, kept as the oracle
-        oracle = [prf_uniform(key, tokens[t - m : t], tokens[t]) for t in range(m, len(tokens))]
-        y = pivot_series(seq, key, vocab).y
-        assert y.tolist() == oracle
-        assert y[60] == y[10]  # position t scores tokens[t - m .. t], at index t - m
+        # the long sequence scores two full digest blocks and 3 more positions
+        for length in (150, 2 * DIGEST_BLOCK + m + 3):
+            rng = np.random.default_rng(vocab + m)
+            tokens = rng.integers(0, vocab, size=length).tolist()
+            tokens[60:60 + m + 1] = tokens[10:10 + m + 1]  # a repeated (window, token) tuple
+            tokens[40:40 + m + 1] = [vocab - 1] * (m + 1)
+            tokens[-1] = vocab - 1
+            key = Key(rng.bytes(64))
+            seq = TokenSeq(tokens, ["P"] * m + ["S"] * (length - m), m)
+            # the per-position form the bulk path replaced, kept as the oracle
+            oracle = [prf_uniform(key, tokens[t - m : t], tokens[t]) for t in range(m, len(tokens))]
+            y = pivot_series(seq, key, vocab).y
+            assert y.tolist() == oracle
+            assert y[60] == y[10]  # position t scores tokens[t - m .. t], at index t - m
 
     def test_vocab_overflow(self):
         key, _, seq = self.make_seq()
@@ -266,6 +274,11 @@ class TestPivotSeries:
             seq = TokenSeq([1, 2, 3, bad], ["P", "S", "S", "S"], 1)
             with pytest.raises(ValueError):
                 pivot_series(seq, key, 2**33)
+        # the message names the first bad id, here one past the vocabulary
+        # and ahead of one outside the 4-byte range
+        seq = TokenSeq([1, 2, 7, 3, 2**32], ["P", "S", "S", "S", "S"], 1)
+        with pytest.raises(ValueError, match=r"contains id 7 >= vocab size 5"):
+            pivot_series(seq, key, 5)
 
     def test_from_y(self):
         piv = PivotSeries.from_y([0.25, 0.75])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gumbelmark import Key, prf_uniform, prf_vector
-from gumbelmark.prf import _digest_to_unit, _heads_to_unit
+from gumbelmark.prf import DIGEST_BLOCK, _digest_to_unit, _heads_to_unit
 
 from util import ks_critical, ks_distance
 
@@ -56,6 +56,12 @@ def test_large_vocab_vector_matches_scalar():
     ids = np.random.default_rng(3).choice(32000, size=48, replace=False).tolist() + [0, 31999]
     for w in ids:
         assert vec[w] == prf_uniform(key, window, w)
+    # vocabularies that end just before, at and just after a digest block edge
+    for vocab in (DIGEST_BLOCK - 1, DIGEST_BLOCK, DIGEST_BLOCK + 1):
+        vec = prf_vector(key, [0, 1, 0, 1, 0], vocab)
+        assert vec.shape == (vocab,)
+        for w in {0, DIGEST_BLOCK - 1, DIGEST_BLOCK, vocab - 1} & set(range(vocab)):
+            assert vec[w] == prf_uniform(key, [0, 1, 0, 1, 0], w)
 
 
 def test_bulk_conversion_is_the_scalar_rule():
