@@ -11,7 +11,7 @@ comes from a Poisson counting recursion, conditioned on the count of
 p-values below c+ (``null_sf``). ``critical_value`` solves null_sf = alpha
 by Brent's method on log c in 7-9 passes of the recursion (20-55 ms at n = 395
 and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised per process
-on (null law, n, alpha): a separate CLI process pays those passes again.
+on (detector, n, alpha): a separate CLI process pays those passes again.
 
 Sum rules instead use the CLT threshold
 
@@ -335,20 +335,12 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
         raise ValueError(f"need n >= {least}, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return _critical_value(_null_law(detector), n, float(alpha))
-
-
-def _null_law(detector: Detector) -> tuple:
-    """(family, s, c+), (family, c+) or (family, score kind): the memo key with n and alpha."""
-    for family, params in ((TrGoF, ("s", "c_plus")), (HigherCriticism, ("c_plus",)), (SumScore, ("kind",))):
-        if isinstance(detector, family):
-            return (family, *(getattr(detector, p) for p in params))
-    raise TypeError(f"no null law for {type(detector).__name__}")
+    return _critical_value(detector, n, float(alpha))
 
 
 @functools.lru_cache(maxsize=CRITICAL_MEMO_SIZE)
-def _critical_value(law: tuple, n: int, alpha: float) -> float:
-    detector = law[0](*law[1:])  # a solve that raises is not memoised
+def _critical_value(detector: Detector, n: int, alpha: float) -> float:
+    """``critical_value`` past its guards; a solve that raises is not memoised."""
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
         return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)

@@ -240,7 +240,7 @@ def cmd_detect(args) -> int:
     detector = _build_detector(args, piv.n)
     t2 = time.perf_counter()
     if args.calibrate:
-        detector.fit(piv.n, alpha=args.alpha)
+        detector = detector.fit(piv.n, alpha=args.alpha)
     t3 = time.perf_counter()
     statistic = detector.statistic(piv)
     # a tail within rounding error e of 0 is reported as its bound, p <= 2 e

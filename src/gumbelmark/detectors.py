@@ -18,18 +18,17 @@ Two families are provided.
   Scores: ars(y) = -log(1-y), log(y), the indicator 1{y >= delta}, and the
   least-favorable log-density log f_P*(y) for a singularity guess Delta0.
 
-Detector objects follow the familiar estimator surface: constructor
-parameters are stored as-is, ``fit`` sets ``critical_value`` from the null
-law (``calibrate.critical_value``, the one module that knows the null laws),
-``statistic`` returns the statistic, and ``predict`` returns the reject
-decision.
+Detector objects are frozen dataclasses: the fields are the null law's
+parameters plus ``critical_value``, which equality and hashing ignore. ``fit``
+returns a copy with ``critical_value`` from the null law
+(``calibrate.critical_value``, the one module that knows the null laws),
+``statistic`` returns the statistic, and ``predict`` the reject decision.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -114,6 +113,11 @@ def _as_pvalues(series) -> np.ndarray:
     return np.clip(p, _P_CLIP_LO, _P_CLIP_HI)
 
 
+def _check_c_plus(c_plus: float) -> None:
+    if not 0.0 <= c_plus <= 1.0:
+        raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
+
+
 def _clip_pivots(y) -> np.ndarray:
     """Pivots as floats in [1 - _P_CLIP_HI, _P_CLIP_HI]: the one clip of the sum rules."""
     return np.clip(np.asarray(y, dtype=float), 1.0 - _P_CLIP_HI, _P_CLIP_HI)
@@ -143,8 +147,7 @@ def trgof_stat(series, s: float, c_plus: float):
     taken along the last axis, a float for one series and an array of
     ``rows`` values for a block. Returns 0 when every term truncates to 0.
     """
-    if not 0.0 <= c_plus <= 1.0:
-        raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
+    _check_c_plus(c_plus)
     p = _as_pvalues(series)
     ps, u, admissible = _sorted_terms(p, c_plus)
     vals = _k_s_plus_terms(u, ps, s)
@@ -160,8 +163,7 @@ def hc_plus(series, c_plus: float):
     (p_(n+1) = 1) and its deviation is positive, so the maximum exists and
     is positive for any p-value vector.
     """
-    if not 0.0 <= c_plus <= 1.0:
-        raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
+    _check_c_plus(c_plus)
     p = _as_pvalues(series)
     n = p.shape[-1]
     ps, u, admissible = _sorted_terms(p, c_plus)
@@ -248,23 +250,13 @@ def null_moments(kind: ScoreKind) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 class Detector:
-    """Base detector: estimator-style params plus statistic/predict.
+    """Base detector: statistic/predict over pivots, fit from the null law.
 
     Detector objects uniformly take pivots (a PivotSeries or a raw array of
     pivot values y); the module-level functions instead follow each test's
     native convention (p-values for the goodness-of-fit family, pivots for
     the sum rules).
     """
-
-    def get_params(self) -> dict:
-        names = [p for p in inspect.signature(type(self).__init__).parameters if p != "self"]
-        return {name: getattr(self, name) for name in names}
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
-    # -- statistic / decision -------------------------------------------------
 
     def statistic(self, series):
         """The test statistic of pivots of shape (n,) or (rows, n): a float
@@ -274,7 +266,7 @@ class Detector:
     @property
     def threshold(self) -> float:
         if self.critical_value is None:
-            raise ValueError("no critical value: call fit() or set critical_value")
+            raise ValueError("no critical value: call fit() or pass critical_value")
         return float(self.critical_value)
 
     def predict(self, series) -> bool:
@@ -282,75 +274,67 @@ class Detector:
         return bool(self.statistic(series) >= self.threshold)
 
     def fit(self, n: int, alpha: float = 0.01):
-        """Set ``critical_value`` for length-n null series at level alpha
-        (``calibrate.critical_value``) and return the detector."""
+        """A copy calibrated for length-n null series at level alpha (``calibrate.critical_value``)."""
         from .calibrate import critical_value
 
-        self.critical_value = critical_value(self, n, alpha)
-        return self
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
+        return replace(self, critical_value=critical_value(self, n, alpha))
 
 
+def _as_pivot_series(series) -> PivotSeries:
+    """Pivots y as a PivotSeries, whose p-values 1 - y the goodness-of-fit statistics take."""
+    return series if isinstance(series, PivotSeries) else PivotSeries.from_y(series)
+
+
+@dataclass(frozen=True)
 class TrGoF(Detector):
     """Truncated goodness-of-fit detector S_n_plus(s)."""
 
-    def __init__(self, s: float = 2.0, c_plus: float = 0.0, critical_value: float | None = None):
-        if not -1.0 <= s <= 2.0:
-            raise ValueError(f"s must lie in [-1, 2], got {s!r}")
-        if not 0.0 <= c_plus <= 1.0:
-            raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
-        self.s = float(s)
-        self.c_plus = float(c_plus)
-        self.critical_value = critical_value
+    s: float = 2.0
+    c_plus: float = 0.0
+    critical_value: float | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not -1.0 <= self.s <= 2.0:
+            raise ValueError(f"s must lie in [-1, 2], got {self.s!r}")
+        _check_c_plus(self.c_plus)
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "c_plus", float(self.c_plus))
 
     def statistic(self, series):
-        if not isinstance(series, PivotSeries):
-            series = PivotSeries.from_y(np.asarray(series, dtype=float))
-        return trgof_stat(series, self.s, self.c_plus)
+        return trgof_stat(_as_pivot_series(series), self.s, self.c_plus)
 
     def to_config(self) -> dict:
-        return {
-            "kind": "trgof",
-            "s": self.s,
-            "c_plus": self.c_plus,
-            "critical_value": self.critical_value,
-        }
+        return {"kind": "trgof", **asdict(self)}
 
 
+@dataclass(frozen=True)
 class HigherCriticism(Detector):
     """HC_n_plus, the s = 2 member on the square-root scale."""
 
-    def __init__(self, c_plus: float = 0.0, critical_value: float | None = None):
-        if not 0.0 <= c_plus <= 1.0:
-            raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
-        self.c_plus = float(c_plus)
-        self.critical_value = critical_value
+    c_plus: float = 0.0
+    critical_value: float | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        _check_c_plus(self.c_plus)
+        object.__setattr__(self, "c_plus", float(self.c_plus))
 
     def statistic(self, series):
-        if not isinstance(series, PivotSeries):
-            series = PivotSeries.from_y(np.asarray(series, dtype=float))
-        return hc_plus(series, self.c_plus)
+        return hc_plus(_as_pivot_series(series), self.c_plus)
 
     def to_config(self) -> dict:
-        return {
-            "kind": "hc",
-            "c_plus": self.c_plus,
-            "critical_value": self.critical_value,
-        }
+        return {"kind": "hc", **asdict(self)}
 
 
+@dataclass(frozen=True)
 class SumScore(Detector):
     """Sum rule T_h for one of the score kinds."""
 
-    def __init__(self, kind: ScoreKind = ARS, critical_value: float | None = None):
-        if not isinstance(kind, ScoreKind):
+    kind: ScoreKind = ARS
+    critical_value: float | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.kind, ScoreKind):
             raise ValueError("kind must be a ScoreKind")
-        self.kind = kind
-        self.critical_value = critical_value
 
     def statistic(self, series):
         y = _clip_pivots(series.y if isinstance(series, PivotSeries) else series)

@@ -68,6 +68,10 @@ class MixtureConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"need n >= 2, got {self.n}")
+        if self.trials < 1:
+            raise ValueError(f"need trials >= 1, got {self.trials}")
         if not 0.0 <= self.p <= 1.0 or not 0.0 <= self.q <= 1.0:
             raise ValueError("exponents p, q must lie in [0, 1]")
         if self.ntp_mode not in NTP_MODES:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import warnings
@@ -176,9 +177,10 @@ class TestMcCritical:
     def test_fit_sets_fitted_value(self):
         for det in (TrGoF(s=2.0, c_plus=0.02), HigherCriticism(c_plus=0.02), SumScore(ARS)):
             want = critical_value(det, 40, 0.1)
-            assert det.fit(40, alpha=0.1) is det
-            assert det.critical_value == det.threshold == want
-            assert det.to_config()["critical_value"] == want
+            fitted = det.fit(40, alpha=0.1)
+            assert fitted == det and fitted is not det and det.critical_value is None
+            assert fitted.critical_value == fitted.threshold == want
+            assert fitted.to_config()["critical_value"] == want
 
 
 def gof_detectors(c_plus_values):
@@ -406,13 +408,29 @@ class TestMemo:
             first = critical_value(det, 195, 0.01)
             solved = passes[0]
             # a fresh detector of the same law, with numpy n and alpha, hits the memo
-            twin = type(det)(**{k: v for k, v in det.get_params().items() if k != "critical_value"})
+            twin = dataclasses.replace(det)
             again = critical_value(twin, np.int64(195), np.float64(0.01))
             assert type(again) is float and again.hex() == first.hex()
             assert twin.fit(195, 0.01).critical_value.hex() == first.hex()
             assert passes[0] == solved
         info = calibrate._critical_value.cache_info()
         assert (info.hits, info.misses) == (6, 3)
+
+    def test_detector_is_its_own_key(self, monkeypatch):
+        # a frozen detector whose equality and hash ignore critical_value
+        det = TrGoF(s=1.0, c_plus=1 / 195)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            det.s = 2.0
+        fitted = det.fit(195, 0.01)
+        assert det.critical_value is None and fitted.critical_value is not None
+        assert fitted == det and hash(fitted) == hash(det)
+        assert TrGoF(s=1.0, c_plus=1 / 195, critical_value=3.0) == det != TrGoF(s=2.0, c_plus=1 / 195)
+        # equal detectors built apart (int s, a set critical value) share one memo entry
+        passes = count_law_passes(monkeypatch)
+        for twin in (TrGoF(s=1, c_plus=1 / 195), TrGoF(s=1.0, c_plus=1 / 195, critical_value=0.5), fitted):
+            assert critical_value(twin, 195, 0.01) == fitted.critical_value
+        assert passes[0] == 0
+        assert calibrate._critical_value.cache_info().currsize == 1
 
     def test_keys_never_collide(self):
         # one case per key field: alpha, n, c+, s, HC against TrGoF s = 2 at

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -269,7 +270,7 @@ class TestDetectorObjects:
     def test_get_set_params(self):
         # parameters are read back, never set after construction
         det = TrGoF(s=1.5, c_plus=0.001)
-        assert det.get_params() == {"s": 1.5, "c_plus": 0.001, "critical_value": None}
+        assert dataclasses.asdict(det) == {"s": 1.5, "c_plus": 0.001, "critical_value": None}
         assert repr(det) == "TrGoF(s=1.5, c_plus=0.001, critical_value=None)"
         assert not hasattr(det, "set_params")
 

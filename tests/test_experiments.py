@@ -80,6 +80,14 @@ class TestMixtureConfig:
             MixtureConfig(n=100, p=0.2, q=0.01, vocab_size=2)
         MixtureConfig(n=100, p=0.2, q=0.2, vocab_size=2)  # ok
 
+    def test_degenerate_length_and_trials(self):
+        # n < 2 has no q floor (log n = 0) and no trials leaves no statistics
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="need n >= 2"):
+                MixtureConfig(n=n, p=0.5, q=0.5, vocab_size=10)
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            MixtureConfig(n=100, p=0.5, q=0.5, vocab_size=10, trials=0)
+
     def test_derived_quantities(self):
         cfg = MixtureConfig(n=100, p=1.0, q=0.5, vocab_size=10)
         assert cfg.n_signal == 1  # ceil(100 * 0.01)
