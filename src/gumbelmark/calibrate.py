@@ -4,12 +4,13 @@ This module is the one place that knows the null law of each detector.
 ``critical_value(detector, n, alpha)`` calibrates every detector and
 ``null_sf`` gives every p-value; ``Detector.fit`` and the CLI go through them.
 
-The goodness-of-fit statistics are calibrated exactly. Under the null the
-law of S_n^+(s) and HC_n^+ depends only on (n, s, c+): {S < c} is the event
-that the uniform order statistics stay above a boundary, and its probability
-comes from a Poisson counting recursion, conditioned on the count of
-p-values below c+ (``null_sf``). ``critical_value`` solves null_sf = alpha
-by Brent's method on log c in 7-9 passes of the recursion (20-55 ms at n = 395
+The goodness-of-fit statistics are calibrated exactly. Under the null
+{S_n^+(s) < c} and {HC_n^+ < c} are events that the uniform order statistics
+stay above a boundary fixed by (n, s, c). ``null_sf`` is the one map from a
+detector to its boundary, and ``_crossing_law`` the one engine that gives the
+probability of such an event: a Poisson counting recursion, conditioned on
+the count of p-values below c+. ``critical_value`` solves null_sf = alpha by
+Brent's method on log c in 7-9 passes of the recursion (20-55 ms at n = 395
 and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised per process
 on (detector, n, alpha): a separate CLI process pays those passes again.
 
@@ -63,6 +64,9 @@ BAND_FLOOR = 1e-290
 BINOMIAL_TAIL = 1e-20
 CRITICAL_RTOL = 1e-10
 CRITICAL_MEMO_SIZE = 4096  # the most critical values the memo holds
+# The least alpha critical_value takes, in units of null_sf_error: at n = 30 the
+# size solved for alpha = 1e-11 is 0.1% off the tail's 1/c asymptote, at 1e-13 9%.
+ALPHA_FLOOR_ERRORS = 100.0
 
 
 def empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -169,25 +173,22 @@ def _k_s_plus_log_slope(u: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
     return (p * ((1.0 - u) / (1.0 - p)) ** s - u * (u / p) ** (s - 1.0)) / s
 
 
-def _trgof_cdf(s: float, c_plus: float, n: int):
-    """The function c -> P0(S_n^+(s) < c) for n i.i.d. U(0, 1) p-values.
-
-    With J = #{p < c+} ~ Bin(n, c+) the admissible set is {t >= max(J, 1)},
-    so {S < c} is {p_(t) > b_t for every t >= max(J, 1)}. Given J the points
-    below c+ are i.i.d. U(0, c+) and the n - J points above are i.i.d.
-    U(c+, 1), independent of each other:
+def _crossing_law(b: np.ndarray, c_plus: float) -> float:
+    """P0(p_(t) > b_t for every admissible t) for n = b.size i.i.d. U(0, 1)
+    p-values, where J = #{p < c+} ~ Bin(n, c+) admits t >= max(J, 1). Given J
+    the points below c+ are i.i.d. U(0, c+) and the n - J points above are
+    i.i.d. U(c+, 1), independent of each other:
 
     * the t = J term asks that the largest point below c+ exceed b_J, with
       probability 1 - (min(b_J, c+) / c+)**J;
-    * the points above c+, counted from the top, must satisfy
-      p_(n-k) > b_(n-k) for k = 0 .. n - J - 1, boundaries that do not
-      depend on J (``_upper_no_crossing``).
+    * the points above c+, counted from the top, must satisfy p_(n-k) >
+      b_(n-k) for k < n - J, boundaries free of J (``_upper_no_crossing``).
 
-    b_t is nondecreasing in t except at t = n for s <= 0, where the term
-    truncates to 0; its running maximum gives the same event whenever the
-    constraints include t = n - 1, i.e. for every J < n. J = n keeps the raw
-    b_n.
+    b must be nondecreasing except that b_n may drop (TrGoF's t = n term is 0
+    for s <= 0). Its running maximum gives the same event whenever the
+    constraints include t = n - 1, i.e. for every J < n; J = n keeps the raw b_n.
     """
+    n = b.size
     logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     if c_plus <= 0.0:
         j, weight = np.zeros(1, dtype=int), np.ones(1)
@@ -198,22 +199,14 @@ def _trgof_cdf(s: float, c_plus: float, n: int):
         log_w = logfact[n] - logfact[j] - logfact[n - j] + j * math.log(c_plus) + (n - j) * math.log1p(-c_plus)
         j = j[log_w > math.log(BINOMIAL_TAIL)]
         weight = np.exp(log_w[j])
-    below = j >= 1
-
-    def cdf(c: float) -> float:
-        if c <= 0.0:
-            return 0.0
-        b = _boundary(s, n, c)
-        b_run = np.maximum.accumulate(b)
-        first = np.ones(j.size)
-        if below.any():
-            b_j = np.append(b_run[:-1], b[-1])[j[below] - 1]
-            with np.errstate(divide="ignore"):
-                first[below] = -np.expm1(j[below] * np.log(np.minimum(b_j, c_plus) / c_plus))
-        upper = _upper_no_crossing(b_run, c_plus, n - int(j[0]), logfact)
-        return float(np.sum(weight * first * upper[n - j]))
-
-    return cdf
+    b_run = np.maximum.accumulate(b)
+    first, below = np.ones(j.size), j >= 1
+    if below.any():
+        b_j = np.append(b_run[:-1], b[-1])[j[below] - 1]
+        with np.errstate(divide="ignore"):
+            first[below] = -np.expm1(j[below] * np.log(np.minimum(b_j, c_plus) / c_plus))
+    upper = _upper_no_crossing(b_run, c_plus, n - int(j[0]), logfact)
+    return float(np.sum(weight * first * upper[n - j]))
 
 
 def _upper_no_crossing(b_run: np.ndarray, c_plus: float, m_max: int, logfact: np.ndarray) -> np.ndarray:
@@ -264,27 +257,12 @@ def _upper_no_crossing(b_run: np.ndarray, c_plus: float, m_max: int, logfact: np
     return out
 
 
-def _gof_cdf(detector: Detector, n: int):
-    """c -> P0(statistic < c) for a TrGoF or HigherCriticism detector.
-
-    HC_n^+ > 0 always, and for c > 0 {HC < c} = {n S_n^+(2) < c**2 / 2}.
-    """
-    if isinstance(detector, HigherCriticism):
-        cdf2 = _trgof_cdf(2.0, detector.c_plus, n)
-        return lambda c: cdf2(c * c / (2.0 * n)) if c > 0.0 else 0.0
-    if isinstance(detector, TrGoF):
-        return _trgof_cdf(detector.s, detector.c_plus, n)
-    raise TypeError(f"no exact null law for {type(detector).__name__}")
-
-
 def null_sf(detector: Detector, n: int, c: float) -> float:
-    """P0(statistic >= c) for a length-n null series: the p-value of an
-    observed statistic c.
-
-    Exact for TrGoF and HigherCriticism (see ``_trgof_cdf``) up to an
-    absolute rounding error below ``null_sf_error``, so smaller tails can read
-    as 0. For a SumScore it is the CLT normal tail that ``critical_value``
-    inverts.
+    """P0(statistic >= c) for a length-n null series, the p-value of an
+    observed statistic c: the CLT normal tail for a SumScore, else exact up to
+    an absolute rounding error below ``null_sf_error`` (smaller tails can read
+    as 0). {S_n^+(s) < c} is {p_(t) > b_t(c) for every admissible t}
+    (``_boundary``), and HC_n^+ > 0 with {HC < c} = {n S_n^+(2) < c**2 / 2} for c > 0.
     """
     n = int(n)
     if n < 1:
@@ -293,7 +271,15 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
         return 0.5 * math.erfc((c - n * mean) / math.sqrt(2.0 * n * var))
-    return min(max(1.0 - _gof_cdf(detector, n)(c), 0.0), 1.0)
+    if isinstance(detector, HigherCriticism):
+        s, c = 2.0, c * abs(c) / (2.0 * n)  # keeps the sign of c, so c <= 0 still reads 1
+    elif isinstance(detector, TrGoF):
+        s = detector.s
+    else:
+        raise TypeError(f"no exact null law for {type(detector).__name__}")
+    if c <= 0.0:
+        return 1.0
+    return min(max(1.0 - _crossing_law(_boundary(s, n, c), detector.c_plus), 0.0), 1.0)
 
 
 def null_sf_error(detector: Detector, n: int) -> float:
@@ -325,9 +311,10 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     log(null_sf / alpha) (inverse quadratic steps, bisection safeguard, no
     step below CRITICAL_RTOL / 2) until the bracket is narrower than
     CRITICAL_RTOL of its upper end; the end with null_sf < alpha is returned.
-    If 8**21 = 2**63 times the scale gives no bracket, alpha lies below the
-    accuracy of the law (see ``null_sf``): ValueError. If null_sf < alpha even
-    at 8**-21 times the scale, that point is returned. Memoised per process.
+    An alpha below ALPHA_FLOOR_ERRORS null_sf_error, or one that 8**21 = 2**63
+    times the scale does not bracket, lies below the law's accuracy:
+    ValueError. If null_sf < alpha even at 8**-21 times the scale, that point
+    is returned. Memoised per process.
     """
     n = int(n)
     least = 1 if isinstance(detector, SumScore) else 3
@@ -335,6 +322,10 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
         raise ValueError(f"need n >= {least}, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    floor = ALPHA_FLOOR_ERRORS * null_sf_error(detector, n)
+    if alpha < floor:
+        raise ValueError(f"alpha = {alpha!r} lies below the accuracy of the exact null law at n = {n}: "
+                         f"the least alpha is {floor:.3g}")
     return _critical_value(detector, n, float(alpha))
 
 
@@ -344,11 +335,10 @@ def _critical_value(detector: Detector, n: int, alpha: float) -> float:
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
         return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)
-    cdf = _gof_cdf(detector, n)
     log_alpha = math.log(alpha)
 
     def excess(x: float) -> float:
-        return math.log(max(1.0 - cdf(math.exp(x)), 1e-300)) - log_alpha
+        return math.log(max(null_sf(detector, n, math.exp(x)), 1e-300)) - log_alpha
 
     x_cur = 0.0 if isinstance(detector, HigherCriticism) else -math.log(n)
     g_cur = excess(x_cur)

@@ -137,7 +137,7 @@ def _load_seq(path: str) -> TokenSeq:
             return TokenSeq.from_json(fh.read())
     except FileNotFoundError as exc:
         raise UsageError(f"no such file: {path}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"bad token sequence file {path}: {exc}") from exc
 
 

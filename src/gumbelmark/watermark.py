@@ -63,6 +63,9 @@ class TokenSeq:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("a token sequence must be a JSON object")
+        for field in ("tokens", "provenance", "m"):
+            if field not in obj:
+                raise ValueError(f"missing field {field!r}")
         tokens, provenance, m = obj["tokens"], obj["provenance"], obj["m"]
         # bool is an int subclass; ids and m must be JSON integers, not true or 1.5
         if not isinstance(tokens, list) or any(type(t) is not int for t in tokens):

@@ -22,10 +22,11 @@ from gumbelmark import (
 )
 from gumbelmark import calibrate
 from gumbelmark.calibrate import (
+    ALPHA_FLOOR_ERRORS,
     CRITICAL_RTOL,
     MC_BLOCK_VALUES,
     _boundary,
-    _gof_cdf,
+    _crossing_law,
     _upper_no_crossing,
     empirical_quantile,
     null_sf_error,
@@ -269,13 +270,27 @@ class TestExactNull:
     @pytest.mark.parametrize("s", [1.0, 0.5])
     def test_rounding_error_bound(self, s, n):
         # 10-1000x past the alpha = 1e-9 critical value the tail is negligible,
-        # so 1 - cdf is rounding, which must stay within null_sf_error
+        # so 1 - cdf is rounding, of either sign, which must stay within null_sf_error
         det = TrGoF(s=s, c_plus=1.0 / n)
-        cdf = _gof_cdf(det, n)
         far = critical_value(det, n, 1e-9) * np.geomspace(10.0, 1000.0, 12)
         err = null_sf_error(det, n)
-        assert all(abs(1.0 - cdf(c)) <= err for c in far)
+        assert all(abs(1.0 - _crossing_law(_boundary(s, n, c), det.c_plus)) <= err for c in far)
         assert null_sf_error(SumScore(ARS), n) == 0.0
+
+    def test_alpha_below_accuracy_is_refused(self):
+        # alpha = 1e-20 at n = 30 once solved to c = 6.7e11, where 1 - cdf is
+        # rounding noise and the true size is ~9.3e-15
+        det = TrGoF(s=2.0, c_plus=1 / 30)
+        floor = ALPHA_FLOOR_ERRORS * null_sf_error(det, 30)
+        with pytest.raises(ValueError, match="accuracy") as exc:
+            critical_value(det, 30, 1e-20)
+        assert f"{floor:.3g}" in str(exc.value)
+        # at the floor the solved size still matches the tail's 1/c asymptote
+        tail = 1e6 * null_sf(det, 30, 1e6)
+        assert tail / critical_value(det, 30, floor) == pytest.approx(floor, rel=0.005)
+        # alpha = 1e-9 stays legal up to n = 400 (floor 2.1e-10); sum rules have no floor
+        assert ALPHA_FLOOR_ERRORS * null_sf_error(det, 400) < 1e-9
+        assert null_sf_error(SumScore(ARS), 30) == 0.0 and math.isfinite(critical_value(SumScore(ARS), 30, 1e-15))
 
     def test_sum_rule_tail_is_the_clt_tail(self):
         assert null_sf(SumScore(ARS), 400, critical_value(SumScore(ARS), 400, 0.01)) == pytest.approx(0.01, rel=1e-9)
@@ -365,6 +380,40 @@ class TestExactNull:
             else:
                 assert abs(got - want) <= 1e-12 * want, (det, n, rule, got / want - 1.0)
 
+    # null_sf(...).hex() at the alpha = 0.01 critical value and at 4x it, in
+    # that order for each of the columns of GOLDEN (TrGoF s = 2, 1, 0.5, -1
+    # and HC), recorded before the exact law was split into _crossing_law
+    SF_GOLDEN = {
+        (57, "0"): ("0x1.47ae147ae0000p-7", "0x1.42cd0af1c3500p-9", "0x1.47ae147948200p-7", "0x1.e900000000000p-34",
+                    "0x1.47ae147ad0280p-7", "0x1.2d99000000000p-29", "0x1.47ae147ad0280p-7", "0x1.b40ddfe6b8000p-16",
+                    "0x1.47ae147a55680p-7", "0x1.41a2681f7ec00p-11"),
+        (57, "1/n"): ("0x1.47ae147a9d840p-7", "0x1.1e3890e4a9800p-9", "0x1.47ae147947980p-7", "0x1.337bb00000000p-33",
+                      "0x1.47ae147acbc40p-7", "0x1.2d99650000000p-29", "0x1.47ae147ace480p-7", "0x1.b40ddfe1e8000p-16",
+                      "0x1.47ae147ade400p-7", "0x1.1694b77013400p-11"),
+        (57, "0.3"): ("0x1.47ae147ae1000p-7", "0x1.bf18362000000p-26", "0x1.47ae147ae0780p-7", "0x1.198df00000000p-31",
+                      "0x1.47ae14799b780p-7", "0x1.315c5c0000000p-29", "0x1.47ae147ace5c0p-7", "0x1.b40dfce878000p-16",
+                      "0x1.47ae147851700p-7", "0x1.fd9a000000000p-37"),
+        (400, "0"): ("0x1.47ae147a84ec0p-7", "0x1.42ab88f47ee00p-9", "0x1.47ae147ac4480p-7", "0x1.3a00000000000p-35",
+                     "0x1.47ae147ac4480p-7", "0x1.87ec000000000p-28", "0x1.47ae147a25e00p-7", "0x1.5f734e1f28000p-15",
+                     "0x1.47ae147a45900p-7", "0x1.4179fcad63c00p-11"),
+        (400, "1/n"): ("0x1.47ae147a9f980p-7", "0x1.1d57be22a8c00p-9", "0x1.47ae147927340p-7", "0x1.7a5e400000000p-35",
+                       "0x1.47ae147aad780p-7", "0x1.87f4680000000p-28", "0x1.47ae147ae01c0p-7", "0x1.5f734e5300000p-15",
+                       "0x1.47ae147aaf8c0p-7", "0x1.15b251c0efc00p-11"),
+        (400, "0.3"): ("0x1.47ae147adc200p-7", "0x1.569a430000000p-29", "0x1.47ae147adea00p-7", "0x1.c40e900000000p-33",
+                       "0x1.47ae147a9f280p-7", "0x1.92ff890000000p-28", "0x1.47ae147a1e200p-7", "0x1.5f73574d08000p-15",
+                       "0x1.47ae1477ff140p-7", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("n, rule", sorted(SF_GOLDEN))
+    def test_golden_p_values(self, n, rule):
+        c_plus = {"0": 0.0, "1/n": 1.0 / n, "0.3": 0.3}[rule]
+        dets = [TrGoF(s=s, c_plus=c_plus) for s in (2.0, 1.0, 0.5, -1.0)] + [HigherCriticism(c_plus=c_plus)]
+        got = []
+        for det in dets:
+            crit = critical_value(det, n, 0.01)
+            got += [null_sf(det, n, crit).hex(), null_sf(det, n, 4.0 * crit).hex()]
+        assert got == list(self.SF_GOLDEN[n, rule])
+
     @pytest.mark.parametrize("n", [57, 195, 400])
     def test_solver_matches_illinois_oracle(self, n):
         # every critical value rejects at most alpha and lies within
@@ -451,7 +500,7 @@ class TestMemo:
         det = TrGoF(s=2.0, c_plus=0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="accuracy"):
-                critical_value(det, 50, 1e-300)
+                calibrate._critical_value(det, 50, 1e-300)  # past the alpha floor: no bracket
         assert calibrate._critical_value.cache_info().currsize == 0
 
 

@@ -256,6 +256,18 @@ class TestDetect:
         assert err.count("\n") == 1 and "n >= 3" in err
         assert "Traceback" not in err
 
+    def test_alpha_below_accuracy_is_refused(self, tmp_path, capsys):
+        # 30 scored positions: alpha = 1e-30 lies far below what the exact law resolves
+        seq = str(tmp_path / "seq.json")
+        assert run("generate", "--key", KEY, "--n", "30", "--m", "5", "--seed", "1", "--out", seq) == 0
+        capsys.readouterr()
+        assert run("detect", "--in", seq, "--key", KEY, "--vocab-size", "20", "--calibrate", "--alpha", "1e-30",
+                   "--out", str(tmp_path / "v.json")) == 3
+        assert run("calibrate", "--n", "30", "--alpha", "1e-30", "--out", str(tmp_path / "c.json")) == 2
+        err = capsys.readouterr().err
+        assert err.count("accuracy") == 2 and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "v.json") and not os.path.exists(tmp_path / "c.json")
+
     @pytest.mark.parametrize("vocab", [(), ("--vocab-size", "20")], ids=["inferred_vocab", "given_vocab"])
     def test_empty_sequence_is_data_error(self, tmp_path, capsys, vocab):
         empty = tmp_path / "empty.json"
@@ -288,19 +300,22 @@ class TestDetect:
         assert run("detect", "--in", str(tmp_path / "nope.json"), "--key", KEY,
                    "--critical-value", "1", "--out", out) == 2
 
-    @pytest.mark.parametrize("text", [
-        "[1, 2, 3]",
-        "null",
-        '{"tokens": 5, "provenance": [], "m": 1}',
-        '{"tokens": [1, 2, 3], "provenance": 7, "m": 1}',
-        '{"tokens": [1, 2, 1.5], "provenance": ["P", "S", "S"], "m": 1}',
-        '{"tokens": [1, 2, true], "provenance": ["P", "S", "S"], "m": 1}',
-        '{"tokens": [1, 2, 3], "provenance": ["P", "S", 0], "m": 1}',
-        '{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"], "m": 1.0}',
-        '{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"], "m": -1}',
+    @pytest.mark.parametrize("text, reason", [
+        ("[1, 2, 3]", "a token sequence must be a JSON object"),
+        ("null", "a token sequence must be a JSON object"),
+        ('{"tokens": 5, "provenance": [], "m": 1}', "tokens must be a list of integers"),
+        ('{"tokens": [1, 2, 3], "provenance": 7, "m": 1}', "provenance must be a list of strings"),
+        ('{"tokens": [1, 2, 1.5], "provenance": ["P", "S", "S"], "m": 1}', "tokens must be a list of integers"),
+        ('{"tokens": [1, 2, true], "provenance": ["P", "S", "S"], "m": 1}', "tokens must be a list of integers"),
+        ('{"tokens": [1, 2, 3], "provenance": ["P", "S", 0], "m": 1}', "provenance must be a list of strings"),
+        ('{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"], "m": 1.0}', "m must be a non-negative integer"),
+        ('{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"], "m": -1}', "m must be a non-negative integer"),
+        ('{"provenance": ["P", "S", "S"], "m": 1}', "missing field 'tokens'"),
+        ('{"tokens": [1, 2, 3], "m": 1}', "missing field 'provenance'"),
+        ('{"tokens": [1, 2, 3], "provenance": ["P", "S", "S"]}', "missing field 'm'"),
     ], ids=["list", "null", "int_tokens", "int_provenance", "float_id", "bool_id", "int_flag",
-            "float_m", "negative_m"])
-    def test_wrong_shape_file_is_data_error(self, tmp_path, capsys, text):
+            "float_m", "negative_m", "no_tokens", "no_provenance", "no_m"])
+    def test_wrong_shape_file_is_data_error(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert run("detect", "--in", str(bad), "--key", KEY, "--critical-value", "1",
@@ -308,7 +323,7 @@ class TestDetect:
         assert run("edit", "--in", str(bad), "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20",
                    "--out", str(tmp_path / "e.json")) == 3
         err = capsys.readouterr().err
-        assert err.count("data error: bad token sequence file") == 2 and err.count("\n") == 2
+        assert err == f"data error: bad token sequence file {bad}: {reason}\n" * 2
         assert not os.path.exists(tmp_path / "v.json") and not os.path.exists(tmp_path / "e.json")
 
     def test_corrupt_file_is_data_error(self, tmp_path):

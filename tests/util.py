@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from gumbelmark import HigherCriticism, calibrate
-from gumbelmark.calibrate import CRITICAL_RTOL, _gof_cdf
+from gumbelmark import HigherCriticism, calibrate, null_sf
+from gumbelmark.calibrate import CRITICAL_RTOL
 
 
 def ks_distance(samples, cdf=None) -> float:
@@ -31,11 +31,10 @@ def illinois_critical(detector, n: int, alpha: float) -> float:
     Illinois variant of regula falsi on log(null_sf / alpha) until the
     bracket is narrower than CRITICAL_RTOL of its upper end; returns that
     upper end."""
-    cdf = _gof_cdf(detector, n)
     log_alpha = math.log(alpha)
 
     def excess(c: float) -> float:
-        return math.log(max(1.0 - cdf(c), 1e-300)) - log_alpha
+        return math.log(max(null_sf(detector, n, c), 1e-300)) - log_alpha
 
     lo, g_lo, hi = 0.0, -log_alpha, 1.0 if isinstance(detector, HigherCriticism) else 1.0 / n
     for _ in range(64):
@@ -67,19 +66,15 @@ def illinois_critical(detector, n: int, alpha: float) -> float:
 
 
 def count_law_passes(monkeypatch) -> list[int]:
-    """Count the evaluations of the exact null law (passes of the recursion)
-    from now on, in the one entry of the returned list."""
+    """Count the evaluations of the exact null law (calls of
+    ``calibrate._crossing_law``) from now on, in the one entry of the
+    returned list."""
     passes = [0]
-    trgof_cdf = calibrate._trgof_cdf
+    crossing_law = calibrate._crossing_law
 
-    def counted_cdf(*args):
-        cdf = trgof_cdf(*args)
+    def counted(b, c_plus):
+        passes[0] += 1
+        return crossing_law(b, c_plus)
 
-        def count(c):
-            passes[0] += 1
-            return cdf(c)
-
-        return count
-
-    monkeypatch.setattr(calibrate, "_trgof_cdf", counted_cdf)
+    monkeypatch.setattr(calibrate, "_crossing_law", counted)
     return passes
