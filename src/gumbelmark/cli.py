@@ -82,11 +82,18 @@ def _library_versions() -> dict:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """A header row, then ``rows`` as they are produced (a generator streams)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    """A header row, then ``rows`` as they are produced (a generator streams),
+    into ``path + ".tmp"``, renamed to ``path`` once every row is written."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the rows raised: no partial CSV is left
+            os.remove(tmp)
 
 
 def _write_json(path: str, obj) -> None:

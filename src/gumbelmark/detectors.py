@@ -27,6 +27,7 @@ returns a copy with ``critical_value`` from the null law
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -123,12 +124,19 @@ def _clip_pivots(y) -> np.ndarray:
     return np.clip(np.asarray(y, dtype=float), 1.0 - _P_CLIP_HI, _P_CLIP_HI)
 
 
+@functools.lru_cache(maxsize=8)
+def _t_over_n(n: int) -> np.ndarray:
+    """The grid t/n, t = 1..n, read-only: built once per series length."""
+    u = np.arange(1, n + 1) / n
+    u.flags.writeable = False
+    return u
+
+
 def _sorted_terms(p: np.ndarray, c_plus: float):
     """Sorted p-values along the last axis, u = t/n, and the admissible mask
     p_(t+1) >= c_plus (with p_(n+1) = 1, so t = n is always admissible)."""
-    n = p.shape[-1]
     ps = np.sort(p, axis=-1)
-    u = np.arange(1, n + 1) / n
+    u = _t_over_n(p.shape[-1])
     admissible = np.empty(ps.shape, dtype=bool)
     np.greater_equal(ps[..., 1:], c_plus, out=admissible[..., :-1])
     admissible[..., -1] = True

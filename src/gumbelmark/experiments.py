@@ -14,6 +14,8 @@ once per sum rule: the score vector of the clipped null gives the null sum,
 and the same vector with its first k entries rescored gives the mixture sum,
 bit for bit ``SumScore.statistic`` of each series. The goodness-of-fit
 statistics rank the whole series and share no work between the two.
+What a cell fixes is built once, not per trial: the m2 law's sampling table
+(``_m2_table``) and the statistics' t/n grid (``detectors._t_over_n``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .calibrate import empirical_quantile, tradeoff_curve
 from .detectors import ScoreKind, _clip_pivots, _score_terms, score, trgof_stat
 from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
+from .pivotal import _sampling_table, _table_sample
 from .streams import substream
 from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, least_favorable_atoms, m1_rows, make_m2
 
@@ -98,6 +101,15 @@ class MixtureConfig:
         return math.ceil(self.n * self.eps)
 
 
+@functools.lru_cache(maxsize=16)
+def _m2_table(delta: float, vocab_size: int) -> tuple[np.ndarray, ...]:
+    """``alt_sample``'s table of ``make_m2(delta, vocab_size)``, read-only."""
+    table = _sampling_table(make_m2(delta, vocab_size))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotSeries, PivotSeries]:
     """One mixture draw and its null companion (same tail entries).
 
@@ -112,8 +124,7 @@ def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotS
     y1 = y0.copy()
     k = cfg.n_signal
     if cfg.ntp_mode == "m2":
-        probs = make_m2(cfg.delta, cfg.vocab_size)
-        y1[:k] = alt_sample(probs, rng.random(k))
+        y1[:k] = _table_sample(_m2_table(cfg.delta, cfg.vocab_size), rng.random(k))
     else:
         u = rng.random(k)
         lo, hi = np.transpose((M1_A_RANGE, M1_B_RANGE))

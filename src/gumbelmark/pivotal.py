@@ -11,9 +11,9 @@ contribute nothing (the P_w -> 0 limit of P_w * r**(1/P_w) is 0 for r < 1).
 
 F_P is exactly the law of Y = V**P_W with W ~ P and V ~ U(0, 1) independent,
 since P(V**P_w <= r) = r**(1/P_w). ``alt_sample`` draws Y that way from one
-uniform per draw, from one law or from a (k, V) block of laws, one draw per
-row. ``alt_cdf`` and ``alt_pdf`` evaluate their sums over distinct
-probabilities as a group-major table, groups on the leading axis.
+uniform per draw, from one law, searched over its distinct probabilities, or
+from a (k, V) block of laws, one draw per row. ``alt_cdf`` and ``alt_pdf`` sum
+over distinct probabilities as a group-major table, groups on the leading axis.
 
 Null expectations E[g(Y)], Y ~ U(0, 1), are integrals over [0, 1], which
 ``_null_expectation`` computes by tanh-sinh quadrature.
@@ -100,12 +100,14 @@ def _grouped_pdf(vals: np.ndarray, counts: np.ndarray, r):
 
 def _grouped_log_pdf(vals: np.ndarray, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log ``_grouped_pdf`` at an array y of any shape, in the split form
-    e_min log y + log sum counts y**(e - e_min) with e = 1/vals - 1, summed
-    over the same group-major table: the group of the least exponent adds
-    counts * y**0, so no y**e underflows into log 0."""
+    e_min log y + log sum counts y**(e - e_min) with e = 1/vals - 1, summed in
+    group order: the least-exponent group adds counts * y**0 = counts with no
+    power, so no y**e underflows into log 0."""
     expo = (1.0 - vals) / vals  # 1/vals - 1 without its cancellation as vals -> 1
-    e_min, col = expo.min(), (-1,) + (1,) * y.ndim
-    return e_min * np.log(y) + np.log((counts.reshape(col) * y ** (expo - e_min).reshape(col)).sum(axis=0))
+    i_min = int(expo.argmin())
+    e_min = expo[i_min]
+    terms = (c if i == i_min else c * np.power(y, e - e_min) for i, (c, e) in enumerate(zip(counts, expo)))
+    return e_min * np.log(y) + np.log(sum(terms))
 
 
 # Relative agreement (absolute below 1) of two successive levels that ends
@@ -160,34 +162,50 @@ def alt_sample(probs, u):
     so it serves as V. The map from u to Y is not monotone; only a
     single-group P gives the inverse CDF of F_P.
 
-    Each row is sorted and carries its group weight at the group's last
-    entry and 0 elsewhere, so the running sum over entries takes the same
-    values as the sum over groups and a draw lands on a group's last entry.
-    Block draws take the final power per draw on Python floats, as a scalar
-    u does: numpy's array power can differ from it in the last bit.
+    One law is searched over its distinct probabilities. Each row of a block
+    is sorted and carries its group weight at the group's last entry and 0
+    elsewhere, so the running sum over entries takes the same values as the
+    sum over groups and a draw lands on a group's last entry. Block draws
+    take the final power per draw on Python floats, as a scalar u does:
+    numpy's array power can differ from it in the last bit.
     """
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie strictly in (0, 1)")
-    block = np.ndim(probs) == 2
-    vals = np.sort(check_ntp_rows(probs) if block else check_ntp_dist(probs)[None], axis=1)
-    if block and u_arr.shape != vals.shape[:1]:
-        raise ValueError(f"a block of {len(vals)} laws needs u of shape ({len(vals)},)")
-    last = np.ones(vals.shape, dtype=bool)
-    last[:, :-1] = vals[:, 1:] != vals[:, :-1]
-    weights = np.where(last, vals, 0.0)
-    if not last.all():  # a group of ties weighs count_g * P_g
-        ends = np.flatnonzero(last)
-        weights.ravel()[ends] *= np.ediff1d(ends, to_begin=ends[0] + 1)
-    edges = np.cumsum(weights, axis=1)
-    if block:
-        row, g = np.arange(len(vals)), (edges <= u_arr[:, None]).sum(axis=1)
+    table = _sampling_table(probs)
+    if table[0].ndim == 2 and u_arr.shape != table[0].shape[:1]:
+        raise ValueError(f"a block of {len(table[0])} laws needs u of shape ({len(table[0])},)")
+    return _table_sample(table, u_arr)
+
+
+def _sampling_table(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``alt_sample``'s validated table: group probabilities, group weights and their running sum."""
+    if np.ndim(probs) != 2:
+        vals, counts = _grouped(probs)
+        weights = counts * vals
     else:
-        row, g = 0, np.searchsorted(edges[0], u_arr, side="right")
+        vals = np.sort(check_ntp_rows(probs), axis=1)
+        last = np.ones(vals.shape, dtype=bool)
+        last[:, :-1] = vals[:, 1:] != vals[:, :-1]
+        weights = np.where(last, vals, 0.0)
+        if not last.all():  # a group of ties weighs count_g * P_g
+            ends = np.flatnonzero(last)
+            weights.ravel()[ends] *= np.ediff1d(ends, to_begin=ends[0] + 1)
+    return vals, weights, np.cumsum(weights, axis=-1)
+
+
+def _table_sample(table, u: np.ndarray):
+    """``alt_sample``'s draws from a ``_sampling_table`` at u, unchecked."""
+    block = table[0].ndim == 2
+    vals, weights, edges = (a if block else a[None] for a in table)
+    if block:
+        row, g = np.arange(len(vals)), (edges <= u[:, None]).sum(axis=1)
+    else:
+        row, g = 0, np.searchsorted(edges[0], u, side="right")
     # edges[g - 1] <= u by construction, so v >= 0; clamped because rounding
     # can leave the total weight just below u.
     g = np.minimum(g, vals.shape[1] - 1)
-    v, expo = (u_arr - np.where(g > 0, edges[row, g - 1], 0.0)) / weights[row, g], vals[row, g]
+    v, expo = (u - np.where(g > 0, edges[row, g - 1], 0.0)) / weights[row, g], vals[row, g]
     y = np.array([x**e for x, e in zip(v.tolist(), expo.tolist())]) if block else v**expo
     r = np.clip(y, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    return r if u_arr.ndim else float(r)
+    return r if u.ndim else float(r)

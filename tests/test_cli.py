@@ -147,6 +147,15 @@ class TestByteGoldens:
                    "--seed", "3", "--out-dir", out_dir) == 0
         assert sha256_of(os.path.join(out_dir, "tolerance.csv")) == GOLDEN_SHA256["tolerance"]
 
+    def test_failed_suite_leaves_no_csv(self, tmp_path, capsys):
+        # alpha = 1e-13 lies below the alpha floor at the first decision, after
+        # the header is written: exit 3, and neither a partial CSV nor its temporary
+        out_dir = tmp_path / "tol"
+        assert run("experiment", "tolerance", "--key", KEY, "--alpha", "1e-13", "--n0", "40", "--n-test", "30",
+                   "--m", "5", "--trials", "1", "--out-dir", str(out_dir)) == 3
+        assert "least alpha" in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
+
     @pytest.mark.parametrize("delta0", ["0.9", "0.99", "0.999"])
     def test_opt_verdict_is_finite_or_a_data_error(self, tmp_path, capsys, delta0):
         # the opt null moments are finite up to delta0 = 1, and so is the

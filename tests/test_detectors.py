@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from gumbelmark import (
     score,
     trgof_stat,
 )
+from gumbelmark.detectors import _score_terms, _t_over_n
 
 S_GRID = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -102,6 +104,13 @@ class TestTrGoFStat:
     def test_single_point(self):
         assert trgof_stat(np.array([0.2]), 2.0, 0.0) == pytest.approx(2.0, abs=1e-12)
 
+    def test_t_over_n_grid_is_memoised_read_only(self):
+        trgof_stat(np.random.default_rng(3).random(50), 2.0, 0.0)
+        u = _t_over_n(50)
+        assert _t_over_n(50) is u and u.tolist() == (np.arange(1, 51) / 50).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 0.0
+
     def test_all_interior_terms_truncated(self):
         # p_(t) >= t/n at every interior t; for s <= 0 the u = 1 boundary
         # term truncates too and the statistic is exactly 0
@@ -180,6 +189,25 @@ class TestScores:
         for d0 in (0.1, 0.25, 0.4):
             direct = np.log(ys ** (d0 / (1 - d0)) + ys ** (1 / d0 - 1))
             assert np.max(np.abs(score(ys, opt(d0)) - direct)) <= 1e-12
+
+    # sha256 of the opt scores of 1e5 pivots, edges 1e-300 and 1 - 1e-16
+    # included, recorded before the least-exponent group stopped taking a
+    # power; delta0 = 0.5 and 0.9 have one atom
+    OPT_SHA256 = {
+        0.1: "6cf173b0e8fc465f2f750d6cf98e1c56a67a500ba4a1aecca450ce142dd6f574",
+        0.3: "c149c803fc80a289b520ddef15d0bee46d9996ee5673384ba236ff6ad8db147b",
+        0.5: "2b142ac788140d2e4e9482e981b10f9a10ab6647a66dfb265d941df5d072768d",
+        0.9: "f4881513d53090c81a84c349e02fbb59f3fc6d631498beead334e2873e9d3e74",
+        0.99: "719185e70beed8b225feefaaaabab0e43480275dc4d248d605b84fcbd8c268f0",
+        0.999: "967033fce38580ae5e581cb73463e1a730838f8fca69ace2cc1f0b5183fe3f3e",
+    }
+
+    @pytest.mark.parametrize("delta0", sorted(OPT_SHA256))
+    def test_opt_scores_pinned(self, delta0):
+        y = np.random.default_rng(2026).random(100_000)
+        y[0], y[1] = 1e-300, 1.0 - 1e-16
+        for pivots in (y, y.reshape(250, 400)):
+            assert hashlib.sha256(_score_terms(pivots, opt(delta0)).tobytes()).hexdigest() == self.OPT_SHA256[delta0]
 
     def test_domain(self):
         with pytest.raises(ValueError):

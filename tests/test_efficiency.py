@@ -56,6 +56,21 @@ class TestOptimalRate:
             assert optimal_rate(d, 0.5) < optimal_rate(d, 1.0)
 
 
+class TestRatePins:
+    # float.hex of the rate, recorded before the least-exponent group of the
+    # split-form log density stopped taking a power
+    RATE_HEX = {
+        (0.1, 0.5): "0x1.f59613e8cbea8p-8",
+        (0.3, 1.0): "0x1.40429a1d9452dp-3",
+        (0.75, 0.1): "0x1.8a53c5da97d72p-8",
+        (0.999, 0.5): "0x1.55daded13ba01p-1",
+    }
+
+    @pytest.mark.parametrize("delta, epsilon", sorted(RATE_HEX))
+    def test_rate_pinned(self, delta, epsilon):
+        assert optimal_rate(delta, epsilon).hex() == self.RATE_HEX[delta, epsilon]
+
+
 class TestQuadratureAccuracy:
     # 30-digit mpmath integrals of -log((1 - eps) + eps f) over [0, 1], at the
     # float atoms of least_favorable_atoms(delta), computed once and pinned

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -176,6 +177,40 @@ class TestSampleMixture:
             fresh = substream(5, t)
             fresh.random(cfg.n + per_signal * k)
             assert rng.random() == fresh.random()
+
+    # sha256 of the mixture draws of each trial, recorded before the m2 law's
+    # sampling table was memoised per cell; the V = 2 law at delta = 0.5 is one
+    # group of ties
+    M2_DRAW_SHA256 = [
+        pytest.param(dict(n=10_000, p=0.25, q=0.4, vocab_size=1000, trials=3, seed=7),
+                     "30d70ccd214a5c8d8cee2ca5d92eaa6eb8e441cb5dc5b7fc486ff65266500b20", id="criterion07"),
+        pytest.param(dict(n=1000, p=0.5, q=0.4, vocab_size=1000, trials=5, seed=12),
+                     "da90cfd42b7f21d6f111117db0f9b355938ce0b9503573420c9de993a4060b46", id="V1000"),
+        pytest.param(dict(n=500, p=0.3, q=0.7, vocab_size=20, trials=5, seed=11),
+                     "32b9f587d0b50a601be8d0b3cb4c35d0cc8a78d3b83011121ca0b6d8bc9114a8", id="V20"),
+        pytest.param(dict(n=200, p=0.0, q=0.5, vocab_size=2, trials=5, seed=3),
+                     "4ea82c2fca244c9325036680525ae60ea87c2441dbba9b591589aced7b482c04", id="V2"),
+        pytest.param(dict(n=4, p=0.0, q=0.5, vocab_size=2, trials=50, seed=5),
+                     "ba2d73784f3885b36972943dc99105fe01bc5ea06231b9e370de50c73a1a0320", id="V2_ties"),
+    ]
+
+    @pytest.mark.parametrize("cell, want", M2_DRAW_SHA256)
+    def test_m2_draws_pinned(self, cell, want):
+        cfg = MixtureConfig(**cell)
+        h = hashlib.sha256()
+        for t in range(cfg.trials):
+            h.update(sample_mixture(cfg, substream(cfg.seed, t))[0].y.tobytes())
+        assert h.hexdigest() == want
+
+    def test_m2_table_is_read_only_and_distinct(self):
+        cfg = MixtureConfig(n=1000, p=0.5, q=0.4, vocab_size=1000, seed=1)
+        sample_mixture(cfg, substream(1, 0))
+        table = experiments._m2_table(cfg.delta, cfg.vocab_size)
+        assert experiments._m2_table(cfg.delta, cfg.vocab_size) is table
+        assert table[0].tolist() == sorted(set(make_m2(cfg.delta, cfg.vocab_size).tolist()))
+        for a in table:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
 
 
 def loop_histogram_study(cfg, s_values, c_plus, alpha):

@@ -20,7 +20,8 @@ from gumbelmark import (
     pivot_series,
     score,
 )
-from gumbelmark.pivotal import _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation
+from gumbelmark.pivotal import (_grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, _sampling_table,
+                                _table_sample)
 from gumbelmark.tokensource import least_favorable_atoms
 from gumbelmark.prf import DIGEST_BLOCK, prf_uniform
 from gumbelmark.watermark import TokenSeq
@@ -218,6 +219,31 @@ class TestAltSample:
             alt_sample([0.5, 0.5], 0.0)
         with pytest.raises(ValueError):
             alt_sample([0.5, 0.5], 1.0)
+
+    @pytest.mark.parametrize("probs, u, message", [
+        ([-0.5, 1.5], 0.0, "u must lie strictly in"),  # u is checked before the law
+        ([0.5, 0.5], [0.3, 1.0], "u must lie strictly in"),
+        ([1.0], 0.5, "1-d vector over a vocabulary of size >= 2"),
+        (0.5, 0.5, "1-d vector over a vocabulary of size >= 2"),
+        (np.full((2, 2, 2), 0.5), 0.5, "1-d vector over a vocabulary of size >= 2"),
+        ([-0.5, 1.5], 0.5, "negative entries"),
+        ([0.5, 0.4], 0.5, "sums to"),
+        (np.array([[0.5, 0.5], [0.3, 0.6]]), [0.5, 0.5], "NTP row has negative entries or a total off 1"),
+        (np.array([[0.5, 0.5], [0.3, 0.7]]), [0.5], r"a block of 2 laws needs u of shape \(2,\)"),
+    ])
+    def test_error_messages(self, probs, u, message):
+        with pytest.raises(ValueError, match=message):
+            alt_sample(probs, u)
+
+    def test_one_law_table_holds_distinct_probabilities(self):
+        # the tied tail of an m2 law and the zero entries are one group each
+        # in the block table, and no entry of the one-law table
+        probs = np.append(make_m2(0.3, 1000), [0.0] * 3)
+        vals, weights, edges = _sampling_table(probs)
+        assert vals.tolist() == [0.3 / 999, 0.7] and weights.tolist() == [999 * (0.3 / 999), 0.7]
+        assert edges.tolist() == np.cumsum(weights).tolist()
+        u = np.random.default_rng(8).random(20_000)
+        assert np.array_equal(alt_sample(probs, u), _table_sample((vals, weights, edges), u))
 
 
 class TestPivotSeries:
