@@ -5,11 +5,13 @@ This module is the one place that knows the null law of each detector.
 ``null_sf`` gives every p-value; ``Detector.fit`` and the CLI go through them.
 
 The goodness-of-fit statistics are calibrated exactly. Under the null
-{S_n^+(s) < c} and {HC_n^+ < c} are events that the uniform order statistics
-stay above a boundary fixed by (n, s, c). ``null_sf`` is the one map from a
-detector to its boundary, and ``_crossing_law`` the one engine that gives the
-probability of such an event: a Poisson counting recursion, conditioned on
-the count of p-values below c+. ``critical_value`` solves null_sf = alpha by
+{S_n^+(s) >= c} and {HC_n^+ >= c} are events that the uniform order
+statistics cross a boundary fixed by (n, s, c). ``null_sf`` is the one map
+from a detector to its boundary, and ``_crossing_law`` the one engine that
+gives the probability of such an event: a sum of the nonnegative
+first-crossing masses of a Poisson counting recursion, conditioned on the
+count of p-values below c+, so the tail is accurate relative to its own size.
+``critical_value`` solves null_sf = alpha by
 Brent's method on log c in 7-9 passes of the recursion (20-55 ms at n = 395
 and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised per process
 on (detector, n, alpha): a separate CLI process pays those passes again.
@@ -64,9 +66,6 @@ BAND_FLOOR = 1e-290
 BINOMIAL_TAIL = 1e-20
 CRITICAL_RTOL = 1e-10
 CRITICAL_MEMO_SIZE = 4096  # the most critical values the memo holds
-# The least alpha critical_value takes, in units of null_sf_error: at n = 30 the
-# size solved for alpha = 1e-11 is 0.1% off the tail's 1/c asymptote, at 1e-13 9%.
-ALPHA_FLOOR_ERRORS = 100.0
 
 
 def empirical_quantile(values: np.ndarray, level: float) -> float:
@@ -129,8 +128,13 @@ def _boundary(s: float, n: int, c: float) -> np.ndarray:
     K_s^+(t/n, p) is an f-divergence, convex and decreasing in p on (0, t/n)
     and 0 beyond, so the t-th term stays below c exactly when p_(t) > b_t. At
     s = 2, b_t is the smaller root of (t/n - p)**2 = 2c p (1 - p) in
-    cancellation-free form; other s start there a Newton iteration on
-    g = K_s^+ - c, over the rows with K_s^+(t/n, 1e-300) >= c. A row steps in
+    cancellation-free form. Other s start there, below t/n (where K_s^+ = 0),
+    on the rows with K_s^+(t/n, 1e-300) >= c; the rest read 0. With u = t/n
+    and gap = u - p the start misses the root by ~|s - 2| gap**2 / (6 u (1 - u))
+    (the third-order term of K_s^+ - K_2^+), and rounding of K_s^+, ~NEWTON_RTOL,
+    moves the root by ~NEWTON_RTOL u (1 - u) / gap; a row keeps its start
+    where the miss is the smaller (every row with u < 1 at c below ~1e-11),
+    and runs a Newton iteration on g = K_s^+ - c elsewhere. A row steps in
     p from lo, its largest point with g >= 0, which by convexity stops short
     of the root; a step past hi, its least point with g < 0, lands in rounding
     noise, so the row steps back from hi as far. Until it has a lo it steps in
@@ -143,8 +147,9 @@ def _boundary(s: float, n: int, c: float) -> np.ndarray:
     b = 2.0 * u * u / (2.0 * u + d + np.sqrt(d * (4.0 * u * (1.0 - u) + d)))
     if s == 2.0:
         return b
-    rows = np.flatnonzero(_k_s_plus_terms(u, np.full(n, 1e-300), s) >= c)
-    u, p, b, m = u[rows], b[rows], np.zeros(n), rows.size
+    b = np.where(_k_s_plus_terms(u, np.full(n, 1e-300), s) >= c, np.minimum(b, np.nextafter(u, 0.0)), 0.0)
+    rows = np.flatnonzero((b > 0.0) & (abs(s - 2.0) * (u - b) ** 3 > 6.0 * NEWTON_RTOL * (u * (1.0 - u)) ** 2))
+    u, p, m = u[rows], b[rows], rows.size
     lo, hi, step_lo, gap = np.zeros(m), u.copy(), np.zeros(m), np.zeros(m)
     for _ in range(BOUNDARY_STEPS):
         g = _k_s_plus_terms(u, p, s) - c
@@ -174,15 +179,20 @@ def _k_s_plus_log_slope(u: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
 
 
 def _crossing_law(b: np.ndarray, c_plus: float) -> float:
-    """P0(p_(t) > b_t for every admissible t) for n = b.size i.i.d. U(0, 1)
+    """P0(p_(t) <= b_t for some admissible t) for n = b.size i.i.d. U(0, 1)
     p-values, where J = #{p < c+} ~ Bin(n, c+) admits t >= max(J, 1). Given J
     the points below c+ are i.i.d. U(0, c+) and the n - J points above are
-    i.i.d. U(c+, 1), independent of each other:
+    i.i.d. U(c+, 1), independent of each other, so the event is that
 
-    * the t = J term asks that the largest point below c+ exceed b_J, with
-      probability 1 - (min(b_J, c+) / c+)**J;
-    * the points above c+, counted from the top, must satisfy p_(n-k) >
-      b_(n-k) for k < n - J, boundaries free of J (``_upper_no_crossing``).
+    * the largest point below c+ is at most b_J (the t = J term), with
+      probability (min(b_J, c+) / c+)**J, 0 at J = 0;
+    * or else some point above c+, counted from the top, has p_(n-k) <=
+      b_(n-k) for a k < n - J, boundaries free of J (``_upper_crossing``).
+
+    Every term is nonnegative, so the sum is accurate relative to its own
+    size. A J of Binomial weight below BINOMIAL_TAIL counts its second part as
+    1, or as 0 when no b_t exceeds c+ and the points above c+ cannot cross:
+    the sum exceeds the law's tail by at most the weight so dropped.
 
     b must be nondecreasing except that b_n may drop (TrGoF's t = n term is 0
     for s <= 0). Its running maximum gives the same event whenever the
@@ -191,45 +201,51 @@ def _crossing_law(b: np.ndarray, c_plus: float) -> float:
     n = b.size
     logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     if c_plus <= 0.0:
-        j, weight = np.zeros(1, dtype=int), np.ones(1)
+        j, log_w = np.zeros(1, dtype=int), np.zeros(1)
     elif c_plus >= 1.0:
-        j, weight = np.full(1, n), np.ones(1)
+        j, log_w = np.full(1, n), np.zeros(1)
     else:
         j = np.arange(n + 1)
         log_w = logfact[n] - logfact[j] - logfact[n - j] + j * math.log(c_plus) + (n - j) * math.log1p(-c_plus)
-        j = j[log_w > math.log(BINOMIAL_TAIL)]
-        weight = np.exp(log_w[j])
     b_run = np.maximum.accumulate(b)
-    first, below = np.ones(j.size), j >= 1
-    if below.any():
-        b_j = np.append(b_run[:-1], b[-1])[j[below] - 1]
+    below, first, some = np.zeros(j.size), np.ones(j.size), j >= 1
+    if some.any():
+        b_j = np.append(b_run[:-1], b[-1])[j[some] - 1]
         with np.errstate(divide="ignore"):
-            first[below] = -np.expm1(j[below] * np.log(np.minimum(b_j, c_plus) / c_plus))
-    upper = _upper_no_crossing(b_run, c_plus, n - int(j[0]), logfact)
-    return float(np.sum(weight * first * upper[n - j]))
+            log_cdf = j[some] * np.log(np.minimum(b_j, c_plus) / c_plus)
+        below[some], first[some] = np.exp(log_cdf), -np.expm1(log_cdf)
+    upper = np.full(n + 1, float(b_run[-1] > c_plus))
+    m = n - j[log_w > math.log(BINOMIAL_TAIL)]
+    upper[m] = _upper_crossing(b_run, c_plus, m, logfact)
+    return float(np.sum(np.exp(log_w) * (below + first * upper[n - j])))
 
 
-def _upper_no_crossing(b_run: np.ndarray, c_plus: float, m_max: int, logfact: np.ndarray) -> np.ndarray:
-    """P(p_(n-k) > b_(n-k) for k < m) for m i.i.d. U(c+, 1) points, m = 0 .. m_max.
+def _upper_crossing(b_run: np.ndarray, c_plus: float, m: np.ndarray, logfact: np.ndarray) -> np.ndarray:
+    """P(p_(n-k) <= b_(n-k) for some k < m) for m i.i.d. U(c+, 1) points, at
+    each entry of the array m.
 
     With x = (1 - p) / (1 - c+) the points are U(0, 1) and the event reads
-    x_(k+1) < a_k = (1 - b_(n-k)) / (1 - c+) for k < m, with a_k
+    x_(k+1) >= a_k = (1 - b_(n-k)) / (1 - c+) for some k < m, with a_k
     nondecreasing. Embed the points in a Poisson process N of rate
-    lam = n (1 - c+), the expected count above c+: the event together with
-    N(1) = m is {N(a_k) >= k + 1 for k < m} with N(a_(m-1)) = m and no point
-    in (a_(m-1), 1]. One forward pass carries the law of N(a_k) on the event
-    so far, convolving with the Poisson(lam (a_k - a_(k-1))) increment and
-    dropping the counts below k + 1, and divides by the Poisson(m; lam)
-    probability of N(1) = m at the end. Every term is nonnegative, and the
-    increment law is cut at mu + 9 sqrt(mu) + 20, beyond which its tail mass
-    is below 1e-19 for every mean mu. The kernels of steps 1 .. m_max - 1 come
-    from one exp over a table as wide as the widest (step 0, with mean up to
-    ~40, gets its own); each step convolves only the counts up to the last
-    one with mass above BAND_FLOOR.
+    lam = n (1 - c+), the expected count above c+: the event first happens at
+    k when N(a_i) >= i + 1 for i < k and N(a_k) = k, and given N(1) = m > k the
+    other m - k points fall in (a_k, 1]. One forward pass carries the law of
+    N(a_k) on the event's complement so far, convolving with the
+    Poisson(lam (a_k - a_(k-1))) increment, and takes out drop_k, its mass at
+    count k. Then
+
+        P(cross | m) = sum over k < m of drop_k Pois(m - k; lam (1 - a_k)) / Pois(m; lam),
+
+    whose terms are nonnegative and taken from one exp over a (m.size, max m)
+    table of logs. The increment law is cut at mu + 9 sqrt(mu) + 20, beyond
+    which its tail mass is below 1e-19 for every mean mu. The kernels of steps
+    1 .. max m - 1 come from one exp over a table as wide as the widest (step
+    0, with mean up to ~40, gets its own); each step convolves only the counts
+    up to the last one with mass above BAND_FLOOR.
     """
-    out = np.ones(m_max + 1)
+    m_max = int(m.max())
     if m_max == 0:
-        return out
+        return np.zeros(m.size)
     lam = b_run.size * (1.0 - c_plus)
     a = np.minimum((1.0 - b_run[::-1][:m_max]) / (1.0 - c_plus), 1.0)
     mu = lam * np.diff(a, prepend=0.0)
@@ -241,28 +257,30 @@ def _upper_no_crossing(b_run: np.ndarray, c_plus: float, m_max: int, logfact: np
     kernels -= mu[1:, None]
     kernels -= logfact[:w]
     np.exp(kernels, out=kernels)
-    band = np.ones(1)  # law of N(a_(k-1)) on the event over the counts k, k + 1, ...
-    last = np.empty(m_max)  # P(N(a_k) = k + 1 on the event so far)
+    band = np.ones(1)  # law of N(a_(k-1)) on no crossing so far, over the counts k, k + 1, ...
+    drop = np.zeros(m_max)  # P(N(a_k) = k with no crossing before k)
     for k, (step, wk) in enumerate(zip(mu.tolist(), width.tolist())):
         if step > 0.0 and band.size:
             kernel = kernels[k - 1, : wk + 1] if k else np.exp(np.arange(wk + 1) * log_mu[0] - step - logfact[: wk + 1])
             band = np.convolve(band, kernel)[: m_max + 1 - k]
             if band[-1] <= BAND_FLOOR:
                 band = band[: band.size - (band[::-1] > BAND_FLOOR).argmax()]
-        last[k] = band[1] if band.size > 1 else 0.0
-        band = band[1:]  # counts below k + 1 at a_k leave the event
-    m = np.arange(1, m_max + 1)
-    with np.errstate(divide="ignore"):
-        out[1:] = np.exp(np.log(last) + lam * a - m * math.log(lam) + logfact[1 : m_max + 1])
-    return out
+        drop[k] = band[0] if band.size else 0.0
+        band = band[1:]
+    k = np.arange(m_max)
+    rest = m[:, None] - k  # the points above a_k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(drop) + lam * a - k * math.log(lam) + rest * np.log1p(-a) + logfact[m, None] - logfact[rest]
+    terms[rest <= 0] = -np.inf
+    return np.exp(terms).sum(axis=1)
 
 
 def null_sf(detector: Detector, n: int, c: float) -> float:
     """P0(statistic >= c) for a length-n null series, the p-value of an
-    observed statistic c: the CLT normal tail for a SumScore, else exact up to
-    an absolute rounding error below ``null_sf_error`` (smaller tails can read
-    as 0). {S_n^+(s) < c} is {p_(t) > b_t(c) for every admissible t}
-    (``_boundary``), and HC_n^+ > 0 with {HC < c} = {n S_n^+(2) < c**2 / 2} for c > 0.
+    observed statistic c: the CLT normal tail for a SumScore, else the exact
+    law (``_crossing_law``), an upper bound within the Binomial mass it drops.
+    {S_n^+(s) >= c} is {p_(t) <= b_t(c) for some admissible t} (``_boundary``),
+    and HC_n^+ > 0 with {HC >= c} = {n S_n^+(2) >= c**2 / 2} for c > 0.
     """
     n = int(n)
     if n < 1:
@@ -279,23 +297,7 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
         raise TypeError(f"no exact null law for {type(detector).__name__}")
     if c <= 0.0:
         return 1.0
-    return min(max(1.0 - _crossing_law(_boundary(s, n, c), detector.c_plus), 0.0), 1.0)
-
-
-def null_sf_error(detector: Detector, n: int) -> float:
-    """Bound on the absolute rounding error of ``null_sf`` at length n.
-
-    Each term of the exact law is exp(log last + lam a - m log lam + log m!)
-    (``_upper_no_crossing``). Where the terms carry mass the exponent nearly
-    cancels, so its rounding error is about eps = 2**-52 times twice the sum
-    of the parts it cancels, n + n log n + log n!, and exp makes that the
-    term's relative error: 2.1e-12 at n = 400, 2.1e-11 at n = 3000, 4-20x the
-    largest |1 - cdf| where the tail is negligible. 0 for a SumScore, whose
-    normal tail has only relative error.
-    """
-    if isinstance(detector, SumScore):
-        return 0.0
-    return 2.0 * 2.0**-52 * (n + n * math.log(n) + math.lgamma(n + 1.0))
+    return min(_crossing_law(_boundary(s, n, c), detector.c_plus), 1.0)
 
 
 def critical_value(detector: Detector, n: int, alpha: float) -> float:
@@ -311,8 +313,8 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     log(null_sf / alpha) (inverse quadratic steps, bisection safeguard, no
     step below CRITICAL_RTOL / 2) until the bracket is narrower than
     CRITICAL_RTOL of its upper end; the end with null_sf < alpha is returned.
-    An alpha below ALPHA_FLOOR_ERRORS null_sf_error, or one that 8**21 = 2**63
-    times the scale does not bracket, lies below the law's accuracy:
+    An alpha below null_sf at 8**21 = 2**63 times the scale, the least alpha
+    the law solves (~2e-20 at n = 30 and c+ = 1/n), has no bracket:
     ValueError. If null_sf < alpha even at 8**-21 times the scale, that point
     is returned. Memoised per process.
     """
@@ -322,10 +324,6 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
         raise ValueError(f"need n >= {least}, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    floor = ALPHA_FLOOR_ERRORS * null_sf_error(detector, n)
-    if alpha < floor:
-        raise ValueError(f"alpha = {alpha!r} lies below the accuracy of the exact null law at n = {n}: "
-                         f"the least alpha is {floor:.3g}")
     return _critical_value(detector, n, float(alpha))
 
 
@@ -350,7 +348,8 @@ def _critical_value(detector: Detector, n: int, alpha: float) -> float:
         if (g_cur < 0.0) != down:
             break
     if g_cur >= 0.0 and not down:
-        raise ValueError(f"alpha = {alpha!r} lies below the accuracy of the exact null law at n = {n}")
+        raise ValueError(f"alpha = {alpha!r} lies below the accuracy of the exact null law at n = {n}: "
+                         f"the least alpha is {alpha * math.exp(g_cur):.3g}")
     # Brent-Dekker in x = log c: x_cur is the best point, x_blk the other end
     # of the bracket (the first pass takes x_pre), x_pre the point before x_cur
     x_blk, g_blk = x_cur, g_cur

@@ -22,14 +22,13 @@ from gumbelmark import (
 )
 from gumbelmark import calibrate
 from gumbelmark.calibrate import (
-    ALPHA_FLOOR_ERRORS,
+    BINOMIAL_TAIL,
     CRITICAL_RTOL,
     MC_BLOCK_VALUES,
     _boundary,
     _crossing_law,
-    _upper_no_crossing,
+    _upper_crossing,
     empirical_quantile,
-    null_sf_error,
 )
 from gumbelmark.detectors import S_BRANCH_TOL, Detector, _k_s_plus_terms
 from gumbelmark.streams import substream
@@ -266,31 +265,58 @@ class TestExactNull:
             crit = critical_value(det, 3, 0.2)
         assert crit == pytest.approx(8.0**-21 / 3, rel=1e-12) and null_sf(det, 3, crit) < 0.2
 
+    def test_tail_follows_one_over_c(self):
+        # far out only the J = 1 term of the t = J crossing is left, so
+        # c null_sf(c) -> (1 - c+)**(n - 1) / (2n) at s = 2, down to tails of
+        # 1e-18, where 1 - P(no crossing) is rounding noise
+        for n, cs in ((30, (1e6, 1e9, 6.7e11, 1e15)), (200, (1e9, 1e15))):
+            det = TrGoF(s=2.0, c_plus=1 / n)
+            limit = (1.0 - 1 / n) ** (n - 1) / (2.0 * n)
+            for c in cs:
+                assert c * null_sf(det, n, c) == pytest.approx(limit, rel=1e-5), (n, c)
+
     @pytest.mark.parametrize("n", [100, 400])
     @pytest.mark.parametrize("s", [1.0, 0.5])
     def test_rounding_error_bound(self, s, n):
-        # 10-1000x past the alpha = 1e-9 critical value the tail is negligible,
-        # so 1 - cdf is rounding, of either sign, which must stay within null_sf_error
+        # 10-1000x past the alpha = 1e-9 critical value the tail is negligible:
+        # a sum of nonnegative masses has no rounding of either sign there, so it
+        # is nonincreasing in c and at most the Binomial weight of the J it
+        # drops, far below the ~1e-12 noise of a 1 - P(no crossing) tail
         det = TrGoF(s=s, c_plus=1.0 / n)
         far = critical_value(det, n, 1e-9) * np.geomspace(10.0, 1000.0, 12)
-        err = null_sf_error(det, n)
-        assert all(abs(1.0 - _crossing_law(_boundary(s, n, c), det.c_plus)) <= err for c in far)
-        assert null_sf_error(SumScore(ARS), n) == 0.0
+        tail = np.array([_crossing_law(_boundary(s, n, c), det.c_plus) for c in far])
+        assert np.all(tail >= 0.0) and np.all(np.diff(tail) <= 0.0)
+        assert tail.max() <= (n + 1) * BINOMIAL_TAIL < 2.0**-52 * (n + n * math.log(n))
+        assert np.array_equal(tail, [null_sf(det, n, c) for c in far])
 
     def test_alpha_below_accuracy_is_refused(self):
-        # alpha = 1e-20 at n = 30 once solved to c = 6.7e11, where 1 - cdf is
-        # rounding noise and the true size is ~9.3e-15
+        # alpha = 1e-14 at n = 30 solves; the least alpha is null_sf at the top
+        # of the bracket, 8**21 / n, below which there is no bracket
         det = TrGoF(s=2.0, c_plus=1 / 30)
-        floor = ALPHA_FLOOR_ERRORS * null_sf_error(det, 30)
+        crit = critical_value(det, 30, 1e-14)
+        assert null_sf(det, 30, crit) == pytest.approx(1e-14, rel=1e-6)
+        least = null_sf(det, 30, 8.0**21 / 30)
+        assert 1e-21 < least < 1e-19
         with pytest.raises(ValueError, match="accuracy") as exc:
-            critical_value(det, 30, 1e-20)
-        assert f"{floor:.3g}" in str(exc.value)
-        # at the floor the solved size still matches the tail's 1/c asymptote
-        tail = 1e6 * null_sf(det, 30, 1e6)
-        assert tail / critical_value(det, 30, floor) == pytest.approx(floor, rel=0.005)
-        # alpha = 1e-9 stays legal up to n = 400 (floor 2.1e-10); sum rules have no floor
-        assert ALPHA_FLOOR_ERRORS * null_sf_error(det, 400) < 1e-9
-        assert null_sf_error(SumScore(ARS), 30) == 0.0 and math.isfinite(critical_value(SumScore(ARS), 30, 1e-15))
+            critical_value(det, 30, 1e-30)
+        assert f"the least alpha is {least:.3g}" in str(exc.value)
+        assert math.isfinite(critical_value(SumScore(ARS), 30, 1e-15))  # sum rules take any alpha
+
+    @pytest.mark.parametrize("s", [1.5, 1.0, 0.5, 0.0, -1.0])
+    def test_tail_at_tiny_c(self, s):
+        # here the s = 2 start of the boundary is its root to rounding, and
+        # Newton from it would divide by a zero slope. The tail falls with c up
+        # to the law's rounding, to 1 (s > 0) or, with t = n truncated, to
+        # 1 - P(p_(t) > t/n for t < n) = 1 - (n-1)**(n-1) / n**n
+        n = 57
+        det = TrGoF(s=s, c_plus=0.0)
+        err = 2.0 * 2.0**-52 * (n + n * math.log(n) + math.lgamma(n + 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sf = np.array([null_sf(det, n, c) for c in np.geomspace(1e-320, 1e-12)])
+        assert np.all(sf[1:] <= sf[:-1] * (1.0 + err)), s
+        limit = 1.0 if s > 0.0 else 1.0 - (n - 1) ** (n - 1) / n**n
+        assert sf[0] == pytest.approx(limit, rel=err, abs=n * 2.0**-52), s
 
     def test_sum_rule_tail_is_the_clt_tail(self):
         assert null_sf(SumScore(ARS), 400, critical_value(SumScore(ARS), 400, 0.01)) == pytest.approx(0.01, rel=1e-9)
@@ -324,39 +350,43 @@ class TestExactNull:
 
     @pytest.mark.parametrize("n", [20, 195, 1000])
     def test_recursion_matches_per_step_kernels(self, n):
+        # the first-crossing masses and the per-step no-crossing recursion
+        # partition the law of the points above c+ at every m, to the
+        # rounding of the log-space terms
         logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+        err = 2.0 * 2.0**-52 * (n + n * math.log(n) + logfact[n])
         for c_plus in (0.0, 1.0 / n, 0.3):
             for c in (1.0 / n, 4.0 / n, 16.0 / n):
                 b_run = np.maximum.accumulate(_boundary(2.0, n, c))
-                got = _upper_no_crossing(b_run, c_plus, n, logfact)
+                got = _upper_crossing(b_run, c_plus, np.arange(n + 1), logfact)
                 want = per_step_upper_no_crossing(b_run, c_plus, n, logfact)
-                assert np.max(np.abs(got - want)) <= 1e-15, (n, c_plus, c)
+                assert np.max(np.abs(got + want - 1.0)) <= err, (n, c_plus, c)
 
     # critical_value.hex() at alpha = 0.01. The goodness-of-fit rows come
     # from the factor-8 bracket and Brent's method, columns s = 2, 1, 0.5, -1
-    # and HC; each lies within 5e-11 relative of the value the doubling +
-    # Illinois solver gave. The "sum" rows are the CLT thresholds of ars, log,
+    # and HC, from the tail as a sum of first-crossing masses; each moved by
+    # <= 5.4e-11 relative from the values solved on 1 - P(no crossing). The "sum" rows are the CLT thresholds of ars, log,
     # ind(0.5) and opt(0.1); opt(0.1)'s moved by <= 5.8e-14 relative when its
     # null moments went from scipy's quad to tanh-sinh quadrature.
     GOLDEN = {
-        (57, "0"): ("0x1.ca1cbdd5b89a4p-1", "0x1.bfccd7f98158cp-4", "0x1.489b74f6c3985p-3",
-                    "0x1.0f3772271eb45p-2", "0x1.432fc6ff58248p+3"),
-        (57, "1/n"): ("0x1.8b87a31504740p-2", "0x1.b8a1a34131d2dp-4", "0x1.489b6fac4ae61p-3",
-                      "0x1.0f3772271f1e6p-2", "0x1.a8b0a4689bd52p+2"),
-        (57, "0.3"): ("0x1.5d939d24db932p-4", "0x1.95299bd8aa1bcp-4", "0x1.486b93013e768p-3",
-                      "0x1.0f376f505b57fp-2", "0x1.8f420b30697f5p+1"),
-        (195, "0"): ("0x1.0bef1bb78ac94p-2", "0x1.118d7aa960d24p-5", "0x1.87dd836ed0493p-5",
-                     "0x1.57e7b2531af1dp-4", "0x1.434177794ca28p+3"),
-        (195, "1/n"): ("0x1.ccca2a56e35fep-4", "0x1.0e39000c3a4d8p-5", "0x1.87dd7fdf62282p-5",
-                       "0x1.57e7b252cefb1p-4", "0x1.a7eb77336b043p+2"),
-        (195, "0.3"): ("0x1.a7aebb2041a76p-6", "0x1.f017b3dbb37ccp-6", "0x1.87734f21158d7p-5",
-                       "0x1.57e7b11481594p-4", "0x1.967e17a2f9eb3p+1"),
-        (400, "0"): ("0x1.0542667a3db2cp-3", "0x1.105ad3d4cd31fp-6", "0x1.80349d46c0908p-6",
-                     "0x1.55408898518a9p-5", "0x1.434538d4408adp+3"),
-        (400, "1/n"): ("0x1.c0efa42eba419p-5", "0x1.0d78735d11a92p-6", "0x1.80349a63b30cfp-6",
-                       "0x1.5540889819e92p-5", "0x1.a7c3226f2ee8fp+2"),
-        (400, "0.3"): ("0x1.a8fcb25d8c4ecp-7", "0x1.ee7e0af3d5b42p-7", "0x1.7fa626748fa91p-6",
-                       "0x1.55408700cd33bp-5", "0x1.9c4de6d550278p+1"),
+        (57, "0"): ("0x1.ca1cbdd5b86c3p-1", "0x1.bfccd7f981d10p-4", "0x1.489b74f6c028bp-3",
+                    "0x1.0f3772271f5d7p-2", "0x1.432fc6ff58e62p+3"),
+        (57, "1/n"): ("0x1.8b87a315039ddp-2", "0x1.b8a1a340d354ap-4", "0x1.489b6fac47053p-3",
+                      "0x1.0f3772271f601p-2", "0x1.a8b0a4689bb0ap+2"),
+        (57, "0.3"): ("0x1.5d939d24dc2e2p-4", "0x1.95299bd8aaaa0p-4", "0x1.486b9300fc813p-3",
+                      "0x1.0f376f505c0fep-2", "0x1.8f420b3069ca9p+1"),
+        (195, "0"): ("0x1.0bef1bb7562e0p-2", "0x1.118d7aa99b628p-5", "0x1.87dd836ec8f32p-5",
+                     "0x1.57e7b252d5e65p-4", "0x1.4341777907fd7p+3"),
+        (195, "1/n"): ("0x1.ccca2a56f6fd1p-4", "0x1.0e39000c3c16fp-5", "0x1.87dd7fdf5cd3ep-5",
+                       "0x1.57e7b252d5e42p-4", "0x1.a7eb773374aa0p+2"),
+        (195, "0.3"): ("0x1.a7aebb20456b7p-6", "0x1.f017b3dbb8083p-6", "0x1.87734f210b88cp-5",
+                       "0x1.57e7b1148883cp-4", "0x1.967e17a2fbf4fp+1"),
+        (400, "0"): ("0x1.0542667a25959p-3", "0x1.105ad3d50c53bp-6", "0x1.80349d46c3f72p-6",
+                     "0x1.554088981b44ep-5", "0x1.434538d412fb1p+3"),
+        (400, "1/n"): ("0x1.c0efa42ec20cdp-5", "0x1.0d78735d115c4p-6", "0x1.80349a63a6dabp-6",
+                       "0x1.554088981b433p-5", "0x1.a7c3226f2b660p+2"),
+        (400, "0.3"): ("0x1.a8fcb25d92934p-7", "0x1.ee7e0af3dc785p-7", "0x1.7fa6267486d31p-6",
+                       "0x1.554087008ea73p-5", "0x1.9c4de6d4faf69p+1"),
         (57, "sum"): ("0x1.2a4110f7a5168p+6", "-0x1.3b7dde10b5d30p+5", "0x1.2a4110f7a5168p+5",
                       "0x1.363d4d957a1efp+1"),
         (195, "sum"): ("0x1.c6f8ab112da49p+7", "-0x1.450754eed25b7p+7", "0x1.c6f8ab112da49p+6",
@@ -382,26 +412,29 @@ class TestExactNull:
 
     # null_sf(...).hex() at the alpha = 0.01 critical value and at 4x it, in
     # that order for each of the columns of GOLDEN (TrGoF s = 2, 1, 0.5, -1
-    # and HC), recorded before the exact law was split into _crossing_law
+    # and HC). Against 1 - P(no crossing) the values at the critical value
+    # moved by <= 5.3e-10 relative and those at 4x by <= 0.75% (its rounding,
+    # ~4e-13 at n = 400); HC at (400, 0.3, 4x), 0 before, reads the dropped
+    # Binomial mass, 2.3e-20
     SF_GOLDEN = {
-        (57, "0"): ("0x1.47ae147ae0000p-7", "0x1.42cd0af1c3500p-9", "0x1.47ae147948200p-7", "0x1.e900000000000p-34",
-                    "0x1.47ae147ad0280p-7", "0x1.2d99000000000p-29", "0x1.47ae147ad0280p-7", "0x1.b40ddfe6b8000p-16",
-                    "0x1.47ae147a55680p-7", "0x1.41a2681f7ec00p-11"),
-        (57, "1/n"): ("0x1.47ae147a9d840p-7", "0x1.1e3890e4a9800p-9", "0x1.47ae147947980p-7", "0x1.337bb00000000p-33",
-                      "0x1.47ae147acbc40p-7", "0x1.2d99650000000p-29", "0x1.47ae147ace480p-7", "0x1.b40ddfe1e8000p-16",
-                      "0x1.47ae147ade400p-7", "0x1.1694b77013400p-11"),
-        (57, "0.3"): ("0x1.47ae147ae1000p-7", "0x1.bf18362000000p-26", "0x1.47ae147ae0780p-7", "0x1.198df00000000p-31",
-                      "0x1.47ae14799b780p-7", "0x1.315c5c0000000p-29", "0x1.47ae147ace5c0p-7", "0x1.b40dfce878000p-16",
-                      "0x1.47ae147851700p-7", "0x1.fd9a000000000p-37"),
-        (400, "0"): ("0x1.47ae147a84ec0p-7", "0x1.42ab88f47ee00p-9", "0x1.47ae147ac4480p-7", "0x1.3a00000000000p-35",
-                     "0x1.47ae147ac4480p-7", "0x1.87ec000000000p-28", "0x1.47ae147a25e00p-7", "0x1.5f734e1f28000p-15",
-                     "0x1.47ae147a45900p-7", "0x1.4179fcad63c00p-11"),
-        (400, "1/n"): ("0x1.47ae147a9f980p-7", "0x1.1d57be22a8c00p-9", "0x1.47ae147927340p-7", "0x1.7a5e400000000p-35",
-                       "0x1.47ae147aad780p-7", "0x1.87f4680000000p-28", "0x1.47ae147ae01c0p-7", "0x1.5f734e5300000p-15",
-                       "0x1.47ae147aaf8c0p-7", "0x1.15b251c0efc00p-11"),
-        (400, "0.3"): ("0x1.47ae147adc200p-7", "0x1.569a430000000p-29", "0x1.47ae147adea00p-7", "0x1.c40e900000000p-33",
-                       "0x1.47ae147a9f280p-7", "0x1.92ff890000000p-28", "0x1.47ae147a1e200p-7", "0x1.5f73574d08000p-15",
-                       "0x1.47ae1477ff140p-7", "0x0.0p+0"),
+        (57, "0"): ("0x1.47ae147ae146cp-7", "0x1.42cd0af1cadd0p-9", "0x1.47ae147945ae4p-7", "0x1.e907229250cf5p-34",
+                    "0x1.47ae147ae01d3p-7", "0x1.2d995faf6f9e8p-29", "0x1.47ae147ace414p-7", "0x1.b40ddfe359838p-16",
+                    "0x1.47ae147a51cf2p-7", "0x1.41a2681f921c5p-11"),
+        (57, "1/n"): ("0x1.47ae147a9e806p-7", "0x1.1e3890e4b067ep-9", "0x1.47ae147ae1426p-7", "0x1.337cb7f7b2d70p-33",
+                      "0x1.47ae147ae01a2p-7", "0x1.2d99c97f8e3d3p-29", "0x1.47ae147ace3eap-7", "0x1.b40ddfe3596a1p-16",
+                      "0x1.47ae147adec1ep-7", "0x1.1694b7702db15p-11"),
+        (57, "0.3"): ("0x1.47ae147ae0ba0p-7", "0x1.bf18474c7d1a6p-26", "0x1.47ae147ae094ap-7", "0x1.199109d2e0abap-31",
+                      "0x1.47ae147adfd19p-7", "0x1.315ce2f53c9d0p-29", "0x1.47ae147ace323p-7", "0x1.b40dfceda3994p-16",
+                      "0x1.47ae147851b9bp-7", "0x1.fe343589599abp-37"),
+        (400, "0"): ("0x1.47ae147adf9d6p-7", "0x1.42ab88f53128ap-9", "0x1.47ae14792b44fp-7", "0x1.3c58a3dac6600p-35",
+                     "0x1.47ae147adfe31p-7", "0x1.87f2f4d3abac5p-28", "0x1.47ae147adf813p-7", "0x1.5f734e5188b67p-15",
+                     "0x1.47ae147adfd55p-7", "0x1.4179fcaf33196p-11"),
+        (400, "1/n"): ("0x1.47ae147a9c162p-7", "0x1.1d57be22b8ab4p-9", "0x1.47ae147930a00p-7", "0x1.7a7097c7f8c98p-35",
+                       "0x1.47ae147ae013dp-7", "0x1.87f32d6ca4e07p-28", "0x1.47ae147adf5e8p-7", "0x1.5f734e51889f0p-15",
+                       "0x1.47ae147ab9d04p-7", "0x1.15b251c08acc1p-11"),
+        (400, "0.3"): ("0x1.47ae147adec19p-7", "0x1.56a07cfe8e4dcp-29", "0x1.47ae147ae13cdp-7", "0x1.c47bfda25410bp-33",
+                       "0x1.47ae147adf3bfp-7", "0x1.9302e1ea045ccp-28", "0x1.47ae147adf135p-7", "0x1.5f73576a4c1aap-15",
+                       "0x1.47ae147ae1476p-7", "0x1.b22f59e47d178p-66"),
     }
 
     @pytest.mark.parametrize("n, rule", sorted(SF_GOLDEN))
@@ -500,7 +533,7 @@ class TestMemo:
         det = TrGoF(s=2.0, c_plus=0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="accuracy"):
-                calibrate._critical_value(det, 50, 1e-300)  # past the alpha floor: no bracket
+                calibrate._critical_value(det, 50, 1e-300)  # below the least alpha: no bracket
         assert calibrate._critical_value.cache_info().currsize == 0
 
 

@@ -23,7 +23,6 @@ from gumbelmark import (
     pivot_series,
     tolerance_limit,
 )
-from gumbelmark.calibrate import null_sf_error
 from gumbelmark.cli import main
 from gumbelmark.streams import child_seed, substream
 from gumbelmark.watermark import TokenSeq
@@ -102,7 +101,8 @@ class TestGenerate:
 
 
 # sha256 of the bytes each command writes, recorded before generate and
-# generate_null shared one loop and random edits took plain arguments
+# generate_null shared one loop and random edits took plain arguments; the
+# opt_0.9 verdict re-pinned when verdicts dropped their p_value_floor field
 GOLDEN_SHA256 = {
     "generate": "2487e70d333eae8a592579937f22e580ceb16128de8d9fa59094313c5434a591",
     "null": "58ee7c36a744d1aaeabe4d06ca44997a58186adb9d0dbae24ce7809f9f31d2ae",
@@ -112,7 +112,7 @@ GOLDEN_SHA256 = {
     "del": "3a9d12fbf35ec9c5d45cfea75e0d4e2d4c9aca20223567f01982f635997aa87b",
     "adv": "df19bc8b4be753865bab35115f402a7b0e4795d549a84ec27a99d48d9ecbe276",
     "tolerance": "ce2b607955a32804fef4d10d2e697bd4b4838fbf1b6040ca820e8b7327ebbc01",
-    "opt_0.9": "b4474ef340c005771ab6dcd61e9576772277fd6d210501f3aa616d0d021be2e0",
+    "opt_0.9": "fb55157be6626838d5c4f1d13b274169cf0e0bce8a42b2a37e08bc2fd14f8508",
 }
 GEN_ARGS = ("--n", "80", "--m", "2", "--vocab-size", "20", "--seed", "5")
 
@@ -148,10 +148,11 @@ class TestByteGoldens:
         assert sha256_of(os.path.join(out_dir, "tolerance.csv")) == GOLDEN_SHA256["tolerance"]
 
     def test_failed_suite_leaves_no_csv(self, tmp_path, capsys):
-        # alpha = 1e-13 lies below the alpha floor at the first decision, after
-        # the header is written: exit 3, and neither a partial CSV nor its temporary
+        # alpha = 1e-30 lies below the least alpha of the exact law at the first
+        # decision, after the header is written: exit 3, and neither a partial
+        # CSV nor its temporary
         out_dir = tmp_path / "tol"
-        assert run("experiment", "tolerance", "--key", KEY, "--alpha", "1e-13", "--n0", "40", "--n-test", "30",
+        assert run("experiment", "tolerance", "--key", KEY, "--alpha", "1e-30", "--n0", "40", "--n-test", "30",
                    "--m", "5", "--trials", "1", "--out-dir", str(out_dir)) == 3
         assert "least alpha" in capsys.readouterr().err
         assert os.listdir(out_dir) == []
@@ -229,20 +230,28 @@ class TestDetect:
         out = str(tmp_path / "v.json")
         assert run("detect", "--in", seq_file, "--key", KEY, "--calibrate", "--out", out) == 0
         verdict = read_json(out)
-        assert set(verdict) == {"statistic", "p_value", "p_value_floor", "n_scored", "critical_value",
-                                "reject", "detector"}
-        # s = 1 on the watermarked document: the tail is within rounding of 0,
-        # so the verdict gives the bound 2 null_sf_error in place of 0
+        assert set(verdict) == {"statistic", "p_value", "n_scored", "critical_value", "reject", "detector"}
+        # s = 1 on the watermarked document and on two weaker edits of it: each
+        # tail lies below 3.0e-12, where 1 - P(no crossing) is rounding noise at
+        # n = 300, and the three p-values fall as the statistic rises
         det = TrGoF(s=1.0, c_plus=1.0 / 300)
-        assert run("detect", "--in", seq_file, "--key", KEY, "--s", "1", "--calibrate", "--out", out) == 0
-        strong = read_json(out)
-        assert null_sf(det, 300, strong["statistic"]) < null_sf_error(det, 300)
-        assert strong["p_value_floor"] is True and strong["reject"] is True
-        assert strong["p_value"] == 2.0 * null_sf_error(det, 300)
-        # the wrong key: an ordinary tail, reported as it is
+        docs = [seq_file]
+        for fraction in ("0.12", "0.15"):
+            docs.append(str(tmp_path / f"edited_{fraction}.json"))
+            assert run("edit", "--in", seq_file, "--edit", "sub", "--fraction", fraction, "--seed", "3",
+                       "--vocab-size", "20", "--out", docs[-1]) == 0
+        strong = []
+        for doc in docs:
+            assert run("detect", "--in", doc, "--key", KEY, "--s", "1", "--calibrate", "--out", out) == 0
+            strong.append(read_json(out))
+            assert strong[-1]["p_value"] == null_sf(det, 300, strong[-1]["statistic"])
+            assert 0.0 < strong[-1]["p_value"] <= 1e-11 and strong[-1]["reject"] is True
+        assert [v["statistic"] for v in strong] == sorted((v["statistic"] for v in strong), reverse=True)
+        assert [v["p_value"] for v in strong] == sorted(v["p_value"] for v in strong)
+        assert len({v["p_value"] for v in strong}) == 3
+        # the wrong key: an ordinary tail
         assert run("detect", "--in", seq_file, "--key", "deadbeef", "--s", "1", "--calibrate", "--out", out) == 0
         weak = read_json(out)
-        assert weak["p_value_floor"] is False
         assert weak["p_value"] == null_sf(det, 300, weak["statistic"]) > 1e-3
         manifest = read_json(out + ".manifest.json")
         assert set(manifest) == {"command", "config", "seed", "version", "library_versions", "outputs",
@@ -265,8 +274,19 @@ class TestDetect:
         assert err.count("\n") == 1 and "n >= 3" in err
         assert "Traceback" not in err
 
+    def test_small_alpha_is_calibrated(self, tmp_path):
+        # 400 scored positions: alpha = 1e-12 lies below the rounding of
+        # 1 - P(no crossing) there (~2e-12), and still solves
+        seq, out = str(tmp_path / "seq.json"), str(tmp_path / "v.json")
+        assert run("generate", "--key", KEY, "--n", "400", "--m", "5", "--seed", "1", "--out", seq) == 0
+        assert run("detect", "--in", seq, "--key", KEY, "--calibrate", "--alpha", "1e-12", "--out", out) == 0
+        verdict = read_json(out)
+        assert verdict["n_scored"] == 400
+        det = TrGoF(s=2.0, c_plus=1.0 / 400)
+        assert null_sf(det, 400, verdict["critical_value"]) == pytest.approx(1e-12, rel=1e-6)
+
     def test_alpha_below_accuracy_is_refused(self, tmp_path, capsys):
-        # 30 scored positions: alpha = 1e-30 lies far below what the exact law resolves
+        # 30 scored positions: alpha = 1e-30 lies below null_sf at the top of the bracket
         seq = str(tmp_path / "seq.json")
         assert run("generate", "--key", KEY, "--n", "30", "--m", "5", "--seed", "1", "--out", seq) == 0
         capsys.readouterr()
