@@ -28,7 +28,6 @@ from .detectors import (
     ScoreKind,
     SumScore,
     TrGoF,
-    hc_plus,
     ind,
     k_s_plus,
     null_moments,

@@ -5,16 +5,16 @@ This module is the one place that knows the null law of each detector.
 ``null_sf`` gives every p-value; ``Detector.fit`` and the CLI go through them.
 
 The goodness-of-fit statistics are calibrated exactly. Under the null
-{S_n^+(s) >= c} and {HC_n^+ >= c} are events that the uniform order
-statistics cross a boundary fixed by (n, s, c). ``null_sf`` is the one map
-from a detector to its boundary, and ``_crossing_law`` the one engine that
-gives the probability of such an event: a sum of the nonnegative
-first-crossing masses of a Poisson counting recursion, conditioned on the
-count of p-values below c+, so the tail is accurate relative to its own size.
-``critical_value`` solves null_sf = alpha by
-Brent's method on log c in 7-9 passes of the recursion (20-55 ms at n = 395
-and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised per process
-on (detector, n, alpha): a separate CLI process pays those passes again.
+{S_n^+(s) >= c} is the event that the uniform order statistics cross a
+boundary fixed by (n, s, c); HC_n^+ = sqrt(2 n S_n^+(2)) takes the s = 2
+law. ``null_sf`` is the one map from a detector to its boundary, and
+``_crossing_law`` the one engine that gives the probability of such an
+event: a sum of the nonnegative first-crossing masses of a Poisson counting
+recursion, conditioned on the count of p-values below c+, so the tail is
+accurate relative to its own size. ``critical_value`` solves null_sf =
+alpha by Brent's method on log c in 7-9 passes of the recursion (20-55 ms at
+n = 395 and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised
+per process on (detector, n, alpha): a separate CLI process pays them again.
 
 Sum rules instead use the CLT threshold
 
@@ -307,16 +307,17 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     A SumScore takes the CLT threshold in closed form, with z(1 - alpha) from
     the standard library's normal inverse CDF (n >= 1).
 
-    TrGoF and HigherCriticism take the exact law (n >= 3). The root is
-    bracketed by factors of 8 from the statistic's null scale (1/n for TrGoF,
-    1 for HC), then narrowed by Brent's method on g(log c) =
-    log(null_sf / alpha) (inverse quadratic steps, bisection safeguard, no
-    step below CRITICAL_RTOL / 2) until the bracket is narrower than
-    CRITICAL_RTOL of its upper end; the end with null_sf < alpha is returned.
-    An alpha below null_sf at 8**21 = 2**63 times the scale, the least alpha
-    the law solves (~2e-20 at n = 30 and c+ = 1/n), has no bracket:
-    ValueError. If null_sf < alpha even at 8**-21 times the scale, that point
-    is returned. Memoised per process.
+    TrGoF takes the exact law (n >= 3). The root is bracketed by factors of
+    8 from 1/n, the statistic's null scale, then narrowed by Brent's method
+    on g(log c) = log(null_sf / alpha) (inverse quadratic steps, bisection
+    safeguard, no step below CRITICAL_RTOL / 2) until the bracket is
+    narrower than CRITICAL_RTOL of its upper end; the end with null_sf <
+    alpha is returned. An alpha below null_sf at 8**21 = 2**63 times 1/n,
+    the least alpha the law solves (~2e-20 at n = 30 and c+ = 1/n), has no
+    bracket: ValueError. If null_sf < alpha even at 8**-21 / n, that point
+    is returned. HigherCriticism takes TrGoF(2, c+)'s value c2 as
+    sqrt(2 n c2), rounded up until null_sf maps it back to at least c2, so
+    the two share one solve. Memoised per process.
     """
     n = int(n)
     least = 1 if isinstance(detector, SumScore) else 3
@@ -324,6 +325,12 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
         raise ValueError(f"need n >= {least}, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if isinstance(detector, HigherCriticism):
+        crit = _critical_value(TrGoF(2.0, detector.c_plus), n, float(alpha))
+        c = math.sqrt(2.0 * n * crit)
+        while c * c / (2.0 * n) < crit:  # null_sf's map back to the s = 2 scale must reach crit
+            c = math.nextafter(c, math.inf)
+        return c
     return _critical_value(detector, n, float(alpha))
 
 
@@ -338,7 +345,7 @@ def _critical_value(detector: Detector, n: int, alpha: float) -> float:
     def excess(x: float) -> float:
         return math.log(max(null_sf(detector, n, math.exp(x)), 1e-300)) - log_alpha
 
-    x_cur = 0.0 if isinstance(detector, HigherCriticism) else -math.log(n)
+    x_cur = -math.log(n)
     g_cur = excess(x_cur)
     down = g_cur < 0.0
     for _ in range(21):

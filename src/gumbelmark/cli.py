@@ -381,7 +381,8 @@ _SUITES = {
 
 def cmd_experiment(args) -> int:
     started = time.time()
-    for flag, value, least in (("--n", args.n, 2), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
+    least_n = 3 if args.suite == "hist" else 2  # hist calibrates by the exact law, which needs n >= 3
+    for flag, value, least in (("--n", args.n, least_n), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
                                ("--m", args.m, 1), ("--vocab-size", args.vocab_size, 2)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")

@@ -12,7 +12,7 @@ Two families are provided.
   phi_s-divergence truncated to positive deviations (0 unless v < u). One
   kernel evaluates it, for the statistic, for the exact null boundary in
   ``calibrate`` and for the public ``k_s_plus``. Higher Criticism is the
-  s = 2 member: n * S_n_plus(2) = max(HC_n_plus, 0)**2 / 2.
+  s = 2 member on the square-root scale: HC_n_plus = sqrt(2 n S_n_plus(2)).
 
 * Sum rules: T_h = sum of a score h(Y_t), rejecting above a threshold.
   Scores: ars(y) = -log(1-y), log(y), the indicator 1{y >= delta}, and the
@@ -28,7 +28,6 @@ returns a copy with ``critical_value`` from the null law
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -51,7 +50,8 @@ def k_s_plus(u, v, s: float):
 
         (1 - u**s v**(1-s) - (1-u)**s (1-v)**(1-s)) / (s (1 - s)),
 
-    when v < u, else 0.
+    when v < u, else 0; at s = 2 it is (u - v)**2 / (2 v (1 - v)), taken as
+    written, which does not cancel as v nears u and holds at u = 1.
 
     ``u`` in [0, 1] and ``v`` in (0, 1) are scalars or arrays that broadcast
     together; the result is a float for scalars and an array otherwise.
@@ -72,6 +72,8 @@ def k_s_plus(u, v, s: float):
 
 def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     """K_s^+(u, v) over arrays that broadcast together, u in [0, 1] and v in (0, 1), unchecked."""
+    if s == 2.0:
+        return np.maximum(u - v, 0.0) ** 2 / (2.0 * v * (1.0 - v))
     u, v = np.broadcast_arrays(u, v)
     out = np.zeros_like(v)
     pos = u > v
@@ -132,17 +134,6 @@ def _t_over_n(n: int) -> np.ndarray:
     return u
 
 
-def _sorted_terms(p: np.ndarray, c_plus: float):
-    """Sorted p-values along the last axis, u = t/n, and the admissible mask
-    p_(t+1) >= c_plus (with p_(n+1) = 1, so t = n is always admissible)."""
-    ps = np.sort(p, axis=-1)
-    u = _t_over_n(p.shape[-1])
-    admissible = np.empty(ps.shape, dtype=bool)
-    np.greater_equal(ps[..., 1:], c_plus, out=admissible[..., :-1])
-    admissible[..., -1] = True
-    return ps, u, admissible
-
-
 def _float_if_scalar(stat: np.ndarray):
     """A float for a 0-d result (one series), the array otherwise (a block)."""
     return float(stat) if stat.ndim == 0 else stat
@@ -156,27 +147,12 @@ def trgof_stat(series, s: float, c_plus: float):
     ``rows`` values for a block. Returns 0 when every term truncates to 0.
     """
     _check_c_plus(c_plus)
-    p = _as_pvalues(series)
-    ps, u, admissible = _sorted_terms(p, c_plus)
-    vals = _k_s_plus_terms(u, ps, s)
+    ps = np.sort(_as_pvalues(series), axis=-1)
+    admissible = np.empty(ps.shape, dtype=bool)  # p_(t+1) >= c_plus, and p_(n+1) = 1 admits t = n
+    np.greater_equal(ps[..., 1:], c_plus, out=admissible[..., :-1])
+    admissible[..., -1] = True
+    vals = _k_s_plus_terms(_t_over_n(ps.shape[-1]), ps, s)
     return _float_if_scalar(vals.max(axis=-1, where=admissible, initial=0.0))
-
-
-def hc_plus(series, c_plus: float):
-    """Higher Criticism HC_n_plus: max of sqrt(n) (t/n - p_(t)) / sqrt(p_(t)(1 - p_(t)))
-    over the admissible set {t : p_(t+1) >= c_plus}.
-
-    ``series`` holds p-values of shape (n,) or (rows, n), reduced along the
-    last axis as in ``trgof_stat``. The t = n index is always admissible
-    (p_(n+1) = 1) and its deviation is positive, so the maximum exists and
-    is positive for any p-value vector.
-    """
-    _check_c_plus(c_plus)
-    p = _as_pvalues(series)
-    n = p.shape[-1]
-    ps, u, admissible = _sorted_terms(p, c_plus)
-    terms = math.sqrt(n) * (u - ps) / np.sqrt(ps * (1.0 - ps))
-    return _float_if_scalar(terms.max(axis=-1, where=admissible, initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +293,7 @@ class TrGoF(Detector):
 
 @dataclass(frozen=True)
 class HigherCriticism(Detector):
-    """HC_n_plus, the s = 2 member on the square-root scale."""
+    """HC_n_plus = sqrt(2 n S_n_plus(2)), the s = 2 member on the square-root scale."""
 
     c_plus: float = 0.0
     critical_value: float | None = field(default=None, compare=False)
@@ -327,7 +303,8 @@ class HigherCriticism(Detector):
         object.__setattr__(self, "c_plus", float(self.c_plus))
 
     def statistic(self, series):
-        return hc_plus(_as_pivot_series(series), self.c_plus)
+        p = _as_pivot_series(series).p
+        return _float_if_scalar(np.sqrt(2.0 * p.shape[-1] * trgof_stat(p, 2.0, self.c_plus)))
 
     def to_config(self) -> dict:
         return {"kind": "hc", **asdict(self)}

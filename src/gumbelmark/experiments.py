@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import empirical_quantile, tradeoff_curve
-from .detectors import ScoreKind, _clip_pivots, _score_terms, score, trgof_stat
+from .calibrate import tradeoff_curve
+from .detectors import ScoreKind, TrGoF, _clip_pivots, _score_terms, score, trgof_stat
 from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
 from .pivotal import _sampling_table, _table_sample
 from .streams import substream
@@ -215,7 +215,9 @@ class HistogramStudy:
 
 def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
     """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
-    at the empirical (1 - alpha) null quantile. A repeated s is studied once."""
+    at level alpha: the share of mixture statistics at or above the exact
+    critical value ``TrGoF(s, c_plus).fit(n, alpha).threshold`` (n >= 3).
+    A repeated s is studied once."""
     s_values = list(dict.fromkeys(float(s) for s in s_values))
     stats = _trial_statistics(cfg, [BoundarySpec(name=repr(s), kind="trgof", s=s, c_plus_rule=float(c_plus))
                                      for s in s_values])
@@ -224,7 +226,7 @@ def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 
         s0, s1 = stats[repr(s)]
         with np.errstate(divide="ignore"):
             samples[(s, "H0")], samples[(s, "H1")] = np.log(cfg.n * s0), np.log(cfg.n * s1)
-        power[s] = float((s1 > empirical_quantile(s0, 1.0 - alpha)).mean())
+        power[s] = float((s1 >= TrGoF(s, c_plus).fit(cfg.n, alpha).threshold).mean())
     return HistogramStudy(samples, power)
 
 

@@ -236,6 +236,27 @@ class TestExactNull:
             rate = float(np.mean(det.statistic(y) >= crit))
             assert 0.006 <= rate <= 0.014, (s, rate)
 
+    @pytest.mark.parametrize("n", [57, 195, 400])
+    def test_hc_is_trgof_two_on_the_root_scale(self, n, monkeypatch):
+        # HC and TrGoF s = 2 reach the same decision on 150 series per cell,
+        # null and watermarked alike, with p-values within 1e-12 relative;
+        # an HC solve after the TrGoF s = 2 solve of its law runs no pass
+        passes = count_law_passes(monkeypatch)
+        for c_plus in (0.0, 1.0 / n, 0.3):
+            hc, two = HigherCriticism(c_plus=c_plus), TrGoF(s=2.0, c_plus=c_plus)
+            rng = substream(41, n)
+            y = rng.random((150, n)) ** (1.0 / (1.0 + 1.5 * rng.random((150, 1))))
+            s_hc, s_two = hc.statistic(y), two.statistic(y)
+            for alpha in (0.05, 0.01, 0.001):
+                crit_two = critical_value(two, n, alpha)
+                solved = passes[0]
+                crit_hc = critical_value(hc, n, alpha)
+                assert passes[0] == solved, (c_plus, alpha)
+                assert np.array_equal(s_hc >= crit_hc, s_two >= crit_two), (c_plus, alpha)
+            p_hc = np.array([null_sf(hc, n, c) for c in s_hc])
+            p_two = np.array([null_sf(two, n, c) for c in s_two])
+            assert np.all(np.abs(p_hc - p_two) <= 1e-12 * p_two), (c_plus, np.max(np.abs(p_hc / p_two - 1.0)))
+
     def test_critical_value_solves_tail(self):
         for det in gof_detectors((0.0, 1.0 / 60, 0.3)):
             for alpha in (0.01, 0.2):
@@ -365,28 +386,31 @@ class TestExactNull:
     # critical_value.hex() at alpha = 0.01. The goodness-of-fit rows come
     # from the factor-8 bracket and Brent's method, columns s = 2, 1, 0.5, -1
     # and HC, from the tail as a sum of first-crossing masses; each moved by
-    # <= 5.4e-11 relative from the values solved on 1 - P(no crossing). The "sum" rows are the CLT thresholds of ars, log,
-    # ind(0.5) and opt(0.1); opt(0.1)'s moved by <= 5.8e-14 relative when its
-    # null moments went from scipy's quad to tanh-sinh quadrature.
+    # <= 5.4e-11 relative from the values solved on 1 - P(no crossing). The
+    # HC column is sqrt(2 n) times the root of the s = 2 column, rounded up;
+    # it moved by <= 5.0e-11 relative from HC's own solve. The "sum" rows are
+    # the CLT thresholds of ars, log, ind(0.5) and opt(0.1); opt(0.1)'s moved
+    # by <= 5.8e-14 relative when its null moments went from scipy's quad to
+    # tanh-sinh quadrature.
     GOLDEN = {
         (57, "0"): ("0x1.ca1cbdd5b86c3p-1", "0x1.bfccd7f981d10p-4", "0x1.489b74f6c028bp-3",
-                    "0x1.0f3772271f5d7p-2", "0x1.432fc6ff58e62p+3"),
+                    "0x1.0f3772271f5d7p-2", "0x1.432fc6ff13c6cp+3"),
         (57, "1/n"): ("0x1.8b87a315039ddp-2", "0x1.b8a1a340d354ap-4", "0x1.489b6fac47053p-3",
-                      "0x1.0f3772271f601p-2", "0x1.a8b0a4689bb0ap+2"),
+                      "0x1.0f3772271f601p-2", "0x1.a8b0a468bdd64p+2"),
         (57, "0.3"): ("0x1.5d939d24dc2e2p-4", "0x1.95299bd8aaaa0p-4", "0x1.486b9300fc813p-3",
-                      "0x1.0f376f505c0fep-2", "0x1.8f420b3069ca9p+1"),
+                      "0x1.0f376f505c0fep-2", "0x1.8f420b3015775p+1"),
         (195, "0"): ("0x1.0bef1bb7562e0p-2", "0x1.118d7aa99b628p-5", "0x1.87dd836ec8f32p-5",
-                     "0x1.57e7b252d5e65p-4", "0x1.4341777907fd7p+3"),
+                     "0x1.57e7b252d5e65p-4", "0x1.4341777907f44p+3"),
         (195, "1/n"): ("0x1.ccca2a56f6fd1p-4", "0x1.0e39000c3c16fp-5", "0x1.87dd7fdf5cd3ep-5",
-                       "0x1.57e7b252d5e42p-4", "0x1.a7eb773374aa0p+2"),
+                       "0x1.57e7b252d5e42p-4", "0x1.a7eb773391e16p+2"),
         (195, "0.3"): ("0x1.a7aebb20456b7p-6", "0x1.f017b3dbb8083p-6", "0x1.87734f210b88cp-5",
-                       "0x1.57e7b1148883cp-4", "0x1.967e17a2fbf4fp+1"),
+                       "0x1.57e7b1148883cp-4", "0x1.967e17a2a5091p+1"),
         (400, "0"): ("0x1.0542667a25959p-3", "0x1.105ad3d50c53bp-6", "0x1.80349d46c3f72p-6",
-                     "0x1.554088981b44ep-5", "0x1.434538d412fb1p+3"),
+                     "0x1.554088981b44ep-5", "0x1.434538d41485ap+3"),
         (400, "1/n"): ("0x1.c0efa42ec20cdp-5", "0x1.0d78735d115c4p-6", "0x1.80349a63a6dabp-6",
-                       "0x1.554088981b433p-5", "0x1.a7c3226f2b660p+2"),
+                       "0x1.554088981b433p-5", "0x1.a7c3226f3b0b0p+2"),
         (400, "0.3"): ("0x1.a8fcb25d92934p-7", "0x1.ee7e0af3dc785p-7", "0x1.7fa6267486d31p-6",
-                       "0x1.554087008ea73p-5", "0x1.9c4de6d4faf69p+1"),
+                       "0x1.554087008ea73p-5", "0x1.9c4de6d4fb444p+1"),
         (57, "sum"): ("0x1.2a4110f7a5168p+6", "-0x1.3b7dde10b5d30p+5", "0x1.2a4110f7a5168p+5",
                       "0x1.363d4d957a1efp+1"),
         (195, "sum"): ("0x1.c6f8ab112da49p+7", "-0x1.450754eed25b7p+7", "0x1.c6f8ab112da49p+6",
@@ -415,26 +439,27 @@ class TestExactNull:
     # and HC). Against 1 - P(no crossing) the values at the critical value
     # moved by <= 5.3e-10 relative and those at 4x by <= 0.75% (its rounding,
     # ~4e-13 at n = 400); HC at (400, 0.3, 4x), 0 before, reads the dropped
-    # Binomial mass, 2.3e-20
+    # Binomial mass, 2.3e-20. The HC entries moved by <= 4.7e-10 relative
+    # when HC began to take its critical value from the s = 2 solve
     SF_GOLDEN = {
         (57, "0"): ("0x1.47ae147ae146cp-7", "0x1.42cd0af1cadd0p-9", "0x1.47ae147945ae4p-7", "0x1.e907229250cf5p-34",
                     "0x1.47ae147ae01d3p-7", "0x1.2d995faf6f9e8p-29", "0x1.47ae147ace414p-7", "0x1.b40ddfe359838p-16",
-                    "0x1.47ae147a51cf2p-7", "0x1.41a2681f921c5p-11"),
+                    "0x1.47ae147ae146cp-7", "0x1.41a2682021414p-11"),
         (57, "1/n"): ("0x1.47ae147a9e806p-7", "0x1.1e3890e4b067ep-9", "0x1.47ae147ae1426p-7", "0x1.337cb7f7b2d70p-33",
                       "0x1.47ae147ae01a2p-7", "0x1.2d99c97f8e3d3p-29", "0x1.47ae147ace3eap-7", "0x1.b40ddfe3596a1p-16",
-                      "0x1.47ae147adec1ep-7", "0x1.1694b7702db15p-11"),
+                      "0x1.47ae147a9e806p-7", "0x1.1694b7700080fp-11"),
         (57, "0.3"): ("0x1.47ae147ae0ba0p-7", "0x1.bf18474c7d1a6p-26", "0x1.47ae147ae094ap-7", "0x1.199109d2e0abap-31",
                       "0x1.47ae147adfd19p-7", "0x1.315ce2f53c9d0p-29", "0x1.47ae147ace323p-7", "0x1.b40dfceda3994p-16",
-                      "0x1.47ae147851b9bp-7", "0x1.fe343589599abp-37"),
+                      "0x1.47ae147ae0ba0p-7", "0x1.fe34358a40745p-37"),
         (400, "0"): ("0x1.47ae147adf9d6p-7", "0x1.42ab88f53128ap-9", "0x1.47ae14792b44fp-7", "0x1.3c58a3dac6600p-35",
                      "0x1.47ae147adfe31p-7", "0x1.87f2f4d3abac5p-28", "0x1.47ae147adf813p-7", "0x1.5f734e5188b67p-15",
-                     "0x1.47ae147adfd55p-7", "0x1.4179fcaf33196p-11"),
+                     "0x1.47ae147adf9d6p-7", "0x1.4179fcaf33196p-11"),
         (400, "1/n"): ("0x1.47ae147a9c162p-7", "0x1.1d57be22b8ab4p-9", "0x1.47ae147930a00p-7", "0x1.7a7097c7f8c98p-35",
                        "0x1.47ae147ae013dp-7", "0x1.87f32d6ca4e07p-28", "0x1.47ae147adf5e8p-7", "0x1.5f734e51889f0p-15",
-                       "0x1.47ae147ab9d04p-7", "0x1.15b251c08acc1p-11"),
+                       "0x1.47ae147a9c162p-7", "0x1.15b251c0761d1p-11"),
         (400, "0.3"): ("0x1.47ae147adec19p-7", "0x1.56a07cfe8e4dcp-29", "0x1.47ae147ae13cdp-7", "0x1.c47bfda25410bp-33",
                        "0x1.47ae147adf3bfp-7", "0x1.9302e1ea045ccp-28", "0x1.47ae147adf135p-7", "0x1.5f73576a4c1aap-15",
-                       "0x1.47ae147ae1476p-7", "0x1.b22f59e47d178p-66"),
+                       "0x1.47ae147adec17p-7", "0x1.b22f59e47d178p-66"),
     }
 
     @pytest.mark.parametrize("n, rule", sorted(SF_GOLDEN))
@@ -462,7 +487,8 @@ class TestExactNull:
     def test_law_passes_at_pipeline_lengths(self, monkeypatch):
         # evaluations of the exact law over TrGoF s = 2, s = 1 and HC at
         # c+ = 1/n, alpha = 0.01 and the scored lengths of the pipeline
-        # documents, all distinct solves; doubling + Illinois took 228
+        # documents; HC takes the s = 2 solve, so 12 laws are solved where
+        # doubling + Illinois took 228 passes over 18
         passes = count_law_passes(monkeypatch)
         for n in (175, 195, 215, 355, 395, 435):
             for det in (TrGoF(s=2.0, c_plus=1 / n), TrGoF(s=1.0, c_plus=1 / n), HigherCriticism(c_plus=1 / n)):
@@ -515,19 +541,28 @@ class TestMemo:
         assert calibrate._critical_value.cache_info().currsize == 1
 
     def test_keys_never_collide(self):
-        # one case per key field: alpha, n, c+, s, HC against TrGoF s = 2 at
-        # equal (c+, n), and the sum-rule kinds; a shared key would hand a
-        # later case an earlier case's value, which misses its own tail
+        # one case per key field: alpha, n, c+, s and the sum-rule kinds; a
+        # shared key would hand a later case an earlier case's value, which
+        # misses its own tail
         n = 100
         cases = [(TrGoF(s=2.0, c_plus=1 / n), n, 0.01), (TrGoF(s=2.0, c_plus=1 / n), n, 0.05),
                  (TrGoF(s=2.0, c_plus=1 / n), n + 1, 0.01), (TrGoF(s=2.0, c_plus=0.0), n, 0.01),
-                 (TrGoF(s=1.0, c_plus=1 / n), n, 0.01), (HigherCriticism(c_plus=1 / n), n, 0.01)]
+                 (TrGoF(s=1.0, c_plus=1 / n), n, 0.01)]
         cases += [(SumScore(kind), n, 0.01) for kind in (ARS, LOG, ind(0.5), ind(0.3), opt(0.1), opt(0.3))]
         got = [critical_value(det, n_i, alpha) for det, n_i, alpha in cases]
         assert [critical_value(det, n_i, alpha) for det, n_i, alpha in cases] == got
         for (det, n_i, alpha), crit in zip(cases, got):
             assert null_sf(det, n_i, crit) == pytest.approx(alpha, rel=1e-6), (det, n_i, alpha)
         assert calibrate._critical_value.cache_info().currsize == len(cases)
+        # HC at equal (c+, n, alpha) is TrGoF s = 2 on the square-root scale,
+        # by design one entry, and misses its own tail no more than it does
+        hc = critical_value(HigherCriticism(c_plus=1 / n), n, 0.01)
+        assert calibrate._critical_value.cache_info().currsize == len(cases)
+        root = math.sqrt(2 * n * got[0])  # rounded up to the least float null_sf maps back to >= got[0]
+        assert hc >= root and hc * hc / (2 * n) >= got[0]
+        below = math.nextafter(hc, 0.0)
+        assert hc == root or below * below / (2 * n) < got[0]
+        assert null_sf(HigherCriticism(c_plus=1 / n), n, hc) == pytest.approx(0.01, rel=1e-6)
 
     def test_failed_solve_is_not_memoised(self):
         det = TrGoF(s=2.0, c_plus=0.0)

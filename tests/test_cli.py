@@ -441,6 +441,7 @@ class TestCalibrateCmd:
         ("experiment", "boundary", "--n", "0"),
         ("experiment", "boundary", "--n", "1"),
         ("experiment", "hist", "--n", "0"),
+        ("experiment", "hist", "--n", "2"),  # below the least n of the exact law it calibrates by
         ("experiment", "sumboundary", "--n", "1"),
         ("generate", "--key", KEY, "--n", "0"),
         ("generate", "--null", "--n", "10", "--m", "0"),

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gumbelmark import (
     ScoreKind,
     SumScore,
     TrGoF,
-    hc_plus,
     ind,
     k_s_plus,
     null_moments,
@@ -21,7 +21,9 @@ from gumbelmark import (
     score,
     trgof_stat,
 )
-from gumbelmark.detectors import _score_terms, _t_over_n
+from gumbelmark.detectors import _k_s_plus_terms, _score_terms, _t_over_n
+
+from util import hc_reference
 
 S_GRID = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -40,6 +42,17 @@ class TestKs:
         assert k_s_plus(0.5, 0.25, 2.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
         u, v = 0.73, 0.21
         assert k_s_plus(u, v, 2.0) == pytest.approx((u - v) ** 2 / (2 * v * (1 - v)), abs=1e-12)
+
+    def test_chi_square_form_has_no_cancellation(self):
+        # at s = 2 the kernel is (u - v)**2 / (2 v (1 - v)) to 4 ulp, against
+        # exact rational arithmetic on the float inputs, however small u - v
+        for v in (1e-3, 0.3, 0.7, 0.999):
+            for gap in (1e-4, 1e-8, 1e-12):
+                u = v + gap
+                got = float(_k_s_plus_terms(np.array([u]), np.array([v]), 2.0)[0])
+                fu, fv = Fraction(u), Fraction(v)
+                want = (fu - fv) ** 2 / (2 * fv * (1 - fv))
+                assert abs(Fraction(got) - want) <= 4 * 2.0**-52 * want, (v, gap, got / float(want) - 1.0)
 
     def test_bernoulli_kl(self):
         # s = 1 is KL(Bern(u) || Bern(v)), s = 0 is KL(Bern(v) || Bern(u))
@@ -127,7 +140,7 @@ class TestTrGoFStat:
             for _ in range(300):
                 p = rng.random(n)
                 lhs = n * trgof_stat(p, 2.0, 1.0 / n)
-                rhs = 0.5 * max(hc_plus(p, 1.0 / n), 0.0) ** 2
+                rhs = 0.5 * max(hc_reference(p, 1.0 / n), 0.0) ** 2
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, lhs)
 
     def test_monotone_in_c_plus(self):
@@ -143,8 +156,11 @@ class TestTrGoFStat:
 
 
 class TestHCPlus:
+    """HigherCriticism.statistic, sqrt(2 n S_n^+(2)), against the HC formula."""
+
     def test_single_point(self):
-        assert hc_plus(np.array([0.2]), 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert HigherCriticism(c_plus=0.0).statistic(np.array([0.8])) == pytest.approx(2.0, abs=1e-12)
+        assert hc_reference(np.array([0.2]), 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_null_range(self):
         # null HC_n^+ rarely leaves a modest range (loglog growth); the
@@ -152,16 +168,21 @@ class TestHCPlus:
         # 99.8% in [0, 10] at c_plus = 1/n)
         rng = np.random.default_rng(10)
         n = 10_000
-        vals = np.array([hc_plus(rng.random(n), 1.0 / n) for _ in range(2000)])
+        det = HigherCriticism(c_plus=1.0 / n)
+        vals = np.concatenate([det.statistic(rng.random((100, n))) for _ in range(20)])
         assert np.mean((vals >= 0.0) & (vals <= 6.0)) >= 0.97
         assert np.mean((vals >= 0.0) & (vals <= 10.0)) >= 0.99
+        y = np.random.default_rng(11).random((5, n))
+        for row, got in zip(y, det.statistic(y)):
+            assert got == pytest.approx(hc_reference(1.0 - row, 1.0 / n), rel=1e-14, abs=0.0)
 
     def test_boundary_term_dominates(self):
         # all interior deviations negative; the always-admissible t = n term
         # sqrt(n) (1 - p_(n)) / sqrt(p_(n)(1 - p_(n))) carries the max
         p = np.array([0.6, 0.8, 0.99])
         want = math.sqrt(3) * (1.0 - 0.99) / math.sqrt(0.99 * 0.01)
-        assert hc_plus(p, 0.0) == pytest.approx(want, abs=1e-12)
+        assert hc_reference(p, 0.0) == pytest.approx(want, abs=1e-12)
+        assert HigherCriticism(c_plus=0.0).statistic(1.0 - p) == pytest.approx(want, abs=1e-12)
 
 
 # frozen from the closed-form formula log(y**(d/(1-d)) + y**(1/d - 1))
@@ -317,7 +338,8 @@ class TestDetectorObjects:
         rng = np.random.default_rng(14)
         y = rng.random(200)
         assert TrGoF(s=2.0, c_plus=0.0).statistic(y) == trgof_stat(1.0 - y, 2.0, 0.0)
-        assert HigherCriticism(c_plus=0.0).statistic(y) == hc_plus(1.0 - y, 0.0)
+        assert HigherCriticism(c_plus=0.0).statistic(y) == math.sqrt(2 * 200 * trgof_stat(1.0 - y, 2.0, 0.0))
+        assert HigherCriticism(c_plus=0.0).statistic(y) == pytest.approx(hc_reference(1.0 - y, 0.0), rel=1e-15)
         piv = PivotSeries.from_y(y)
         assert SumScore(ARS).statistic(piv) == SumScore(ARS).statistic(y)
 
@@ -346,9 +368,9 @@ class TestBlockEvaluation:
                 got = trgof_stat(p, s, c)
                 assert got.shape == (p.shape[0],)
                 assert hexes(got) == hexes(trgof_stat(row, s, c) for row in p), (s, c)
-            got = hc_plus(p, c)
+            got = HigherCriticism(c_plus=c).statistic(1.0 - p)
             assert got.shape == (p.shape[0],)
-            assert hexes(got) == hexes(hc_plus(row, c) for row in p), c
+            assert hexes(got) == hexes(HigherCriticism(c_plus=c).statistic(1.0 - row) for row in p), c
 
     def test_detector_objects(self):
         n = 60

@@ -11,8 +11,10 @@ from gumbelmark import (
     BoundarySpec,
     MixtureConfig,
     SumScore,
+    TrGoF,
     alt_pdf,
     boundary_grid,
+    critical_value,
     entropy_gap_check,
     histogram_study,
     ind,
@@ -23,7 +25,7 @@ from gumbelmark import (
     score,
 )
 from gumbelmark import experiments
-from gumbelmark.calibrate import empirical_quantile, tradeoff_curve
+from gumbelmark.calibrate import tradeoff_curve
 from gumbelmark.experiments import (
     M1_BLOCK_VALUES,
     NTP_MODES,
@@ -214,7 +216,8 @@ class TestSampleMixture:
 
 
 def loop_histogram_study(cfg, s_values, c_plus, alpha):
-    """The histogram study's own per-trial loop: the oracle for the shared trial loop."""
+    """The histogram study's own per-trial loop, with power at the exact
+    critical value of each s: the oracle for the shared trial loop."""
     stats = {(s, hyp): np.empty(cfg.trials) for s in s_values for hyp in ("H0", "H1")}
     for t in range(cfg.trials):
         mix, null = sample_mixture(cfg, substream(cfg.seed, t))
@@ -223,7 +226,7 @@ def loop_histogram_study(cfg, s_values, c_plus, alpha):
             stats[(s, "H1")][t] = trgof_stat(mix, s, c_plus)
     with np.errstate(divide="ignore"):
         samples = {key: np.log(cfg.n * arr) for key, arr in stats.items()}
-    power = {s: float((stats[(s, "H1")] > empirical_quantile(stats[(s, "H0")], 1.0 - alpha)).mean())
+    power = {s: float((stats[(s, "H1")] >= critical_value(TrGoF(s, c_plus), cfg.n, alpha)).mean())
              for s in s_values}
     return samples, power
 

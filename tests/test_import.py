@@ -1,6 +1,7 @@
 import importlib
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,17 @@ def fresh_python(probe: str, timeout: float = 60) -> str:
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=timeout, check=True)
     return out.stdout.strip()
+
+
+def test_readme_examples_run():
+    # the README's python blocks, in order and in one namespace as a reader
+    # pastes them, so a renamed or removed public name cannot break the docs
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), flags=re.S | re.M)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,6 +1,6 @@
-"""Shared test helpers: KS distance and its analytic critical value, the
-earlier exact critical-value solver as an oracle, and a counter of exact-law
-passes."""
+"""Shared test helpers: KS distance and its analytic critical value, Higher
+Criticism by its own formula, the earlier exact critical-value solver as an
+oracle, and a counter of exact-law passes."""
 
 import math
 
@@ -23,6 +23,17 @@ def ks_distance(samples, cdf=None) -> float:
 def ks_critical(n: int, level: float) -> float:
     """Asymptotic two-sided critical value: sqrt(-log(level / 2) / 2) / sqrt(n)."""
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
+
+
+def hc_reference(p, c_plus: float) -> float:
+    """HC_n^+ of one p-value series by its own formula: the max over the
+    admissible t (p_(t+1) >= c_plus, with p_(n+1) = 1) of
+    sqrt(n) (t/n - p_(t)) / sqrt(p_(t) (1 - p_(t)))."""
+    ps = np.sort(np.asarray(p, dtype=float))
+    n = ps.size
+    admissible = np.append(ps[1:] >= c_plus, True)
+    terms = math.sqrt(n) * (np.arange(1, n + 1) / n - ps) / np.sqrt(ps * (1.0 - ps))
+    return float(terms[admissible].max())
 
 
 def illinois_critical(detector, n: int, alpha: float) -> float:
