@@ -24,11 +24,8 @@ Monte Carlo calibration (``mc_critical``) is the test oracle for the exact
 law. It draws null pivot series (i.i.d. uniforms), evaluates the detector
 statistic, and takes the empirical (1 - alpha) quantile; the procedure
 repeats ``outer`` times with fresh replications and averages the round
-quantiles. Replications are evaluated in blocks: the rows of a (rows, n)
-buffer are filled from their own substreams and the statistic is taken over
-the whole block in one call. Each (outer, rep) pair still owns a
-counter-based substream and each row is reduced on its own, so the critical
-value is bit-identical to evaluating the replications one at a time.
+quantiles. Each (outer, rep) pair owns a counter-based substream, so the
+critical value does not depend on the order in which replications run.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ from .detectors import (
     null_moments,
 )
 from .streams import substream
-
-# Uniforms per statistic call in mc_critical; larger blocks run no faster and
-# hold more memory.
-MC_BLOCK_VALUES = 4096
 
 # Exact null law: the most Newton steps for a boundary point and the relative
 # step (4 ulps) at which they stop, the mass below which a count leaves the
@@ -86,10 +79,8 @@ def mc_critical(
     """Monte Carlo critical value: mean over outer rounds of the per-round
     empirical (1 - alpha) quantile of the null statistic.
 
-    Replication r of round o draws its n uniforms from ``substream(seed, o, r)``.
-    The statistic is evaluated on blocks of max(1, MC_BLOCK_VALUES // n)
-    replications at a time, so ``detector.statistic`` must accept pivots of
-    shape (rows, n).
+    Replication r of round o draws its n uniforms from ``substream(seed, o, r)``
+    and takes one ``detector.statistic`` call.
     """
     n = int(n)
     if n < 3:
@@ -105,14 +96,9 @@ def mc_critical(
         )
     quantiles = np.empty(outer)
     stats = np.empty(reps)
-    rows = max(1, MC_BLOCK_VALUES // n)
-    block = np.empty((min(rows, reps), n))
     for o in range(outer):
-        for start in range(0, reps, rows):
-            chunk = block[: min(rows, reps - start)]
-            for r, row in enumerate(chunk, start):
-                substream(seed, o, r).random(out=row)
-            stats[start : start + len(chunk)] = detector.statistic(chunk)
+        for r in range(reps):
+            stats[r] = detector.statistic(substream(seed, o, r).random(n))
         quantiles[o] = empirical_quantile(stats, 1.0 - alpha)
     return float(quantiles.mean())
 
@@ -304,8 +290,9 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     """The critical value of ``detector`` for length-n null series at Type I
     level alpha: the c with null_sf(detector, n, c) = alpha.
 
-    A SumScore takes the CLT threshold in closed form, with z(1 - alpha) from
-    the standard library's normal inverse CDF (n >= 1).
+    A SumScore takes the CLT threshold in closed form, with z(1 - alpha) =
+    -z(alpha) from the standard library's normal inverse CDF, so that 1 - alpha
+    is never rounded and any alpha in (0, 1) solves (n >= 1).
 
     TrGoF takes the exact law (n >= 3). The root is bracketed by factors of
     8 from 1/n, the statistic's null scale, then narrowed by Brent's method
@@ -339,7 +326,7 @@ def _critical_value(detector: Detector, n: int, alpha: float) -> float:
     """``critical_value`` past its guards; a solve that raises is not memoised."""
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
-        return n * mean + NormalDist().inv_cdf(1.0 - alpha) * math.sqrt(n * var)
+        return n * mean - NormalDist().inv_cdf(alpha) * math.sqrt(n * var)
     log_alpha = math.log(alpha)
 
     def excess(x: float) -> float:

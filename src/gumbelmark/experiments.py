@@ -216,9 +216,11 @@ class HistogramStudy:
 def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
     """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
     at level alpha: the share of mixture statistics at or above the exact
-    critical value ``TrGoF(s, c_plus).fit(n, alpha).threshold`` (n >= 3).
+    critical value ``TrGoF(s, c_plus).fit(n, alpha).threshold`` (n >= 3),
+    solved before any trial runs so that an alpha it refuses fails fast.
     A repeated s is studied once."""
     s_values = list(dict.fromkeys(float(s) for s in s_values))
+    crit = {s: TrGoF(s, c_plus).fit(cfg.n, alpha).threshold for s in s_values}
     stats = _trial_statistics(cfg, [BoundarySpec(name=repr(s), kind="trgof", s=s, c_plus_rule=float(c_plus))
                                      for s in s_values])
     samples, power = {}, {}
@@ -226,7 +228,7 @@ def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 
         s0, s1 = stats[repr(s)]
         with np.errstate(divide="ignore"):
             samples[(s, "H0")], samples[(s, "H1")] = np.log(cfg.n * s0), np.log(cfg.n * s1)
-        power[s] = float((s1 >= TrGoF(s, c_plus).fit(cfg.n, alpha).threshold).mean())
+        power[s] = float((s1 >= crit[s]).mean())
     return HistogramStudy(samples, power)
 
 

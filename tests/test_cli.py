@@ -23,6 +23,7 @@ from gumbelmark import (
     pivot_series,
     tolerance_limit,
 )
+from gumbelmark import experiments
 from gumbelmark.cli import main
 from gumbelmark.streams import child_seed, substream
 from gumbelmark.watermark import TokenSeq
@@ -433,6 +434,13 @@ class TestCalibrateCmd:
         assert rc == 0
         assert read_json(out)["critical_value"] == pytest.approx(446.5269574808168, abs=1e-6)
 
+    def test_sum_takes_any_alpha(self, tmp_path):
+        # 1 - 1e-30 rounds to 1, which the CLT threshold never forms
+        out = str(tmp_path / "calib.json")
+        assert run("calibrate", "--detector", "sum", "--n", "400", "--alpha", "1e-30", "--out", out) == 0
+        crit = read_json(out)["critical_value"]
+        assert null_sf(SumScore(ARS), 400, crit) == pytest.approx(1e-30, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("argv", [
         ("calibrate", "--n", "0"),
         ("calibrate", "--n", "-5"),
@@ -541,6 +549,16 @@ class TestExperimentSuites:
         assert rows[0] == "s,hypothesis,log_n_stat" and len(rows) == 1 + 2 * 2 * 30
         power = read_json(os.path.join(out_dir, "hist_power.json"))
         assert set(power) == {"2.0", "1.0"}
+
+    def test_hist_refused_alpha_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        # the critical values are solved before the trials, so an alpha below
+        # the exact law's least alpha fails before any mixture is sampled
+        trials = []
+        monkeypatch.setattr(experiments, "sample_mixture", lambda *a: trials.append(a))
+        out_dir = str(tmp_path / "hist")
+        assert run("experiment", "hist", "--n", "2000", "--trials", "300", "--vocab-size", "50",
+                   "--alpha", "1e-30", "--out-dir", out_dir) == 3
+        assert "accuracy" in capsys.readouterr().err and trials == []
 
     def test_boundary_suite_smoke(self, tmp_path):
         out_dir = str(tmp_path / "bnd")

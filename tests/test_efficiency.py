@@ -58,7 +58,9 @@ class TestOptimalRate:
 
 class TestRatePins:
     # float.hex of the rate, recorded before the least-exponent group of the
-    # split-form log density stopped taking a power
+    # split-form log density stopped taking a power. numpy's SIMD kernels for
+    # log and power differ in the last bits (the rates by <= 2.1e-15 relative
+    # between its AVX-512 and AVX2 kernels), so a pin holds to 1e-13 relative
     RATE_HEX = {
         (0.1, 0.5): "0x1.f59613e8cbea8p-8",
         (0.3, 1.0): "0x1.40429a1d9452dp-3",
@@ -68,7 +70,8 @@ class TestRatePins:
 
     @pytest.mark.parametrize("delta, epsilon", sorted(RATE_HEX))
     def test_rate_pinned(self, delta, epsilon):
-        assert optimal_rate(delta, epsilon).hex() == self.RATE_HEX[delta, epsilon]
+        want = float.fromhex(self.RATE_HEX[delta, epsilon])
+        assert optimal_rate(delta, epsilon) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestQuadratureAccuracy:
