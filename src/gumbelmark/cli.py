@@ -393,8 +393,15 @@ def cmd_experiment(args) -> int:
                          f"got {args.delta_min}, {args.delta_max}, {args.s}, {args.s_list}")
     if args.suite == "tolerance" and args.n_test - args.m < 3:
         raise UsageError(f"--n-test minus --m must be at least 3 scored positions, got {args.n_test - args.m}")
+    made = not os.path.exists(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = _SUITES[args.suite](args)
+    try:
+        outputs = _SUITES[args.suite](args)
+    except BaseException:
+        # a failed suite leaves no directory it made and wrote nothing into
+        if made and not os.listdir(args.out_dir):
+            os.rmdir(args.out_dir)
+        raise
     config = {k: v for k, v in vars(args).items() if k not in ("func", "suite", "key") and v is not None}
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), f"experiment {args.suite}", config,
                     args.seed, outputs, started)

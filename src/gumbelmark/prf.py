@@ -16,10 +16,12 @@ boundary.
 
 Bulk paths hash through one kernel, ``_prefixed_uniforms``: it copies a
 shared prefix's hash state once per preimage tail and converts the 8-byte
-digest heads block by block. ``prf_vector`` and watermarked generation pass
-one window's prefix and every id's encoding (``_id_chunks``); ``pivot_series``
-passes the key and each position's window-and-token bytes. The floats equal
-``prf_uniform``'s.
+digest heads block by block. ``prf_vector`` passes one window's prefix
+(``_window_prefix``) and every id's encoding (``_id_chunks``). Watermarked
+generation hashes the key once per call and, per position, passes a copy of
+that state updated with the window's packed ids, the same preimage bytes.
+``pivot_series`` passes the key and each position's window-and-token bytes.
+The floats equal ``prf_uniform``'s.
 """
 
 from __future__ import annotations

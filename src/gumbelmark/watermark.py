@@ -7,21 +7,35 @@ repeated-context masking: a token is watermarked only when its m-token window
 has not been seen before in this sequence (prompt windows included); masked
 positions fall back to plain multinomial sampling from a dedicated seeded
 stream, independent of the watermark pseudorandomness.
+
+A toy source's law depends only on the last token, so one generation call
+makes each law once, and its CDF once a sampled position needs it, and keeps
+them in a memo of at most ``LAW_MEMO_FLOATS`` floats; a law that finds the
+memo full is made afresh at each position. Each window hashes from a copy of
+the key's SHA-256 state, and the decode needs no mask for zero-probability
+tokens. The tokens and flags are bit for bit those of the plain loop that
+calls ``toy_next_dist``, ``prf_vector`` and ``gumbel_decode`` at every
+position.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._validation import check_ntp_dist
-from .prf import _as_key, _id_chunks, _prefixed_uniforms, _window_prefix
+from .prf import _as_key, _id_chunks, _prefixed_uniforms
 from .tokensource import ToySource, toy_next_dist
 
 PROMPT, WATERMARKED, SAMPLED, EDITED = "P", "W", "S", "E"
 _PROVENANCE = {PROMPT, WATERMARKED, SAMPLED, EDITED}
+# Floats one generation call may keep in its memo of next-token laws and their
+# CDFs: 512 KiB, so V = 20 keeps all 20 laws and V = 32000 keeps one.
+LAW_MEMO_FLOATS = 1 << 16
 
 
 @dataclass
@@ -102,14 +116,9 @@ def gumbel_decode(probs, xi):
         raise ValueError(f"xi has length {x.shape[-1]}, expected {p.size}")
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValueError("xi entries must lie strictly in (0, 1)")
-    idx = _gumbel_argmax(p, x)
-    return int(idx) if x.ndim == 1 else idx
-
-
-def _gumbel_argmax(p: np.ndarray, x: np.ndarray):
-    """``gumbel_decode`` on a valid NTP vector and uniforms in (0, 1), unchecked."""
     with np.errstate(divide="ignore"):
-        return np.argmax(np.where(p > 0.0, np.log(x) / p, -np.inf), axis=-1)
+        idx = np.argmax(np.where(p > 0.0, np.log(x) / p, -np.inf), axis=-1)
+    return int(idx) if x.ndim == 1 else idx
 
 
 def _prompt_windows(prompt: list[int], m: int) -> set[tuple[int, ...]]:
@@ -145,21 +154,39 @@ def _generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
     fallback = np.random.default_rng(cfg.seed)
     seen = _prompt_windows(prompt, cfg.m) if cfg.masking else set()
     if key is not None:
-        # built per call, not cached: at V = 32000 the table holds ~1.5 MB
-        key, ids = _as_key(key), _id_chunks(source.vocab_size)
-    for _ in range(cfg.n):
-        window = tuple(tokens[-cfg.m :])
-        probs = toy_next_dist(source, tokens)
-        if key is None or window in seen:
-            # inverse-CDF draw from the fallback stream, independent of the watermark PRF
-            u = fallback.random()
-            tok = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
-            prov.append(SAMPLED)
-        else:
-            # prf_vector and gumbel_decode on inputs that pass their checks
-            tok = _gumbel_argmax(probs, _prefixed_uniforms(_window_prefix(key, window), ids))
-            prov.append(WATERMARKED)
-        if cfg.masking:
-            seen.add(window)
-        tokens.append(int(tok))
+        # built per call, not cached: at V = 32000 the table holds ~1.5 MB.
+        # Each window is hashed as a copy of the key's state || its packed ids,
+        # the preimage _window_prefix builds
+        ids = _id_chunks(source.vocab_size)
+        keyed, pack = hashlib.sha256(_as_key(key).data), struct.Struct(f"<{cfg.m}I").pack
+    # last token -> [law, its CDF once a sampled position needs it]; a law is
+    # a function of the last token alone, and each holds at most 2V floats
+    laws, room = {}, LAW_MEMO_FLOATS // (2 * source.vocab_size)
+    # log(U) < 0 for every U in (0, 1), so a zero-probability entry scores
+    # -inf, as gumbel_decode's mask gives, and only the warning is silenced
+    with np.errstate(divide="ignore"):
+        for _ in range(cfg.n):
+            window = tuple(tokens[-cfg.m :])
+            law = laws.get(tokens[-1])
+            if law is None:
+                law = [toy_next_dist(source, tokens), None]
+                if len(laws) < room:
+                    laws[tokens[-1]] = law
+            probs = law[0]
+            if key is None or window in seen:
+                # inverse-CDF draw from the fallback stream, independent of the watermark PRF
+                if law[1] is None:
+                    law[1] = np.cumsum(probs)
+                u = fallback.random()
+                tok = min(int(law[1].searchsorted(u, side="right")), probs.size - 1)
+                prov.append(SAMPLED)
+            else:
+                # prf_vector and gumbel_decode on inputs that pass their checks
+                h = keyed.copy()
+                h.update(pack(*window))
+                tok = int((np.log(_prefixed_uniforms(h, ids)) / probs).argmax())
+                prov.append(WATERMARKED)
+            if cfg.masking:
+                seen.add(window)
+            tokens.append(tok)
     return TokenSeq(tokens, prov, cfg.m)

@@ -150,13 +150,22 @@ class TestByteGoldens:
 
     def test_failed_suite_leaves_no_csv(self, tmp_path, capsys):
         # alpha = 1e-30 lies below the least alpha of the exact law at the first
-        # decision, after the header is written: exit 3, and neither a partial
-        # CSV nor its temporary
+        # decision, after the header is written: exit 3, and no partial CSV,
+        # no temporary and no out dir are left
         out_dir = tmp_path / "tol"
         assert run("experiment", "tolerance", "--key", KEY, "--alpha", "1e-30", "--n0", "40", "--n-test", "30",
                    "--m", "5", "--trials", "1", "--out-dir", str(out_dir)) == 3
         assert "least alpha" in capsys.readouterr().err
-        assert os.listdir(out_dir) == []
+        assert not out_dir.exists()
+
+    def test_failed_suite_keeps_an_existing_out_dir(self, tmp_path, capsys):
+        # only a directory the call made is removed, and only when empty
+        out_dir = tmp_path / "tol"
+        out_dir.mkdir()
+        assert run("experiment", "tolerance", "--key", KEY, "--alpha", "1e-30", "--n0", "40", "--n-test", "30",
+                   "--m", "5", "--trials", "1", "--out-dir", str(out_dir)) == 3
+        assert "least alpha" in capsys.readouterr().err
+        assert out_dir.is_dir() and os.listdir(out_dir) == []
 
     @pytest.mark.parametrize("delta0", ["0.9", "0.99", "0.999"])
     def test_opt_verdict_is_finite_or_a_data_error(self, tmp_path, capsys, delta0):
@@ -559,6 +568,7 @@ class TestExperimentSuites:
         assert run("experiment", "hist", "--n", "2000", "--trials", "300", "--vocab-size", "50",
                    "--alpha", "1e-30", "--out-dir", out_dir) == 3
         assert "accuracy" in capsys.readouterr().err and trials == []
+        assert not os.path.exists(out_dir)
 
     def test_boundary_suite_smoke(self, tmp_path):
         out_dir = str(tmp_path / "bnd")

@@ -13,6 +13,7 @@ from gumbelmark import (
     prf_vector,
     toy_next_dist,
 )
+from gumbelmark import watermark
 
 from util import ks_critical, ks_distance
 
@@ -139,6 +140,99 @@ class TestGenerateNull:
             y_all.append(pivot_series(seq, Key(b"verifier-%d" % seed), 20).y)
         y = np.concatenate(y_all)
         assert ks_distance(y) < ks_critical(y.size, 0.001)
+
+
+def reference_generate(source, key, prompt, cfg):
+    """The generation loop position by position: the law, its CDF and the
+    window's uniforms are made afresh through the public functions."""
+    tokens, prov = list(prompt), ["P"] * len(prompt)
+    fallback = np.random.default_rng(cfg.seed)
+    seen = {tuple(prompt[i : i + cfg.m]) for i in range(len(prompt) - cfg.m + 1)} if cfg.masking else set()
+    for _ in range(cfg.n):
+        window = tuple(tokens[-cfg.m :])
+        probs = toy_next_dist(source, tokens)
+        if key is None or window in seen:
+            u = fallback.random()
+            tokens.append(min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1))
+            prov.append("S")
+        else:
+            tokens.append(gumbel_decode(probs, prf_vector(key, window, source.vocab_size)))
+            prov.append("W")
+        if cfg.masking:
+            seen.add(window)
+    return tokens, prov
+
+
+def run_generation(source, key, prompt, cfg):
+    seq = generate_null(source, prompt, cfg) if key is None else generate(source, key, prompt, cfg)
+    return seq.tokens, seq.provenance
+
+
+def count_law_calls(monkeypatch):
+    """Record the last token of each ``toy_next_dist`` call generation makes."""
+    calls = []
+
+    def counted(source, history):
+        calls.append(history[-1])
+        return toy_next_dist(source, history)
+
+    monkeypatch.setattr(watermark, "toy_next_dist", counted)
+    return calls
+
+
+class TestGenerationMatchesReference:
+    """Generation memoises each law per last token, hashes from one keyed state
+    and decodes unmasked; every token and flag equals the plain loop's."""
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["key", "no_key"])
+    @pytest.mark.parametrize("masking", [True, False], ids=["masking", "no_masking"])
+    @pytest.mark.parametrize("vocab", [2, 20, 1000])
+    def test_bit_identical(self, vocab, masking, keyed):
+        src = ToySource(vocab, (0.1, 0.5), seed=vocab)
+        key = Key(b"eq-%d" % vocab) if keyed else None
+        prompt = [t % vocab for t in (3, 1, 4, 1, 5)]
+        for seed in range(3):
+            cfg = GenConfig(n=60 if vocab == 1000 else 200, m=5, masking=masking, seed=seed)
+            got = run_generation(src, key, prompt, cfg)
+            assert got == reference_generate(src, key, prompt, cfg)
+            if keyed and vocab == 2 and masking:
+                assert {"W", "S"} <= set(got[1])
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["key", "no_key"])
+    def test_each_law_is_made_once(self, keyed, monkeypatch):
+        calls = count_law_calls(monkeypatch)
+        src, cfg = ToySource(20, (0.1, 0.5), seed=2), GenConfig(n=200, m=5, seed=5)
+        run_generation(src, Key(b"once") if keyed else None, [0, 1, 2, 3, 4], cfg)
+        assert len(calls) == len(set(calls)) <= 20
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["key", "no_key"])
+    def test_full_memo_makes_the_rest_afresh(self, keyed, monkeypatch):
+        # room for 3 of the 20 laws: the others are made at every position
+        monkeypatch.setattr(watermark, "LAW_MEMO_FLOATS", 2 * 20 * 3 + 1)
+        calls = count_law_calls(monkeypatch)
+        src, key = ToySource(20, (0.1, 0.5), seed=2), Key(b"full") if keyed else None
+        for masking in (True, False):
+            cfg = GenConfig(n=200, m=5, masking=masking, seed=6)
+            calls.clear()
+            assert run_generation(src, key, [0, 1, 2, 3, 4], cfg) == reference_generate(src, key, [0, 1, 2, 3, 4], cfg)
+            assert len(set(calls)) > 3 and len(calls) > len(set(calls))
+
+    def test_zero_probability_entries_are_never_drawn(self):
+        # delta = 5e-324 spreads over V - 1 = 2 tokens and rounds to 0 there;
+        # unmasked, those entries score -inf just as gumbel_decode's mask gives
+        src = ToySource(3, (5e-324, 5e-324), seed=1)
+        assert np.count_nonzero(toy_next_dist(src, [0]) == 0.0) == 2
+        for masking in (True, False):
+            cfg = GenConfig(n=50, m=5, masking=masking, seed=2)
+            got = run_generation(src, Key(b"zero"), [0, 1, 2, 0, 1], cfg)
+            assert got == reference_generate(src, Key(b"zero"), [0, 1, 2, 0, 1], cfg)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1 - 1e-12])
+    @pytest.mark.parametrize("vocab", [2, 32000])
+    def test_toy_laws_are_positive_at_the_delta_ends(self, vocab, delta):
+        src = ToySource(vocab, (delta, delta), seed=3)
+        for last in range(min(vocab, 50)):
+            assert toy_next_dist(src, [last]).min() > 0.0
 
 
 class TestTokenSeqJson:
