@@ -51,14 +51,12 @@ def check_fraction(x: float, name: str = "fraction") -> float:
     return x
 
 
-def check_token_ids(tokens, vocab_size: int | None = None, name: str = "tokens"):
-    """Check token ids are non-negative ints (< vocab_size when given)."""
-    toks = [int(t) for t in tokens]
-    bound = 2**32 if vocab_size is None else min(vocab_size, 2**32)
-    if toks and (min(toks) < 0 or max(toks) >= bound):
-        for t in toks:  # name the first bad id
+def check_token_ids(tokens, vocab_size: int, name: str = "tokens") -> None:
+    """Check token ids lie in [0, vocab_size) and the 4-byte range: ``min`` and
+    ``max`` over the ids as they are, then, on a miss, name the first bad id."""
+    if tokens and (min(tokens) < 0 or max(tokens) >= min(vocab_size, 2**32)):
+        for t in map(int, tokens):
             if t < 0 or t >= 2**32:
                 raise ValueError(f"{name} contains id {t} outside the 4-byte range")
-            if vocab_size is not None and t >= vocab_size:
+            if t >= vocab_size:
                 raise ValueError(f"{name} contains id {t} >= vocab size {vocab_size}")
-    return toks

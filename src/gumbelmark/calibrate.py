@@ -233,8 +233,8 @@ def _upper_crossing(b_run: np.ndarray, c_plus: float, m: np.ndarray, logfact: np
     if m_max == 0:
         return np.zeros(m.size)
     lam = b_run.size * (1.0 - c_plus)
-    a = np.minimum((1.0 - b_run[::-1][:m_max]) / (1.0 - c_plus), 1.0)
-    mu = lam * np.diff(a, prepend=0.0)
+    r = np.maximum((b_run[::-1][:m_max] - c_plus) / (1.0 - c_plus), 0.0)  # 1 - a_k, exact for tiny b
+    mu = lam * -np.diff(r, prepend=1.0)
     width = np.minimum(np.arange(m_max, 0, -1), (mu + 9.0 * np.sqrt(mu)).astype(int) + 20)
     # math.log, not np.log, so that each kernel is bit-identical to exp of its own row
     log_mu = [math.log(x) if x > 0.0 else 0.0 for x in mu.tolist()]
@@ -256,7 +256,7 @@ def _upper_crossing(b_run: np.ndarray, c_plus: float, m: np.ndarray, logfact: np
     k = np.arange(m_max)
     rest = m[:, None] - k  # the points above a_k
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(drop) + lam * a - k * math.log(lam) + rest * np.log1p(-a) + logfact[m, None] - logfact[rest]
+        terms = np.log(drop) + lam * (1.0 - r) - k * math.log(lam) + rest * np.log(r) + logfact[m, None] - logfact[rest]
     terms[rest <= 0] = -np.inf
     return np.exp(terms).sum(axis=1)
 

@@ -51,10 +51,12 @@ def pivot_series(seq, key, vocab_size: int) -> PivotSeries:
     """Recompute the pivots of a token sequence under ``key``.
 
     Positions with index < m have no full window and are excluded, so the
-    series covers indices m .. len-1 in order.
+    series covers indices m .. len-1 in order. Each costs one keyed SHA-256
+    of its window-and-token bytes; the ids are range-checked by ``min`` and
+    ``max`` as the sequence holds them, and copied only to name a bad one.
     """
-    tokens = check_token_ids(seq.tokens, vocab_size, name="sequence")
-    m = int(seq.m)
+    tokens, m = seq.tokens, int(seq.m)
+    check_token_ids(tokens, vocab_size, name="sequence")
     if len(tokens) <= m:
         raise ValueError(f"sequence of length {len(tokens)} has no scored positions for m={m}")
     return PivotSeries.from_y(_sequence_uniforms(key, tokens, m))

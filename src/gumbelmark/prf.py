@@ -15,13 +15,13 @@ would round to 2**53. So downstream logs and p-values never hit the
 boundary.
 
 Bulk paths hash through one kernel, ``_prefixed_uniforms``: it copies a
-shared prefix's hash state once per preimage tail and converts the 8-byte
-digest heads block by block. ``prf_vector`` passes one window's prefix
-(``_window_prefix``) and every id's encoding (``_id_chunks``). Watermarked
-generation hashes the key once per call and, per position, passes a copy of
-that state updated with the window's packed ids, the same preimage bytes.
-``pivot_series`` passes the key and each position's window-and-token bytes.
-The floats equal ``prf_uniform``'s.
+shared prefix's hash state once per preimage tail, joins DIGEST_BLOCK digests
+at a time and converts each block's 8-byte heads straight from their strided
+big-endian view (``_heads_to_unit``). ``prf_vector`` passes one window's
+prefix (``_window_prefix``) and every id's encoding (``_id_chunks``).
+Watermarked generation passes a copy of the key's state updated with the
+window's packed ids, the same preimage bytes. ``pivot_series`` passes the key
+and each position's window-and-token bytes. The floats equal ``prf_uniform``'s.
 """
 
 from __future__ import annotations
@@ -76,17 +76,15 @@ def _digest_to_unit(digest: bytes) -> float:
     return (x53 + 0.5) / _DENOM
 
 
-def _heads_to_unit(heads: bytes) -> np.ndarray:
-    """``_digest_to_unit`` over concatenated 8-byte digest heads. Bit-identical:
-    x53 < 2**53 converts to float exactly, and the + 0.5 and the division are
-    the same IEEE operations."""
-    x53 = np.minimum(np.frombuffer(heads, ">u8") >> 11, _X53_MAX)
-    return (x53.astype(np.float64) + 0.5) / _DENOM
+def _heads_to_unit(heads: np.ndarray) -> np.ndarray:
+    """``_digest_to_unit`` over big-endian uint64 digest heads, bit-identical:
+    x53 < 2**53 converts exactly, and + 0.5 and / 2**53 are the same IEEE ops."""
+    return (np.minimum(heads >> 11, _X53_MAX).astype(np.float64) + 0.5) / _DENOM
 
 
 def _prefixed_uniforms(prefix: "hashlib._Hash", chunks: list[bytes]) -> np.ndarray:
     """One uniform per preimage prefix || chunk, for each chunk in order."""
-    copy, heads = prefix.copy, np.empty(len(chunks), ">u8")
+    copy, blocks = prefix.copy, []
     for start in range(0, len(chunks), DIGEST_BLOCK):
         digests = []
         append = digests.append
@@ -95,14 +93,13 @@ def _prefixed_uniforms(prefix: "hashlib._Hash", chunks: list[bytes]) -> np.ndarr
             h.update(chunk)
             append(h.digest())
         # each 32-byte digest is four big-endian words; the first is its head
-        heads[start : start + len(digests)] = np.frombuffer(b"".join(digests), ">u8")[::4]
-    return _heads_to_unit(heads)
+        blocks.append(_heads_to_unit(np.frombuffer(b"".join(digests), ">u8")[::4]))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _id_chunks(vocab_size: int) -> list[bytes]:
     """The 4-byte little-endian encodings of ids 0 .. vocab_size - 1."""
-    packed = np.arange(vocab_size, dtype="<u4").tobytes()
-    return [packed[i : i + 4] for i in range(0, len(packed), 4)]
+    return list(map(struct.Struct("<I").pack, range(vocab_size)))
 
 
 def _window_prefix(key: Key, window) -> "hashlib._Hash":

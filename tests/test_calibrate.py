@@ -329,6 +329,22 @@ class TestExactNull:
         assert f"the least alpha is {least:.3g}" in str(exc.value)
         assert math.isfinite(critical_value(SumScore(ARS), 30, 1e-15))  # sum rules take any alpha
 
+    @pytest.mark.parametrize("n", [12, 57, 400])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_tail_at_c_plus_zero_holds_the_first_point(self, s, n):
+        # {p_(1) <= b_1} is one of the crossing events, so the tail is at
+        # least 1 - (1 - b_1)**n. At c+ = 0 the points above c+ carry it:
+        # built from 1 - b_t, every b_t below ~1e-16 rounded away and the
+        # s = 2 tail read 3.9e-27 at n = 400, alpha = 1e-15 against a bound of
+        # 2.2e-14, and fell short by >= 6.6e-7 relative from alpha = 1e-9 on.
+        # The slack of 1e-12 relative covers the sums' rounding
+        det = TrGoF(s=s, c_plus=0.0)
+        for alpha in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+            c = critical_value(det, n, alpha)
+            first = -math.expm1(n * math.log1p(-_boundary(s, n, c)[0]))
+            tail = null_sf(det, n, c)
+            assert first * (1.0 - 1e-12) <= tail <= alpha, (alpha, tail, first)
+
     @pytest.mark.parametrize("s", [1.5, 1.0, 0.5, 0.0, -1.0])
     def test_tail_at_tiny_c(self, s):
         # here the s = 2 start of the boundary is its root to rounding, and
@@ -400,6 +416,9 @@ class TestExactNull:
     # tanh-sinh quadrature. numpy's SIMD kernels for exp and log differ in the
     # last bits (critical values by <= 2.3e-14 relative between its AVX-512
     # and AVX2 kernels), so every value holds to CRITICAL_RTOL / 100 relative.
+    # The c+ = 0 rows at n = 195 and 400 were re-pinned when the law began to
+    # carry 1 - a_k from b_t, not 1 - b_t: s = 2 and HC moved by <= 5.0e-11
+    # relative, s = 1 by <= 1.1e-13; the old values held the rounding loss.
     GOLDEN = {
         (57, "0"): ("0x1.ca1cbdd5b86c3p-1", "0x1.bfccd7f981d10p-4", "0x1.489b74f6c028bp-3",
                     "0x1.0f3772271f5d7p-2", "0x1.432fc6ff13c6cp+3"),
@@ -407,14 +426,14 @@ class TestExactNull:
                       "0x1.0f3772271f601p-2", "0x1.a8b0a468bdd64p+2"),
         (57, "0.3"): ("0x1.5d939d24dc2e2p-4", "0x1.95299bd8aaaa0p-4", "0x1.486b9300fc813p-3",
                       "0x1.0f376f505c0fep-2", "0x1.8f420b3015775p+1"),
-        (195, "0"): ("0x1.0bef1bb7562e0p-2", "0x1.118d7aa99b628p-5", "0x1.87dd836ec8f32p-5",
-                     "0x1.57e7b252d5e65p-4", "0x1.4341777907f44p+3"),
+        (195, "0"): ("0x1.0bef1bb78fe29p-2", "0x1.118d7aa99b84dp-5", "0x1.87dd836ec8f32p-5",
+                     "0x1.57e7b252d5e65p-4", "0x1.434177792ac3ap+3"),
         (195, "1/n"): ("0x1.ccca2a56f6fd1p-4", "0x1.0e39000c3c16fp-5", "0x1.87dd7fdf5cd3ep-5",
                        "0x1.57e7b252d5e42p-4", "0x1.a7eb773391e16p+2"),
         (195, "0.3"): ("0x1.a7aebb20456b7p-6", "0x1.f017b3dbb8083p-6", "0x1.87734f210b88cp-5",
                        "0x1.57e7b1148883cp-4", "0x1.967e17a2a5091p+1"),
-        (400, "0"): ("0x1.0542667a25959p-3", "0x1.105ad3d50c53bp-6", "0x1.80349d46c3f72p-6",
-                     "0x1.554088981b44ep-5", "0x1.434538d41485ap+3"),
+        (400, "0"): ("0x1.0542667a5c060p-3", "0x1.105ad3d50c338p-6", "0x1.80349d46c3f72p-6",
+                     "0x1.554088981b44ep-5", "0x1.434538d43633dp+3"),
         (400, "1/n"): ("0x1.c0efa42ec20cdp-5", "0x1.0d78735d115c4p-6", "0x1.80349a63a6dabp-6",
                        "0x1.554088981b433p-5", "0x1.a7c3226f3b0b0p+2"),
         (400, "0.3"): ("0x1.a8fcb25d92934p-7", "0x1.ee7e0af3dc785p-7", "0x1.7fa6267486d31p-6",
@@ -446,20 +465,23 @@ class TestExactNull:
     # Binomial mass, 2.3e-20. The HC entries moved by <= 4.7e-10 relative
     # when HC began to take its critical value from the s = 2 solve. Between
     # numpy's AVX-512 and AVX2 kernels they differ by <= 1.2e-13 relative, so
-    # every value holds to CRITICAL_RTOL / 100 relative
+    # every value holds to CRITICAL_RTOL / 100 relative. The c+ = 0 rows were
+    # re-pinned with the critical values above: at n = 400 the s = 1 tail at
+    # 4x moved from 3.5964e-11 to 3.5979e-11 (+4.0e-4 relative), at n = 57
+    # from 1.11192e-10 to 1.11190e-10 (-1.6e-5), the rest by <= 5.0e-11
     SF_GOLDEN = {
-        (57, "0"): ("0x1.47ae147ae146cp-7", "0x1.42cd0af1cadd0p-9", "0x1.47ae147945ae4p-7", "0x1.e907229250cf5p-34",
+        (57, "0"): ("0x1.47ae147ae145cp-7", "0x1.42cd0af1c99abp-9", "0x1.47ae1479451eep-7", "0x1.e9052e5e1e4f5p-34",
                     "0x1.47ae147ae01d3p-7", "0x1.2d995faf6f9e8p-29", "0x1.47ae147ace414p-7", "0x1.b40ddfe359838p-16",
-                    "0x1.47ae147ae146cp-7", "0x1.41a2682021414p-11"),
+                    "0x1.47ae147ae145cp-7", "0x1.41a268201de8cp-11"),
         (57, "1/n"): ("0x1.47ae147a9e806p-7", "0x1.1e3890e4b067ep-9", "0x1.47ae147ae1426p-7", "0x1.337cb7f7b2d70p-33",
                       "0x1.47ae147ae01a2p-7", "0x1.2d99c97f8e3d3p-29", "0x1.47ae147ace3eap-7", "0x1.b40ddfe3596a1p-16",
                       "0x1.47ae147a9e806p-7", "0x1.1694b7700080fp-11"),
         (57, "0.3"): ("0x1.47ae147ae0ba0p-7", "0x1.bf18474c7d1a6p-26", "0x1.47ae147ae094ap-7", "0x1.199109d2e0abap-31",
                       "0x1.47ae147adfd19p-7", "0x1.315ce2f53c9d0p-29", "0x1.47ae147ace323p-7", "0x1.b40dfceda3994p-16",
                       "0x1.47ae147ae0ba0p-7", "0x1.fe34358a40745p-37"),
-        (400, "0"): ("0x1.47ae147adf9d6p-7", "0x1.42ab88f53128ap-9", "0x1.47ae14792b44fp-7", "0x1.3c58a3dac6600p-35",
+        (400, "0"): ("0x1.47ae147a999fcp-7", "0x1.42ab88f4f6638p-9", "0x1.47ae14792d96bp-7", "0x1.3c78eea63fed6p-35",
                      "0x1.47ae147adfe31p-7", "0x1.87f2f4d3abac5p-28", "0x1.47ae147adf813p-7", "0x1.5f734e5188b67p-15",
-                     "0x1.47ae147adf9d6p-7", "0x1.4179fcaf33196p-11"),
+                     "0x1.47ae147a999fcp-7", "0x1.4179fcaef450fp-11"),
         (400, "1/n"): ("0x1.47ae147a9c162p-7", "0x1.1d57be22b8ab4p-9", "0x1.47ae147930a00p-7", "0x1.7a7097c7f8c98p-35",
                        "0x1.47ae147ae013dp-7", "0x1.87f32d6ca4e07p-28", "0x1.47ae147adf5e8p-7", "0x1.5f734e51889f0p-15",
                        "0x1.47ae147a9c162p-7", "0x1.15b251c0761d1p-11"),

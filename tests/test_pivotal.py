@@ -305,6 +305,27 @@ class TestPivotSeries:
         seq = TokenSeq([1, 2, 7, 3, 2**32], ["P", "S", "S", "S", "S"], 1)
         with pytest.raises(ValueError, match=r"contains id 7 >= vocab size 5"):
             pivot_series(seq, key, 5)
+        # tokens replaced after construction skip TokenSeq's int(): the range
+        # check reads them as held, so numpy ids score as the same Python ints
+        # and a bad one is still named, never handed to struct.pack
+        _, _, seq = self.make_seq()
+        want = pivot_series(seq, key, 12).y
+        ids = list(seq.tokens)
+        for cast in (np.int64, np.uint32, np.int32, np.uint64):
+            seq.tokens = [cast(t) for t in ids]
+            assert pivot_series(seq, key, 12).y.tobytes() == want.tobytes(), cast
+        for bad, vocab, message in (
+            (np.int64(-1), 12, r"contains id -1 outside the 4-byte range"),
+            (np.int64(2**32), 2**33, r"contains id 4294967296 outside the 4-byte range"),
+            (np.uint64(2**40), 2**33, r"contains id 1099511627776 outside the 4-byte range"),
+            (2**32, 2**33, r"contains id 4294967296 outside the 4-byte range"),
+            (np.int64(12), 12, r"contains id 12 >= vocab size 12"),
+            (np.uint32(13), 12, r"contains id 13 >= vocab size 12"),
+        ):
+            # the bad id sits ahead of a second one, which must not be named
+            seq.tokens = [np.int64(t) for t in ids[:30]] + [bad] + [np.int64(-2)] + ids[32:]
+            with pytest.raises(ValueError, match=message):
+                pivot_series(seq, key, vocab)
 
     def test_from_y(self):
         piv = PivotSeries.from_y([0.25, 0.75])

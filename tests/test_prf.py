@@ -71,7 +71,7 @@ def test_bulk_conversion_is_the_scalar_rule():
     # starts to round, and x53 = 2**53 - 2, the cap of the all-ones head
     edges = [0, 2**64 - 1, (2**52 - 1) << 11, 2**63, (2**52 + 1) << 11, (2**53 - 2) << 11]
     heads += b"".join(x.to_bytes(8, "big") for x in edges)
-    bulk = _heads_to_unit(heads)
+    bulk = _heads_to_unit(np.frombuffer(heads, ">u8"))
     scalar = [_digest_to_unit(heads[i : i + 8]) for i in range(0, len(heads), 8)]
     assert bulk.dtype == np.float64 and bulk.shape == (len(scalar),)
     assert bulk.tolist() == scalar
