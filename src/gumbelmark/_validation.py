@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 PROB_SUM_TOL = 1e-12
@@ -60,3 +62,12 @@ def check_token_ids(tokens, vocab_size: int, name: str = "tokens") -> None:
                 raise ValueError(f"{name} contains id {t} outside the 4-byte range")
             if t >= vocab_size:
                 raise ValueError(f"{name} contains id {t} >= vocab size {vocab_size}")
+
+
+def name_non_integer_id(tokens, name: str = "tokens") -> None:
+    """Raise a ValueError naming the first id of ``tokens`` that is not an integer."""
+    for t in tokens:
+        try:
+            operator.index(t)
+        except TypeError:
+            raise ValueError(f"{name} contains id {t!r}, which is not an integer") from None

@@ -39,22 +39,24 @@ import numpy as np
 
 from .detectors import (
     Detector,
-    S_BRANCH_TOL,
     HigherCriticism,
     SumScore,
     TrGoF,
+    _k_s_plus_log_slope,
     _k_s_plus_terms,
+    _t_over_n,
     null_moments,
 )
 from .streams import substream
 
-# Exact null law: the most Newton steps for a boundary point and the relative
-# step (4 ulps) at which they stop, the mass below which a count leaves the
-# band of the Poisson recursion, the Binomial weight of J = #{p < c+} below
-# which a term is dropped, and the relative width at which the root-finder for
-# the critical value stops.
+# Exact null law: the most Newton steps for a boundary point, the relative
+# step (4 ulps) at which they stop, the least p they search, the mass
+# below which a count leaves the band of the Poisson recursion, the Binomial
+# weight of J = #{p < c+} below which a term is dropped, and the relative
+# width at which the root-finder for the critical value stops.
 BOUNDARY_STEPS = 60
 NEWTON_RTOL = 2.0**-50
+BOUNDARY_FLOOR = 1e-300
 BAND_FLOOR = 1e-290
 BINOMIAL_TAIL = 1e-20
 CRITICAL_RTOL = 1e-10
@@ -83,8 +85,8 @@ def mc_critical(
     and takes one ``detector.statistic`` call.
     """
     n = int(n)
-    if n < 3:
-        raise ValueError("need n >= 3")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if reps < 100:
@@ -109,59 +111,64 @@ def mc_critical(
 
 def _boundary(s: float, n: int, c: float) -> np.ndarray:
     """b_t(c) for t = 1 .. n: the largest p at which K_s^+(t/n, p) >= c, or 0
-    when no p does.
+    when no p >= BOUNDARY_FLOOR does.
 
     K_s^+(t/n, p) is an f-divergence, convex and decreasing in p on (0, t/n)
     and 0 beyond, so the t-th term stays below c exactly when p_(t) > b_t. At
     s = 2, b_t is the smaller root of (t/n - p)**2 = 2c p (1 - p) in
-    cancellation-free form. Other s start there, below t/n (where K_s^+ = 0),
-    on the rows with K_s^+(t/n, 1e-300) >= c; the rest read 0. With u = t/n
-    and gap = u - p the start misses the root by ~|s - 2| gap**2 / (6 u (1 - u))
+    cancellation-free form. Other s start there, below t/n. With u = t/n and
+    gap = u - p the start misses the root by ~|s - 2| gap**2 / (6 u (1 - u))
     (the third-order term of K_s^+ - K_2^+), and rounding of K_s^+, ~NEWTON_RTOL,
     moves the root by ~NEWTON_RTOL u (1 - u) / gap; a row keeps its start
     where the miss is the smaller (every row with u < 1 at c below ~1e-11),
     and runs a Newton iteration on g = K_s^+ - c elsewhere. A row steps in
     p from lo, its largest point with g >= 0, which by convexity stops short
     of the root; a step past hi, its least point with g < 0, lands in rounding
-    noise, so the row steps back from hi as far. Until it has a lo it steps in
-    log p, and at least twice as far as before up to p / 2. It ends at lo once
-    the step from lo is below NEWTON_RTOL lo (shorter steps are lengthened to
-    NEWTON_RTOL t/n) or hi - lo below NEWTON_RTOL t/n.
+    noise, so the row steps back from hi as far, and at least as far as a
+    change of NEWTON_RTOL c in K_s^+ moves the root. Until it has a lo it takes
+    Newton's step on log K_s^+ against log p, which stays right of the root
+    (log K_s^+ is concave in log p) and, unlike a step in p, cannot underflow
+    to 0 at a tiny root; it goes at least twice as far as before up to p / 2.
+    Where K_s^+ rounds to 0 it steps in log p instead. It ends at lo once K_s^+
+    there is within NEWTON_RTOL c of c, the step from lo is below NEWTON_RTOL lo
+    (shorter steps are lengthened to that), or hi - lo is below NEWTON_RTOL
+    lo: every tolerance is relative to the root, so a root far below t/n is
+    fixed as well as one near it.
     """
-    u = np.arange(1, n + 1) / n
+    u = _t_over_n(n)
     d = 2.0 * c
     b = 2.0 * u * u / (2.0 * u + d + np.sqrt(d * (4.0 * u * (1.0 - u) + d)))
     if s == 2.0:
         return b
-    b = np.where(_k_s_plus_terms(u, np.full(n, 1e-300), s) >= c, np.minimum(b, np.nextafter(u, 0.0)), 0.0)
+    b = np.where(_k_s_plus_terms(u, np.full(n, BOUNDARY_FLOOR), s) >= c, np.minimum(b, np.nextafter(u, 0.0)), 0.0)
     rows = np.flatnonzero((b > 0.0) & (abs(s - 2.0) * (u - b) ** 3 > 6.0 * NEWTON_RTOL * (u * (1.0 - u)) ** 2))
     u, p, m = u[rows], b[rows], rows.size
-    lo, hi, step_lo, gap = np.zeros(m), u.copy(), np.zeros(m), np.zeros(m)
+    lo, hi, k_lo, step_lo, gap, w_hi = np.zeros(m), u, np.full(m, np.inf), np.zeros(m), np.zeros(m), np.zeros(m)
     for _ in range(BOUNDARY_STEPS):
-        g = _k_s_plus_terms(u, p, s) - c
-        step = -g * p / _k_s_plus_log_slope(u, p, s)  # the Newton step from p
-        left = g >= 0.0
-        lo, step_lo, hi = np.where(left, p, lo), np.where(left, step, step_lo), np.where(left, hi, p)
-        done = (lo > 0.0) & ((step_lo <= NEWTON_RTOL * lo) | (hi - lo <= NEWTON_RTOL * u))
-        q = lo + np.maximum(step_lo, NEWTON_RTOL * u)
-        q = np.where(q < hi, q, np.maximum(hi - np.maximum(q - hi, 0.5 * NEWTON_RTOL * u), 0.5 * (lo + hi)))
-        right = np.minimum(p * np.exp(np.minimum(step / p, 0.0)), np.maximum(p - 2.0 * gap, 0.5 * p))
-        q = np.where(lo > 0.0, q, np.minimum(right, np.nextafter(p, 0.0)))
+        k = _k_s_plus_terms(u, p, s)
+        slope = _k_s_plus_log_slope(u, p, s)
+        step = (c - k) * p / slope  # the Newton step in p
+        left = k >= c
+        lo, k_lo, step_lo = np.where(left, p, lo), np.where(left, k, k_lo), np.where(left, step, step_lo)
+        hi, w_hi = np.where(left, hi, p), np.where(left, w_hi, NEWTON_RTOL * c * p / -slope)
+        done = (lo > 0.0) & ((k_lo - c <= NEWTON_RTOL * c) | (np.minimum(step_lo, hi - lo) <= NEWTON_RTOL * lo))
+        q = lo + np.maximum(step_lo, NEWTON_RTOL * lo)
+        back = np.maximum(np.maximum(q - hi, w_hi), 0.5 * NEWTON_RTOL * lo)
+        q = np.where(q < hi, q, np.maximum(hi - back, 0.5 * (lo + hi)))
+        if not lo.all():
+            with np.errstate(divide="ignore", invalid="ignore"):  # read only where k > 0
+                right = p * np.exp(np.log(c / k) * k / slope)
+            right = np.where(k > 0.0, right, p * np.exp(np.minimum(step / p, 0.0)))
+            right = np.minimum(right, np.maximum(p - 2.0 * gap, 0.5 * p))
+            q = np.where(lo > 0.0, q, np.minimum(right, np.nextafter(p, 0.0)))
         b[rows[done]] = lo[done]
         keep = ~done
         if not keep.any():
             return b
-        rows, u, gap, p, lo, hi, step_lo = (x[keep] for x in (rows, u, p - q, q, lo, hi, step_lo))
+        rows, u, gap, p, lo, k_lo, hi, w_hi, step_lo = (
+            x[keep] for x in (rows, u, p - q, q, lo, k_lo, hi, w_hi, step_lo))
     b[rows] = lo
     return b
-
-
-def _k_s_plus_log_slope(u: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
-    """p dK_s^+(u, p)/dp = (p (1-u)^s (1-p)^-s - u^s p^(1-s)) / s for 0 < p < u <= 1,
-    which the s -> 1 branch of K_s^+ shares and whose s -> 0 limit is p log(p (1-u) / (u (1-p)))."""
-    if abs(s) < S_BRANCH_TOL:
-        return p * np.log(p * (1.0 - u) / (u * (1.0 - p)))
-    return (p * ((1.0 - u) / (1.0 - p)) ** s - u * (u / p) ** (s - 1.0)) / s
 
 
 def _crossing_law(b: np.ndarray, c_plus: float) -> float:
@@ -270,7 +277,7 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
     """
     n = int(n)
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError(f"need n >= 1, got {n}")
     c = float(c)
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
@@ -294,7 +301,7 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     -z(alpha) from the standard library's normal inverse CDF, so that 1 - alpha
     is never rounded and any alpha in (0, 1) solves (n >= 1).
 
-    TrGoF takes the exact law (n >= 3). The root is bracketed by factors of
+    TrGoF takes the exact law, at every n >= 1. The root is bracketed by factors of
     8 from 1/n, the statistic's null scale, then narrowed by Brent's method
     on g(log c) = log(null_sf / alpha) (inverse quadratic steps, bisection
     safeguard, no step below CRITICAL_RTOL / 2) until the bracket is
@@ -307,9 +314,8 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     the two share one solve. Memoised per process.
     """
     n = int(n)
-    least = 1 if isinstance(detector, SumScore) else 3
-    if n < least:
-        raise ValueError(f"need n >= {least}, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if isinstance(detector, HigherCriticism):

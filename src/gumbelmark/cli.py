@@ -268,7 +268,7 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
-    try:  # critical_value owns each detector's least n
+    try:  # critical_value owns the least n
         detector = _build_detector(args, args.n).fit(args.n, args.alpha)
     except (UsageError, ValueError) as exc:
         raise UsageError(f"cannot calibrate at --n {args.n}: {exc}") from exc
@@ -343,11 +343,11 @@ def _suite_gapcheck(args) -> list[str]:
 
 def _suite_tolerance(args) -> list[str]:
     """Edit tolerance of TrGoF, calibrated at each decided sequence's scored
-    length; fewer than 3 positions (the exact law's least n) is no rejection."""
+    length; a sequence with no scored position is not rejected."""
     key = _resolve_key(args)
 
     def decide(ts: TokenSeq) -> bool:
-        if len(ts.tokens) - ts.m < 3:
+        if len(ts.tokens) <= ts.m:
             return False
         piv = pivot_series(ts, key, args.vocab_size)
         detector = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, piv.n)).fit(piv.n, alpha=args.alpha)
@@ -381,8 +381,8 @@ _SUITES = {
 
 def cmd_experiment(args) -> int:
     started = time.time()
-    least_n = 3 if args.suite == "hist" else 2  # hist calibrates by the exact law, which needs n >= 3
-    for flag, value, least in (("--n", args.n, least_n), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
+    # --n >= 2: the mixture's q floor log_n(V/(V-1)) divides by log n
+    for flag, value, least in (("--n", args.n, 2), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
                                ("--m", args.m, 1), ("--vocab-size", args.vocab_size, 2)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
@@ -391,8 +391,8 @@ def cmd_experiment(args) -> int:
     if not (0.0 < args.delta_min <= args.delta_max < 1.0 and all(-1.0 <= s <= 2.0 for s in (args.s, *args.s_list))):
         raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and --s and every --s-list entry in [-1, 2], "
                          f"got {args.delta_min}, {args.delta_max}, {args.s}, {args.s_list}")
-    if args.suite == "tolerance" and args.n_test - args.m < 3:
-        raise UsageError(f"--n-test minus --m must be at least 3 scored positions, got {args.n_test - args.m}")
+    if args.suite == "tolerance" and args.n_test <= args.m:
+        raise UsageError(f"--n-test must exceed --m to leave a scored position, got {args.n_test} and --m {args.m}")
     made = not os.path.exists(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     try:

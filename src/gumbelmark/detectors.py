@@ -37,8 +37,7 @@ from .pivotal import PivotSeries, _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
 
 S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the KL limit branch of K_s_plus
-_P_CLIP_LO = 1e-300
-_P_CLIP_HI = 1.0 - 1e-16
+_CLIP = 2.0**-53  # p-values and pivots are clipped to [_CLIP, 1 - _CLIP]; 1 - y >= _CLIP for a float y < 1
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +101,23 @@ def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
+def _k_s_plus_log_slope(u: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
+    """p dK_s^+(u, p)/dp = (p (1-u)^s (1-p)^-s - u^s p^(1-s)) / s for 0 < p < u <= 1,
+    which the s -> 1 branch of K_s^+ shares and whose s -> 0 limit is p log(p (1-u) / (u (1-p)))."""
+    if abs(s) < S_BRANCH_TOL:
+        return p * np.log(p * (1.0 - u) / (u * (1.0 - p)))
+    return (p * ((1.0 - u) / (1.0 - p)) ** s - u * (u / p) ** (s - 1.0)) / s
+
+
 # ---------------------------------------------------------------------------
 # statistics over a pivot series
 # ---------------------------------------------------------------------------
 
 def _as_pvalues(series) -> np.ndarray:
-    if isinstance(series, PivotSeries):
-        p = series.p
-    else:
-        p = np.asarray(series, dtype=float)
+    p = _clip(series.p if isinstance(series, PivotSeries) else series)
     if p.size == 0:
         raise ValueError("empty pivot series")
-    return np.clip(p, _P_CLIP_LO, _P_CLIP_HI)
+    return p
 
 
 def _check_c_plus(c_plus: float) -> None:
@@ -121,9 +125,9 @@ def _check_c_plus(c_plus: float) -> None:
         raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
 
 
-def _clip_pivots(y) -> np.ndarray:
-    """Pivots as floats in [1 - _P_CLIP_HI, _P_CLIP_HI]: the one clip of the sum rules."""
-    return np.clip(np.asarray(y, dtype=float), 1.0 - _P_CLIP_HI, _P_CLIP_HI)
+def _clip(x) -> np.ndarray:
+    """p-values or pivots as floats in [_CLIP, 1 - _CLIP]: the one clip of every statistic."""
+    return np.clip(np.asarray(x, dtype=float), _CLIP, 1.0 - _CLIP)
 
 
 @functools.lru_cache(maxsize=8)
@@ -322,7 +326,7 @@ class SumScore(Detector):
             raise ValueError("kind must be a ScoreKind")
 
     def statistic(self, series):
-        y = _clip_pivots(series.y if isinstance(series, PivotSeries) else series)
+        y = _clip(series.y if isinstance(series, PivotSeries) else series)
         if y.size == 0:
             raise ValueError("empty pivot series")
         return _float_if_scalar(_score_terms(y, self.kind).sum(axis=-1))

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import tradeoff_curve
-from .detectors import ScoreKind, TrGoF, _clip_pivots, _score_terms, score, trgof_stat
+from .detectors import ScoreKind, TrGoF, _clip, _score_terms, score, trgof_stat
 from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
 from .pivotal import _sampling_table, _table_sample
-from .streams import substream
+from .streams import child_seed, substream
 from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, least_favorable_atoms, m1_rows, make_m2
 
 NTP_MODES = ("m1", "m2")
@@ -192,7 +192,7 @@ def _trial_statistics(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str
     k = cfg.n_signal
     for t in range(cfg.trials):
         mix, null = sample_mixture(cfg, substream(cfg.seed, t))
-        y0, y1_head = _clip_pivots(null.y), _clip_pivots(mix.y[:k])
+        y0, y1_head = _clip(null.y), _clip(mix.y[:k])
         for sp in specs:
             s0, s1 = stats[sp.name]
             if sp.kind == "trgof":
@@ -216,7 +216,7 @@ class HistogramStudy:
 def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
     """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
     at level alpha: the share of mixture statistics at or above the exact
-    critical value ``TrGoF(s, c_plus).fit(n, alpha).threshold`` (n >= 3),
+    critical value ``TrGoF(s, c_plus).fit(n, alpha).threshold``,
     solved before any trial runs so that an alpha it refuses fails fast.
     A repeated s is studied once."""
     s_values = list(dict.fromkeys(float(s) for s in s_values))
@@ -247,12 +247,13 @@ def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, f
 
 def boundary_grid(p_values, q_values, specs: list[BoundarySpec], *, n: int, vocab_size: int,
                   ntp_mode: str = "m2", trials: int = 200, seed: int = 0) -> list[dict]:
-    """Min error sums over the (p, q) grid; rows of {p, q, name, min_error_sum}."""
+    """Min error sums over the (p, q) grid; rows of {p, q, name, min_error_sum}.
+    Cell (i, j) draws its trials under ``child_seed(seed, i, j)``."""
     rows = []
     for pi, p in enumerate(p_values):
         for qi, q in enumerate(q_values):
             cfg = MixtureConfig(n=n, p=p, q=q, vocab_size=vocab_size, ntp_mode=ntp_mode, trials=trials,
-                                seed=seed + 1_000_003 * pi + 7919 * qi)
+                                seed=child_seed(seed, pi, qi))
             for name, err in min_error_cell(cfg, specs).items():
                 rows.append({"p": p, "q": q, "name": name, "min_error_sum": err})
     return rows
@@ -302,7 +303,7 @@ def entropy_gap_check(probs, kinds, trials: int, seed: int = 0) -> list[GapCheck
     """
     rng = substream(seed, 0)
     y1 = alt_sample(probs, rng.random(trials))
-    y0 = _clip_pivots(rng.random(trials))
+    y0 = _clip(rng.random(trials))
     rows = []
     for kind in kinds:
         h1 = score(y1, kind)

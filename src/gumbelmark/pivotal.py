@@ -22,11 +22,12 @@ Null expectations E[g(Y)], Y ~ U(0, 1), are integrals over [0, 1], which
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids
+from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids, name_non_integer_id
 from .prf import _sequence_uniforms
 
 
@@ -53,13 +54,19 @@ def pivot_series(seq, key, vocab_size: int) -> PivotSeries:
     Positions with index < m have no full window and are excluded, so the
     series covers indices m .. len-1 in order. Each costs one keyed SHA-256
     of its window-and-token bytes; the ids are range-checked by ``min`` and
-    ``max`` as the sequence holds them, and copied only to name a bad one.
+    ``max`` as the sequence holds them, and walked only to name a bad one,
+    out of range or, when packing them fails, not an integer.
     """
     tokens, m = seq.tokens, int(seq.m)
     check_token_ids(tokens, vocab_size, name="sequence")
     if len(tokens) <= m:
         raise ValueError(f"sequence of length {len(tokens)} has no scored positions for m={m}")
-    return PivotSeries.from_y(_sequence_uniforms(key, tokens, m))
+    try:
+        y = _sequence_uniforms(key, tokens, m)
+    except struct.error:
+        name_non_integer_id(tokens, name="sequence")
+        raise
+    return PivotSeries.from_y(y)
 
 
 def _grouped(probs) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from gumbelmark.calibrate import (
 from gumbelmark.detectors import S_BRANCH_TOL, Detector, _k_s_plus_terms
 from gumbelmark.streams import substream
 
-from util import count_law_passes, illinois_critical
+from util import count_law_passes, illinois_critical, log_bisection_boundary
 
 
 def bisection_boundary(s, n, c, steps=60):
@@ -221,6 +221,20 @@ class TestExactNull:
         for det in gof_detectors((0.6, 0.95)):
             assert_tail_matches_sample(det, n, det.statistic(pivots), (0.3, 0.6, 0.9, 0.99))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_series_match_monte_carlo(self, n):
+        # the law is exact at every n >= 1: at n = 1 and 2 every detector's
+        # tail lies within 4 binomial SEs (the bound of assert_tail_matches_sample,
+        # fixed before the run) of 100 000 null series at its 0.3, 0.6, 0.9
+        # and 0.99 quantiles, and every critical value solves to at most alpha
+        pivots = substream(33, n).random((100_000, n))
+        for c_plus in (0.0, 1.0 / n**2, 1.0 / n, 0.3, 1.0):
+            dets = [TrGoF(s=s, c_plus=c_plus) for s in (2.0, 1.5, 1.0, 0.5, 0.0, -1.0)]
+            for det in dets + [HigherCriticism(c_plus=c_plus)]:
+                assert_tail_matches_sample(det, n, det.statistic(pivots), (0.3, 0.6, 0.9, 0.99))
+                for alpha in (0.3, 0.05, 0.01, 1e-3):
+                    assert null_sf(det, n, critical_value(det, n, alpha)) <= alpha, (det, n, alpha)
+
     def test_type_one_with_exact_thresholds(self):
         # criterion 04's fresh null draws, thresholds from the exact law
         n, alpha, trials = 400, 0.01, 5000
@@ -272,8 +286,11 @@ class TestExactNull:
     def test_guards(self):
         det = TrGoF(s=2.0, c_plus=0.0)
         critical_value(det, 50, 0.01)  # the guards hold with a warm memo too
-        with pytest.raises(ValueError):
-            critical_value(det, 2, 0.01)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n >= 1"):
+                critical_value(det, bad, 0.01)
+            with pytest.raises(ValueError, match="n >= 1"):
+                mc_critical(det, bad, 0.05, reps=200, outer=1)
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
                 critical_value(det, 50, bad)
@@ -391,6 +408,33 @@ class TestExactNull:
         assert some_zero or s >= 1.0 or abs(s - 1.0) < S_BRANCH_TOL
         assert reached_edge or s <= 0.0
 
+    @pytest.mark.parametrize("n", [3, 20, 400])
+    @pytest.mark.parametrize("s", [1.0, 1.2, 1.5, 1.8])
+    def test_boundary_keeps_tiny_roots(self, s, n):
+        # for 1 < s < 2 a step in p underflowed to 0 at large c and dropped a
+        # root (s = 1.5 from c ~ 3.2e4 at n = 20), and an absolute stop fixed a
+        # root far below t/n only to ~1e-16 t/n (30% off at s = 1); every root
+        # must be kept and match the log-space bisection to 1e-12 of itself
+        u = np.arange(1, n + 1) / n
+        for c in np.geomspace(1e-2, 1e12, 29):
+            got, want = _boundary(s, n, c), log_bisection_boundary(s, n, c)
+            assert np.array_equal(got > 0.0, want > 0.0), (s, n, c)
+            pos = got > 0.0
+            assert np.all(_k_s_plus_terms(u[pos], got[pos], s) >= c), (s, n, c)
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (s, n, c, np.max(np.abs(got / want - 1.0)[pos]))
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_small_alpha_holds_at_s_one_and_a_half(self, n):
+        # with roots lost, critical_value returned one c for alpha = 1e-12 and
+        # 1e-15 (2.17e4 at n = 20), whose true size was 3.5e-12: the law on the
+        # reference boundary at the returned c must be at most alpha
+        for c_plus in (0.0, 1.0 / n):
+            det = TrGoF(s=1.5, c_plus=c_plus)
+            for alpha in (1e-12, 1e-15):
+                crit = critical_value(det, n, alpha)
+                size = _crossing_law(log_bisection_boundary(1.5, n, crit), c_plus)
+                assert size <= alpha * (1.0 + 1e-9), (n, c_plus, alpha, size)
+
     @pytest.mark.parametrize("n", [20, 195, 1000])
     def test_recursion_matches_per_step_kernels(self, n):
         # the first-crossing masses and the per-step no-crossing recursion
@@ -419,8 +463,10 @@ class TestExactNull:
     # The c+ = 0 rows at n = 195 and 400 were re-pinned when the law began to
     # carry 1 - a_k from b_t, not 1 - b_t: s = 2 and HC moved by <= 5.0e-11
     # relative, s = 1 by <= 1.1e-13; the old values held the rounding loss.
+    # The s = 1 entries at (57, 0) and (400, 0.3) moved by -5.0e-11 and
+    # +5.0e-11 when the boundary's tolerances became relative to the root.
     GOLDEN = {
-        (57, "0"): ("0x1.ca1cbdd5b86c3p-1", "0x1.bfccd7f981d10p-4", "0x1.489b74f6c028bp-3",
+        (57, "0"): ("0x1.ca1cbdd5b86c3p-1", "0x1.bfccd7f921bd0p-4", "0x1.489b74f6c028bp-3",
                     "0x1.0f3772271f5d7p-2", "0x1.432fc6ff13c6cp+3"),
         (57, "1/n"): ("0x1.8b87a315039ddp-2", "0x1.b8a1a340d354ap-4", "0x1.489b6fac47053p-3",
                       "0x1.0f3772271f601p-2", "0x1.a8b0a468bdd64p+2"),
@@ -436,7 +482,7 @@ class TestExactNull:
                      "0x1.554088981b44ep-5", "0x1.434538d43633dp+3"),
         (400, "1/n"): ("0x1.c0efa42ec20cdp-5", "0x1.0d78735d115c4p-6", "0x1.80349a63a6dabp-6",
                        "0x1.554088981b433p-5", "0x1.a7c3226f3b0b0p+2"),
-        (400, "0.3"): ("0x1.a8fcb25d92934p-7", "0x1.ee7e0af3dc785p-7", "0x1.7fa6267486d31p-6",
+        (400, "0.3"): ("0x1.a8fcb25d92934p-7", "0x1.ee7e0af446a6fp-7", "0x1.7fa6267486d31p-6",
                        "0x1.554087008ea73p-5", "0x1.9c4de6d4fb444p+1"),
         (57, "sum"): ("0x1.2a4110f7a5168p+6", "-0x1.3b7dde10b5d30p+5", "0x1.2a4110f7a5168p+5",
                       "0x1.363d4d957a1efp+1"),
@@ -468,24 +514,29 @@ class TestExactNull:
     # every value holds to CRITICAL_RTOL / 100 relative. The c+ = 0 rows were
     # re-pinned with the critical values above: at n = 400 the s = 1 tail at
     # 4x moved from 3.5964e-11 to 3.5979e-11 (+4.0e-4 relative), at n = 57
-    # from 1.11192e-10 to 1.11190e-10 (-1.6e-5), the rest by <= 5.0e-11
+    # from 1.11192e-10 to 1.11190e-10 (-1.6e-5), the rest by <= 5.0e-11.
+    # When the boundary's tolerances became relative to the root, the s = 1
+    # tails at 4x moved by 2.9e-8 to 1.0e-7 at (57, 0), (57, 1/n), (400, 0)
+    # and (400, 1/n), by -1.2e-9 at (400, 0.3), and at the critical value by
+    # <= 2.9e-10; each now agrees with the law on log_bisection_boundary to
+    # <= 2.8e-14 relative, where the old values were off by as much as they moved
     SF_GOLDEN = {
-        (57, "0"): ("0x1.47ae147ae145cp-7", "0x1.42cd0af1c99abp-9", "0x1.47ae1479451eep-7", "0x1.e9052e5e1e4f5p-34",
+        (57, "0"): ("0x1.47ae147ae145cp-7", "0x1.42cd0af1c99abp-9", "0x1.47ae147ae1453p-7", "0x1.e90531b2e9d48p-34",
                     "0x1.47ae147ae01d3p-7", "0x1.2d995faf6f9e8p-29", "0x1.47ae147ace414p-7", "0x1.b40ddfe359838p-16",
                     "0x1.47ae147ae145cp-7", "0x1.41a268201de8cp-11"),
-        (57, "1/n"): ("0x1.47ae147a9e806p-7", "0x1.1e3890e4b067ep-9", "0x1.47ae147ae1426p-7", "0x1.337cb7f7b2d70p-33",
+        (57, "1/n"): ("0x1.47ae147a9e806p-7", "0x1.1e3890e4b067ep-9", "0x1.47ae147ae1426p-7", "0x1.337cb8dc7e516p-33",
                       "0x1.47ae147ae01a2p-7", "0x1.2d99c97f8e3d3p-29", "0x1.47ae147ace3eap-7", "0x1.b40ddfe3596a1p-16",
                       "0x1.47ae147a9e806p-7", "0x1.1694b7700080fp-11"),
         (57, "0.3"): ("0x1.47ae147ae0ba0p-7", "0x1.bf18474c7d1a6p-26", "0x1.47ae147ae094ap-7", "0x1.199109d2e0abap-31",
                       "0x1.47ae147adfd19p-7", "0x1.315ce2f53c9d0p-29", "0x1.47ae147ace323p-7", "0x1.b40dfceda3994p-16",
                       "0x1.47ae147ae0ba0p-7", "0x1.fe34358a40745p-37"),
-        (400, "0"): ("0x1.47ae147a999fcp-7", "0x1.42ab88f4f6638p-9", "0x1.47ae14792d96bp-7", "0x1.3c78eea63fed6p-35",
+        (400, "0"): ("0x1.47ae147a999fcp-7", "0x1.42ab88f4f6638p-9", "0x1.47ae14792d96bp-7", "0x1.3c78f01e67df6p-35",
                      "0x1.47ae147adfe31p-7", "0x1.87f2f4d3abac5p-28", "0x1.47ae147adf813p-7", "0x1.5f734e5188b67p-15",
                      "0x1.47ae147a999fcp-7", "0x1.4179fcaef450fp-11"),
-        (400, "1/n"): ("0x1.47ae147a9c162p-7", "0x1.1d57be22b8ab4p-9", "0x1.47ae147930a00p-7", "0x1.7a7097c7f8c98p-35",
+        (400, "1/n"): ("0x1.47ae147a9c162p-7", "0x1.1d57be22b8ab4p-9", "0x1.47ae147930a00p-7", "0x1.7a70987d82ed7p-35",
                        "0x1.47ae147ae013dp-7", "0x1.87f32d6ca4e07p-28", "0x1.47ae147adf5e8p-7", "0x1.5f734e51889f0p-15",
                        "0x1.47ae147a9c162p-7", "0x1.15b251c0761d1p-11"),
-        (400, "0.3"): ("0x1.47ae147adec19p-7", "0x1.56a07cfe8e4dcp-29", "0x1.47ae147ae13cdp-7", "0x1.c47bfda25410bp-33",
+        (400, "0.3"): ("0x1.47ae147adec19p-7", "0x1.56a07cfe8e4dcp-29", "0x1.47ae147952960p-7", "0x1.c47bfd993faa0p-33",
                        "0x1.47ae147adf3bfp-7", "0x1.9302e1ea045ccp-28", "0x1.47ae147adf135p-7", "0x1.5f73576a4c1aap-15",
                        "0x1.47ae147adec17p-7", "0x1.b22f59e47d178p-66"),
     }

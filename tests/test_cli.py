@@ -11,6 +11,7 @@ import pytest
 from gumbelmark import (
     ARS,
     GenConfig,
+    HigherCriticism,
     Key,
     SumScore,
     ToySource,
@@ -275,14 +276,22 @@ class TestDetect:
         assert sum(timings.values()) <= manifest["wall_clock_s"] + 1e-3
 
     def test_too_few_scored_positions_is_data_error(self, tmp_path, capsys):
-        seq = str(tmp_path / "short.json")
+        # the exact law takes every n >= 1: two scored positions calibrate, and
+        # a sequence no longer than its window has none to score
+        seq, out = str(tmp_path / "short.json"), str(tmp_path / "v.json")
         assert run("generate", "--key", KEY, "--n", "2", "--m", "5", "--seed", "1", "--out", seq) == 0
+        assert run("detect", "--in", seq, "--key", KEY, "--vocab-size", "20", "--calibrate", "--out", out) == 0
+        verdict = read_json(out)
+        assert verdict["n_scored"] == 2
+        assert verdict["critical_value"] == critical_value(TrGoF(s=2.0, c_plus=0.5), 2, 0.01)
+        bare = tmp_path / "bare.json"
+        bare.write_text(TokenSeq([1, 2, 3, 4, 5], ["P"] * 5, 5).to_json() + "\n", encoding="utf-8")
         capsys.readouterr()
-        assert run("detect", "--in", seq, "--key", KEY, "--vocab-size", "20", "--calibrate",
-                   "--out", str(tmp_path / "v.json")) == 3
+        assert run("detect", "--in", str(bare), "--key", KEY, "--vocab-size", "20", "--calibrate",
+                   "--out", str(tmp_path / "w.json")) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "n >= 3" in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "no scored positions" in err
+        assert "Traceback" not in err and not os.path.exists(tmp_path / "w.json")
 
     def test_small_alpha_is_calibrated(self, tmp_path):
         # 400 scored positions: alpha = 1e-12 lies below the rounding of
@@ -453,17 +462,17 @@ class TestCalibrateCmd:
     @pytest.mark.parametrize("argv", [
         ("calibrate", "--n", "0"),
         ("calibrate", "--n", "-5"),
-        ("calibrate", "--n", "2"),
+        ("calibrate", "--detector", "hc", "--n", "0"),
         ("calibrate", "--detector", "sum", "--n", "0"),
         ("experiment", "boundary", "--n", "0"),
         ("experiment", "boundary", "--n", "1"),
         ("experiment", "hist", "--n", "0"),
-        ("experiment", "hist", "--n", "2"),  # below the least n of the exact law it calibrates by
+        ("experiment", "hist", "--n", "1"),  # the mixture's q floor divides by log n
         ("experiment", "sumboundary", "--n", "1"),
         ("generate", "--key", KEY, "--n", "0"),
         ("generate", "--null", "--n", "10", "--m", "0"),
         ("experiment", "tolerance", "--n-test", "5", "--m", "5"),
-        ("experiment", "tolerance", "--n-test", "7", "--m", "5"),
+        ("experiment", "tolerance", "--n-test", "4", "--m", "5"),
         ("experiment", "hist", "--trials", "0"),
         ("experiment", "efficiency", "--step", "0"),
         ("experiment", "boundary", "--grid", "1"),
@@ -479,15 +488,27 @@ class TestCalibrateCmd:
 
 
     def test_least_n_is_the_library_rule(self, tmp_path, capsys):
-        # critical_value alone decides the least n: 1 for a sum rule, 3 for the exact laws
-        out = str(tmp_path / "sum" / "c.json")
-        os.makedirs(os.path.dirname(out))
-        assert run("calibrate", "--detector", "sum", "--n", "1", "--out", out) == 0
-        assert read_json(out)["critical_value"] == critical_value(SumScore(ARS), 1, 0.01)
+        # critical_value alone decides the least n, 1 for every detector: the
+        # exact laws calibrate at n = 1 and 2, and n = 0 is refused
+        for detector, n, det in (("sum", 1, SumScore(ARS)), ("trgof", 1, TrGoF(s=1.0, c_plus=1.0)),
+                                 ("trgof", 2, TrGoF(s=1.0, c_plus=0.5)), ("hc", 2, HigherCriticism(c_plus=0.5))):
+            out = str(tmp_path / f"{detector}{n}.json")
+            assert run("calibrate", "--detector", detector, "--s", "1", "--n", str(n), "--out", out) == 0
+            assert read_json(out)["critical_value"] == critical_value(det, n, 0.01), (detector, n)
         empty = tmp_path / "trgof"
         empty.mkdir()
-        assert run("calibrate", "--detector", "trgof", "--n", "2", "--out", str(empty / "c.json")) == 2
-        assert "--n 2" in capsys.readouterr().err and os.listdir(empty) == []
+        assert run("calibrate", "--detector", "trgof", "--n", "0", "--out", str(empty / "c.json")) == 2
+        assert "--n 0" in capsys.readouterr().err and os.listdir(empty) == []
+
+    def test_short_lengths_run_the_suites(self, tmp_path):
+        # hist calibrates at --n 2, and tolerance decides sequences with a
+        # single scored position (--n-test = --m + 1)
+        assert run("experiment", "hist", "--n", "2", "--vocab-size", "20", "--trials", "5", "--s-list", "2,1",
+                   "--out-dir", str(tmp_path / "hist")) == 0
+        assert set(read_json(str(tmp_path / "hist" / "hist_power.json"))) == {"2.0", "1.0"}
+        assert run("experiment", "tolerance", "--key", KEY, "--vocab-size", "20", "--n0", "20", "--n-test", "6",
+                   "--m", "5", "--trials", "1", "--out-dir", str(tmp_path / "tol")) == 0
+        assert len(read_csv_rows(str(tmp_path / "tol" / "tolerance.csv"))) == 4
 
 
 class TestExperimentSuites:
@@ -722,8 +743,7 @@ class TestRemainingSuites:
     def test_tolerance_calibrates_at_each_length(self, tmp_path):
         # deletions leave head(n_test) shorter than n_test; each decision is
         # calibrated at its own scored length (one threshold at n_test - m = 8
-        # gives 0.75 here), and the search reaches a sequence with fewer than 3
-        # scored positions, which counts as not rejected
+        # gives 0.75 here), down to the exact law's least n, 1
         out_dir = str(tmp_path / "tol")
         rc = run("experiment", "tolerance", "--key", KEY, "--vocab-size", "200", "--n0", "8", "--n-test", "9",
                  "--m", "1", "--delta", "0.5", "--alpha", "0.05", "--trials", "1", "--seed", "3", "--out-dir", out_dir)
@@ -737,7 +757,7 @@ class TestRemainingSuites:
         def decide(ts):
             piv = pivot_series(ts, key, 200)
             lengths.append(piv.n)
-            return piv.n >= 3 and TrGoF(s=2.0, c_plus=1.0 / piv.n).fit(piv.n, alpha=0.05).predict(piv)
+            return piv.n >= 1 and TrGoF(s=2.0, c_plus=1.0 / piv.n).fit(piv.n, alpha=0.05).predict(piv)
 
         res = tolerance_limit(seq, "del", decide, 9, child_seed(3, 4, 0), 200)
         assert read_csv_rows(os.path.join(out_dir, "tolerance.csv"))[3] == f"0,del,{res.fraction!r},True"

@@ -36,7 +36,7 @@ from gumbelmark.experiments import (
 )
 from gumbelmark.detectors import trgof_stat
 from gumbelmark.pivotal import _grouped
-from gumbelmark.streams import substream
+from gumbelmark.streams import child_seed, substream
 from gumbelmark.tokensource import M1_A_RANGE, M1_B_RANGE
 
 
@@ -355,6 +355,19 @@ class TestBoundaryGrid:
         assert len(rows) == 2 * 2 * 2
         assert {r["name"] for r in rows} == {"trgof", "ars"}
         assert all(0.0 <= r["min_error_sum"] <= 2.0 for r in rows)
+
+    def test_cells_draw_spawned_streams(self, monkeypatch):
+        # cell (i, j) seeds its trials with child_seed(seed, i, j); the earlier
+        # seed + 1_000_003 i + 7919 j made --seed 7919 rerun --seed 0 one q over
+        seeds = []
+        monkeypatch.setattr(experiments, "min_error_cell", lambda cfg, specs: seeds.append(cfg.seed) or {})
+        cells = {}
+        for seed in (0, 7919, 1_000_003):
+            seeds.clear()
+            boundary_grid((0.1, 0.5), (0.3, 0.6, 0.9), [], n=300, vocab_size=20, trials=2, seed=seed)
+            assert seeds == [child_seed(seed, i, j) for i in range(2) for j in range(3)]
+            cells[seed] = set(seeds)
+        assert len(set().union(*cells.values())) == 3 * 6
 
 
 class TestEntropyGapCheck:

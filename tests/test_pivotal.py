@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gumbelmark.pivotal import (_grouped, _grouped_log_pdf, _grouped_pdf, _null_
                                 _table_sample)
 from gumbelmark.tokensource import least_favorable_atoms
 from gumbelmark.prf import DIGEST_BLOCK, prf_uniform
+from gumbelmark.edits import apply_adversarial_edit
 from gumbelmark.watermark import TokenSeq
 
 from util import ks_critical, ks_distance
@@ -326,6 +328,14 @@ class TestPivotSeries:
             seq.tokens = [np.int64(t) for t in ids[:30]] + [bad] + [np.int64(-2)] + ids[32:]
             with pytest.raises(ValueError, match=message):
                 pivot_series(seq, key, vocab)
+        # an in-range id that is not an integer cannot be packed: it is named
+        # as a ValueError, never a struct.error, here and through an adversarial edit
+        for bad in (1.0, np.float64(6.0), 2.5):
+            seq.tokens = ids[:30] + [bad] + [7.5] + ids[32:]
+            with pytest.raises(ValueError, match=rf"contains id {re.escape(repr(bad))}, which is not an integer"):
+                pivot_series(seq, key, 12)
+            with pytest.raises(ValueError, match="not an integer"):
+                apply_adversarial_edit(seq, 0.1, key, 12, 0)
 
     def test_from_y(self):
         piv = PivotSeries.from_y([0.25, 0.75])

@@ -1,6 +1,7 @@
 """Shared test helpers: KS distance and its analytic critical value, Higher
 Criticism by its own formula, the earlier exact critical-value solver as an
-oracle, and a counter of exact-law passes."""
+oracle, the exact law's boundary by bisection on log p, and a counter of
+exact-law passes."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from gumbelmark import HigherCriticism, calibrate, null_sf
 from gumbelmark.calibrate import CRITICAL_RTOL
+from gumbelmark.detectors import _k_s_plus_terms
 
 
 def ks_distance(samples, cdf=None) -> float:
@@ -74,6 +76,25 @@ def illinois_critical(detector, n: int, alpha: float) -> float:
                 g_lo *= 0.5
             side = -1
     return hi
+
+
+def log_bisection_boundary(s, n, c):
+    """Reference boundary: b_t, the largest p in [1e-300, t/n) with
+    K_s^+(t/n, p) >= c, or 0 where K_s^+(t/n, 1e-300) < c. Each row halves
+    [lo, hi] on the log scale, at the geometric mean lo sqrt(hi / lo), until
+    no float lies strictly between, so a root of any size is fixed to a few
+    ulps relative to itself and lo keeps K_s^+ >= c."""
+    u = np.arange(1, n + 1) / n
+    lo, hi = np.full(n, 1e-300), u.copy()
+    some = _k_s_plus_terms(u, lo, s) >= c
+    for _ in range(2000):
+        mid = lo * np.sqrt(hi / lo)
+        inside = (mid > lo) & (mid < hi)
+        if not inside.any():
+            break
+        hit = _k_s_plus_terms(u, np.where(inside, mid, lo), s) >= c
+        lo, hi = np.where(inside & hit, mid, lo), np.where(inside & ~hit, mid, hi)
+    return np.where(some, lo, 0.0)
 
 
 def count_law_passes(monkeypatch) -> list[int]:
