@@ -42,7 +42,7 @@ from .detectors import (
     HigherCriticism,
     SumScore,
     TrGoF,
-    _k_s_plus_log_slope,
+    _k_s_plus_and_slope,
     _k_s_plus_terms,
     _t_over_n,
     null_moments,
@@ -116,58 +116,43 @@ def _boundary(s: float, n: int, c: float) -> np.ndarray:
     K_s^+(t/n, p) is an f-divergence, convex and decreasing in p on (0, t/n)
     and 0 beyond, so the t-th term stays below c exactly when p_(t) > b_t. At
     s = 2, b_t is the smaller root of (t/n - p)**2 = 2c p (1 - p) in
-    cancellation-free form. Other s start there, below t/n. With u = t/n and
-    gap = u - p the start misses the root by ~|s - 2| gap**2 / (6 u (1 - u))
-    (the third-order term of K_s^+ - K_2^+), and rounding of K_s^+, ~NEWTON_RTOL,
-    moves the root by ~NEWTON_RTOL u (1 - u) / gap; a row keeps its start
-    where the miss is the smaller (every row with u < 1 at c below ~1e-11),
-    and runs a Newton iteration on g = K_s^+ - c elsewhere. A row steps in
-    p from lo, its largest point with g >= 0, which by convexity stops short
-    of the root; a step past hi, its least point with g < 0, lands in rounding
-    noise, so the row steps back from hi as far, and at least as far as a
-    change of NEWTON_RTOL c in K_s^+ moves the root. Until it has a lo it takes
-    Newton's step on log K_s^+ against log p, which stays right of the root
-    (log K_s^+ is concave in log p) and, unlike a step in p, cannot underflow
-    to 0 at a tiny root; it goes at least twice as far as before up to p / 2.
-    Where K_s^+ rounds to 0 it steps in log p instead. It ends at lo once K_s^+
-    there is within NEWTON_RTOL c of c, the step from lo is below NEWTON_RTOL lo
-    (shorter steps are lengthened to that), or hi - lo is below NEWTON_RTOL
-    lo: every tolerance is relative to the root, so a root far below t/n is
-    fixed as well as one near it.
+    cancellation-free form. Other s start at or right of the root: with
+    u = t/n, K_s^+ <= max(K_2^+, K_-1^+) and K_-1^+ = (u - p)**2 / (2 u (1 - u)),
+    so the larger of the s = 2 root and u - sqrt(2c u (1 - u)) will do, and at
+    u = 1, where K_s^+ = (1 - p**(1-s)) / (s (1 - s)), 1 / (1 + c s) will do.
+    With gap = u - p the start misses the root by at most ~max(2 - s, s + 1)
+    gap**2 / (6 u (1 - u)) (the third-order term of K_s^+ - K_2^+ or of
+    K_s^+ - K_-1^+), and rounding of K_s^+, ~NEWTON_RTOL, moves the root by
+    ~NEWTON_RTOL u (1 - u) / gap; a row keeps its start where the miss is the
+    smaller (every row with u < 1 at c below ~1e-11). Elsewhere it takes
+    Newton's step on log K_s^+ against log p: log K_s^+ is concave in log p,
+    so no step passes the root, and a step in log p cannot underflow to 0 at a
+    tiny root. A row ends where K_s^+ >= c. Once its step is below NEWTON_RTOL
+    of p it steps left instead, by 1, 2, 4, ... ulps floored at BOUNDARY_FLOOR,
+    until K_s^+ >= c: every tolerance is relative to the root, so a root far
+    below t/n is fixed as well as one near it.
     """
     u = _t_over_n(n)
     d = 2.0 * c
     b = 2.0 * u * u / (2.0 * u + d + np.sqrt(d * (4.0 * u * (1.0 - u) + d)))
     if s == 2.0:
         return b
+    w = u[:-1]
+    b[:-1] = np.maximum(b[:-1], w - np.sqrt(d * w * (1.0 - w)))
+    b[-1] = 1.0 / (1.0 + c * s) if s > 0.0 else 0.0  # u = 1, where K_s^+ is 0 for s <= 0
     b = np.where(_k_s_plus_terms(u, np.full(n, BOUNDARY_FLOOR), s) >= c, np.minimum(b, np.nextafter(u, 0.0)), 0.0)
-    rows = np.flatnonzero((b > 0.0) & (abs(s - 2.0) * (u - b) ** 3 > 6.0 * NEWTON_RTOL * (u * (1.0 - u)) ** 2))
-    u, p, m = u[rows], b[rows], rows.size
-    lo, hi, k_lo, step_lo, gap, w_hi = np.zeros(m), u, np.full(m, np.inf), np.zeros(m), np.zeros(m), np.zeros(m)
+    rows = np.flatnonzero((b > 0.0) & (max(2.0 - s, s + 1.0) * (u - b) ** 3 > 6.0 * NEWTON_RTOL * (u * (1.0 - u)) ** 2))
+    u, p, ulps = u[rows], b[rows], np.zeros(rows.size)
     for _ in range(BOUNDARY_STEPS):
-        k = _k_s_plus_terms(u, p, s)
-        slope = _k_s_plus_log_slope(u, p, s)
-        step = (c - k) * p / slope  # the Newton step in p
-        left = k >= c
-        lo, k_lo, step_lo = np.where(left, p, lo), np.where(left, k, k_lo), np.where(left, step, step_lo)
-        hi, w_hi = np.where(left, hi, p), np.where(left, w_hi, NEWTON_RTOL * c * p / -slope)
-        done = (lo > 0.0) & ((k_lo - c <= NEWTON_RTOL * c) | (np.minimum(step_lo, hi - lo) <= NEWTON_RTOL * lo))
-        q = lo + np.maximum(step_lo, NEWTON_RTOL * lo)
-        back = np.maximum(np.maximum(q - hi, w_hi), 0.5 * NEWTON_RTOL * lo)
-        q = np.where(q < hi, q, np.maximum(hi - back, 0.5 * (lo + hi)))
-        if not lo.all():
-            with np.errstate(divide="ignore", invalid="ignore"):  # read only where k > 0
-                right = p * np.exp(np.log(c / k) * k / slope)
-            right = np.where(k > 0.0, right, p * np.exp(np.minimum(step / p, 0.0)))
-            right = np.minimum(right, np.maximum(p - 2.0 * gap, 0.5 * p))
-            q = np.where(lo > 0.0, q, np.minimum(right, np.nextafter(p, 0.0)))
-        b[rows[done]] = lo[done]
-        keep = ~done
-        if not keep.any():
-            return b
-        rows, u, gap, p, lo, k_lo, hi, w_hi, step_lo = (
-            x[keep] for x in (rows, u, p - q, q, lo, k_lo, hi, w_hi, step_lo))
-    b[rows] = lo
+        k, slope = _k_s_plus_and_slope(u, p, s)
+        b[rows] = p
+        short = k < c
+        rows, u, p, ulps, k, slope = (x[short] for x in (rows, u, p, ulps, k, slope))
+        if not rows.size:
+            break
+        q = np.maximum(p * np.exp(np.log(c / k) * k / slope), BOUNDARY_FLOOR)
+        ulps = np.where((ulps > 0.0) | (q >= p * (1.0 - NEWTON_RTOL)), np.maximum(2.0 * ulps, np.spacing(p)), 0.0)
+        p = np.where(ulps > 0.0, np.maximum(p - ulps, BOUNDARY_FLOOR), q)
     return b
 
 

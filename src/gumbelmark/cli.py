@@ -34,6 +34,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._validation import check_fraction
 from .calibrate import null_sf
 from .detectors import (
     ARS,
@@ -205,7 +206,10 @@ def cmd_generate(args) -> int:
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
-    source = _make_source(args, seed=child_seed(args.seed, 0))
+    try:
+        source = _make_source(args, seed=child_seed(args.seed, 0))
+    except ValueError as exc:  # --delta, --delta-min, --delta-max or --vocab-size out of range
+        raise UsageError(str(exc)) from exc
     cfg = GenConfig(n=args.n, m=args.m, masking=args.masking, seed=child_seed(args.seed, 1))
     prompt = substream(args.seed, 2).integers(0, args.vocab_size, size=args.m).tolist()
     if args.null:
@@ -221,6 +225,12 @@ def cmd_generate(args) -> int:
 
 def cmd_edit(args) -> int:
     started = time.time()
+    if args.vocab_size < 2:
+        raise UsageError(f"--vocab-size must be at least 2, got {args.vocab_size}")
+    try:
+        check_fraction(args.fraction, "--fraction")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     seq = _load_seq(args.infile)
     if args.edit == "adv":
         out = apply_adversarial_edit(seq, args.fraction, _resolve_key(args), args.vocab_size, args.seed)

@@ -36,7 +36,6 @@ from ._validation import check_unit_open
 from .pivotal import PivotSeries, _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
 
-S_BRANCH_TOL = 1e-9  # |s| or |s-1| below this selects the KL limit branch of K_s_plus
 _CLIP = 2.0**-53  # p-values and pivots are clipped to [_CLIP, 1 - _CLIP]; 1 - y >= _CLIP for a float y < 1
 
 
@@ -49,16 +48,15 @@ def k_s_plus(u, v, s: float):
 
         (1 - u**s v**(1-s) - (1-u)**s (1-v)**(1-s)) / (s (1 - s)),
 
-    when v < u, else 0; at s = 2 it is (u - v)**2 / (2 v (1 - v)), taken as
-    written, which does not cancel as v nears u and holds at u = 1.
+    when v < u, else 0; its limits at s = 0 and s = 1 are the two Bernoulli KL
+    divergences, and at s = 2 it is (u - v)**2 / (2 v (1 - v)).
 
     ``u`` in [0, 1] and ``v`` in (0, 1) are scalars or arrays that broadcast
-    together; the result is a float for scalars and an array otherwise.
-    Within S_BRANCH_TOL of s = 0 and s = 1 the limits, the two Bernoulli KL
-    divergences, replace the generic form, which cancels there. At u = 1
-    the finite closed form is used when one exists (every s > 0); for
-    s <= 0 none exists and the term truncates to 0, which keeps the s <= 0
-    statistics finite.
+    together; the result is a float for scalars and an array otherwise. The
+    kernel is accurate relative to K at every s, with no cancellation near
+    s = 0 or s = 1. At u = 1 the closed form (1 - v**(1-s)) / (s (1 - s))
+    holds for every s > 0; for s <= 0 K_s is infinite there and the term
+    truncates to 0, which keeps the s <= 0 statistics finite.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -70,43 +68,38 @@ def k_s_plus(u, v, s: float):
 
 
 def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    """K_s^+(u, v) over arrays that broadcast together, u in [0, 1] and v in (0, 1), unchecked."""
+    """K_s^+(u, v) over arrays that broadcast together, u in [0, 1] and v in (0, 1), unchecked.
+    At s = 2 it is the chi-square form, which does not cancel as v nears u."""
     if s == 2.0:
         return np.maximum(u - v, 0.0) ** 2 / (2.0 * v * (1.0 - v))
+    return _k_s_plus_and_slope(u, v, s)[0]
+
+
+def _k_s_plus_and_slope(u: np.ndarray, v: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """K_s^+(u, v) and v dK_s^+/dv, the latter read only where v < u.
+
+    With a = log(u/v) and b = log((1-u)/(1-v)), K_s = -(v expm1(s a) +
+    (1-v) expm1(s b)) / (s (1-s)) and v dK_s/dv = v (expm1(s b) - expm1(s a)) / s
+    for s < 1/2; for s >= 1/2 the symmetry K_s(u, v) = K_(1-s)(v, u) gives
+    K_s = -(u expm1((s-1) a) + (1-u) expm1((s-1) b)) / (s (1-s)) and
+    v dK_s/dv = (v e^(s b) - u e^((s-1) a)) / s. Neither cancels as s nears 0
+    or 1, where the limits are taken exactly; at u = 1 the (1-u) term is 0.
+    """
     u, v = np.broadcast_arrays(u, v)
-    out = np.zeros_like(v)
-    pos = u > v
-    inner = pos & (u < 1.0)
-    near1 = abs(s - 1.0) < S_BRANCH_TOL
-    near0 = abs(s) < S_BRANCH_TOL
-    if inner.any():
-        ui, vi = u[inner], v[inner]
-        if near1:
-            vals = ui * np.log(ui / vi) + (1.0 - ui) * np.log((1.0 - ui) / (1.0 - vi))
-        elif near0:
-            vals = vi * np.log(vi / ui) + (1.0 - vi) * np.log((1.0 - vi) / (1.0 - ui))
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 or 1 makes a or b infinite: masked below
+        a = np.log(u / v)
+        b = np.log1p((v - u) / (1.0 - v))
+        if s == 0.0:
+            k, slope = -(v * a + (1.0 - v) * b), v * (b - a)
+        elif s < 0.5:
+            ea, eb = np.expm1(s * a), np.expm1(s * b)
+            k, slope = -(v * ea + (1.0 - v) * eb) / (s * (1.0 - s)), v * (eb - ea) / s
         else:
-            vals = (1.0 - ui**s * vi ** (1.0 - s) - (1.0 - ui) ** s * (1.0 - vi) ** (1.0 - s)) / (
-                s * (1.0 - s)
-            )
-        out[inner] = vals
-    edge = pos & (u >= 1.0)
-    if edge.any():
-        ve = v[edge]
-        if near1:
-            out[edge] = -np.log(ve)
-        elif s > S_BRANCH_TOL:
-            out[edge] = (1.0 - ve ** (1.0 - s)) / (s * (1.0 - s))
-        # s <= 0: no finite closed form at u = 1; truncated to 0
-    return out
-
-
-def _k_s_plus_log_slope(u: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
-    """p dK_s^+(u, p)/dp = (p (1-u)^s (1-p)^-s - u^s p^(1-s)) / s for 0 < p < u <= 1,
-    which the s -> 1 branch of K_s^+ shares and whose s -> 0 limit is p log(p (1-u) / (u (1-p)))."""
-    if abs(s) < S_BRANCH_TOL:
-        return p * np.log(p * (1.0 - u) / (u * (1.0 - p)))
-    return (p * ((1.0 - u) / (1.0 - p)) ** s - u * (u / p) ** (s - 1.0)) / s
+            fa = np.expm1((s - 1.0) * a)
+            rest = np.where(u < 1.0, (1.0 - u) * (b if s == 1.0 else np.expm1((s - 1.0) * b)), 0.0)
+            k = u * a + rest if s == 1.0 else -(u * fa + rest) / (s * (1.0 - s))
+            slope = (v * np.exp(s * b) - u * (fa + 1.0)) / s
+    return np.where((u > v) & ((u < 1.0) | (s > 0.0)), k, 0.0), slope
 
 
 # ---------------------------------------------------------------------------

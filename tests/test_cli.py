@@ -413,6 +413,25 @@ class TestEdit:
         assert verdicts[0] == verdicts[1]
         assert 8 <= counts[0] <= 10 and counts[1] == 1, counts
 
+    @pytest.mark.parametrize("argv", [
+        ("edit", "--edit", "sub", "--fraction", "1.5", "--vocab-size", "20"),
+        ("edit", "--edit", "adv", "--fraction", "nan", "--vocab-size", "20"),
+        ("edit", "--edit", "del", "--fraction", "0.1", "--vocab-size", "1"),
+        ("generate", "--delta", "1.5"),
+        ("generate", "--delta", "nan"),
+        ("generate", "--vocab-size", "1"),
+        ("generate", "--delta-min", "0.5", "--delta-max", "0.2"),
+    ], ids=["edit_fraction", "edit_fraction_nan", "edit_vocab", "generate_delta", "generate_delta_nan",
+            "generate_vocab", "generate_empty_delta_range"])
+    def test_out_of_range_flag_is_usage_error(self, seq_file, tmp_path, capsys, argv):
+        # as for detect, calibrate and experiment: checked before any input is
+        # read, exit 2 with one line, and no output
+        source = ("--in", seq_file) if argv[0] == "edit" else ("--n", "10")
+        assert run(*argv, *source, "--key", KEY, "--out", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_adversarial_needs_key(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GUMBELMARK_KEY", raising=False)
         seq = str(tmp_path / "seq.json")

@@ -22,7 +22,7 @@ from gumbelmark import (
 )
 from gumbelmark.detectors import _k_s_plus_terms, _score_terms, _t_over_n
 
-from util import hc_reference
+from util import hc_reference, k_s_decimal
 
 S_GRID = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -79,6 +79,34 @@ class TestKs:
                 for eps in (-1e-6, 1e-6):
                     assert abs(k_s_plus(u, v, s0 + eps) - k_s_plus(u, v, s0)) <= 1e-4, (s0, u, v)
 
+    @pytest.mark.parametrize("s", [2.0, 1.5, 1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 1e-9, 1.0 - 1e-9, 1.0, 0.5,
+                                   1e-6, 1e-9, -1e-9, 0.0, -1.0])
+    def test_matches_decimal_reference(self, s):
+        # one formula on each side of s = 1/2 with exact s = 0 and s = 1
+        # limits: no cancellation near either, so the kernel is within 1e-9
+        # relative of K_s in 50-digit arithmetic, for v from 1e-250 u to (1 - 1e-3) u
+        r = np.geomspace(1e-250, 1.0 - 1e-3, 25)
+        for u in (1e-3, 0.05, 0.3, 0.5, 0.8, 0.999) + ((1.0,) if s > 0.0 else ()):
+            v = u * r
+            got = _k_s_plus_terms(np.full(v.size, u), v, s)
+            want = np.array([k_s_decimal(u, x, s) for x in v.tolist()])
+            assert np.all(np.abs(got - want) <= 1e-9 * want), (s, u, np.max(np.abs(got / want - 1.0)))
+
+    @pytest.mark.parametrize("u", [1e-3, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0])
+    def test_log_k_is_concave_in_log_v(self, u):
+        # the exact law's boundary runs Newton on log K_s^+ against log p from
+        # the right of the root, and no step passes the root only if this
+        # holds. The kernel's relative error near v = u grows like
+        # 2**-52 (u / (u - v))**2, at most ~5e-8 at the top of this grid, so
+        # rounding moves a second difference of log K by at most 4 * 5e-8
+        x = np.linspace(math.log(1e-300), math.log(u) + math.log1p(-1e-4), 4001)
+        for s in np.linspace(-1.0, 2.0, 31):
+            if u == 1.0 and s <= 0.0:
+                continue  # K_s^+ truncates to 0 at u = 1
+            f = np.log(_k_s_plus_terms(np.full(x.size, u), np.exp(x), s))
+            second = f[2:] - 2.0 * f[1:-1] + f[:-2]
+            assert second.max() <= 2e-7, (s, u, second.max())
+
     def test_v_domain(self):
         for u, v in ((0.5, 0.0), (0.5, 1.0), (0.5, math.nan), (1.5, 0.5), (-0.1, 0.5)):
             with pytest.raises(ValueError):
@@ -107,6 +135,9 @@ class TestKsPlus:
         assert k_s_plus(1.0, v, 2.0) == pytest.approx((1 - v) / (2 * v), abs=1e-12)
         assert k_s_plus(1.0, v, 1.0) == pytest.approx(-math.log(v), abs=1e-12)
         assert k_s_plus(1.0, v, 0.5) == pytest.approx((1 - math.sqrt(v)) / 0.25, abs=1e-12)
+        # every s > 0 keeps it, however near 0 (once truncated within 1e-9 of 0)
+        s = 5e-10
+        assert k_s_plus(1.0, v, s) == pytest.approx((1 - v ** (1 - s)) / (s * (1 - s)), rel=1e-12)
         # no finite closed form at u = 1 for s <= 0: truncated to zero
         assert k_s_plus(1.0, v, 0.0) == 0.0
         assert k_s_plus(1.0, v, -1.0) == 0.0

@@ -1,8 +1,9 @@
 """Shared test helpers: KS distance and its analytic critical value, Higher
-Criticism by its own formula, the earlier exact critical-value solver as an
-oracle, the exact law's boundary by bisection on log p, and a counter of
-exact-law passes."""
+Criticism by its own formula, K_s^+ in 50-digit decimal arithmetic, the
+earlier exact critical-value solver as an oracle, the exact law's boundary by
+bisection on log p, and a counter of exact-law passes."""
 
+import decimal
 import math
 
 import numpy as np
@@ -36,6 +37,27 @@ def hc_reference(p, c_plus: float) -> float:
     admissible = np.append(ps[1:] >= c_plus, True)
     terms = math.sqrt(n) * (np.arange(1, n + 1) / n - ps) / np.sqrt(ps * (1.0 - ps))
     return float(terms[admissible].max())
+
+
+def k_s_decimal(u: float, v: float, s: float) -> float:
+    """K_s(u, v) for 0 < v < u <= 1 from the float inputs taken exactly, in
+    50-digit decimal arithmetic with x**y = exp(y ln x): (1 - u**s v**(1-s)
+    - (1-u)**s (1-v)**(1-s)) / (s (1 - s)), and at s = 0 and s = 1 the two
+    Bernoulli KL divergences. At u = 1 the (1-u) term is 0 (s > 0 only)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        u_, v_, s_ = decimal.Decimal(u), decimal.Decimal(v), decimal.Decimal(s)
+
+        def power(x, y):
+            return (y * x.ln()).exp() if x > 0 else decimal.Decimal(0)
+
+        if s == 1.0:
+            k = u_ * (u_ / v_).ln() + ((1 - u_) * ((1 - u_) / (1 - v_)).ln() if u_ < 1 else 0)
+        elif s == 0.0:
+            k = v_ * (v_ / u_).ln() + (1 - v_) * ((1 - v_) / (1 - u_)).ln()
+        else:
+            k = (1 - power(u_, s_) * power(v_, 1 - s_) - power(1 - u_, s_) * power(1 - v_, 1 - s_)) / (s_ * (1 - s_))
+        return float(k)
 
 
 def illinois_critical(detector, n: int, alpha: float) -> float:
