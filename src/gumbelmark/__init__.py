@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .prf import Key, prf_uniform, prf_vector
 from .tokensource import (
     ToySource,
-    delta_of,
     entropy_of,
-    least_favorable,
     make_m1,
     make_m2,
     toy_next_dist,
@@ -29,7 +27,6 @@ from .detectors import (
     SumScore,
     TrGoF,
     ind,
-    k_s_plus,
     null_moments,
     opt,
     score,

@@ -20,12 +20,11 @@ Sum rules instead use the CLT threshold
 
     gamma = n * E0[h] + z(1 - alpha) * sqrt(n * Var0[h]).
 
-Monte Carlo calibration (``mc_critical``) is the test oracle for the exact
-law. It draws null pivot series (i.i.d. uniforms), evaluates the detector
-statistic, and takes the empirical (1 - alpha) quantile; the procedure
-repeats ``outer`` times with fresh replications and averages the round
-quantiles. Each (outer, rep) pair owns a counter-based substream, so the
-critical value does not depend on the order in which replications run.
+Monte Carlo calibration (``mc_critical``), the test oracle for the exact
+law, averages over ``outer`` rounds the empirical (1 - alpha) quantile of
+the statistic on i.i.d. uniform null series. Each (outer, rep) pair owns a
+counter-based substream, so the result does not depend on the order of the
+replications.
 """
 
 from __future__ import annotations
@@ -63,13 +62,6 @@ CRITICAL_RTOL = 1e-10
 CRITICAL_MEMO_SIZE = 4096  # the most critical values the memo holds
 
 
-def empirical_quantile(values: np.ndarray, level: float) -> float:
-    """Type-1 (order statistic) quantile: sorted value at index ceil(level * N)."""
-    v = np.sort(np.asarray(values, dtype=float))
-    idx = max(math.ceil(level * v.size), 1) - 1
-    return float(v[idx])
-
-
 def mc_critical(
     detector: Detector,
     n: int,
@@ -79,7 +71,7 @@ def mc_critical(
     seed: int = 0,
 ) -> float:
     """Monte Carlo critical value: mean over outer rounds of the per-round
-    empirical (1 - alpha) quantile of the null statistic.
+    order-statistic (1 - alpha) quantile of the null statistic.
 
     Replication r of round o draws its n uniforms from ``substream(seed, o, r)``
     and takes one ``detector.statistic`` call.
@@ -98,10 +90,11 @@ def mc_critical(
         )
     quantiles = np.empty(outer)
     stats = np.empty(reps)
+    rank = max(math.ceil((1.0 - alpha) * reps), 1) - 1
     for o in range(outer):
         for r in range(reps):
             stats[r] = detector.statistic(substream(seed, o, r).random(n))
-        quantiles[o] = empirical_quantile(stats, 1.0 - alpha)
+        quantiles[o] = np.sort(stats)[rank]
     return float(quantiles.mean())
 
 

@@ -246,6 +246,8 @@ def cmd_detect(args) -> int:
     started = time.time()
     if args.critical_value is None and not args.calibrate:
         raise UsageError("need --critical-value or --calibrate")
+    if args.vocab_size is not None and args.vocab_size < 2:
+        raise UsageError(f"--vocab-size must be at least 2, got {args.vocab_size}")
     t0 = time.perf_counter()
     seq = _load_seq(args.infile)
     key = _resolve_key(args)

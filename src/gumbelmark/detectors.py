@@ -10,9 +10,9 @@ Two families are provided.
   with p-values sorted ascending, the convention p_(n+1) = 1, and the
   admissible set {t : p_(t+1) >= c_plus}. K_s_plus is the Bernoulli
   phi_s-divergence truncated to positive deviations (0 unless v < u). One
-  kernel evaluates it, for the statistic, for the exact null boundary in
-  ``calibrate`` and for the public ``k_s_plus``. Higher Criticism is the
-  s = 2 member on the square-root scale: HC_n_plus = sqrt(2 n S_n_plus(2)).
+  kernel evaluates it, for the statistic and for the exact null boundary in
+  ``calibrate``. Higher Criticism is the s = 2 member on the square-root
+  scale: HC_n_plus = sqrt(2 n S_n_plus(2)).
 
 * Sum rules: T_h = sum of a score h(Y_t), rejecting above a threshold.
   Scores: ars(y) = -log(1-y), log(y), the indicator 1{y >= delta}, and the
@@ -43,33 +43,10 @@ _CLIP = 2.0**-53  # p-values and pivots are clipped to [_CLIP, 1 - _CLIP]; 1 - y
 # the truncated Bernoulli divergence K_s^+
 # ---------------------------------------------------------------------------
 
-def k_s_plus(u, v, s: float):
-    """K_s^+(u, v): the phi_s-divergence between Bernoulli(u) and Bernoulli(v),
-
-        (1 - u**s v**(1-s) - (1-u)**s (1-v)**(1-s)) / (s (1 - s)),
-
-    when v < u, else 0; its limits at s = 0 and s = 1 are the two Bernoulli KL
-    divergences, and at s = 2 it is (u - v)**2 / (2 v (1 - v)).
-
-    ``u`` in [0, 1] and ``v`` in (0, 1) are scalars or arrays that broadcast
-    together; the result is a float for scalars and an array otherwise. The
-    kernel is accurate relative to K at every s, with no cancellation near
-    s = 0 or s = 1. At u = 1 the closed form (1 - v**(1-s)) / (s (1 - s))
-    holds for every s > 0; for s <= 0 K_s is infinite there and the term
-    truncates to 0, which keeps the s <= 0 statistics finite.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.all((v > 0.0) & (v < 1.0)):
-        raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise ValueError(f"u must lie in [0, 1], got {u!r}")
-    return _float_if_scalar(_k_s_plus_terms(u, v, s))
-
-
 def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     """K_s^+(u, v) over arrays that broadcast together, u in [0, 1] and v in (0, 1), unchecked.
-    At s = 2 it is the chi-square form, which does not cancel as v nears u."""
+    At s = 2 it is the chi-square form, which does not cancel as v nears u. At
+    u = 1 and s <= 0, where K_s is infinite, the term truncates to 0."""
     if s == 2.0:
         return np.maximum(u - v, 0.0) ** 2 / (2.0 * v * (1.0 - v))
     return _k_s_plus_and_slope(u, v, s)[0]
@@ -78,16 +55,18 @@ def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
 def _k_s_plus_and_slope(u: np.ndarray, v: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """K_s^+(u, v) and v dK_s^+/dv, the latter read only where v < u.
 
-    With a = log(u/v) and b = log((1-u)/(1-v)), K_s = -(v expm1(s a) +
-    (1-v) expm1(s b)) / (s (1-s)) and v dK_s/dv = v (expm1(s b) - expm1(s a)) / s
-    for s < 1/2; for s >= 1/2 the symmetry K_s(u, v) = K_(1-s)(v, u) gives
-    K_s = -(u expm1((s-1) a) + (1-u) expm1((s-1) b)) / (s (1-s)) and
-    v dK_s/dv = (v e^(s b) - u e^((s-1) a)) / s. Neither cancels as s nears 0
-    or 1, where the limits are taken exactly; at u = 1 the (1-u) term is 0.
+    With a = log(u/v) and b = log((1-u)/(1-v)), each taken as log1p of a
+    difference so that no ratio near 1 rounds as v nears u, K_s =
+    -(v expm1(s a) + (1-v) expm1(s b)) / (s (1-s)) and v dK_s/dv =
+    v (expm1(s b) - expm1(s a)) / s for s < 1/2; for s >= 1/2 the symmetry
+    K_s(u, v) = K_(1-s)(v, u) gives K_s = -(u expm1((s-1) a) + (1-u)
+    expm1((s-1) b)) / (s (1-s)) and v dK_s/dv = (v e^(s b) - u e^((s-1) a)) / s.
+    Neither cancels as s nears 0 or 1, where the limits are taken exactly; at
+    u = 1 the (1-u) term is 0.
     """
     u, v = np.broadcast_arrays(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 or 1 makes a or b infinite: masked below
-        a = np.log(u / v)
+        a = np.log1p((u - v) / v)
         b = np.log1p((v - u) / (1.0 - v))
         if s == 0.0:
             k, slope = -(v * a + (1.0 - v) * b), v * (b - a)

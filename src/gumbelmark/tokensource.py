@@ -1,9 +1,9 @@
 """Synthetic next-token-prediction (NTP) distributions.
 
 Constructors for the two synthetic NTP families used in the simulation
-studies (a Zipf-tailed one and a flat-tailed one), the least-favorable
-distribution with a given singularity, and a seeded toy autoregressive
-source for end-to-end generation runs.
+studies (a Zipf-tailed one and a flat-tailed one), the atoms of the
+least-favorable distribution with a given singularity, and a seeded toy
+autoregressive source for end-to-end generation runs.
 
 Throughout, the "singularity" of a distribution is 1 minus its largest
 probability; distributions with singularity delta have top entry 1 - delta.
@@ -65,33 +65,17 @@ def m1_rows(delta: float, vocab_size: int, shapes: np.ndarray) -> np.ndarray:
 
 
 def least_favorable_atoms(delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct atoms of ``least_favorable(delta)`` in ascending order and
-    their counts as floats, without its floor(1/(1 - delta)) entries, whose
-    number is unbounded as delta -> 1. The remainder atom is below 1 - delta,
-    since k = floor(1/(1 - delta)) never rounds low.
-    """
+    """The least-favorable law, of minimal support with largest probability
+    1 - delta, as its distinct atoms in ascending order and their counts as
+    floats: k = floor(1/(1 - delta)) atoms of 1 - delta, unbounded as delta ->
+    1, and a remainder atom, below 1 - delta since k never rounds low, unless
+    the remainder is zero."""
     top = 1.0 - _check_delta(delta)
     k = math.floor(1.0 / top)
     rem = 1.0 - k * top
     if rem > 1e-15:
         return np.array([rem, top]), np.array([1.0, float(k)])
     return np.array([top]), np.array([float(k)])
-
-
-def least_favorable(delta: float) -> np.ndarray:
-    """The minimal-support distribution with largest probability 1 - delta.
-
-    floor(1/(1-delta)) atoms of mass 1 - delta plus one remainder atom
-    (dropped when the remainder is zero).
-    """
-    vals, counts = least_favorable_atoms(delta)
-    return np.repeat(vals[::-1], counts[::-1].astype(int))
-
-
-def delta_of(probs) -> float:
-    """Singularity of a distribution: 1 minus its largest entry."""
-    p = check_ntp_dist(probs)
-    return 1.0 - float(p.max())
 
 
 def entropy_of(probs) -> float:

@@ -24,7 +24,6 @@ from gumbelmark import (
     generate,
     gumbel_decode,
     ind,
-    least_favorable,
     make_m2,
     mc_critical,
     null_moments,
@@ -37,7 +36,6 @@ from gumbelmark import (
     trgof_stat,
     TrGoF,
 )
-from gumbelmark.calibrate import empirical_quantile
 from gumbelmark.experiments import (
     SUM_CRIT_GRIDS,
     entropy_gap_check,
@@ -47,7 +45,7 @@ from gumbelmark.experiments import (
 from gumbelmark.pivotal import alt_pdf
 from gumbelmark.streams import child_seed, substream
 
-from util import hc_reference, ks_distance
+from util import empirical_quantile, hc_reference, ks_distance, least_favorable
 
 
 def report(num: int, ok: bool, detail: str) -> None:

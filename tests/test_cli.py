@@ -421,12 +421,16 @@ class TestEdit:
         ("generate", "--delta", "nan"),
         ("generate", "--vocab-size", "1"),
         ("generate", "--delta-min", "0.5", "--delta-max", "0.2"),
+        ("detect", "--calibrate", "--vocab-size", "0"),
+        ("detect", "--calibrate", "--vocab-size", "1"),
+        ("detect", "--calibrate", "--vocab-size", "-3"),
     ], ids=["edit_fraction", "edit_fraction_nan", "edit_vocab", "generate_delta", "generate_delta_nan",
-            "generate_vocab", "generate_empty_delta_range"])
+            "generate_vocab", "generate_empty_delta_range", "detect_vocab_0", "detect_vocab_1",
+            "detect_vocab_negative"])
     def test_out_of_range_flag_is_usage_error(self, seq_file, tmp_path, capsys, argv):
-        # as for detect, calibrate and experiment: checked before any input is
-        # read, exit 2 with one line, and no output
-        source = ("--in", seq_file) if argv[0] == "edit" else ("--n", "10")
+        # as for calibrate and experiment: checked before any input is read,
+        # exit 2 with one line, and no output
+        source = ("--in", seq_file) if argv[0] in ("edit", "detect") else ("--n", "10")
         assert run(*argv, *source, "--key", KEY, "--out", str(tmp_path / "x.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err

@@ -14,7 +14,6 @@ from gumbelmark import (
     SumScore,
     TrGoF,
     ind,
-    k_s_plus,
     null_moments,
     opt,
     score,
@@ -22,7 +21,7 @@ from gumbelmark import (
 )
 from gumbelmark.detectors import _k_s_plus_terms, _score_terms, _t_over_n
 
-from util import hc_reference, k_s_decimal
+from util import hc_reference, k_s_decimal, k_s_plus
 
 S_GRID = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -83,9 +82,10 @@ class TestKs:
                                    1e-6, 1e-9, -1e-9, 0.0, -1.0])
     def test_matches_decimal_reference(self, s):
         # one formula on each side of s = 1/2 with exact s = 0 and s = 1
-        # limits: no cancellation near either, so the kernel is within 1e-9
-        # relative of K_s in 50-digit arithmetic, for v from 1e-250 u to (1 - 1e-3) u
-        r = np.geomspace(1e-250, 1.0 - 1e-3, 25)
+        # limits: no cancellation near either, and log1p of (u - v) / v keeps
+        # log(u / v) from rounding as v nears u, so the kernel is within 1e-9
+        # relative of K_s in 50-digit arithmetic, for v from 1e-250 u to (1 - 1e-5) u
+        r = np.append(np.geomspace(1e-250, 1.0 - 1e-3, 25), 1.0 - np.geomspace(1e-4, 1e-5, 3))
         for u in (1e-3, 0.05, 0.3, 0.5, 0.8, 0.999) + ((1.0,) if s > 0.0 else ()):
             v = u * r
             got = _k_s_plus_terms(np.full(v.size, u), v, s)
@@ -97,8 +97,8 @@ class TestKs:
         # the exact law's boundary runs Newton on log K_s^+ against log p from
         # the right of the root, and no step passes the root only if this
         # holds. The kernel's relative error near v = u grows like
-        # 2**-52 (u / (u - v))**2, at most ~5e-8 at the top of this grid, so
-        # rounding moves a second difference of log K by at most 4 * 5e-8
+        # 2**-52 u / (u - v), ~1e-11 at the top of this grid, so rounding
+        # moves a second difference of log K by far less than the bound
         x = np.linspace(math.log(1e-300), math.log(u) + math.log1p(-1e-4), 4001)
         for s in np.linspace(-1.0, 2.0, 31):
             if u == 1.0 and s <= 0.0:
@@ -106,13 +106,6 @@ class TestKs:
             f = np.log(_k_s_plus_terms(np.full(x.size, u), np.exp(x), s))
             second = f[2:] - 2.0 * f[1:-1] + f[:-2]
             assert second.max() <= 2e-7, (s, u, second.max())
-
-    def test_v_domain(self):
-        for u, v in ((0.5, 0.0), (0.5, 1.0), (0.5, math.nan), (1.5, 0.5), (-0.1, 0.5)):
-            with pytest.raises(ValueError):
-                k_s_plus(u, v, 1.0)
-        with pytest.raises(ValueError):
-            k_s_plus(np.array([0.5, 0.6]), np.array([0.2, 1.0]), 2.0)
 
 
 class TestKsPlus:

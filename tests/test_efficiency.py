@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gumbelmark import least_favorable, optimal_rate, rate_curve
+from gumbelmark import optimal_rate, rate_curve
 from gumbelmark.pivotal import alt_pdf
 from gumbelmark.tokensource import least_favorable_atoms
+
+from util import least_favorable
 
 
 class TestQueryValidation:

@@ -31,6 +31,21 @@ def test_readme_examples_run():
         exec(compile(block, str(readme), "exec"), namespace)
 
 
+def test_public_surface():
+    # every public name, submodules included: a name joins or leaves the
+    # surface only with an edit here
+    assert sorted(gumbelmark.__all__) == [
+        "ARS", "BoundarySpec", "EditPlan", "GenConfig", "HigherCriticism", "Key", "LOG", "MixtureConfig",
+        "PivotSeries", "ScoreKind", "SumScore", "TokenSeq", "ToleranceResult", "ToySource", "TrGoF",
+        "alt_cdf", "alt_pdf", "alt_sample", "apply_adversarial_edit", "apply_random_edit", "boundary_grid",
+        "calibrate", "critical_value", "detectors", "edits", "efficiency", "entropy_gap_check", "entropy_of",
+        "experiments", "generate", "generate_null", "gumbel_decode", "histogram_study", "ind", "make_m1",
+        "make_m2", "mc_critical", "null_moments", "null_sf", "opt", "optimal_rate", "pivot_series", "pivotal",
+        "prf", "prf_uniform", "prf_vector", "rate_curve", "sample_mixture", "score", "streams", "tokensource",
+        "tolerance_limit", "toy_next_dist", "tradeoff_curve", "trgof_stat", "watermark",
+    ]
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported only by the calls that integrate numerically, so the
     # package and the CLI module load without it

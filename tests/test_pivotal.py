@@ -14,7 +14,6 @@ from gumbelmark import (
     alt_pdf,
     alt_sample,
     generate,
-    least_favorable,
     make_m1,
     make_m2,
     opt,
@@ -28,7 +27,7 @@ from gumbelmark.prf import DIGEST_BLOCK, prf_uniform
 from gumbelmark.edits import apply_adversarial_edit
 from gumbelmark.watermark import TokenSeq
 
-from util import ks_critical, ks_distance
+from util import ks_critical, ks_distance, least_favorable
 
 
 def random_dists(seed, count, max_v=30):

@@ -5,9 +5,7 @@ import pytest
 
 from gumbelmark import (
     ToySource,
-    delta_of,
     entropy_of,
-    least_favorable,
     make_m1,
     make_m2,
     toy_next_dist,
@@ -15,6 +13,8 @@ from gumbelmark import (
 from gumbelmark._validation import check_ntp_dist
 from gumbelmark.pivotal import _grouped
 from gumbelmark.tokensource import least_favorable_atoms
+
+from util import least_favorable
 
 
 def assert_valid_dist(p):
@@ -116,12 +116,6 @@ class TestLeastFavorable:
 
 
 class TestDeltaEntropy:
-    def test_delta_of(self):
-        assert delta_of([1.0, 0.0, 0.0]) == 0.0
-        assert delta_of([0.6, 0.1, 0.1, 0.1, 0.1]) == pytest.approx(0.4)
-        v = 8
-        assert delta_of(np.full(v, 1.0 / v)) == pytest.approx(1.0 - 1.0 / v)
-
     def test_entropy_values(self):
         assert entropy_of([1.0, 0.0]) == 0.0
         assert entropy_of([0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
@@ -166,7 +160,7 @@ class TestToySource:
     def test_delta_in_range(self):
         src = ToySource(11, (0.2, 0.5), seed=5)
         for last in range(50):
-            d = delta_of(toy_next_dist(src, [last]))
+            d = 1.0 - toy_next_dist(src, [last]).max()
             assert 0.2 <= d <= 0.5
 
     def test_pinned_delta(self):

@@ -1,7 +1,9 @@
-"""Shared test helpers: KS distance and its analytic critical value, Higher
-Criticism by its own formula, K_s^+ in 50-digit decimal arithmetic, the
-earlier exact critical-value solver as an oracle, the exact law's boundary by
-bisection on log p, and a counter of exact-law passes."""
+"""Shared test helpers: KS distance and its analytic critical value, the
+order-statistic quantile, the least-favorable distribution as a vector,
+Higher Criticism by its own formula, K_s^+ by the detectors' kernel and in
+50-digit decimal arithmetic, the earlier exact critical-value solver as an
+oracle, the exact law's boundary by bisection on log p, and a counter of
+exact-law passes."""
 
 import decimal
 import math
@@ -11,6 +13,7 @@ import numpy as np
 from gumbelmark import HigherCriticism, calibrate, null_sf
 from gumbelmark.calibrate import CRITICAL_RTOL
 from gumbelmark.detectors import _k_s_plus_terms
+from gumbelmark.tokensource import least_favorable_atoms
 
 
 def ks_distance(samples, cdf=None) -> float:
@@ -28,6 +31,19 @@ def ks_critical(n: int, level: float) -> float:
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
 
 
+def empirical_quantile(values, level: float) -> float:
+    """Type-1 (order statistic) quantile: the sorted value at rank ceil(level * N)."""
+    v = np.sort(np.asarray(values, dtype=float))
+    return float(v[max(math.ceil(level * v.size), 1) - 1])
+
+
+def least_favorable(delta: float) -> np.ndarray:
+    """The least-favorable distribution with singularity delta as one entry
+    per atom, largest first: ``least_favorable_atoms`` expanded."""
+    vals, counts = least_favorable_atoms(delta)
+    return np.repeat(vals[::-1], counts[::-1].astype(int))
+
+
 def hc_reference(p, c_plus: float) -> float:
     """HC_n^+ of one p-value series by its own formula: the max over the
     admissible t (p_(t+1) >= c_plus, with p_(n+1) = 1) of
@@ -37,6 +53,12 @@ def hc_reference(p, c_plus: float) -> float:
     admissible = np.append(ps[1:] >= c_plus, True)
     terms = math.sqrt(n) * (np.arange(1, n + 1) / n - ps) / np.sqrt(ps * (1.0 - ps))
     return float(terms[admissible].max())
+
+
+def k_s_plus(u, v, s: float):
+    """K_s^+(u, v) by the detectors' kernel: a float for scalars, an array otherwise."""
+    k = _k_s_plus_terms(np.asarray(u, dtype=float), np.asarray(v, dtype=float), s)
+    return float(k) if k.ndim == 0 else k
 
 
 def k_s_decimal(u: float, v: float, s: float) -> float:
