@@ -1,4 +1,4 @@
-"""Small input-validation helpers shared across modules."""
+"""Input checks shared across modules: one function per rule, one message."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def check_ntp_rows(probs) -> np.ndarray:
 
 
 def check_unit_open(x, name: str = "value"):
-    """Check that all entries of ``x`` lie strictly inside (0, 1)."""
+    """``x`` as a float array, nonempty, with every entry strictly inside (0, 1)."""
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
@@ -53,9 +53,32 @@ def check_fraction(x: float, name: str = "fraction") -> float:
     return x
 
 
-def check_token_ids(tokens, vocab_size: int, name: str = "tokens") -> None:
-    """Check token ids lie in [0, vocab_size) and the 4-byte range: ``min`` and
-    ``max`` over the ids as they are, then, on a miss, name the first bad id."""
+def check_vocab_size(vocab_size) -> int:
+    """A vocabulary size as an int, at least 2."""
+    vocab_size = int(vocab_size)
+    if vocab_size < 2:
+        raise ValueError(f"vocab size must be >= 2, got {vocab_size}")
+    return vocab_size
+
+
+def check_series_length(n) -> int:
+    """A series length as an int, at least 1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return n
+
+
+def check_alpha(alpha) -> float:
+    """A Type I level as a float in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return float(alpha)
+
+
+def check_token_ids(tokens, vocab_size: int = 2**32, name: str = "tokens") -> None:
+    """Check token ids lie in [0, vocab_size) (by default, the 4-byte range): ``min``
+    and ``max`` over the ids as they are, then, on a miss, name the first bad id."""
     if tokens and (min(tokens) < 0 or max(tokens) >= min(vocab_size, 2**32)):
         for t in map(int, tokens):
             if t < 0 or t >= 2**32:

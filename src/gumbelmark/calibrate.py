@@ -36,6 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from ._validation import check_alpha, check_series_length
 from .detectors import (
     Detector,
     HigherCriticism,
@@ -76,11 +77,7 @@ def mc_critical(
     Replication r of round o draws its n uniforms from ``substream(seed, o, r)``
     and takes one ``detector.statistic`` call.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    n, alpha = check_series_length(n), check_alpha(alpha)
     if reps < 100:
         raise ValueError("need reps >= 100")
     if alpha * reps < 10:
@@ -253,10 +250,7 @@ def null_sf(detector: Detector, n: int, c: float) -> float:
     {S_n^+(s) >= c} is {p_(t) <= b_t(c) for some admissible t} (``_boundary``),
     and HC_n^+ > 0 with {HC >= c} = {n S_n^+(2) >= c**2 / 2} for c > 0.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    c = float(c)
+    n, c = check_series_length(n), float(c)
     if isinstance(detector, SumScore):
         mean, var = null_moments(detector.kind)
         return 0.5 * math.erfc((c - n * mean) / math.sqrt(2.0 * n * var))
@@ -291,18 +285,14 @@ def critical_value(detector: Detector, n: int, alpha: float) -> float:
     sqrt(2 n c2), rounded up until null_sf maps it back to at least c2, so
     the two share one solve. Memoised per process.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    n, alpha = check_series_length(n), check_alpha(alpha)
     if isinstance(detector, HigherCriticism):
-        crit = _critical_value(TrGoF(2.0, detector.c_plus), n, float(alpha))
+        crit = _critical_value(TrGoF(2.0, detector.c_plus), n, alpha)
         c = math.sqrt(2.0 * n * crit)
         while c * c / (2.0 * n) < crit:  # null_sf's map back to the s = 2 scale must reach crit
             c = math.nextafter(c, math.inf)
         return c
-    return _critical_value(detector, n, float(alpha))
+    return _critical_value(detector, n, alpha)
 
 
 @functools.lru_cache(maxsize=CRITICAL_MEMO_SIZE)

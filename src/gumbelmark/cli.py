@@ -22,6 +22,7 @@ breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -34,7 +35,7 @@ import time
 import numpy as np
 
 from . import __version__
-from ._validation import check_fraction
+from ._validation import check_alpha, check_fraction, check_vocab_size
 from .calibrate import null_sf
 from .detectors import (
     ARS,
@@ -75,6 +76,16 @@ EXIT_INTERNAL = 4
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _flags(context: str = ""):
+    """Run library code on flag values, whose ranges the library owns: a
+    ValueError it raises is a usage error, its message after ``context``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{context}{exc}") from exc
 
 
 def _library_versions() -> dict:
@@ -133,10 +144,8 @@ def _resolve_key(args) -> Key:
     hexkey = getattr(args, "key", None) or os.environ.get(KEY_ENV_VAR)
     if not hexkey:
         raise UsageError(f"no key: pass --key or set {KEY_ENV_VAR}")
-    try:
+    with _flags():
         return Key.from_hex(hexkey)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _load_seq(path: str) -> TokenSeq:
@@ -158,21 +167,17 @@ def _make_source(args, seed: int) -> ToySource:
 def _build_detector(args, n: int) -> Detector:
     """The detector the flags name, for a series of length n. A flag value
     out of its range (--s, --c-plus, --delta0, --alpha, a non-finite
-    --critical-value) is a usage error."""
-    try:
-        if not 0.0 < args.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
-        if args.critical_value is not None and not math.isfinite(args.critical_value):
-            raise ValueError(f"critical value must be finite, got {args.critical_value!r}")
-        if args.detector == "sum":
-            kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
-            return SumScore(kind=kind, critical_value=args.critical_value)
-        c_plus = resolve_c_plus(args.c_plus, n)
-        if args.detector == "trgof":
-            return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
-        return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    --critical-value) raises ValueError; callers run it under ``_flags``."""
+    check_alpha(args.alpha)
+    if args.critical_value is not None and not math.isfinite(args.critical_value):
+        raise ValueError(f"critical value must be finite, got {args.critical_value!r}")
+    if args.detector == "sum":
+        kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
+        return SumScore(kind=kind, critical_value=args.critical_value)
+    c_plus = resolve_c_plus(args.c_plus, n)
+    if args.detector == "trgof":
+        return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
+    return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
 
 
 def _s_list(text: str) -> list[float]:
@@ -203,14 +208,10 @@ def _c_plus_arg(text: str):
 
 def cmd_generate(args) -> int:
     started = time.time()
-    for flag, value in (("--n", args.n), ("--m", args.m)):
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
-    try:
+    with _flags(f"--n {args.n} and --m {args.m}: "):
+        cfg = GenConfig(n=args.n, m=args.m, masking=args.masking, seed=child_seed(args.seed, 1))
+    with _flags():
         source = _make_source(args, seed=child_seed(args.seed, 0))
-    except ValueError as exc:  # --delta, --delta-min, --delta-max or --vocab-size out of range
-        raise UsageError(str(exc)) from exc
-    cfg = GenConfig(n=args.n, m=args.m, masking=args.masking, seed=child_seed(args.seed, 1))
     prompt = substream(args.seed, 2).integers(0, args.vocab_size, size=args.m).tolist()
     if args.null:
         seq = generate_null(source, prompt, cfg)
@@ -225,12 +226,9 @@ def cmd_generate(args) -> int:
 
 def cmd_edit(args) -> int:
     started = time.time()
-    if args.vocab_size < 2:
-        raise UsageError(f"--vocab-size must be at least 2, got {args.vocab_size}")
-    try:
+    with _flags():
+        check_vocab_size(args.vocab_size)
         check_fraction(args.fraction, "--fraction")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     seq = _load_seq(args.infile)
     if args.edit == "adv":
         out = apply_adversarial_edit(seq, args.fraction, _resolve_key(args), args.vocab_size, args.seed)
@@ -246,8 +244,9 @@ def cmd_detect(args) -> int:
     started = time.time()
     if args.critical_value is None and not args.calibrate:
         raise UsageError("need --critical-value or --calibrate")
-    if args.vocab_size is not None and args.vocab_size < 2:
-        raise UsageError(f"--vocab-size must be at least 2, got {args.vocab_size}")
+    if args.vocab_size is not None:
+        with _flags():
+            check_vocab_size(args.vocab_size)
     t0 = time.perf_counter()
     seq = _load_seq(args.infile)
     key = _resolve_key(args)
@@ -256,7 +255,8 @@ def cmd_detect(args) -> int:
         raise ValueError(f"token sequence file {args.infile} is empty: no tokens to score")
     vocab = args.vocab_size if args.vocab_size is not None else max(seq.tokens) + 1
     piv = pivot_series(seq, key, vocab)
-    detector = _build_detector(args, piv.n)
+    with _flags():
+        detector = _build_detector(args, piv.n)
     t2 = time.perf_counter()
     if args.calibrate:
         detector = detector.fit(piv.n, alpha=args.alpha)
@@ -280,20 +280,21 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
-    try:  # critical_value owns the least n
+    with _flags(f"cannot calibrate at --n {args.n}: "):  # critical_value owns the least n
         detector = _build_detector(args, args.n).fit(args.n, args.alpha)
-    except (UsageError, ValueError) as exc:
-        raise UsageError(f"cannot calibrate at --n {args.n}: {exc}") from exc
     config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
     _write_json(args.out, dict(config, critical_value=detector.critical_value))
     _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)
     return EXIT_OK
 
 
+def _mixture(args) -> MixtureConfig:
+    return MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size,
+                         ntp_mode=args.mode, trials=args.trials, seed=args.seed)
+
+
 def _suite_hist(args) -> list[str]:
-    cfg = MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size,
-                        ntp_mode=args.mode, trials=args.trials, seed=args.seed)
-    study = histogram_study(cfg, args.s_list, resolve_c_plus(args.c_plus, args.n), alpha=args.alpha)
+    study = histogram_study(_mixture(args), args.s_list, resolve_c_plus(args.c_plus, args.n), alpha=args.alpha)
     path = os.path.join(args.out_dir, "hist_samples.csv")
     _write_csv(path, ["s", "hypothesis", "log_n_stat"],
                ([s, hyp, repr(float(v))] for (s, hyp), arr in study.samples.items() for v in arr))
@@ -323,10 +324,8 @@ def _suite_sumboundary(args) -> list[str]:
     specs = []
     for token in args.scores.split(","):
         name, _, param = token.partition(":")
-        try:
+        with _flags(f"bad --scores entry {token!r}: "):
             kind = ScoreKind(name, float(param) if param else None)
-        except ValueError as exc:
-            raise UsageError(f"bad --scores entry {token!r}: {exc}") from exc
         specs.append(BoundarySpec(name=kind.label(), kind="sum", score_kind=kind))
     return _write_boundary(args, specs, "sumboundary.csv")
 
@@ -391,6 +390,21 @@ _SUITES = {
 }
 
 
+def _check_suite_flags(args) -> None:
+    """Make the library objects the suite makes from its flags, so that a
+    value they refuse is a usage error before the suite starts."""
+    with _flags():
+        if args.suite == "hist":
+            _mixture(args)
+        if args.suite in ("hist", "boundary", "tolerance"):
+            TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n))
+        if args.suite == "tolerance":
+            ToySource(args.vocab_size, (args.delta, args.delta), child_seed(args.seed, 1, 0))
+    if args.suite == "tolerance":
+        with _flags(f"--n0 {args.n0}: "):
+            GenConfig(n=args.n0, m=args.m)
+
+
 def cmd_experiment(args) -> int:
     started = time.time()
     # --n >= 2: the mixture's q floor log_n(V/(V-1)) divides by log n
@@ -405,6 +419,7 @@ def cmd_experiment(args) -> int:
                          f"got {args.delta_min}, {args.delta_max}, {args.s}, {args.s_list}")
     if args.suite == "tolerance" and args.n_test <= args.m:
         raise UsageError(f"--n-test must exceed --m to leave a scored position, got {args.n_test} and --m {args.m}")
+    _check_suite_flags(args)
     made = not os.path.exists(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     try:

@@ -32,11 +32,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._validation import check_unit_open
-from .pivotal import PivotSeries, _grouped_log_pdf, _null_expectation
+from ._validation import check_fraction, check_unit_open
+from .pivotal import PivotSeries, _clip, _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
-
-_CLIP = 2.0**-53  # p-values and pivots are clipped to [_CLIP, 1 - _CLIP]; 1 - y >= _CLIP for a float y < 1
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +83,12 @@ def _k_s_plus_and_slope(u: np.ndarray, v: np.ndarray, s: float) -> tuple[np.ndar
 # statistics over a pivot series
 # ---------------------------------------------------------------------------
 
-def _as_pvalues(series) -> np.ndarray:
-    p = _clip(series.p if isinstance(series, PivotSeries) else series)
-    if p.size == 0:
+def _clipped(series, field: str = "p") -> np.ndarray:
+    """The clipped p-values (field "y": pivots) of a PivotSeries or of an array of them."""
+    x = _clip(getattr(series, field) if isinstance(series, PivotSeries) else series)
+    if x.size == 0:
         raise ValueError("empty pivot series")
-    return p
-
-
-def _check_c_plus(c_plus: float) -> None:
-    if not 0.0 <= c_plus <= 1.0:
-        raise ValueError(f"c_plus must lie in [0, 1], got {c_plus!r}")
-
-
-def _clip(x) -> np.ndarray:
-    """p-values or pivots as floats in [_CLIP, 1 - _CLIP]: the one clip of every statistic."""
-    return np.clip(np.asarray(x, dtype=float), _CLIP, 1.0 - _CLIP)
+    return x
 
 
 @functools.lru_cache(maxsize=8)
@@ -122,8 +111,8 @@ def trgof_stat(series, s: float, c_plus: float):
     taken along the last axis, a float for one series and an array of
     ``rows`` values for a block. Returns 0 when every term truncates to 0.
     """
-    _check_c_plus(c_plus)
-    ps = np.sort(_as_pvalues(series), axis=-1)
+    check_fraction(c_plus, "c_plus")
+    ps = np.sort(_clipped(series), axis=-1)
     admissible = np.empty(ps.shape, dtype=bool)  # p_(t+1) >= c_plus, and p_(n+1) = 1 admits t = n
     np.greater_equal(ps[..., 1:], c_plus, out=admissible[..., :-1])
     admissible[..., -1] = True
@@ -256,9 +245,8 @@ class TrGoF(Detector):
     def __post_init__(self):
         if not -1.0 <= self.s <= 2.0:
             raise ValueError(f"s must lie in [-1, 2], got {self.s!r}")
-        _check_c_plus(self.c_plus)
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "c_plus", float(self.c_plus))
+        object.__setattr__(self, "c_plus", check_fraction(self.c_plus, "c_plus"))
 
     def statistic(self, series):
         return trgof_stat(_as_pivot_series(series), self.s, self.c_plus)
@@ -275,8 +263,7 @@ class HigherCriticism(Detector):
     critical_value: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_c_plus(self.c_plus)
-        object.__setattr__(self, "c_plus", float(self.c_plus))
+        object.__setattr__(self, "c_plus", check_fraction(self.c_plus, "c_plus"))
 
     def statistic(self, series):
         p = _as_pivot_series(series).p
@@ -298,10 +285,7 @@ class SumScore(Detector):
             raise ValueError("kind must be a ScoreKind")
 
     def statistic(self, series):
-        y = _clip(series.y if isinstance(series, PivotSeries) else series)
-        if y.size == 0:
-            raise ValueError("empty pivot series")
-        return _float_if_scalar(_score_terms(y, self.kind).sum(axis=-1))
+        return _float_if_scalar(_score_terms(_clipped(series, "y"), self.kind).sum(axis=-1))
 
     def to_config(self) -> dict:
         return {

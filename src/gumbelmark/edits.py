@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_fraction
+from ._validation import check_fraction, check_vocab_size
 from .pivotal import pivot_series
 from .watermark import EDITED, PROMPT, TokenSeq
 
@@ -33,13 +33,12 @@ class EditPlan:
     def __init__(self, seq: TokenSeq, kind: str, vocab_size: int, seed: int):
         if kind not in ("sub", "ins", "del"):
             raise ValueError(f"random edits are sub/ins/del, got {kind!r} (adv: apply_adversarial_edit)")
-        if int(vocab_size) < 2:
-            raise ValueError("vocab size must be >= 2")
+        vocab_size = check_vocab_size(vocab_size)
         self.seq = seq
         self.kind = kind
         rng = np.random.default_rng(seed)
         self.pi = rng.permutation([i for i, c in enumerate(seq.provenance) if c != PROMPT])
-        self.replacements = rng.integers(0, int(vocab_size), size=self.pi.size)
+        self.replacements = rng.integers(0, vocab_size, size=self.pi.size)
         self.slot_uniforms = rng.random(self.pi.size)
 
     @property

@@ -24,8 +24,6 @@ from .tokensource import least_favorable_atoms
 
 def optimal_rate(delta: float, epsilon: float) -> float:
     """KL rate of the least-favorable mixture at delta in (0, 1) and epsilon in (0, 1]."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     vals, counts = least_favorable_atoms(delta)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validation import check_series_length, check_vocab_size
 from .calibrate import tradeoff_curve
-from .detectors import ScoreKind, TrGoF, _clip, _score_terms, score, trgof_stat
+from .detectors import ScoreKind, TrGoF, _score_terms, score, trgof_stat
 from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
-from .pivotal import _sampling_table, _table_sample
+from .pivotal import _clip, _sampling_table, _table_sample
 from .streams import child_seed, substream
 from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, least_favorable_atoms, m1_rows, make_m2
 
@@ -79,8 +80,7 @@ class MixtureConfig:
             raise ValueError("exponents p, q must lie in [0, 1]")
         if self.ntp_mode not in NTP_MODES:
             raise ValueError(f"ntp mode must be one of {NTP_MODES}")
-        if int(self.vocab_size) < 2:
-            raise ValueError("vocab size must be >= 2")
+        check_vocab_size(self.vocab_size)
         q_min = _q_floor(self.n, self.vocab_size)
         if self.q < q_min - 1e-12:
             raise ValueError(
@@ -145,9 +145,7 @@ def resolve_c_plus(rule, n: int) -> float:
         return float(rule)
     if rule not in _C_PLUS_RULES:
         raise ValueError(f"unknown c_plus rule {rule!r}")
-    if n < 1:
-        raise ValueError(f"the c_plus rule {rule!r} needs n >= 1, got {n}")
-    return _C_PLUS_RULES[rule](n)
+    return _C_PLUS_RULES[rule](check_series_length(n))
 
 
 # ---------------------------------------------------------------------------

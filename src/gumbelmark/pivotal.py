@@ -13,7 +13,9 @@ F_P is exactly the law of Y = V**P_W with W ~ P and V ~ U(0, 1) independent,
 since P(V**P_w <= r) = r**(1/P_w). ``alt_sample`` draws Y that way from one
 uniform per draw, from one law, searched over its distinct probabilities, or
 from a (k, V) block of laws, one draw per row. ``alt_cdf`` and ``alt_pdf`` sum
-over distinct probabilities as a group-major table, groups on the leading axis.
+over distinct probabilities as one group-major table (``_group_sum``), groups
+on the leading axis. ``_clip`` is the one clip of pivots and p-values, for the
+statistics and for ``alt_sample``'s draws alike.
 
 Null expectations E[g(Y)], Y ~ U(0, 1), are integrals over [0, 1], which
 ``_null_expectation`` computes by tanh-sinh quadrature.
@@ -27,8 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids, name_non_integer_id
+from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids, check_unit_open, name_non_integer_id
 from .prf import _sequence_uniforms
+
+_CLIP = 2.0**-53  # p-values and pivots are clipped to [_CLIP, 1 - _CLIP]; 1 - y >= _CLIP for a float y < 1
+
+
+def _clip(x) -> np.ndarray:
+    """p-values or pivots as floats in [_CLIP, 1 - _CLIP]: the one clip of the package."""
+    return np.clip(np.asarray(x, dtype=float), _CLIP, 1.0 - _CLIP)
 
 
 @dataclass(frozen=True)
@@ -88,9 +97,7 @@ def alt_cdf(probs, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0) or np.any(r_arr > 1.0):
         raise ValueError("r must lie in [0, 1]")
-    col = (-1,) + (1,) * r_arr.ndim
-    out = ((counts * vals).reshape(col) * r_arr ** (1.0 / vals).reshape(col)).sum(axis=0)
-    return out if r_arr.ndim else float(out)
+    return _group_sum(counts * vals, 1.0 / vals, r_arr)
 
 
 def alt_pdf(probs, r):
@@ -101,9 +108,14 @@ def alt_pdf(probs, r):
 
 def _grouped_pdf(vals: np.ndarray, counts: np.ndarray, r):
     """``alt_pdf`` of the law whose distinct probabilities ``vals`` occur ``counts`` times."""
+    return _group_sum(counts, 1.0 / vals - 1.0, r)
+
+
+def _group_sum(weights: np.ndarray, expo: np.ndarray, r):
+    """sum over groups g of weights_g * r**expo_g, a group-major table summed over its leading axis."""
     r_arr = np.asarray(r, dtype=float)
     col = (-1,) + (1,) * r_arr.ndim
-    out = (counts.reshape(col) * r_arr ** (1.0 / vals - 1.0).reshape(col)).sum(axis=0)
+    out = (weights.reshape(col) * r_arr ** expo.reshape(col)).sum(axis=0)
     return out if r_arr.ndim else float(out)
 
 
@@ -178,9 +190,7 @@ def alt_sample(probs, u):
     take the final power per draw on Python floats, as a scalar u does:
     numpy's array power can differ from it in the last bit.
     """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("u must lie strictly in (0, 1)")
+    u_arr = check_unit_open(u, "u")
     table = _sampling_table(probs)
     if table[0].ndim == 2 and u_arr.shape != table[0].shape[:1]:
         raise ValueError(f"a block of {len(table[0])} laws needs u of shape ({len(table[0])},)")
@@ -216,5 +226,5 @@ def _table_sample(table, u: np.ndarray):
     g = np.minimum(g, vals.shape[1] - 1)
     v, expo = (u - np.where(g > 0, edges[row, g - 1], 0.0)) / weights[row, g], vals[row, g]
     y = np.array([x**e for x, e in zip(v.tolist(), expo.tolist())]) if block else v**expo
-    r = np.clip(y, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    r = _clip(y)
     return r if u.ndim else float(r)

@@ -14,14 +14,15 @@ The half-step offset rules out exact 0, and the cap exact 1: 2**53 - 0.5
 would round to 2**53. So downstream logs and p-values never hit the
 boundary.
 
-Bulk paths hash through one kernel, ``_prefixed_uniforms``: it copies a
-shared prefix's hash state once per preimage tail, joins DIGEST_BLOCK digests
-at a time and converts each block's 8-byte heads straight from their strided
-big-endian view (``_heads_to_unit``). ``prf_vector`` passes one window's
-prefix (``_window_prefix``) and every id's encoding (``_id_chunks``).
-Watermarked generation passes a copy of the key's state updated with the
-window's packed ids, the same preimage bytes. ``pivot_series`` passes the key
-and each position's window-and-token bytes. The floats equal ``prf_uniform``'s.
+This module owns that layout: every preimage is hashed here, through one
+kernel, ``_prefixed_uniforms``. It copies a shared prefix's hash state once
+per preimage tail, joins DIGEST_BLOCK digests at a time and converts each
+block's 8-byte heads straight from their strided big-endian view
+(``_heads_to_unit``). ``_window_uniforms`` maps each window to its V
+uniforms: ``prf_vector`` calls it for one window, watermarked generation for
+every window it embeds at. ``_sequence_uniforms`` hashes each position's
+window and token: ``pivot_series`` calls it for a sequence, ``prf_uniform``
+for one triple.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._validation import check_token_ids, check_vocab_size
 
 MAX_KEY_LEN = 64
 _DENOM = float(1 << 53)
@@ -97,20 +100,19 @@ def _prefixed_uniforms(prefix: "hashlib._Hash", chunks: list[bytes]) -> np.ndarr
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _id_chunks(vocab_size: int) -> list[bytes]:
-    """The 4-byte little-endian encodings of ids 0 .. vocab_size - 1."""
-    return list(map(struct.Struct("<I").pack, range(vocab_size)))
+def _window_uniforms(key, vocab_size: int, m: int):
+    """window -> ``prf_vector(key, window, vocab_size)`` for m-id windows, unchecked. The id table
+    (~1.5 MB at V = 32000, so not cached) and the key's SHA-256 state are built once per call;
+    each window hashes from a copy of that state updated with its packed ids."""
+    ids = list(map(struct.Struct("<I").pack, range(vocab_size)))  # each id's 4-byte encoding
+    keyed, pack = hashlib.sha256(_as_key(key).data), struct.Struct(f"<{m}I").pack
 
+    def uniforms(window) -> np.ndarray:
+        h = keyed.copy()
+        h.update(pack(*window))
+        return _prefixed_uniforms(h, ids)
 
-def _window_prefix(key: Key, window) -> "hashlib._Hash":
-    h = hashlib.sha256()
-    h.update(key.data)
-    ids = tuple(int(t) for t in window)
-    for t in ids:
-        if t < 0 or t >= 2**32:
-            raise ValueError(f"window token id {t} outside the 4-byte range")
-    h.update(struct.pack(f"<{len(ids)}I", *ids))
-    return h
+    return uniforms
 
 
 def prf_uniform(key, window, token_id: int) -> float:
@@ -118,12 +120,9 @@ def prf_uniform(key, window, token_id: int) -> float:
 
     Deterministic: identical inputs always give the identical float.
     """
-    token_id = int(token_id)
-    if token_id < 0 or token_id >= 2**32:
-        raise ValueError(f"token id {token_id} outside the 4-byte range")
-    h = _window_prefix(_as_key(key), window)
-    h.update(struct.pack("<I", token_id))
-    return _digest_to_unit(h.digest())
+    ids = [int(t) for t in window] + [int(token_id)]
+    check_token_ids(ids, name="window and token")
+    return float(_sequence_uniforms(key, ids, len(ids) - 1)[0])
 
 
 def prf_vector(key, window, vocab_size: int) -> np.ndarray:
@@ -131,14 +130,10 @@ def prf_vector(key, window, vocab_size: int) -> np.ndarray:
 
     Element ``w`` equals ``prf_uniform(key, window, w)``.
     """
-    vocab_size = int(vocab_size)
-    if vocab_size < 2:
-        raise ValueError(f"vocab size must be >= 2, got {vocab_size}")
-    ids = tuple(int(t) for t in window)
-    if ids and max(ids) >= vocab_size:
-        raise ValueError("window contains token ids outside the vocabulary")
-    base = _window_prefix(_as_key(key), ids)
-    return _prefixed_uniforms(base, _id_chunks(vocab_size))
+    vocab_size = check_vocab_size(vocab_size)
+    ids = [int(t) for t in window]
+    check_token_ids(ids, vocab_size, name="window")
+    return _window_uniforms(key, vocab_size, len(ids))(ids)
 
 
 def _sequence_uniforms(key, tokens, m: int) -> np.ndarray:

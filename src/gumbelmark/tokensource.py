@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist
+from ._validation import check_ntp_dist, check_vocab_size
 from .prf import _digest_to_unit
 
 M1_A_RANGE = (0.95, 1.5)
@@ -35,9 +35,7 @@ def _check_delta(delta: float) -> float:
 def make_m2(delta: float, vocab_size: int) -> np.ndarray:
     """Flat-tail NTP vector: (1 - delta, delta/(V-1), ..., delta/(V-1))."""
     delta = _check_delta(delta)
-    vocab_size = int(vocab_size)
-    if vocab_size < 2:
-        raise ValueError(f"vocab size must be >= 2, got {vocab_size}")
+    vocab_size = check_vocab_size(vocab_size)
     probs = np.full(vocab_size, delta / (vocab_size - 1))
     probs[0] = 1.0 - delta
     return probs
@@ -56,9 +54,7 @@ def make_m1(delta: float, vocab_size: int, rng: np.random.Generator) -> np.ndarr
 def m1_rows(delta: float, vocab_size: int, shapes: np.ndarray) -> np.ndarray:
     """One ``make_m1`` vector per row (a, b) of a (k, 2) array of tail shapes."""
     delta = _check_delta(delta)
-    vocab_size = int(vocab_size)
-    if vocab_size < 2:
-        raise ValueError(f"vocab size must be >= 2, got {vocab_size}")
+    vocab_size = check_vocab_size(vocab_size)
     tail = (np.arange(1, vocab_size) + shapes[:, 1:]) ** (-shapes[:, :1])
     tail *= delta / tail.sum(axis=1, keepdims=True)
     return np.concatenate((np.full((len(tail), 1), 1.0 - delta), tail), axis=1)
@@ -102,8 +98,7 @@ class ToySource:
         lo, hi = self.delta_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(f"delta range must satisfy 0 < lo <= hi < 1, got {self.delta_range!r}")
-        if int(self.vocab_size) < 2:
-            raise ValueError("vocab size must be >= 2")
+        check_vocab_size(self.vocab_size)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 

@@ -11,24 +11,22 @@ stream, independent of the watermark pseudorandomness.
 A toy source's law depends only on the last token, so one generation call
 makes each law once, and its CDF once a sampled position needs it, and keeps
 them in a memo of at most ``LAW_MEMO_FLOATS`` floats; a law that finds the
-memo full is made afresh at each position. Each window hashes from a copy of
-the key's SHA-256 state, and the decode needs no mask for zero-probability
-tokens. The tokens and flags are bit for bit those of the plain loop that
-calls ``toy_next_dist``, ``prf_vector`` and ``gumbel_decode`` at every
-position.
+memo full is made afresh at each position. The window uniforms come from
+``prf._window_uniforms``, which hashes the key once per call, and the decode
+needs no mask for zero-probability tokens. The tokens and flags are bit for
+bit those of the plain loop that calls ``toy_next_dist``, ``prf_vector`` and
+``gumbel_decode`` at every position.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist
-from .prf import _as_key, _id_chunks, _prefixed_uniforms
+from ._validation import check_ntp_dist, check_token_ids, check_unit_open
+from .prf import _window_uniforms
 from .tokensource import ToySource, toy_next_dist
 
 PROMPT, WATERMARKED, SAMPLED, EDITED = "P", "W", "S", "E"
@@ -111,11 +109,9 @@ def gumbel_decode(probs, xi):
     be a single vector or a batch with vectors along the last axis.
     """
     p = check_ntp_dist(probs)
-    x = np.asarray(xi, dtype=float)
+    x = check_unit_open(xi, "xi")
     if x.shape[-1] != p.size:
         raise ValueError(f"xi has length {x.shape[-1]}, expected {p.size}")
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("xi entries must lie strictly in (0, 1)")
     with np.errstate(divide="ignore"):
         idx = np.argmax(np.where(p > 0.0, np.log(x) / p, -np.inf), axis=-1)
     return int(idx) if x.ndim == 1 else idx
@@ -147,18 +143,13 @@ def _generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
     prompt = [int(t) for t in prompt]
     if len(prompt) < cfg.m:
         raise ValueError(f"prompt length {len(prompt)} < window size {cfg.m}")
-    if min(prompt) < 0 or max(prompt) >= source.vocab_size:
-        raise ValueError("prompt contains tokens outside the source vocabulary")
+    check_token_ids(prompt, source.vocab_size, name="prompt")
     tokens = list(prompt)
     prov = [PROMPT] * len(prompt)
     fallback = np.random.default_rng(cfg.seed)
     seen = _prompt_windows(prompt, cfg.m) if cfg.masking else set()
     if key is not None:
-        # built per call, not cached: at V = 32000 the table holds ~1.5 MB.
-        # Each window is hashed as a copy of the key's state || its packed ids,
-        # the preimage _window_prefix builds
-        ids = _id_chunks(source.vocab_size)
-        keyed, pack = hashlib.sha256(_as_key(key).data), struct.Struct(f"<{cfg.m}I").pack
+        uniforms = _window_uniforms(key, source.vocab_size, cfg.m)
     # last token -> [law, its CDF once a sampled position needs it]; a law is
     # a function of the last token alone, and each holds at most 2V floats
     laws, room = {}, LAW_MEMO_FLOATS // (2 * source.vocab_size)
@@ -182,9 +173,7 @@ def _generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
                 prov.append(SAMPLED)
             else:
                 # prf_vector and gumbel_decode on inputs that pass their checks
-                h = keyed.copy()
-                h.update(pack(*window))
-                tok = int((np.log(_prefixed_uniforms(h, ids)) / probs).argmax())
+                tok = int((np.log(uniforms(window)) / probs).argmax())
                 prov.append(WATERMARKED)
             if cfg.masking:
                 seen.add(window)

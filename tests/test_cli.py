@@ -581,6 +581,28 @@ class TestExperimentSuites:
         assert err.startswith("usage error: need 0 < --delta-min <= --delta-max < 1") and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("hist", "--p", "2"),
+        ("hist", "--q", "2"),
+        ("hist", "--q", "-0.5"),
+        ("hist", "--q", "1e-5"),  # below log_n(V/(V-1)) = 1.45e-4 at n = V = 1000
+        ("hist", "--c-plus", "2"),
+        ("boundary", "--c-plus", "2"),
+        ("tolerance", "--c-plus", "-0.5"),
+        ("tolerance", "--n0", "0"),
+        ("tolerance", "--delta", "1.5"),
+        ("tolerance", "--delta", "0"),
+    ], ids=["hist_p", "hist_q", "hist_q_negative", "hist_q_floor", "hist_c_plus", "boundary_c_plus",
+            "tolerance_c_plus", "tolerance_n0", "tolerance_delta", "tolerance_delta_0"])
+    def test_value_the_library_refuses_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # the suite's mixture, detector, source and generation config are made
+        # from the flags before the output directory: no suite starts
+        monkeypatch.setitem(cli._SUITES, argv[0], suite_must_not_run)
+        assert run("experiment", *argv, "--key", KEY, "--out-dir", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_efficiency_suite_monotone(self, tmp_path):
         out_dir = str(tmp_path / "eff")
         rc = run("experiment", "efficiency", "--eps", "1.0", "--delta-min", "0.05",
