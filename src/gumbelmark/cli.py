@@ -31,6 +31,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .experiments import (
     _C_PLUS_RULES,
     BoundarySpec,
     MixtureConfig,
-    _q_floor,
     boundary_grid,
     entropy_gap_check,
     histogram_study,
@@ -288,13 +288,17 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _mixture(args) -> MixtureConfig:
-    return MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size,
-                         ntp_mode=args.mode, trials=args.trials, seed=args.seed)
-
-
 def _suite_hist(args) -> list[str]:
-    study = histogram_study(_mixture(args), args.s_list, resolve_c_plus(args.c_plus, args.n), alpha=args.alpha)
+    with _flags(f"--n {args.n}, --trials {args.trials}, --vocab-size {args.vocab_size}, --p {args.p}, --q {args.q}: "):
+        cfg = MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size, ntp_mode=args.mode,
+                            trials=args.trials, seed=args.seed)
+    c_plus = resolve_c_plus(args.c_plus, cfg.n)
+    for s in args.s_list:
+        with _flags(f"--s-list entry {s} and --c-plus {args.c_plus}: "):
+            TrGoF(s=s, c_plus=c_plus)
+    with _flags(f"--alpha {args.alpha}: "):
+        check_alpha(args.alpha)
+    study = histogram_study(cfg, args.s_list, c_plus, alpha=args.alpha)
     path = os.path.join(args.out_dir, "hist_samples.csv")
     _write_csv(path, ["s", "hypothesis", "log_n_stat"],
                ([s, hyp, repr(float(v))] for (s, hyp), arr in study.samples.items() for v in arr))
@@ -304,9 +308,13 @@ def _suite_hist(args) -> list[str]:
 
 
 def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
-    """Min error sums of ``specs`` over the (p, q) grid of the flags; q starts
-    where the top probability 1 - n**-q would drop under 1/V."""
-    q_min = _q_floor(args.n, args.vocab_size)
+    """Min error sums of ``specs`` over the (p, q) grid of the flags; q starts at the floor of
+    the grid's (1, 1) corner, a mixture in range whenever --n, --trials and --vocab-size are."""
+    if args.grid < 2:
+        raise UsageError(f"--grid must be at least 2, got {args.grid}")
+    with _flags(f"--n {args.n}, --trials {args.trials} and --vocab-size {args.vocab_size}: "):
+        q_min = MixtureConfig(n=args.n, p=1.0, q=1.0, vocab_size=args.vocab_size, ntp_mode=args.mode,
+                              trials=args.trials).q_floor
     rows = boundary_grid(np.linspace(0.01, 1.0, args.grid), np.linspace(max(q_min, 0.01), 1.0, args.grid), specs,
                          n=args.n, vocab_size=args.vocab_size, ntp_mode=args.mode, trials=args.trials, seed=args.seed)
     path = os.path.join(args.out_dir, name)
@@ -316,6 +324,8 @@ def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
 
 
 def _suite_boundary(args) -> list[str]:
+    with _flags(f"--s {args.s} and --c-plus {args.c_plus} at --n {args.n}: "):
+        TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n))
     spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
     return _write_boundary(args, [spec], "boundary.csv")
 
@@ -331,8 +341,12 @@ def _suite_sumboundary(args) -> list[str]:
 
 
 def _suite_efficiency(args) -> list[str]:
+    if not (args.step > 0.0 and 0.0 < args.delta_min <= args.delta_max < 1.0):
+        raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and --step > 0, "
+                         f"got {args.delta_min}, {args.delta_max} and {args.step}")
     deltas = np.arange(args.delta_min, args.delta_max + 1e-12, args.step)
-    rows = rate_curve(deltas, args.eps)
+    with _flags(f"--eps {args.eps}: "):  # on a δ grid in range, optimal_rate can refuse only ε
+        rows = rate_curve(deltas, args.eps)
     if not np.all(np.diff(rows[:, 2]) >= -1e-9):
         raise AssertionError("efficiency rate curve is not monotone")
     path = os.path.join(args.out_dir, "efficiency.csv")
@@ -341,6 +355,8 @@ def _suite_efficiency(args) -> list[str]:
 
 
 def _suite_gapcheck(args) -> list[str]:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     kinds = [ARS, LOG, ind(0.5), opt(0.1)]
     dists = {"half_half": np.array([0.5, 0.5]), "m2_0.4_5": make_m2(0.4, 5)}
     path = os.path.join(args.out_dir, "gapcheck.csv")
@@ -355,21 +371,31 @@ def _suite_gapcheck(args) -> list[str]:
 def _suite_tolerance(args) -> list[str]:
     """Edit tolerance of TrGoF, calibrated at each decided sequence's scored
     length; a sequence with no scored position is not rejected."""
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    with _flags(f"--n0 {args.n0} and --m {args.m}: "):
+        gen = GenConfig(n=args.n0, m=args.m, masking=True)
+    if args.n_test <= args.m:
+        raise UsageError(f"--n-test must exceed --m to leave a scored position, got {args.n_test} and --m {args.m}")
+    with _flags(f"--vocab-size {args.vocab_size} and --delta {args.delta}: "):
+        source = ToySource(args.vocab_size, (args.delta, args.delta), seed=0)
+    with _flags(f"--s {args.s} and --c-plus {args.c_plus}: "):  # at the unedited sequence's scored length
+        trgof = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n_test - args.m))
+    with _flags(f"--alpha {args.alpha}: "):
+        check_alpha(args.alpha)
     key = _resolve_key(args)
 
     def decide(ts: TokenSeq) -> bool:
         if len(ts.tokens) <= ts.m:
             return False
         piv = pivot_series(ts, key, args.vocab_size)
-        detector = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, piv.n)).fit(piv.n, alpha=args.alpha)
-        return detector.predict(piv)
+        return replace(trgof, c_plus=resolve_c_plus(args.c_plus, piv.n)).fit(piv.n, alpha=args.alpha).predict(piv)
 
     def rows():
         for i in range(args.trials):
-            source = ToySource(args.vocab_size, (args.delta, args.delta), child_seed(args.seed, 1, i))
             prompt = substream(args.seed, 2, i).integers(0, args.vocab_size, size=args.m).tolist()
-            seq = generate(source, key, prompt, GenConfig(n=args.n0, m=args.m, masking=True,
-                                                          seed=child_seed(args.seed, 3, i)))
+            seq = generate(replace(source, seed=child_seed(args.seed, 1, i)), key, prompt,
+                           replace(gen, seed=child_seed(args.seed, 3, i)))
             for kind in ("sub", "ins", "del"):
                 res = tolerance_limit(seq, kind, decide, args.n_test, child_seed(args.seed, 4, i),
                                       args.vocab_size)
@@ -390,44 +416,19 @@ _SUITES = {
 }
 
 
-def _check_suite_flags(args) -> None:
-    """Make the library objects the suite makes from its flags, so that a
-    value they refuse is a usage error before the suite starts."""
-    with _flags():
-        if args.suite == "hist":
-            _mixture(args)
-        if args.suite in ("hist", "boundary", "tolerance"):
-            TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n))
-        if args.suite == "tolerance":
-            ToySource(args.vocab_size, (args.delta, args.delta), child_seed(args.seed, 1, 0))
-    if args.suite == "tolerance":
-        with _flags(f"--n0 {args.n0}: "):
-            GenConfig(n=args.n0, m=args.m)
-
-
 def cmd_experiment(args) -> int:
     started = time.time()
-    # --n >= 2: the mixture's q floor log_n(V/(V-1)) divides by log n
-    for flag, value, least in (("--n", args.n, 2), ("--trials", args.trials, 1), ("--grid", args.grid, 2),
-                               ("--m", args.m, 1), ("--vocab-size", args.vocab_size, 2)):
-        if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
-    if not (args.step > 0.0 and 0.0 < args.alpha < 1.0 and 0.0 < args.eps <= 1.0):
-        raise UsageError(f"need --step > 0, 0 < --alpha < 1 and 0 < --eps <= 1, got {args.step}, {args.alpha}, {args.eps}")
-    if not (0.0 < args.delta_min <= args.delta_max < 1.0 and all(-1.0 <= s <= 2.0 for s in (args.s, *args.s_list))):
-        raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and --s and every --s-list entry in [-1, 2], "
-                         f"got {args.delta_min}, {args.delta_max}, {args.s}, {args.s_list}")
-    if args.suite == "tolerance" and args.n_test <= args.m:
-        raise UsageError(f"--n-test must exceed --m to leave a scored position, got {args.n_test} and --m {args.m}")
-    _check_suite_flags(args)
-    made = not os.path.exists(args.out_dir)
-    os.makedirs(args.out_dir, exist_ok=True)
+    made, head = [], os.path.abspath(args.out_dir)
+    while not os.path.exists(head):  # the out dir and each ancestor makedirs makes, deepest first
+        made.append(head)
+        head = os.path.dirname(head)
     try:
-        outputs = _SUITES[args.suite](args)
+        os.makedirs(args.out_dir, exist_ok=True)
+        outputs = _SUITES[args.suite](args)  # the suite checks the flags it reads
     except BaseException:
-        # a failed suite leaves no directory it made and wrote nothing into
-        if made and not os.listdir(args.out_dir):
-            os.rmdir(args.out_dir)
+        for path in made:  # a failed suite leaves no directory it made and wrote nothing into
+            if os.path.isdir(path) and not os.listdir(path):
+                os.rmdir(path)
         raise
     config = {k: v for k, v in vars(args).items() if k not in ("func", "suite", "key") and v is not None}
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), f"experiment {args.suite}", config,

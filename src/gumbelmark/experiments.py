@@ -56,11 +56,6 @@ SUM_CRIT_GRIDS = {
 }
 
 
-def _q_floor(n: int, vocab_size: int) -> float:
-    """log_n(V/(V-1)): below this q the top probability 1 - n**-q drops under 1/V."""
-    return math.log(vocab_size / (vocab_size - 1)) / math.log(n)
-
-
 @dataclass(frozen=True)
 class MixtureConfig:
     n: int
@@ -80,13 +75,17 @@ class MixtureConfig:
             raise ValueError("exponents p, q must lie in [0, 1]")
         if self.ntp_mode not in NTP_MODES:
             raise ValueError(f"ntp mode must be one of {NTP_MODES}")
-        check_vocab_size(self.vocab_size)
-        q_min = _q_floor(self.n, self.vocab_size)
-        if self.q < q_min - 1e-12:
+        check_vocab_size(self.vocab_size)  # n >= 2 and V >= 2 before the floor divides by their logs
+        if self.q < self.q_floor - 1e-12:
             raise ValueError(
-                f"q = {self.q} below log_n(V/(V-1)) = {q_min:.6f}: "
+                f"q = {self.q} below log_n(V/(V-1)) = {self.q_floor:.6f}: "
                 "top probability would drop under 1/V"
             )
+
+    @property
+    def q_floor(self) -> float:
+        """log_n(V/(V-1)): below this q the top probability 1 - n**-q drops under 1/V."""
+        return math.log(self.vocab_size / (self.vocab_size - 1)) / math.log(self.n)
 
     @property
     def eps(self) -> float:

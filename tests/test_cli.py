@@ -55,8 +55,15 @@ def read_csv_rows(path) -> list[str]:
     return raw.decode("utf-8").strip().split("\n")
 
 
-def suite_must_not_run(args):
-    pytest.fail(f"experiment {args.suite} ran on out-of-range flags")
+# the first work each experiment suite starts, once it has checked its flags
+FIRST_WORK = {"hist": "histogram_study", "boundary": "boundary_grid", "efficiency": "rate_curve",
+              "tolerance": "generate"}
+
+
+def stub_first_work(monkeypatch, suite):
+    def work_must_not_start(*args, **kwargs):
+        pytest.fail(f"experiment {suite} started on out-of-range flags")
+    monkeypatch.setattr(cli, FIRST_WORK[suite], work_must_not_start)
 
 
 class TestGenerate:
@@ -167,6 +174,19 @@ class TestByteGoldens:
                    "--m", "5", "--trials", "1", "--out-dir", str(out_dir)) == 3
         assert "least alpha" in capsys.readouterr().err
         assert out_dir.is_dir() and os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (("hist", "--n", "2000", "--trials", "3", "--vocab-size", "50", "--alpha", "1e-30"), 3),
+        (("hist", "--alpha", "0"), 2),
+    ], ids=["data_error", "usage_error"])
+    def test_failed_suite_leaves_no_directory_it_made(self, tmp_path, capsys, argv, code):
+        # every missing ancestor of --out-dir that the call made is removed,
+        # and an empty directory that was there before stays
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "nest" / "a" / "b")) == code
+        assert capsys.readouterr().err.count("\n") == 1 and os.listdir(tmp_path) == []
+        (tmp_path / "keep").mkdir()
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "keep" / "a" / "b")) == code
+        assert os.listdir(tmp_path) == ["keep"] and os.listdir(tmp_path / "keep") == []
 
     @pytest.mark.parametrize("delta0", ["0.9", "0.99", "0.999"])
     def test_opt_verdict_is_finite_or_a_data_error(self, tmp_path, capsys, delta0):
@@ -560,8 +580,8 @@ class TestExperimentSuites:
         ("boundary", "--s", "nan"),
     ])
     def test_s_outside_its_range_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
-        # the [-1, 2] that TrGoF and detect --s hold; no suite starts
-        monkeypatch.setitem(cli._SUITES, argv[0], suite_must_not_run)
+        # the [-1, 2] that TrGoF and detect --s hold; the suite starts no work
+        stub_first_work(monkeypatch, argv[0])
         assert run("experiment", *argv, "--out-dir", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "[-1, 2]" in err and argv[1] in err and "Traceback" not in err
@@ -574,8 +594,8 @@ class TestExperimentSuites:
     ], ids=["max_at_1", "empty_grid", "min_at_0"])
     def test_delta_range_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         # unchecked, --delta-max 1.0 would put delta = 1 on the grid, where
-        # the least-favorable law does not exist: the stand-in suite fails first
-        monkeypatch.setitem(cli._SUITES, "efficiency", suite_must_not_run)
+        # the least-favorable law does not exist: the rate curve never starts
+        stub_first_work(monkeypatch, "efficiency")
         assert run("experiment", "efficiency", *argv, "--out-dir", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: need 0 < --delta-min <= --delta-max < 1") and "Traceback" not in err
@@ -596,12 +616,29 @@ class TestExperimentSuites:
             "tolerance_c_plus", "tolerance_n0", "tolerance_delta", "tolerance_delta_0"])
     def test_value_the_library_refuses_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         # the suite's mixture, detector, source and generation config are made
-        # from the flags before the output directory: no suite starts
-        monkeypatch.setitem(cli._SUITES, argv[0], suite_must_not_run)
+        # from the flags before it starts any work, and the out dir is removed
+        stub_first_work(monkeypatch, argv[0])
         assert run("experiment", *argv, "--key", KEY, "--out-dir", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, unread, outputs", [
+        (("efficiency", "--delta-min", "0.05", "--delta-max", "0.3", "--step", "0.05"),
+         ("--vocab-size", "1", "--n", "1", "--trials", "0", "--s", "3"), ["efficiency.csv"]),
+        (("gapcheck", "--trials", "2000", "--seed", "2"), ("--s", "3", "--n", "1"), ["gapcheck.csv"]),
+        (("tolerance", "--key", KEY, "--vocab-size", "20", "--n0", "40", "--n-test", "30", "--m", "5",
+          "--trials", "1", "--seed", "3"), ("--n", "1"), ["tolerance.csv"]),
+        (("hist", "--n", "200", "--vocab-size", "20", "--trials", "10", "--s-list", "2,1"), ("--s", "3"),
+         ["hist_samples.csv", "hist_power.json"]),
+    ], ids=["efficiency", "gapcheck", "tolerance", "hist"])
+    def test_flag_the_suite_does_not_read_changes_nothing(self, tmp_path, argv, unread, outputs):
+        # each suite checks only the flags it reads: a value out of another
+        # suite's range is neither refused nor used
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "plain")) == 0
+        assert run("experiment", *argv, *unread, "--out-dir", str(tmp_path / "unread")) == 0
+        for name in outputs:
+            assert read_text(str(tmp_path / "unread" / name), "rb") == read_text(str(tmp_path / "plain" / name), "rb")
 
     def test_efficiency_suite_monotone(self, tmp_path):
         out_dir = str(tmp_path / "eff")

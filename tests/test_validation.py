@@ -22,6 +22,7 @@ from gumbelmark import (
     prf_uniform,
     prf_vector,
 )
+from gumbelmark.cli import main
 from gumbelmark.experiments import resolve_c_plus
 from gumbelmark.watermark import TokenSeq
 
@@ -77,3 +78,16 @@ def test_alpha_rule_has_one_message(alpha):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == f"alpha must lie in (0, 1), got {alpha!r}"
+
+
+@pytest.mark.parametrize("argv, owner_text", [
+    (("hist", "--vocab-size", "1"), "vocab size must be >= 2, got 1"),
+    (("tolerance", "--alpha", "1.5"), "alpha must lie in (0, 1), got 1.5"),
+    (("hist", "--s-list", "3"), "s must lie in [-1, 2], got 3.0"),
+], ids=["hist_vocab_size", "tolerance_alpha", "hist_s_list"])
+def test_experiment_flag_prints_the_owners_text(tmp_path, capsys, argv, owner_text):
+    # the suite builds the object that owns the flag's rule: the CLI names the
+    # flag, and the rule's text is the owner's
+    assert main(["experiment", *argv, "--out-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and argv[1] in err and err.endswith(f"{owner_text}\n")
