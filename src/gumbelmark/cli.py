@@ -88,11 +88,6 @@ def _flags(context: str = ""):
         raise UsageError(f"{context}{exc}") from exc
 
 
-def _library_versions() -> dict:
-    """The versions of Python and numpy, the only libraries the package loads."""
-    return {"python": platform.python_version(), "numpy": np.__version__}
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     """A header row, then ``rows`` as they are produced (a generator streams),
     into ``path + ".tmp"``, renamed to ``path`` once every row is written."""
@@ -131,7 +126,7 @@ def _write_manifest(path: str, command: str, config: dict, seed, outputs: list[s
         "config": config,
         "seed": seed,
         "version": __version__,
-        "library_versions": _library_versions(),
+        "library_versions": {"python": platform.python_version(), "numpy": np.__version__},  # all the package loads
         "outputs": outputs,
         "wall_clock_s": round(time.time() - started, 6),
     }
@@ -292,13 +287,13 @@ def _suite_hist(args) -> list[str]:
     with _flags(f"--n {args.n}, --trials {args.trials}, --vocab-size {args.vocab_size}, --p {args.p}, --q {args.q}: "):
         cfg = MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size, ntp_mode=args.mode,
                             trials=args.trials, seed=args.seed)
-    c_plus = resolve_c_plus(args.c_plus, cfg.n)
+    detectors = []
     for s in args.s_list:
         with _flags(f"--s-list entry {s} and --c-plus {args.c_plus}: "):
-            TrGoF(s=s, c_plus=c_plus)
+            detectors.append(TrGoF(s=s, c_plus=resolve_c_plus(args.c_plus, cfg.n)))
     with _flags(f"--alpha {args.alpha}: "):
         check_alpha(args.alpha)
-    study = histogram_study(cfg, args.s_list, c_plus, alpha=args.alpha)
+    study = histogram_study(cfg, detectors, alpha=args.alpha)
     path = os.path.join(args.out_dir, "hist_samples.csv")
     _write_csv(path, ["s", "hypothesis", "log_n_stat"],
                ([s, hyp, repr(float(v))] for (s, hyp), arr in study.samples.items() for v in arr))
@@ -324,9 +319,8 @@ def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
 
 
 def _suite_boundary(args) -> list[str]:
-    with _flags(f"--s {args.s} and --c-plus {args.c_plus} at --n {args.n}: "):
-        TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n))
-    spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
+    with _flags(f"--s {args.s} and --c-plus {args.c_plus}: "):
+        spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
     return _write_boundary(args, [spec], "boundary.csv")
 
 
@@ -379,8 +373,8 @@ def _suite_tolerance(args) -> list[str]:
         raise UsageError(f"--n-test must exceed --m to leave a scored position, got {args.n_test} and --m {args.m}")
     with _flags(f"--vocab-size {args.vocab_size} and --delta {args.delta}: "):
         source = ToySource(args.vocab_size, (args.delta, args.delta), seed=0)
-    with _flags(f"--s {args.s} and --c-plus {args.c_plus}: "):  # at the unedited sequence's scored length
-        trgof = TrGoF(s=args.s, c_plus=resolve_c_plus(args.c_plus, args.n_test - args.m))
+    with _flags(f"--s {args.s} and --c-plus {args.c_plus}: "):
+        spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
     with _flags(f"--alpha {args.alpha}: "):
         check_alpha(args.alpha)
     key = _resolve_key(args)
@@ -389,7 +383,7 @@ def _suite_tolerance(args) -> list[str]:
         if len(ts.tokens) <= ts.m:
             return False
         piv = pivot_series(ts, key, args.vocab_size)
-        return replace(trgof, c_plus=resolve_c_plus(args.c_plus, piv.n)).fit(piv.n, alpha=args.alpha).predict(piv)
+        return spec.detector(piv.n).fit(piv.n, alpha=args.alpha).predict(piv)
 
     def rows():
         for i in range(args.trials):
@@ -418,7 +412,9 @@ _SUITES = {
 
 def cmd_experiment(args) -> int:
     started = time.time()
-    made, head = [], os.path.abspath(args.out_dir)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "suite", "key") and v is not None}
+    args.out_dir = os.path.realpath(args.out_dir)  # ".." and symlinks resolved as the kernel does
+    made, head = [], args.out_dir
     while not os.path.exists(head):  # the out dir and each ancestor makedirs makes, deepest first
         made.append(head)
         head = os.path.dirname(head)
@@ -430,7 +426,6 @@ def cmd_experiment(args) -> int:
             if os.path.isdir(path) and not os.listdir(path):
                 os.rmdir(path)
         raise
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "suite", "key") and v is not None}
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), f"experiment {args.suite}", config,
                     args.seed, outputs, started)
     return EXIT_OK

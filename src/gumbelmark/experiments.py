@@ -14,8 +14,9 @@ once per sum rule: the score vector of the clipped null gives the null sum,
 and the same vector with its first k entries rescored gives the mixture sum,
 bit for bit ``SumScore.statistic`` of each series. The goodness-of-fit
 statistics rank the whole series and share no work between the two.
-What a cell fixes is built once, not per trial: the m2 law's sampling table
-(``_m2_table``) and the statistics' t/n grid (``detectors._t_over_n``).
+What a cell fixes is built once, not per trial: its detectors
+(``BoundarySpec.detector``), the m2 law's sampling table (``_m2_table``) and
+the statistics' t/n grid (``detectors._t_over_n``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._validation import check_series_length, check_vocab_size
 from .calibrate import tradeoff_curve
-from .detectors import ScoreKind, TrGoF, _score_terms, score, trgof_stat
+from .detectors import Detector, ScoreKind, SumScore, TrGoF, _score_terms, score
 from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
 from .pivotal import _clip, _sampling_table, _table_sample
 from .streams import child_seed, substream
@@ -153,7 +154,7 @@ def resolve_c_plus(rule, n: int) -> float:
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """One detector entry in a boundary study."""
+    """One named detector of a boundary study, which ``detector`` builds at each series length."""
 
     name: str
     kind: str  # 'trgof' | 'sum'
@@ -163,10 +164,15 @@ class BoundarySpec:
     crit_grid: tuple[float, float, int] = TRGOF_CRIT_GRID  # not read; see SUM_CRIT_GRIDS
 
     def __post_init__(self):
-        if self.kind not in ("trgof", "sum"):
-            raise ValueError("kind must be 'trgof' or 'sum'")
-        if self.kind == "sum" and self.score_kind is None:
-            raise ValueError("sum spec needs a score kind")
+        self.detector(1)  # a value it refuses fails here: each c_plus rule is in [0, 1] at every n if at n = 1
+
+    def detector(self, n: int) -> Detector:
+        """The detector of this spec for series of length n."""
+        if self.kind == "trgof":
+            return TrGoF(s=self.s, c_plus=resolve_c_plus(self.c_plus_rule, n))
+        if self.kind == "sum":
+            return SumScore(kind=self.score_kind)
+        raise ValueError("kind must be 'trgof' or 'sum'")
 
 
 @functools.cache
@@ -181,26 +187,24 @@ def _keep_freed_heap() -> None:
     np.empty(1 << 21)
 
 
-def _trial_statistics(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Spec name -> (null statistics, mixture statistics) over the trials of
-    ``cfg``; every spec scores trial t's pair from ``substream(cfg.seed, t)``."""
+def _trial_statistics(cfg: MixtureConfig, detectors: dict) -> dict[object, tuple[np.ndarray, np.ndarray]]:
+    """Key -> (null statistics, mixture statistics) of each detector in ``detectors``
+    over the trials of ``cfg``; each scores trial t's pair from ``substream(cfg.seed, t)``."""
     _keep_freed_heap()
-    stats = {sp.name: (np.empty(cfg.trials), np.empty(cfg.trials)) for sp in specs}
+    stats = {key: (np.empty(cfg.trials), np.empty(cfg.trials)) for key in detectors}
     k = cfg.n_signal
     for t in range(cfg.trials):
         mix, null = sample_mixture(cfg, substream(cfg.seed, t))
         y0, y1_head = _clip(null.y), _clip(mix.y[:k])
-        for sp in specs:
-            s0, s1 = stats[sp.name]
-            if sp.kind == "trgof":
-                cp = resolve_c_plus(sp.c_plus_rule, cfg.n)
-                s0[t] = trgof_stat(null, sp.s, cp)
-                s1[t] = trgof_stat(mix, sp.s, cp)
-            else:  # SumScore.statistic of both series, rescoring only the k entries they differ in
-                h = _score_terms(y0, sp.score_kind)
+        for key, det in detectors.items():
+            s0, s1 = stats[key]
+            if isinstance(det, SumScore):  # its statistic of both series, rescoring only the k entries they differ in
+                h = _score_terms(y0, det.kind)
                 s0[t] = h.sum()
-                h[:k] = _score_terms(y1_head, sp.score_kind)
+                h[:k] = _score_terms(y1_head, det.kind)
                 s1[t] = h.sum()
+            else:
+                s0[t], s1[t] = det.statistic(null), det.statistic(mix)
     return stats
 
 
@@ -210,22 +214,22 @@ class HistogramStudy:
     power: dict  # s -> power at alpha
 
 
-def histogram_study(cfg: MixtureConfig, s_values, c_plus: float, alpha: float = 0.05) -> HistogramStudy:
-    """Samples of log(n * S_n_plus(s)) under both hypotheses, plus the power
-    at level alpha: the share of mixture statistics at or above the exact
-    critical value ``TrGoF(s, c_plus).fit(n, alpha).threshold``,
-    solved before any trial runs so that an alpha it refuses fails fast.
-    A repeated s is studied once."""
-    s_values = list(dict.fromkeys(float(s) for s in s_values))
-    crit = {s: TrGoF(s, c_plus).fit(cfg.n, alpha).threshold for s in s_values}
-    stats = _trial_statistics(cfg, [BoundarySpec(name=repr(s), kind="trgof", s=s, c_plus_rule=float(c_plus))
-                                     for s in s_values])
+def histogram_study(cfg: MixtureConfig, detectors, alpha: float = 0.05) -> HistogramStudy:
+    """Samples of log(n * S_n_plus(s)) of each ``TrGoF`` under both hypotheses,
+    keyed by its s, plus the power at level alpha: the share of mixture
+    statistics at or above ``det.fit(n, alpha).threshold``, solved before any
+    trial runs so that an alpha it refuses fails fast. Equal detectors count once."""
+    detectors = dict.fromkeys(detectors)
+    fitted = {det.s: det.fit(cfg.n, alpha) for det in detectors}
+    if len(fitted) < len(detectors):
+        raise ValueError("the study is keyed by s: detectors at the same s must be equal")
+    stats = _trial_statistics(cfg, fitted)
     samples, power = {}, {}
-    for s in s_values:
-        s0, s1 = stats[repr(s)]
+    for s, det in fitted.items():
+        s0, s1 = stats[s]
         with np.errstate(divide="ignore"):
             samples[(s, "H0")], samples[(s, "H1")] = np.log(cfg.n * s0), np.log(cfg.n * s1)
-        power[s] = float((s1 >= crit[s]).mean())
+        power[s] = float((s1 >= det.threshold).mean())
     return HistogramStudy(samples, power)
 
 
@@ -238,8 +242,8 @@ def min_error_cell(cfg: MixtureConfig, specs: list[BoundarySpec]) -> dict[str, f
     at sample values, so no threshold can do better than the best of these
     at most 2 N + 1 candidates.
     """
-    return {name: float(tradeoff_curve(s0, s1).sum(axis=1).min())
-            for name, (s0, s1) in _trial_statistics(cfg, specs).items()}
+    stats = _trial_statistics(cfg, {sp.name: sp.detector(cfg.n) for sp in specs})
+    return {name: float(tradeoff_curve(s0, s1).sum(axis=1).min()) for name, (s0, s1) in stats.items()}
 
 
 def boundary_grid(p_values, q_values, specs: list[BoundarySpec], *, n: int, vocab_size: int,

@@ -187,6 +187,22 @@ class TestByteGoldens:
         (tmp_path / "keep").mkdir()
         assert run("experiment", *argv, "--out-dir", str(tmp_path / "keep" / "a" / "b")) == code
         assert os.listdir(tmp_path) == ["keep"] and os.listdir(tmp_path / "keep") == []
+        # ".." is resolved before any directory is made: x of x/../y is never made
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "x" / ".." / "y")) == code
+        assert os.listdir(tmp_path) == ["keep"]
+        assert run("experiment", *argv, "--out-dir", str(tmp_path / "x" / ".." / "keep" / "y")) == code
+        assert os.listdir(tmp_path) == ["keep"] and os.listdir(tmp_path / "keep") == []
+
+    def test_out_dir_is_resolved_before_it_is_made(self, tmp_path):
+        # the suite writes where the kernel resolves --out-dir, and makes no x for x/../y
+        argv = ("experiment", "efficiency", "--delta-max", "0.05")
+        assert run(*argv, "--out-dir", str(tmp_path / "plain")) == 0
+        assert run(*argv, "--out-dir", str(tmp_path / "x" / ".." / "y")) == 0
+        assert sorted(os.listdir(tmp_path)) == ["plain", "y"]
+        eff = [read_text(str(tmp_path / d / "efficiency.csv"), "rb") for d in ("plain", "y")]
+        assert eff[0] == eff[1]
+        outputs = read_json(str(tmp_path / "y" / "manifest.json"))["outputs"]
+        assert outputs == [os.path.realpath(tmp_path / "y" / "efficiency.csv")]
 
     @pytest.mark.parametrize("delta0", ["0.9", "0.99", "0.999"])
     def test_opt_verdict_is_finite_or_a_data_error(self, tmp_path, capsys, delta0):

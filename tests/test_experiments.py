@@ -246,7 +246,7 @@ class TestHistogramStudy:
     def test_matches_per_trial_loop(self, mode, c_plus):
         cfg = MixtureConfig(n=300, p=0.3, q=0.4, vocab_size=50, ntp_mode=mode, trials=30, seed=14)
         cp = resolve_c_plus(c_plus, cfg.n)
-        study = histogram_study(cfg, [2.0, 1.0, 0.0], cp, alpha=0.1)
+        study = histogram_study(cfg, [TrGoF(s, cp) for s in (2.0, 1.0, 0.0)], alpha=0.1)
         samples, power = loop_histogram_study(cfg, [2.0, 1.0, 0.0], cp, alpha=0.1)
         assert list(study.samples) == list(samples)
         for key, arr in samples.items():
@@ -255,13 +255,18 @@ class TestHistogramStudy:
 
     def test_repeated_s_is_studied_once(self):
         cfg = MixtureConfig(n=200, p=0.3, q=0.4, vocab_size=20, trials=10, seed=15)
-        once = histogram_study(cfg, [2.0, 1.0], 0.0)
-        twice = histogram_study(cfg, [2, 2.0, 1.0, 2.0], 0.0)
+        once = histogram_study(cfg, [TrGoF(s, 0.0) for s in (2.0, 1.0)])
+        twice = histogram_study(cfg, [TrGoF(s, 0.0) for s in (2, 2.0, 1.0, 2.0)])
         assert list(twice.samples) == list(once.samples) and twice.power == once.power
+
+    def test_detectors_at_one_s_must_be_equal(self):
+        cfg = MixtureConfig(n=200, p=0.3, q=0.4, vocab_size=20, trials=2, seed=15)
+        with pytest.raises(ValueError, match="keyed by s"):
+            histogram_study(cfg, [TrGoF(2.0, 0.0), TrGoF(2.0, 0.01)])
 
     def test_runs_and_reports_power(self):
         cfg = MixtureConfig(n=400, p=0.1, q=0.2, vocab_size=50, trials=60, seed=5)
-        study = histogram_study(cfg, [2.0, 1.0], c_plus=1.0 / 400, alpha=0.05)
+        study = histogram_study(cfg, [TrGoF(s, 1.0 / 400) for s in (2.0, 1.0)], alpha=0.05)
         assert set(study.power) == {2.0, 1.0}
         for s in (2.0, 1.0):
             assert study.samples[(s, "H0")].size == 60
@@ -271,8 +276,8 @@ class TestHistogramStudy:
     def test_null_samples_invariant_to_pq(self):
         a = MixtureConfig(n=300, p=0.2, q=0.4, vocab_size=10, trials=25, seed=6)
         b = MixtureConfig(n=300, p=0.6, q=0.8, vocab_size=10, trials=25, seed=6)
-        sa = histogram_study(a, [2.0], c_plus=0.0)
-        sb = histogram_study(b, [2.0], c_plus=0.0)
+        sa = histogram_study(a, [TrGoF(2.0, 0.0)])
+        sb = histogram_study(b, [TrGoF(2.0, 0.0)])
         assert np.array_equal(sa.samples[(2.0, "H0")], sb.samples[(2.0, "H0")])
 
 
@@ -284,6 +289,22 @@ class TestBoundaryGrid:
         assert resolve_c_plus(0.003, 100) == 0.003
         with pytest.raises(ValueError):
             resolve_c_plus("huh", 100)
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="trgof", s=3.0),
+        dict(kind="trgof", c_plus_rule=1.5),
+        dict(kind="trgof", c_plus_rule="1/m"),
+        dict(kind="sum"),
+        dict(kind="lrt"),
+    ], ids=["s", "c_plus_value", "c_plus_rule", "sum_without_score", "kind"])
+    def test_spec_refuses_what_its_detector_refuses(self, fields):
+        # checked when the spec is built, not inside a cell's first trial
+        with pytest.raises(ValueError):
+            BoundarySpec(name="t", **fields)
+
+    def test_spec_builds_the_detector_at_each_length(self):
+        assert BoundarySpec(name="t", kind="trgof", s=1.5).detector(400) == TrGoF(s=1.5, c_plus=1.0 / 400)
+        assert BoundarySpec(name="t", kind="sum", score_kind=opt(0.1)).detector(400) == SumScore(opt(0.1))
 
     def test_cell_easy_vs_hard(self):
         specs = [BoundarySpec(name="trgof", kind="trgof", s=2.0, c_plus_rule="1/n")]
@@ -414,5 +435,5 @@ class TestHistogramPowerRegime:
     def test_detectable_cell_power(self):
         # q + 2p = 0.9 < 1 at n = |W| = 1000: power well above 0.5 at alpha 0.05
         cfg = MixtureConfig(n=1000, p=0.2, q=0.5, vocab_size=1000, trials=200, seed=20)
-        study = histogram_study(cfg, [2.0], c_plus=1.0 / 1000**2, alpha=0.05)
+        study = histogram_study(cfg, [TrGoF(2.0, 1.0 / 1000**2)], alpha=0.05)
         assert study.power[2.0] > 0.5
