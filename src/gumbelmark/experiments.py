@@ -16,7 +16,9 @@ bit for bit ``SumScore.statistic`` of each series. The goodness-of-fit
 statistics rank the whole series and share no work between the two.
 What a cell fixes is built once, not per trial: its detectors
 (``BoundarySpec.detector``), the m2 law's sampling table (``_m2_table``) and
-the statistics' t/n grid (``detectors._t_over_n``).
+the statistics' t/n grid (``detectors._t_over_n``). An m1 law is built only for
+a signal draw that reaches its tail: a draw below the shared top probability
+takes token 0 whatever the tail.
 """
 
 from __future__ import annotations
@@ -117,8 +119,11 @@ def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotS
     k = ceil(n * eps) entries of the null draw with watermarked-pivot samples.
     The stream holds the n null uniforms, the k signal uniforms and, in m1, a
     (k, 2) block of uniforms for the Zipf-tail shapes (a, b): the n + 3k values,
-    in order, that k ``make_m1`` calls would take. m1 laws are built and
-    sampled M1_BLOCK_VALUES // V at a time, so memory does not grow with k * V.
+    in order, that k ``make_m1`` calls would take. Every m1 law has 1 - delta
+    at token 0, so a signal uniform below it draws token 0 whatever the tail,
+    from the two-token block (1 - delta, delta), bit for bit the draw from its
+    full row. Only the other draws build their laws, M1_BLOCK_VALUES // V at a
+    time, so memory does not grow with k * V.
     """
     y0 = rng.random(cfg.n)
     y1 = y0.copy()
@@ -129,9 +134,13 @@ def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotS
         u = rng.random(k)
         lo, hi = np.transpose((M1_A_RANGE, M1_B_RANGE))
         shapes = lo + (hi - lo) * rng.random((k, 2))  # (a, b) rows by rng.uniform's arithmetic
+        top = 1.0 - cfg.delta  # entry 0 of every m1 law, as m1_rows writes it
+        head, tail = np.flatnonzero(u < top), np.flatnonzero(u >= top)
+        if head.size:
+            y1[head] = alt_sample(np.broadcast_to([top, cfg.delta], (head.size, 2)), u[head])
         step = max(1, M1_BLOCK_VALUES // cfg.vocab_size)
-        for i in range(0, k, step):
-            block = slice(i, min(i + step, k))
+        for i in range(0, tail.size, step):
+            block = tail[i:i + step]
             y1[block] = alt_sample(m1_rows(cfg.delta, cfg.vocab_size, shapes[block]), u[block])
     return PivotSeries.from_y(y1), PivotSeries.from_y(y0)
 

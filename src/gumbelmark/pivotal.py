@@ -11,10 +11,11 @@ contribute nothing (the P_w -> 0 limit of P_w * r**(1/P_w) is 0 for r < 1).
 
 F_P is exactly the law of Y = V**P_W with W ~ P and V ~ U(0, 1) independent,
 since P(V**P_w <= r) = r**(1/P_w). ``alt_sample`` draws Y that way from one
-uniform per draw, from one law, searched over its distinct probabilities, or
-from a (k, V) block of laws, one draw per row. ``alt_cdf`` and ``alt_pdf`` sum
-over distinct probabilities as one group-major table (``_group_sum``), groups
-on the leading axis. ``_clip`` is the one clip of pivots and p-values, for the
+uniform per draw, from one law or from a (k, V) block of laws, one draw per
+row: u picks the token W on the law's running sum in its own token order, and
+its residual within W's interval is V. ``alt_cdf`` and ``alt_pdf`` sum over
+distinct probabilities as one group-major table (``_group_sum``), groups on
+the leading axis. ``_clip`` is the one clip of pivots and p-values, for the
 statistics and for ``alt_sample``'s draws alike.
 
 Null expectations E[g(Y)], Y ~ U(0, 1), are integrals over [0, 1], which
@@ -176,19 +177,18 @@ def alt_sample(probs, u):
     ``probs`` is one NTP vector, with u of any shape, or a (k, V) block of
     them with u of shape (k,), one draw per row.
 
-    Y = V**P_W with W ~ P and V ~ U(0, 1). Tokens sharing a probability form
-    a group g of weight count_g * P_g; g is the inverse CDF of u over the
-    cumulative group weights, and the residual v = (u - lower_g) / weight_g,
-    where lower_g is the weight of the groups before g, is U(0, 1) given g,
-    so it serves as V. The map from u to Y is not monotone; only a
-    single-group P gives the inverse CDF of F_P.
+    Y = V**P_W with W ~ P and V ~ U(0, 1). The edges are the running sum of P
+    over tokens in the law's own order; W is the token whose interval
+    [edges[W - 1], edges[W]) holds u, and the residual v = (u - edges[W - 1]) / P_W
+    is U(0, 1) given W, so it serves as V. This is exact in any token order;
+    the running sum adds at most ~V * 2**-53 of rounding to each edge. The map
+    from u to Y is not monotone. A u at or above the rounded total lands on
+    the last token that raises it, the last with mass, not on a zero-mass
+    entry at the end.
 
-    One law is searched over its distinct probabilities. Each row of a block
-    is sorted and carries its group weight at the group's last entry and 0
-    elsewhere, so the running sum over entries takes the same values as the
-    sum over groups and a draw lands on a group's last entry. Block draws
-    take the final power per draw on Python floats, as a scalar u does:
-    numpy's array power can differ from it in the last bit.
+    One law is searched by ``searchsorted``, a block row by counting its edges
+    at or below u. Block draws take the final power per draw on Python floats,
+    as a scalar u does: numpy's array power can differ in the last bit.
     """
     u_arr = check_unit_open(u, "u")
     table = _sampling_table(probs)
@@ -197,34 +197,25 @@ def alt_sample(probs, u):
     return _table_sample(table, u_arr)
 
 
-def _sampling_table(probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``alt_sample``'s validated table: group probabilities, group weights and their running sum."""
-    if np.ndim(probs) != 2:
-        vals, counts = _grouped(probs)
-        weights = counts * vals
-    else:
-        vals = np.sort(check_ntp_rows(probs), axis=1)
-        last = np.ones(vals.shape, dtype=bool)
-        last[:, :-1] = vals[:, 1:] != vals[:, :-1]
-        weights = np.where(last, vals, 0.0)
-        if not last.all():  # a group of ties weighs count_g * P_g
-            ends = np.flatnonzero(last)
-            weights.ravel()[ends] *= np.ediff1d(ends, to_begin=ends[0] + 1)
-    return vals, weights, np.cumsum(weights, axis=-1)
+def _sampling_table(probs) -> tuple[np.ndarray, np.ndarray]:
+    """``alt_sample``'s validated table: the law (or block of laws) and its running sum over tokens."""
+    p = check_ntp_rows(probs) if np.ndim(probs) == 2 else check_ntp_dist(probs)
+    return p, np.cumsum(p, axis=-1)
 
 
 def _table_sample(table, u: np.ndarray):
     """``alt_sample``'s draws from a ``_sampling_table`` at u, unchecked."""
     block = table[0].ndim == 2
-    vals, weights, edges = (a if block else a[None] for a in table)
+    probs, edges = (a if block else a[None] for a in table)
+    # u is searched below the rounded total, so a u the total falls short of takes
+    # the first token to reach it, the last with mass, never a zero-mass one after it
+    below = np.nextafter(edges[:, -1], 0.0)
     if block:
-        row, g = np.arange(len(vals)), (edges <= u[:, None]).sum(axis=1)
+        row, w = np.arange(len(probs)), (edges <= np.minimum(u, below)[:, None]).sum(axis=1)
     else:
-        row, g = 0, np.searchsorted(edges[0], u, side="right")
-    # edges[g - 1] <= u by construction, so v >= 0; clamped because rounding
-    # can leave the total weight just below u.
-    g = np.minimum(g, vals.shape[1] - 1)
-    v, expo = (u - np.where(g > 0, edges[row, g - 1], 0.0)) / weights[row, g], vals[row, g]
+        row, w = 0, np.searchsorted(edges[0], np.minimum(u, below[0]), side="right")
+    expo = probs[row, w]
+    v = (u - np.where(w > 0, edges[row, w - 1], 0.0)) / expo
     y = np.array([x**e for x, e in zip(v.tolist(), expo.tolist())]) if block else v**expo
     r = _clip(y)
     return r if u.ndim else float(r)

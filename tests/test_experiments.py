@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -35,7 +36,6 @@ from gumbelmark.experiments import (
     resolve_c_plus,
 )
 from gumbelmark.detectors import trgof_stat
-from gumbelmark.pivotal import _grouped
 from gumbelmark.streams import child_seed, substream
 from gumbelmark.tokensource import M1_A_RANGE, M1_B_RANGE
 
@@ -50,13 +50,13 @@ def loop_make_m1(delta, vocab_size, rng):
 
 
 def loop_alt_sample(probs, u):
-    """One draw with a scalar u over np.unique groups of probs."""
-    vals, counts = _grouped(probs)
-    weights = counts * vals
-    edges = np.concatenate(([0.0], np.cumsum(weights)))
-    g = min(np.searchsorted(edges[1:], u, side="right"), vals.size - 1)
-    v = (u - edges[g]) / weights[g]
-    return float(np.clip(v ** vals[g], np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+    """One draw with a scalar u, walking the tokens of probs in order: the first
+    whose running sum exceeds u, or, when the rounded total does not, the first
+    that reaches the total."""
+    edges = list(itertools.accumulate(probs.tolist()))
+    w = next((i for i, e in enumerate(edges) if e > u), edges.index(edges[-1]))
+    v = (u - (edges[w - 1] if w else 0.0)) / probs[w]
+    return float(np.clip(v ** probs[w], np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
 
 
 def loop_sample_mixture(cfg, rng):
@@ -129,25 +129,31 @@ class TestSampleMixture:
         mix, null = sample_mixture(cfg, substream(4, 0))
         assert np.all((mix.y > 0) & (mix.y < 1))
 
-    @pytest.mark.parametrize("n, p, q, vocab", [
-        pytest.param(1000, 0.5, 0.4, 1000, id="benchmark_cell"),
-        pytest.param(200, 0.3, 0.4, 2, id="V2"),
-        # top 1/3 under the first tail entry: sorted order differs from construction order
-        pytest.param(300, 0.3, math.log(1.5) / math.log(300), 3, id="V3_q_min"),
-        pytest.param(300, 0.0, 0.4, 20, id="p0_all_replaced"),
-        # 70 laws at 4 per block: 18 blocks, the last one partial
-        pytest.param(200, 0.2, 0.4, 4000, id="many_blocks"),
+    @pytest.mark.parametrize("n, p, q, vocab, reach", [
+        pytest.param(1000, 0.5, 0.4, 1000, None, id="benchmark_cell"),
+        pytest.param(200, 0.3, 0.4, 2, None, id="V2"),
+        # top 1/3 under the first tail entry: the top token is not the likeliest
+        pytest.param(300, 0.3, math.log(1.5) / math.log(300), 3, None, id="V3_q_min"),
+        pytest.param(300, 0.0, 0.4, 20, None, id="p0_all_replaced"),
+        # delta = 0.001: every signal draw takes the top token, and no law is built
+        pytest.param(1000, 0.5, 1.0, 50, lambda tail, k, step: tail == 0, id="all_top"),
+        # delta = 0.94: most draws reach the tail; trial 3 draws all 55 there
+        pytest.param(300, 0.3, 0.01, 20, lambda tail, k, step: tail > k / 2, id="most_tail"),
+        # 49 to 55 tail laws at 4 per block: 13 or 14 blocks, the last one partial
+        pytest.param(200, 0.2, 0.05, 4000, lambda tail, k, step: tail > step and tail % step, id="many_blocks"),
     ])
-    def test_m1_matches_per_entry_loop(self, n, p, q, vocab):
+    def test_m1_matches_per_entry_loop(self, n, p, q, vocab, reach):
         cfg = MixtureConfig(n=n, p=p, q=q, vocab_size=vocab, ntp_mode="m1", seed=6)
-        if vocab == 4000:
-            assert cfg.n_signal * vocab > 10 * M1_BLOCK_VALUES
-            assert cfg.n_signal % (M1_BLOCK_VALUES // vocab) != 0
         law = loop_make_m1(cfg.delta, vocab, substream(6, 0))
         assert np.array_equal(make_m1(cfg.delta, vocab, substream(6, 0)), law)
         if vocab == 3:
             assert law[0] < law[1]
         for t in range(4):
+            if reach is not None:  # the signal uniforms follow the n null ones
+                rng = substream(6, t)
+                rng.random(n)
+                tail = int((rng.random(cfg.n_signal) >= 1.0 - cfg.delta).sum())
+                assert reach(tail, cfg.n_signal, max(1, M1_BLOCK_VALUES // vocab)), (t, tail)
             mix, null = sample_mixture(cfg, substream(6, t))
             y1, y0 = loop_sample_mixture(cfg, substream(6, t))
             assert np.array_equal(null.y, y0)
@@ -179,31 +185,31 @@ class TestSampleMixture:
             fresh.random(cfg.n + per_signal * k)
             assert rng.random() == fresh.random()
 
-    # every (size // 10)-th mixture draw of a cell's trials, recorded before
-    # the m2 law's sampling table was memoised per cell; the V = 2 law at
-    # delta = 0.5 is one group of ties. The draws take numpy's SIMD power,
+    # every (size // 10)-th mixture draw of a cell's trials, recorded when the
+    # sampler began to walk each law in token order; the V = 2 law at
+    # delta = 0.5 has two tied tokens. The draws take numpy's SIMD power,
     # whose kernels differ in the last bit, so a pin holds to 2 ulp
     M2_DRAWS = [
         pytest.param(dict(n=10_000, p=0.25, q=0.4, vocab_size=1000, trials=3, seed=7),
-                     [0.8124483851758213, 0.9974937640456334, 0.6440432452337452, 0.498050273556532,
+                     [0.8376920338408568, 0.9974937640456334, 0.6440432452337452, 0.498050273556532,
                       0.7347144501842545, 0.633590415099452, 0.5841853707018417, 0.7928902502815373,
                       0.7732795580031573, 0.4317870725329104], id="criterion07"),
         pytest.param(dict(n=1000, p=0.5, q=0.4, vocab_size=1000, trials=5, seed=12),
-                     [0.9029376188476873, 0.8873175760279749, 0.6175971085487918, 0.8579008061238056,
-                      0.8678533573728284, 0.6982559544590398, 0.8453810600439639, 0.21419418801341783,
-                      0.19368033874917512, 0.2618091046084454], id="V1000"),
+                     [0.9663220358568271, 0.8873175760279749, 0.6825513251837031, 0.8579008061238056,
+                      0.9314009826264059, 0.6982559544590398, 0.9090368200124074, 0.21419418801341783,
+                      0.26338757536340857, 0.2618091046084454], id="V1000"),
         pytest.param(dict(n=500, p=0.3, q=0.7, vocab_size=20, trials=5, seed=11),
-                     [0.9684697033069993, 0.30442994598295015, 0.352108710758949, 0.4475134978365092,
-                      0.06716600511148954, 0.39149750441144493, 0.7008587434408317, 0.6373029166794316,
-                      0.6581351065767195, 0.23702942590630727], id="V20"),
+                     [0.9813778894566775, 0.30442994598295015, 0.3651867593852045, 0.4475134978365092,
+                      0.08051728430364619, 0.39149750441144493, 0.7138211853746774, 0.6373029166794316,
+                      0.6711081089302885, 0.23702942590630727], id="V20"),
         pytest.param(dict(n=200, p=0.0, q=0.5, vocab_size=2, trials=5, seed=3),
-                     [0.12319104914731388, 0.4075293557195618, 0.2996183074926257, 0.10893079899999518,
-                      0.11088521233448935, 0.9259498620608573, 0.2779323095622972, 0.13537319963584238,
-                      0.11998454671877784, 0.6739904468659635], id="V2"),
+                     [0.20439708615790603, 0.48273806747312004, 0.37642412493896915, 0.19070285450882812,
+                      0.1925763104499158, 0.9968737226921238, 0.35512481461964496, 0.2161364275052661,
+                      0.20131307290396153, 0.7465681497825923], id="V2"),
         pytest.param(dict(n=4, p=0.0, q=0.5, vocab_size=2, trials=50, seed=5),
-                     [0.35112447005521114, 0.23244944737507636, 0.36033311177347177, 0.43171375251612437,
-                      0.37402360739858254, 0.7860745429338855, 0.9903908608812277, 0.16293278671882153,
-                      0.9782468351370939, 0.840042744483285], id="V2_ties"),
+                     [0.49656498763314527, 0.328733161043964, 0.5095879736421441, 0.6105354438712849,
+                      0.5289492582307853, 0.4856195775475223, 0.9806875723869038, 0.2304217567330003,
+                      0.9559988184676176, 0.6413607605069236], id="V2_ties"),
     ]
 
     @pytest.mark.parametrize("cell, want", M2_DRAWS)
@@ -213,12 +219,13 @@ class TestSampleMixture:
         want = np.array(want)
         assert np.all(np.abs(draws[:: draws.size // 10] - want) <= 2.0 * np.spacing(want))
 
-    def test_m2_table_is_read_only_and_distinct(self):
+    def test_m2_table_is_read_only_law_and_running_sum(self):
         cfg = MixtureConfig(n=1000, p=0.5, q=0.4, vocab_size=1000, seed=1)
         sample_mixture(cfg, substream(1, 0))
         table = experiments._m2_table(cfg.delta, cfg.vocab_size)
         assert experiments._m2_table(cfg.delta, cfg.vocab_size) is table
-        assert table[0].tolist() == sorted(set(make_m2(cfg.delta, cfg.vocab_size).tolist()))
+        law = make_m2(cfg.delta, cfg.vocab_size)
+        assert np.array_equal(table[0], law) and np.array_equal(table[1], np.cumsum(law))
         for a in table:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.5
@@ -328,14 +335,14 @@ class TestBoundaryGrid:
         for name, err in errs.items():
             assert err < 0.2, f"{name}: {err}"
 
-    # float.hex of each min error sum before the batched m1 draws and the
-    # group-major densities; any change to a mixture draw or a score that moves
-    # a trial across a threshold changes one of them
+    # float.hex of each min error sum since the sampler walks each law in token
+    # order; any change to a mixture draw or a score that moves a trial across
+    # a threshold changes one of them
     GOLDEN = {
-        "m1": {"trgof": "0x1.4ccccccccccccp-1", "ars": "0x1.999999999999ap-1", "log": "0x1.b333333333334p-1",
+        "m1": {"trgof": "0x1.6666666666666p-1", "ars": "0x1.999999999999ap-1", "log": "0x1.b333333333334p-1",
                "ind": "0x1.ccccccccccccdp-1", "opt": "0x1.8000000000000p-1"},
-        "m2": {"trgof": "0x0.0p+0", "ars": "0x1.999999999999ap-3", "log": "0x1.4cccccccccccdp-1",
-               "ind": "0x1.8000000000000p-1", "opt": "0x1.199999999999ap-1"},
+        "m2": {"trgof": "0x0.0p+0", "ars": "0x1.999999999999ap-3", "log": "0x1.4ccccccccccccp-1",
+               "ind": "0x1.6666666666666p-1", "opt": "0x1.199999999999ap-1"},
     }
 
     @pytest.mark.parametrize("mode, n, p", [("m1", 1000, 0.5), ("m2", 10_000, 0.25)])

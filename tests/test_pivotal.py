@@ -161,8 +161,9 @@ EDGE_LAWS = EXACT_LAWS + [pytest.param(np.array([0.5, 0.5 - 1e-13]), id="total_b
 
 class TestAltSample:
     def test_square_law_point(self):
-        # F(r) = r^2 for (0.5, 0.5), so u = 0.25 inverts to r = 0.5
-        assert alt_sample([0.5, 0.5], 0.25) == pytest.approx(0.5, abs=1e-11)
+        # F(r) = r^2 for (0.5, 0.5); token 0 holds u in [0, 0.5) and token 1
+        # holds [0.5, 1), so u = 0.25 and u = 0.75 both give v = 0.5 and Y = 0.5**0.5
+        assert alt_sample([0.5, 0.5], 0.25) == alt_sample([0.5, 0.5], 0.75) == pytest.approx(math.sqrt(0.5))
 
     def test_sample_distribution_ks(self):
         p = make_m2(0.3, 6)
@@ -188,8 +189,7 @@ class TestAltSample:
 
     @pytest.mark.parametrize("p", EDGE_LAWS)
     def test_draws_open_interval_at_edges(self, p):
-        vals, counts = np.unique(p[p > 0.0], return_counts=True)
-        edges = np.cumsum(counts * vals)
+        edges = _sampling_table(p)[1]
         u = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
                             [2.0**-53, 1.0 - 2.0**-53]))
         u = u[(u > 0.0) & (u < 1.0)]
@@ -236,15 +236,25 @@ class TestAltSample:
         with pytest.raises(ValueError, match=message):
             alt_sample(probs, u)
 
-    def test_one_law_table_holds_distinct_probabilities(self):
-        # the tied tail of an m2 law and the zero entries are one group each
-        # in the block table, and no entry of the one-law table
+    def test_end_clamp_takes_last_token_with_mass(self):
+        # the total rounds to 1 - 1e-13 < u: u lands on token 1, the last with
+        # mass, and not on the zero-mass token 2, whose residual would divide by 0
+        law, u = np.array([0.5, 0.5 - 1e-13, 0.0]), 1.0 - 2.0**-53
+        assert _sampling_table(law)[1][-1] < u
+        with np.errstate(divide="raise", invalid="raise"):
+            r, block = alt_sample(law, u), alt_sample(law[None], [u])
+        assert 0.0 < r < 1.0 and block.tolist() == [r]
+
+    def test_one_law_table_is_law_and_running_sum(self):
+        # the law as given, its tied tail and zero entries in place, and its
+        # running sum over tokens in that order; a block's rows likewise
         probs = np.append(make_m2(0.3, 1000), [0.0] * 3)
-        vals, weights, edges = _sampling_table(probs)
-        assert vals.tolist() == [0.3 / 999, 0.7] and weights.tolist() == [999 * (0.3 / 999), 0.7]
-        assert edges.tolist() == np.cumsum(weights).tolist()
+        law, edges = _sampling_table(probs)
+        assert np.array_equal(law, probs) and np.array_equal(edges, np.cumsum(probs))
+        rows = np.array([probs, probs[::-1]])
+        assert np.array_equal(_sampling_table(rows)[1], np.cumsum(rows, axis=1))
         u = np.random.default_rng(8).random(20_000)
-        assert np.array_equal(alt_sample(probs, u), _table_sample((vals, weights, edges), u))
+        assert np.array_equal(alt_sample(probs, u), _table_sample((law, edges), u))
 
 
 class TestPivotSeries:
