@@ -53,6 +53,15 @@ def check_fraction(x: float, name: str = "fraction") -> float:
     return x
 
 
+def check_delta(delta, name: str = "delta") -> float:
+    """A singularity delta as a float in (0, 1) with 1 - delta < 1: a smaller
+    delta rounds the top token's probability 1 - delta to 1, a point mass."""
+    delta = float(delta)
+    if not (0.0 < delta < 1.0 and 1.0 - delta < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1) with 1 - {name} < 1, got {delta!r}")
+    return delta
+
+
 def check_vocab_size(vocab_size) -> int:
     """A vocabulary size as an int, at least 2."""
     vocab_size = int(vocab_size)

@@ -12,7 +12,7 @@ law. ``null_sf`` is the one map from a detector to its boundary, and
 event: a sum of the nonnegative first-crossing masses of a Poisson counting
 recursion, conditioned on the count of p-values below c+, so the tail is
 accurate relative to its own size. ``critical_value`` solves null_sf =
-alpha by Brent's method on log c in 7-9 passes of the recursion (20-55 ms at
+alpha by Brent's method on log c in 7-9 passes of the recursion (14-20 ms at
 n = 395 and c+ = 1/n on a 2-core Xeon, numpy and the stdlib only), memoised
 per process on (detector, n, alpha): a separate CLI process pays them again.
 
@@ -49,11 +49,12 @@ from .detectors import (
 )
 from .streams import substream
 
-# Exact null law: the most Newton steps for a boundary point, the relative
-# step (4 ulps) at which they stop, the least p they search, the mass
-# below which a count leaves the band of the Poisson recursion, the Binomial
-# weight of J = #{p < c+} below which a term is dropped, and the relative
-# width at which the root-finder for the critical value stops.
+# Exact null law: the most Newton rounds for the boundary, the rounding of
+# K_s^+ (4 ulps, whose square root is the relative step at which the rounds
+# stop), the least p they search, the mass below which a count leaves the
+# band of the Poisson recursion, the Binomial weight of J = #{p < c+} below
+# which a term is dropped, and the relative width at which the root-finder
+# for the critical value stops.
 BOUNDARY_STEPS = 60
 NEWTON_RTOL = 2.0**-50
 BOUNDARY_FLOOR = 1e-300
@@ -108,19 +109,22 @@ def _boundary(s: float, n: int, c: float) -> np.ndarray:
     s = 2, b_t is the smaller root of (t/n - p)**2 = 2c p (1 - p) in
     cancellation-free form. Other s start at or right of the root: with
     u = t/n, K_s^+ <= max(K_2^+, K_-1^+) and K_-1^+ = (u - p)**2 / (2 u (1 - u)),
-    so the larger of the s = 2 root and u - sqrt(2c u (1 - u)) will do, and at
-    u = 1, where K_s^+ = (1 - p**(1-s)) / (s (1 - s)), 1 / (1 + c s) will do.
-    With gap = u - p the start misses the root by at most ~max(2 - s, s + 1)
-    gap**2 / (6 u (1 - u)) (the third-order term of K_s^+ - K_2^+ or of
-    K_s^+ - K_-1^+), and rounding of K_s^+, ~NEWTON_RTOL, moves the root by
-    ~NEWTON_RTOL u (1 - u) / gap; a row keeps its start where the miss is the
-    smaller (every row with u < 1 at c below ~1e-11). Elsewhere it takes
-    Newton's step on log K_s^+ against log p: log K_s^+ is concave in log p,
-    so no step passes the root, and a step in log p cannot underflow to 0 at a
-    tiny root. A row ends where K_s^+ >= c. Once its step is below NEWTON_RTOL
-    of p it steps left instead, by 1, 2, 4, ... ulps floored at BOUNDARY_FLOOR,
-    until K_s^+ >= c: every tolerance is relative to the root, so a root far
-    below t/n is fixed as well as one near it.
+    so the larger of the s = 2 root and u - sqrt(2c u (1 - u)) will do. With
+    gap = u - p it misses the root by at most ~max(2 - s, s + 1) gap**2 /
+    (6 u (1 - u)) (the third-order term of K_s^+ - K_2^+ or of K_s^+ - K_-1^+),
+    and rounding of K_s^+, ~NEWTON_RTOL, moves the root by ~NEWTON_RTOL u
+    (1 - u) / gap. At s >= 1/2 the start q then moves twice to
+    ``_small_p_root``, within ~q / u relative of a root far below u (s >= 1),
+    which the first start can miss by 1e10. A row keeps its start where the
+    miss bound is below the rounding (every row with u < 1 at c below ~1e-11).
+    Elsewhere it takes Newton's step on log K_s^+ against log p: log K_s^+ is
+    concave in log p, so no step passes the root, and a step in log p cannot
+    underflow to 0 at a tiny root. A row stops where K_s^+ >= c. Once every
+    step is below sqrt(NEWTON_RTOL) of p, each point is within ~NEWTON_RTOL
+    of its root (Newton's error squares), and one round takes each row still
+    below c to the first of p and p - 1, 3, 7, ..., 63 ulps (floored at
+    BOUNDARY_FLOOR) where K_s^+ >= c; a row with none steps on from the last.
+    Every tolerance is relative to the root.
     """
     u = _t_over_n(n)
     d = 2.0 * c
@@ -130,20 +134,47 @@ def _boundary(s: float, n: int, c: float) -> np.ndarray:
     w = u[:-1]
     b[:-1] = np.maximum(b[:-1], w - np.sqrt(d * w * (1.0 - w)))
     b[-1] = 1.0 / (1.0 + c * s) if s > 0.0 else 0.0  # u = 1, where K_s^+ is 0 for s <= 0
+    if s >= 0.5:
+        for _ in range(2):
+            b = np.fmin(b, _small_p_root(u, b, s, c))
     b = np.where(_k_s_plus_terms(u, np.full(n, BOUNDARY_FLOOR), s) >= c, np.minimum(b, np.nextafter(u, 0.0)), 0.0)
     rows = np.flatnonzero((b > 0.0) & (max(2.0 - s, s + 1.0) * (u - b) ** 3 > 6.0 * NEWTON_RTOL * (u * (1.0 - u)) ** 2))
-    u, p, ulps = u[rows], b[rows], np.zeros(rows.size)
+    u, p = u[rows], b[rows]
+    ulps = np.exp2(np.arange(7)) - 1.0  # the walk below a point near the root: 0, 1, 3, 7, ..., 63 ulps
     for _ in range(BOUNDARY_STEPS):
         k, slope = _k_s_plus_and_slope(u, p, s)
-        b[rows] = p
-        short = k < c
-        rows, u, p, ulps, k, slope = (x[short] for x in (rows, u, p, ulps, k, slope))
+        step = np.minimum(np.log(c / k) * k / slope, 0.0)  # 0 once K_s^+ >= c
+        p = np.maximum(p * np.exp(step), BOUNDARY_FLOOR)
+        if np.any(step < -math.sqrt(NEWTON_RTOL)):
+            continue
+        done = k >= c
+        b[rows[done]] = p[done]
+        rows, u, p = rows[~done], u[~done], p[~done]
+        walk = np.maximum(p[:, None] - np.multiply.outer(np.spacing(p), ulps), BOUNDARY_FLOOR)
+        hit = _k_s_plus_and_slope(u[:, None], walk, s, with_slope=False)[0] >= c
+        found = hit.any(axis=1)
+        b[rows[found]] = walk[found, hit[found].argmax(axis=1)]
+        rows, u, p = rows[~found], u[~found], walk[~found, -1]
         if not rows.size:
             break
-        q = np.maximum(p * np.exp(np.log(c / k) * k / slope), BOUNDARY_FLOOR)
-        ulps = np.where((ulps > 0.0) | (q >= p * (1.0 - NEWTON_RTOL)), np.maximum(2.0 * ulps, np.spacing(p)), 0.0)
-        p = np.where(ulps > 0.0, np.maximum(p - ulps, BOUNDARY_FLOOR), q)
+    else:
+        b[rows] = p
     return b
+
+
+def _small_p_root(u: np.ndarray, q: np.ndarray, s: float, c: float) -> np.ndarray:
+    """For s >= 1/2 and q at or right of the root of K_s^+(u, p) = c, a point
+    p <= q that is still at or right of it. K_s^+ = (u f(a) + (1 - u) f(b)) /
+    (s (s - 1)) with f(x) = expm1((s - 1) x), a = log(u/p), b = log((1-u)/(1-p))
+    (``_k_s_plus_and_slope``), and its (1 - u) part rises with p, so for p <= q
+    it is at most that part at q: p solves u f(a) / (s (s - 1)) = c less that
+    part, and at u = 1, where the part is 0, p is the root itself."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # c out of the u part's reach: 0 or NaN
+        b = np.log1p((q - u) / (1.0 - q))
+        rest = (1.0 - u) * (b if s == 1.0 else np.expm1((s - 1.0) * b) / (s * (s - 1.0)))
+        y = c - np.where(u < 1.0, rest, 0.0)
+        a = y / u if s == 1.0 else np.log1p(y * s * (s - 1.0) / u) / (s - 1.0)
+        return u * np.exp(-a)
 
 
 def _crossing_law(b: np.ndarray, c_plus: float) -> float:
@@ -167,7 +198,7 @@ def _crossing_law(b: np.ndarray, c_plus: float) -> float:
     constraints include t = n - 1, i.e. for every J < n; J = n keeps the raw b_n.
     """
     n = b.size
-    logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    logfact = _log_factorials(n)
     if c_plus <= 0.0:
         j, log_w = np.zeros(1, dtype=int), np.zeros(1)
     elif c_plus >= 1.0:
@@ -188,6 +219,14 @@ def _crossing_law(b: np.ndarray, c_plus: float) -> float:
     return float(np.sum(np.exp(log_w) * (below + first * upper[n - j])))
 
 
+@functools.lru_cache(maxsize=8)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, read-only: built once per series length."""
+    logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    logfact.flags.writeable = False
+    return logfact
+
+
 def _upper_crossing(b_run: np.ndarray, c_plus: float, m: np.ndarray, logfact: np.ndarray) -> np.ndarray:
     """P(p_(n-k) <= b_(n-k) for some k < m) for m i.i.d. U(c+, 1) points, at
     each entry of the array m.
@@ -205,11 +244,15 @@ def _upper_crossing(b_run: np.ndarray, c_plus: float, m: np.ndarray, logfact: np
         P(cross | m) = sum over k < m of drop_k Pois(m - k; lam (1 - a_k)) / Pois(m; lam),
 
     whose terms are nonnegative and taken from one exp over a (m.size, max m)
-    table of logs. The increment law is cut at mu + 9 sqrt(mu) + 20, beyond
-    which its tail mass is below 1e-19 for every mean mu. The kernels of steps
-    1 .. max m - 1 come from one exp over a table as wide as the widest (step
-    0, with mean up to ~40, gets its own); each step convolves only the counts
-    up to the last one with mass above BAND_FLOOR.
+    table of logs. The increment law is cut at int(mu + 9 sqrt(mu)) + 13,
+    beyond which its tail mass is below 1e-19 for every mean mu up to 40
+    (7.5e-20 at most; + 12 would leave 2.1e-19). Mass only moves up, so a jump
+    so dropped reaches a later drop_k only through that many steps without
+    an arrival. The kernels of steps 1 .. max m - 1 come from one exp over a
+    table as wide as the widest, each row running from the top count down, so
+    that a step is one correlation of the band with its row (step 0, with
+    mean up to ~40, is its own band); each step convolves only the counts up
+    to the last one with mass above BAND_FLOOR.
     """
     m_max = int(m.max())
     if m_max == 0:
@@ -217,20 +260,23 @@ def _upper_crossing(b_run: np.ndarray, c_plus: float, m: np.ndarray, logfact: np
     lam = b_run.size * (1.0 - c_plus)
     r = np.maximum((b_run[::-1][:m_max] - c_plus) / (1.0 - c_plus), 0.0)  # 1 - a_k, exact for tiny b
     mu = lam * -np.diff(r, prepend=1.0)
-    width = np.minimum(np.arange(m_max, 0, -1), (mu + 9.0 * np.sqrt(mu)).astype(int) + 20)
+    width = np.minimum(np.arange(m_max, 0, -1), (mu + 9.0 * np.sqrt(mu)).astype(int) + 13)
     # math.log, not np.log, so that each kernel is bit-identical to exp of its own row
     log_mu = [math.log(x) if x > 0.0 else 0.0 for x in mu.tolist()]
     w = int(width[1:].max(initial=0)) + 1
-    kernels = np.multiply.outer(log_mu[1:], np.arange(w))
+    counts = np.arange(w - 1, -1, -1)  # each kernel row runs from count w - 1 down to 0
+    kernels = np.multiply.outer(log_mu[1:], counts)
     kernels -= mu[1:, None]
-    kernels -= logfact[:w]
+    kernels -= logfact[counts]
     np.exp(kernels, out=kernels)
     band = np.ones(1)  # law of N(a_(k-1)) on no crossing so far, over the counts k, k + 1, ...
     drop = np.zeros(m_max)  # P(N(a_k) = k with no crossing before k)
     for k, (step, wk) in enumerate(zip(mu.tolist(), width.tolist())):
         if step > 0.0 and band.size:
-            kernel = kernels[k - 1, : wk + 1] if k else np.exp(np.arange(wk + 1) * log_mu[0] - step - logfact[: wk + 1])
-            band = np.convolve(band, kernel)[: m_max + 1 - k]
+            if k:
+                band = np.correlate(band, kernels[k - 1, w - 1 - wk:], "full")[: m_max + 1 - k]
+            else:  # the first step, from the count 0, is its own kernel
+                band = np.exp(np.arange(wk + 1) * log_mu[0] - step - logfact[: wk + 1])
             if band[-1] <= BAND_FLOOR:
                 band = band[: band.size - (band[::-1] > BAND_FLOOR).argmax()]
         drop[k] = band[0] if band.size else 0.0

@@ -149,7 +149,7 @@ def _load_seq(path: str) -> TokenSeq:
             return TokenSeq.from_json(fh.read())
     except FileNotFoundError as exc:
         raise UsageError(f"no such file: {path}") from exc
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError is a ValueError; deep nesting recurses
         raise ValueError(f"bad token sequence file {path}: {exc}") from exc
 
 

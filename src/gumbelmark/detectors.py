@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._validation import check_fraction, check_unit_open
+from ._validation import check_delta, check_fraction, check_unit_open
 from .pivotal import PivotSeries, _clip, _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
 
@@ -47,11 +47,12 @@ def _k_s_plus_terms(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     u = 1 and s <= 0, where K_s is infinite, the term truncates to 0."""
     if s == 2.0:
         return np.maximum(u - v, 0.0) ** 2 / (2.0 * v * (1.0 - v))
-    return _k_s_plus_and_slope(u, v, s)[0]
+    return _k_s_plus_and_slope(u, v, s, with_slope=False)[0]
 
 
-def _k_s_plus_and_slope(u: np.ndarray, v: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """K_s^+(u, v) and v dK_s^+/dv, the latter read only where v < u.
+def _k_s_plus_and_slope(u: np.ndarray, v: np.ndarray, s: float, with_slope: bool = True):
+    """K_s^+(u, v) and v dK_s^+/dv, the latter read only where v < u (None
+    without ``with_slope``, which the statistic does not read).
 
     With a = log(u/v) and b = log((1-u)/(1-v)), each taken as log1p of a
     difference so that no ratio near 1 rounds as v nears u, K_s =
@@ -67,16 +68,18 @@ def _k_s_plus_and_slope(u: np.ndarray, v: np.ndarray, s: float) -> tuple[np.ndar
         a = np.log1p((u - v) / v)
         b = np.log1p((v - u) / (1.0 - v))
         if s == 0.0:
-            k, slope = -(v * a + (1.0 - v) * b), v * (b - a)
+            k = -(v * a + (1.0 - v) * b)
+            slope = v * (b - a) if with_slope else None
         elif s < 0.5:
             ea, eb = np.expm1(s * a), np.expm1(s * b)
-            k, slope = -(v * ea + (1.0 - v) * eb) / (s * (1.0 - s)), v * (eb - ea) / s
+            k = -(v * ea + (1.0 - v) * eb) / (s * (1.0 - s))
+            slope = v * (eb - ea) / s if with_slope else None
         else:
             fa = np.expm1((s - 1.0) * a)
             rest = np.where(u < 1.0, (1.0 - u) * (b if s == 1.0 else np.expm1((s - 1.0) * b)), 0.0)
             k = u * a + rest if s == 1.0 else -(u * fa + rest) / (s * (1.0 - s))
-            slope = (v * np.exp(s * b) - u * (fa + 1.0)) / s
-    return np.where((u > v) & ((u < 1.0) | (s > 0.0)), k, 0.0), slope
+            slope = (v * np.exp(s * b) - u * (fa + 1.0)) / s if with_slope else None
+    return np.where((u > v) & (u < 1.0) if s <= 0.0 else u > v, k, 0.0), slope
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,9 @@ class ScoreKind:
         if self.name not in ("ars", "log", "ind", "opt"):
             raise ValueError(f"unknown score {self.name!r}")
         if self.name in ("ind", "opt"):
-            if self.param is None or not 0.0 < self.param < 1.0:
+            if self.param is None:
                 raise ValueError(f"score {self.name!r} needs a parameter in (0, 1)")
+            check_delta(self.param, "delta0")
         elif self.param is not None:
             raise ValueError(f"score {self.name!r} takes no parameter")
 

@@ -18,23 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist, check_vocab_size
+from ._validation import check_delta, check_ntp_dist, check_vocab_size
 from .prf import _digest_to_unit
 
 M1_A_RANGE = (0.95, 1.5)
 M1_B_RANGE = (0.01, 0.1)
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    return delta
-
-
 def make_m2(delta: float, vocab_size: int) -> np.ndarray:
     """Flat-tail NTP vector: (1 - delta, delta/(V-1), ..., delta/(V-1))."""
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     vocab_size = check_vocab_size(vocab_size)
     probs = np.full(vocab_size, delta / (vocab_size - 1))
     probs[0] = 1.0 - delta
@@ -53,7 +46,7 @@ def make_m1(delta: float, vocab_size: int, rng: np.random.Generator) -> np.ndarr
 
 def m1_rows(delta: float, vocab_size: int, shapes: np.ndarray) -> np.ndarray:
     """One ``make_m1`` vector per row (a, b) of a (k, 2) array of tail shapes."""
-    delta = _check_delta(delta)
+    delta = check_delta(delta)
     vocab_size = check_vocab_size(vocab_size)
     tail = (np.arange(1, vocab_size) + shapes[:, 1:]) ** (-shapes[:, :1])
     tail *= delta / tail.sum(axis=1, keepdims=True)
@@ -66,7 +59,7 @@ def least_favorable_atoms(delta: float) -> tuple[np.ndarray, np.ndarray]:
     floats: k = floor(1/(1 - delta)) atoms of 1 - delta, unbounded as delta ->
     1, and a remainder atom, below 1 - delta since k never rounds low, unless
     the remainder is zero."""
-    top = 1.0 - _check_delta(delta)
+    top = 1.0 - check_delta(delta)
     k = math.floor(1.0 / top)
     rem = 1.0 - k * top
     if rem > 1e-15:

@@ -31,7 +31,7 @@ from gumbelmark.calibrate import (
 from gumbelmark.detectors import Detector, _k_s_plus_terms
 from gumbelmark.streams import substream
 
-from util import count_law_passes, illinois_critical, log_bisection_boundary
+from util import count_boundary_rounds, count_law_passes, illinois_critical, log_bisection_boundary
 
 
 def bisection_boundary(s, n, c, steps=60):
@@ -582,6 +582,19 @@ class TestExactNull:
             for det in (TrGoF(s=2.0, c_plus=1 / n), TrGoF(s=1.0, c_plus=1 / n), HigherCriticism(c_plus=1 / n)):
                 critical_value(det, n, 0.01)
         assert passes[0] <= 160
+
+    def test_boundary_rounds_at_pipeline_lengths(self, monkeypatch):
+        # kernel rounds of one boundary at the scored lengths of the pipeline
+        # documents, at the alpha = 0.01 critical value and at 4x it (c+ = 1/n);
+        # the bounds were fixed before the test first ran
+        crit = {(s, n): critical_value(TrGoF(s=s, c_plus=1 / n), n, 0.01)
+                for s in (1.0, 1.5, 0.5) for n in (175, 195, 215, 355, 395, 435)}
+        rounds = count_boundary_rounds(monkeypatch)
+        for (s, n), c in crit.items():
+            for x in (c, 4.0 * c):
+                rounds[0] = 0
+                _boundary(s, n, x)
+                assert rounds[0] <= (6 if s == 1.0 else 8), (s, n, x, rounds[0])
 
     def test_fast_at_n_395(self):
         # each timed call solves afresh: the memo is emptied before it

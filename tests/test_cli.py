@@ -365,6 +365,10 @@ class TestDetect:
     @pytest.mark.parametrize("flags", [
         ("--detector", "trgof", "--s", "3"),
         ("--detector", "sum", "--score", "ind", "--delta0", "1.5"),
+        # 1 - delta0 rounds to 1: opt's least-favorable law is a point mass
+        # and its null variance 0 (ZeroDivisionError, or a threshold of 0)
+        ("--detector", "sum", "--score", "opt", "--delta0", "1e-300"),
+        ("--detector", "sum", "--score", "opt", "--delta0", "1e-17"),
         ("--alpha", "1.5"),
         ("--c-plus", "1.5"),
         ("--critical-value", "nan"),
@@ -415,6 +419,20 @@ class TestDetect:
         bad.write_text("{not json")
         assert run("detect", "--in", str(bad), "--key", KEY,
                    "--critical-value", "1", "--out", str(tmp_path / "x.json")) == 3
+
+    def test_deeply_nested_file_is_data_error(self, tmp_path, capsys):
+        # json recurses once per nested list: past the interpreter's limit it
+        # raises RecursionError, which must map to exit 3 like any bad file
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100000)
+        assert run("detect", "--in", str(bad), "--key", KEY, "--critical-value", "1",
+                   "--out", str(tmp_path / "v.json")) == 3
+        for kind in ("sub", "ins", "del", "adv"):
+            assert run("edit", "--in", str(bad), "--edit", kind, "--fraction", "0.1", "--vocab-size", "20",
+                       "--key", KEY, "--out", str(tmp_path / "e.json")) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 5 and all(line.startswith(f"data error: bad token sequence file {bad}: ") for line in lines)
+        assert os.listdir(tmp_path) == ["bad.json"]
 
 
 class TestEdit:

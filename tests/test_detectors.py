@@ -19,7 +19,7 @@ from gumbelmark import (
     score,
     trgof_stat,
 )
-from gumbelmark.detectors import _k_s_plus_terms, _score_terms, _t_over_n
+from gumbelmark.detectors import _k_s_plus_and_slope, _k_s_plus_terms, _score_terms, _t_over_n
 
 from util import hc_reference, k_s_decimal, k_s_plus
 
@@ -91,6 +91,17 @@ class TestKs:
             got = _k_s_plus_terms(np.full(v.size, u), v, s)
             want = np.array([k_s_decimal(u, x, s) for x in v.tolist()])
             assert np.all(np.abs(got - want) <= 1e-9 * want), (s, u, np.max(np.abs(got / want - 1.0)))
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5])
+    def test_k_only_path_matches_k_with_slope(self, s):
+        # the statistic takes K_s^+ without the slope that only the exact
+        # law's boundary reads: the same bits, truncation at u = 1 included
+        u = np.append(np.linspace(0.0, 1.0, 41), 1.0)
+        v = np.geomspace(1e-300, 1.0 - 1e-12, 57)
+        uu, vv = np.meshgrid(u, v)
+        got = _k_s_plus_terms(uu, vv, s)
+        assert got.tobytes() == _k_s_plus_and_slope(uu, vv, s)[0].tobytes()
+        assert np.array_equal(got[:, -1] == 0.0, np.full(v.size, s <= 0.0))  # u = 1
 
     @pytest.mark.parametrize("u", [1e-3, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0])
     def test_log_k_is_concave_in_log_v(self, u):

@@ -2,8 +2,8 @@
 order-statistic quantile, the least-favorable distribution as a vector,
 Higher Criticism by its own formula, K_s^+ by the detectors' kernel and in
 50-digit decimal arithmetic, the earlier exact critical-value solver as an
-oracle, the exact law's boundary by bisection on log p, and a counter of
-exact-law passes."""
+oracle, the exact law's boundary by bisection on log p, and counters of
+exact-law passes and of the boundary's kernel rounds."""
 
 import decimal
 import math
@@ -154,3 +154,18 @@ def count_law_passes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(calibrate, "_crossing_law", counted)
     return passes
+
+
+def count_boundary_rounds(monkeypatch) -> list[int]:
+    """Count the kernel evaluations of the exact law's boundary (calls of
+    ``calibrate._k_s_plus_and_slope``) from now on, in the one entry of the
+    returned list."""
+    rounds = [0]
+    kernel = calibrate._k_s_plus_and_slope
+
+    def counted(*args, **kwargs):
+        rounds[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "_k_s_plus_and_slope", counted)
+    return rounds
