@@ -22,6 +22,7 @@ from .watermark import GenConfig, TokenSeq, generate, generate_null, gumbel_deco
 from .detectors import (
     ARS,
     LOG,
+    BoundarySpec,
     HigherCriticism,
     ScoreKind,
     SumScore,
@@ -41,7 +42,6 @@ from .edits import (
     tolerance_limit,
 )
 from .experiments import (
-    BoundarySpec,
     MixtureConfig,
     boundary_grid,
     entropy_gap_check,

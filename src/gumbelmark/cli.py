@@ -38,28 +38,10 @@ import numpy as np
 from . import __version__
 from ._validation import check_alpha, check_fraction, check_vocab_size
 from .calibrate import null_sf
-from .detectors import (
-    ARS,
-    LOG,
-    Detector,
-    HigherCriticism,
-    ScoreKind,
-    SumScore,
-    TrGoF,
-    ind,
-    opt,
-)
+from .detectors import ARS, C_PLUS_RULES, LOG, BoundarySpec, ScoreKind, ind, opt
 from .edits import apply_adversarial_edit, apply_random_edit, tolerance_limit
 from .efficiency import rate_curve
-from .experiments import (
-    _C_PLUS_RULES,
-    BoundarySpec,
-    MixtureConfig,
-    boundary_grid,
-    entropy_gap_check,
-    histogram_study,
-    resolve_c_plus,
-)
+from .experiments import MixtureConfig, boundary_grid, entropy_gap_check, histogram_study
 from .pivotal import pivot_series
 from .prf import Key
 from .streams import child_seed, substream
@@ -159,20 +141,19 @@ def _make_source(args, seed: int) -> ToySource:
     return ToySource(vocab_size=args.vocab_size, delta_range=(lo, hi), seed=seed)
 
 
-def _build_detector(args, n: int) -> Detector:
-    """The detector the flags name, for a series of length n. A flag value
-    out of its range (--s, --c-plus, --delta0, --alpha, a non-finite
-    --critical-value) raises ValueError; callers run it under ``_flags``."""
+def _detector_spec(args) -> BoundarySpec:
+    """The spec of the detector the flags name. A flag value out of its range
+    (--alpha, a non-finite --critical-value, or --s, --c-plus or --delta0
+    where the detector reads it) raises ValueError; callers run it under
+    ``_flags``. The spec checks only the flags its kind reads."""
     check_alpha(args.alpha)
     if args.critical_value is not None and not math.isfinite(args.critical_value):
         raise ValueError(f"critical value must be finite, got {args.critical_value!r}")
+    score_kind = None
     if args.detector == "sum":
-        kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
-        return SumScore(kind=kind, critical_value=args.critical_value)
-    c_plus = resolve_c_plus(args.c_plus, n)
-    if args.detector == "trgof":
-        return TrGoF(s=args.s, c_plus=c_plus, critical_value=args.critical_value)
-    return HigherCriticism(c_plus=c_plus, critical_value=args.critical_value)
+        score_kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
+    return BoundarySpec(name=args.detector, kind=args.detector, s=args.s, c_plus_rule=args.c_plus,
+                        score_kind=score_kind)
 
 
 def _s_list(text: str) -> list[float]:
@@ -189,7 +170,7 @@ def _seed_arg(text: str) -> int:
 
 
 def _c_plus_arg(text: str):
-    if text in _C_PLUS_RULES:
+    if text in C_PLUS_RULES:
         return text
     try:
         return float(text)
@@ -251,7 +232,7 @@ def cmd_detect(args) -> int:
     vocab = args.vocab_size if args.vocab_size is not None else max(seq.tokens) + 1
     piv = pivot_series(seq, key, vocab)
     with _flags():
-        detector = _build_detector(args, piv.n)
+        detector = replace(_detector_spec(args).detector(piv.n), critical_value=args.critical_value)
     t2 = time.perf_counter()
     if args.calibrate:
         detector = detector.fit(piv.n, alpha=args.alpha)
@@ -276,7 +257,7 @@ def cmd_detect(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.time()
     with _flags(f"cannot calibrate at --n {args.n}: "):  # critical_value owns the least n
-        detector = _build_detector(args, args.n).fit(args.n, args.alpha)
+        detector = _detector_spec(args).detector(args.n).fit(args.n, args.alpha)
     config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
     _write_json(args.out, dict(config, critical_value=detector.critical_value))
     _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)
@@ -290,7 +271,8 @@ def _suite_hist(args) -> list[str]:
     detectors = []
     for s in args.s_list:
         with _flags(f"--s-list entry {s} and --c-plus {args.c_plus}: "):
-            detectors.append(TrGoF(s=s, c_plus=resolve_c_plus(args.c_plus, cfg.n)))
+            spec = BoundarySpec(name=f"trgof_s{s:g}", kind="trgof", s=s, c_plus_rule=args.c_plus)
+            detectors.append(spec.detector(cfg.n))
     with _flags(f"--alpha {args.alpha}: "):
         check_alpha(args.alpha)
     study = histogram_study(cfg, detectors, alpha=args.alpha)
@@ -439,7 +421,7 @@ def _add_detector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--detector", choices=("trgof", "hc", "sum"), default="trgof")
     p.add_argument("--s", type=float, default=2.0, help="goodness-of-fit shape parameter in [-1, 2]")
     p.add_argument("--c-plus", type=_c_plus_arg, default="1/n", dest="c_plus",
-                   help=f"stability parameter: {', '.join(_C_PLUS_RULES)}, or a float")
+                   help=f"stability parameter: {', '.join(C_PLUS_RULES)}, or a float")
     p.add_argument("--score", choices=("ars", "log", "ind", "opt"), default="ars")
     p.add_argument("--delta0", type=float, default=0.1)
     p.add_argument("--critical-value", type=float, default=None, dest="critical_value")

@@ -23,6 +23,9 @@ parameters plus ``critical_value``, which equality and hashing ignore. ``fit``
 returns a copy with ``critical_value`` from the null law
 (``calibrate.critical_value``, the one module that knows the null laws),
 ``statistic`` returns the statistic, and ``predict`` the reject decision.
+
+``BoundarySpec.detector(n)`` is the one map from a detector's description to
+the detector, for the CLI and for every study.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._validation import check_delta, check_fraction, check_unit_open
+from ._validation import check_delta, check_fraction, check_series_length, check_unit_open
 from .pivotal import PivotSeries, _clip, _grouped_log_pdf, _null_expectation
 from .tokensource import least_favorable_atoms
 
@@ -298,3 +301,58 @@ class SumScore(Detector):
             "delta0": self.kind.param,
             "critical_value": self.critical_value,
         }
+
+
+# ---------------------------------------------------------------------------
+# detector specs
+# ---------------------------------------------------------------------------
+
+C_PLUS_RULES = {"0": lambda n: 0.0, "1/n": lambda n: 1.0 / n, "1/n2": lambda n: 1.0 / n**2}
+
+
+def resolve_c_plus(rule, n: int) -> float:
+    """Map a stability-parameter rule (a name in ``C_PLUS_RULES`` or a number) to a value."""
+    if isinstance(rule, (int, float)):
+        return float(rule)
+    if rule not in C_PLUS_RULES:
+        raise ValueError(f"unknown c_plus rule {rule!r}")
+    return C_PLUS_RULES[rule](check_series_length(n))
+
+
+# Critical-value grids (a, b, K) that no study reads: experiments.min_error_cell
+# sweeps the pooled sample exactly. They and BoundarySpec.crit_grid remain only
+# because perfbench/ imports them, so its experiments.thresholds_evaluated
+# counter overstates the thresholds evaluated (at most 2 N + 1 per spec).
+TRGOF_CRIT_GRID = (0.0, 30.0, 1000)
+SUM_CRIT_GRIDS = {
+    "ars": (8.0, 60.0, 1000),
+    "log": (-20.0, 0.0, 1000),
+    "ind": (-10.0, 10.0, 1000),
+    "opt": (-10.0, 10.0, 1000),
+}
+
+
+@dataclass(frozen=True)
+class BoundarySpec:
+    """One named detector, which ``detector`` builds at each series length.
+    A kind reads only its own fields: trgof s and c_plus_rule, hc
+    c_plus_rule, sum score_kind."""
+
+    name: str
+    kind: str  # 'trgof' | 'hc' | 'sum'
+    s: float = 2.0
+    c_plus_rule: str | float = "1/n"
+    score_kind: ScoreKind | None = None
+    crit_grid: tuple[float, float, int] = TRGOF_CRIT_GRID  # not read; see SUM_CRIT_GRIDS
+
+    def __post_init__(self):
+        self.detector(1)  # a value it refuses fails here: each c_plus rule is in [0, 1] at every n if at n = 1
+
+    def detector(self, n: int) -> Detector:
+        """The detector of this spec for series of length n, uncalibrated."""
+        if self.kind == "sum":
+            return SumScore(kind=self.score_kind)
+        if self.kind not in ("trgof", "hc"):
+            raise ValueError("kind must be 'trgof', 'hc' or 'sum'")
+        c_plus = resolve_c_plus(self.c_plus_rule, n)
+        return TrGoF(s=self.s, c_plus=c_plus) if self.kind == "trgof" else HigherCriticism(c_plus=c_plus)

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_series_length, check_vocab_size
+from ._validation import check_vocab_size
 from .calibrate import tradeoff_curve
-from .detectors import Detector, ScoreKind, SumScore, TrGoF, _score_terms, score
+# perfbench/ imports SUM_CRIT_GRIDS and BoundarySpec from this module
+from .detectors import SUM_CRIT_GRIDS, BoundarySpec, ScoreKind, SumScore, _score_terms, score
 from .pivotal import PivotSeries, _grouped, _grouped_log_pdf, _grouped_pdf, _null_expectation, alt_cdf, alt_sample
 from .pivotal import _clip, _sampling_table, _table_sample
 from .streams import child_seed, substream
@@ -45,18 +46,6 @@ NTP_MODES = ("m1", "m2")
 # values take the same time within noise on an m1 cell with k = 1000 at
 # V = 1000.
 M1_BLOCK_VALUES = 1 << 14
-
-# Critical-value grids (a, b, K) that min_error_cell no longer reads: it
-# sweeps the pooled sample exactly. They and BoundarySpec.crit_grid remain only
-# because perfbench/ imports them, so its experiments.thresholds_evaluated
-# counter overstates the thresholds evaluated (at most 2 N + 1 per spec).
-TRGOF_CRIT_GRID = (0.0, 30.0, 1000)
-SUM_CRIT_GRIDS = {
-    "ars": (8.0, 60.0, 1000),
-    "log": (-20.0, 0.0, 1000),
-    "ind": (-10.0, 10.0, 1000),
-    "opt": (-10.0, 10.0, 1000),
-}
 
 
 @dataclass(frozen=True)
@@ -145,44 +134,9 @@ def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotS
     return PivotSeries.from_y(y1), PivotSeries.from_y(y0)
 
 
-_C_PLUS_RULES = {"0": lambda n: 0.0, "1/n": lambda n: 1.0 / n, "1/n2": lambda n: 1.0 / n**2}
-
-
-def resolve_c_plus(rule, n: int) -> float:
-    """Map a stability-parameter rule (a name in ``_C_PLUS_RULES`` or a number) to a value."""
-    if isinstance(rule, (int, float)):
-        return float(rule)
-    if rule not in _C_PLUS_RULES:
-        raise ValueError(f"unknown c_plus rule {rule!r}")
-    return _C_PLUS_RULES[rule](check_series_length(n))
-
-
 # ---------------------------------------------------------------------------
 # the mixture trials, and the studies that reduce them
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """One named detector of a boundary study, which ``detector`` builds at each series length."""
-
-    name: str
-    kind: str  # 'trgof' | 'sum'
-    s: float = 2.0
-    c_plus_rule: str | float = "1/n"
-    score_kind: ScoreKind | None = None
-    crit_grid: tuple[float, float, int] = TRGOF_CRIT_GRID  # not read; see SUM_CRIT_GRIDS
-
-    def __post_init__(self):
-        self.detector(1)  # a value it refuses fails here: each c_plus rule is in [0, 1] at every n if at n = 1
-
-    def detector(self, n: int) -> Detector:
-        """The detector of this spec for series of length n."""
-        if self.kind == "trgof":
-            return TrGoF(s=self.s, c_plus=resolve_c_plus(self.c_plus_rule, n))
-        if self.kind == "sum":
-            return SumScore(kind=self.score_kind)
-        raise ValueError("kind must be 'trgof' or 'sum'")
-
 
 @functools.cache
 def _keep_freed_heap() -> None:

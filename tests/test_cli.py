@@ -26,6 +26,7 @@ from gumbelmark import (
 )
 from gumbelmark import experiments
 from gumbelmark.cli import main
+from gumbelmark.detectors import BoundarySpec
 from gumbelmark.streams import child_seed, substream
 from gumbelmark.watermark import TokenSeq
 
@@ -222,6 +223,29 @@ class TestByteGoldens:
         assert "Warning" not in capsys.readouterr().err
 
 
+# a detector flag out of its range, and the text of the rule it breaks
+BAD_DETECTOR_FLAGS = {
+    ("--detector", "trgof", "--s", "3"): "s must lie in [-1, 2], got 3.0",
+    ("--detector", "sum", "--score", "ind", "--delta0", "1.5"): "delta0 must lie in (0, 1)",
+    # 1 - delta0 rounds to 1: opt's least-favorable law is a point mass
+    # and its null variance 0 (ZeroDivisionError, or a threshold of 0)
+    ("--detector", "sum", "--score", "opt", "--delta0", "1e-300"): "with 1 - delta0 < 1, got 1e-300",
+    ("--detector", "sum", "--score", "opt", "--delta0", "1e-17"): "with 1 - delta0 < 1, got 1e-17",
+    ("--alpha", "1.5"): "alpha must lie in (0, 1), got 1.5",
+    ("--c-plus", "1.5"): "c_plus must lie in [0, 1], got 1.5",
+    ("--critical-value", "nan"): "critical value must be finite, got nan",
+    ("--critical-value", "inf"): "critical value must be finite, got inf",
+    ("--critical-value=-inf",): "critical value must be finite, got -inf",
+    ("--s", "nan"): "s must lie in [-1, 2], got nan",
+    ("--c-plus", "nan"): "c_plus must lie in [0, 1], got nan",
+    ("--c-plus", "-0.1"): "c_plus must lie in [0, 1], got -0.1",
+    ("--detector", "hc", "--c-plus", "2"): "c_plus must lie in [0, 1], got 2.0",
+    ("--detector", "sum", "--score", "opt", "--delta0", "nan"): "with 1 - delta0 < 1, got nan",
+    ("--alpha", "nan"): "alpha must lie in (0, 1), got nan",
+    ("--alpha", "0"): "alpha must lie in (0, 1), got 0.0",
+}
+
+
 @pytest.fixture(scope="module")
 def seq_file(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("detect") / "seq.json")
@@ -362,26 +386,45 @@ class TestDetect:
         assert err == f"data error: token sequence file {empty} is empty: no tokens to score\n"
         assert not os.path.exists(tmp_path / "v.json")
 
-    @pytest.mark.parametrize("flags", [
-        ("--detector", "trgof", "--s", "3"),
-        ("--detector", "sum", "--score", "ind", "--delta0", "1.5"),
-        # 1 - delta0 rounds to 1: opt's least-favorable law is a point mass
-        # and its null variance 0 (ZeroDivisionError, or a threshold of 0)
-        ("--detector", "sum", "--score", "opt", "--delta0", "1e-300"),
-        ("--detector", "sum", "--score", "opt", "--delta0", "1e-17"),
-        ("--alpha", "1.5"),
-        ("--c-plus", "1.5"),
-        ("--critical-value", "nan"),
-        ("--critical-value", "inf"),
-        ("--critical-value=-inf",),
-    ])
+    @pytest.mark.parametrize("flags", list(BAD_DETECTOR_FLAGS))
     def test_bad_detector_flag_is_usage_error(self, seq_file, tmp_path, capsys, flags):
         assert run("detect", "--in", seq_file, "--key", KEY, "--vocab-size", "20", "--calibrate",
                    *flags, "--out", str(tmp_path / "v.json")) == 2
         assert run("calibrate", "--n", "100", *flags, "--out", str(tmp_path / "c.json")) == 2
-        err = capsys.readouterr().err
-        assert err.count("usage error") == 2 and "Traceback" not in err
+        lines = capsys.readouterr().err.splitlines()
+        # one line per command, each naming the rule the flag breaks
+        assert len(lines) == 2 and all(line.startswith("usage error: ") for line in lines)
+        assert all(BAD_DETECTOR_FLAGS[flags] in line for line in lines)
         assert not os.path.exists(tmp_path / "v.json") and not os.path.exists(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("flags, unread", [
+        (("--detector", "hc"), ("--s", "3")),
+        (("--detector", "sum"), ("--c-plus", "2")),
+        (("--detector", "sum", "--score", "ars"), ("--delta0", "nan")),
+    ], ids=["hc_s", "sum_c_plus", "ars_delta0"])
+    def test_flag_the_detector_does_not_read_changes_nothing(self, seq_file, tmp_path, flags, unread):
+        # a detector checks only the flags it reads: a value out of another
+        # detector's range is neither refused nor used
+        for tag, argv in (("plain", flags), ("unread", flags + unread)):
+            assert run("detect", "--in", seq_file, "--key", KEY, "--vocab-size", "20", "--calibrate", *argv,
+                       "--out", str(tmp_path / f"v_{tag}.json")) == 0
+            assert run("calibrate", "--n", "100", *argv, "--out", str(tmp_path / f"c_{tag}.json")) == 0
+        for name in ("v", "c"):
+            assert read_text(tmp_path / f"{name}_unread.json", "rb") == read_text(tmp_path / f"{name}_plain.json", "rb")
+
+    @pytest.mark.parametrize("kind", ["trgof", "hc", "sum"])
+    def test_detector_block_is_the_spec_detector(self, seq_file, tmp_path, kind):
+        # detect and calibrate score and calibrate the detector of the spec
+        # the flags describe, whatever the c+ rule
+        for c_plus in ("0", "1/n", "1/n2", 0.3):
+            spec = BoundarySpec(name=kind, kind=kind, c_plus_rule=c_plus, score_kind=ARS if kind == "sum" else None)
+            flags = ("--detector", kind, "--c-plus", str(c_plus), "--alpha", "0.05")
+            v, c = str(tmp_path / "v.json"), str(tmp_path / "c.json")
+            assert run("detect", "--in", seq_file, "--key", KEY, "--vocab-size", "20", "--calibrate", *flags,
+                       "--out", v) == 0
+            assert run("calibrate", "--n", "100", *flags, "--out", c) == 0
+            assert read_json(v)["detector"] == spec.detector(300).fit(300, 0.05).to_config(), c_plus
+            assert read_json(c)["detector"] == spec.detector(100).fit(100, 0.05).to_config(), c_plus
 
     def test_missing_file_is_usage_error(self, tmp_path):
         out = str(tmp_path / "x.json")

@@ -9,6 +9,7 @@ from gumbelmark import (
     ARS,
     LOG,
     BoundarySpec,
+    HigherCriticism,
     MixtureConfig,
     SumScore,
     TrGoF,
@@ -33,9 +34,8 @@ from gumbelmark.experiments import (
     SUM_CRIT_GRIDS,
     analytic_gap_bounds,
     min_error_cell,
-    resolve_c_plus,
 )
-from gumbelmark.detectors import trgof_stat
+from gumbelmark.detectors import resolve_c_plus, trgof_stat
 from gumbelmark.streams import child_seed, substream
 from gumbelmark.tokensource import M1_A_RANGE, M1_B_RANGE
 
@@ -302,21 +302,36 @@ class TestBoundaryGrid:
         with pytest.raises(ValueError):
             resolve_c_plus("huh", 100)
 
-    @pytest.mark.parametrize("fields", [
-        dict(kind="trgof", s=3.0),
-        dict(kind="trgof", c_plus_rule=1.5),
-        dict(kind="trgof", c_plus_rule="1/m"),
-        dict(kind="sum"),
-        dict(kind="lrt"),
-    ], ids=["s", "c_plus_value", "c_plus_rule", "sum_without_score", "kind"])
-    def test_spec_refuses_what_its_detector_refuses(self, fields):
+    @pytest.mark.parametrize("fields, rule", [
+        (dict(kind="trgof", s=3.0), r"s must lie in \[-1, 2\]"),
+        (dict(kind="trgof", c_plus_rule=1.5), r"c_plus must lie in \[0, 1\]"),
+        (dict(kind="trgof", c_plus_rule="1/m"), "unknown c_plus rule"),
+        (dict(kind="sum"), "kind must be a ScoreKind"),
+        (dict(kind="lrt"), "kind must be 'trgof', 'hc' or 'sum'"),
+        (dict(kind="hc", c_plus_rule=1.5), r"c_plus must lie in \[0, 1\]"),
+        (dict(kind="hc", c_plus_rule=-0.1), r"c_plus must lie in \[0, 1\]"),
+        (dict(kind="hc", c_plus_rule=math.nan), r"c_plus must lie in \[0, 1\]"),
+        (dict(kind="hc", c_plus_rule="1/m"), "unknown c_plus rule"),
+    ], ids=["s", "c_plus_value", "c_plus_rule", "sum_without_score", "kind", "hc_c_plus_above", "hc_c_plus_below",
+            "hc_c_plus_nan", "hc_c_plus_rule"])
+    def test_spec_refuses_what_its_detector_refuses(self, fields, rule):
         # checked when the spec is built, not inside a cell's first trial
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rule):
             BoundarySpec(name="t", **fields)
 
     def test_spec_builds_the_detector_at_each_length(self):
         assert BoundarySpec(name="t", kind="trgof", s=1.5).detector(400) == TrGoF(s=1.5, c_plus=1.0 / 400)
         assert BoundarySpec(name="t", kind="sum", score_kind=opt(0.1)).detector(400) == SumScore(opt(0.1))
+        for rule in ("0", "1/n", "1/n2", 0.3):
+            spec = BoundarySpec(name="hc", kind="hc", c_plus_rule=rule)
+            for n in (1, 2, 300, 4000):
+                det = spec.detector(n)
+                assert type(det) is HigherCriticism and det == HigherCriticism(c_plus=resolve_c_plus(rule, n))
+
+    def test_spec_reads_only_the_fields_of_its_kind(self):
+        # an hc spec takes no s, and a sum spec no c+ rule
+        assert BoundarySpec(name="t", kind="hc", s=3.0).detector(100) == HigherCriticism(c_plus=0.01)
+        assert BoundarySpec(name="t", kind="sum", c_plus_rule=2.0, score_kind=LOG).detector(100) == SumScore(LOG)
 
     def test_cell_easy_vs_hard(self):
         specs = [BoundarySpec(name="trgof", kind="trgof", s=2.0, c_plus_rule="1/n")]

@@ -23,7 +23,7 @@ from gumbelmark import (
     prf_vector,
 )
 from gumbelmark.cli import main
-from gumbelmark.experiments import resolve_c_plus
+from gumbelmark.detectors import resolve_c_plus
 from gumbelmark.watermark import TokenSeq
 
 KEY = Key(b"one-rule")
