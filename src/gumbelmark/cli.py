@@ -256,8 +256,10 @@ def cmd_detect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
-    with _flags(f"cannot calibrate at --n {args.n}: "):  # critical_value owns the least n
-        detector = _detector_spec(args).detector(args.n).fit(args.n, args.alpha)
+    with _flags():
+        spec = _detector_spec(args)
+    with _flags(f"cannot calibrate at --n {args.n}: "):  # the detector and critical_value own the least n
+        detector = spec.detector(args.n).fit(args.n, args.alpha)
     config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
     _write_json(args.out, dict(config, critical_value=detector.critical_value))
     _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)

@@ -8,12 +8,16 @@ every detector considered depends only on the multiset of values, so prefix
 placement is equivalent to random placement. Each trial owns a substream, so
 grids parallelize deterministically.
 
-One loop, ``_trial_statistics``, scores the trials of every study. Because a
-mixture equals its null past the first k entries, it scores each trial's pair
-once per sum rule: the score vector of the clipped null gives the null sum,
-and the same vector with its first k entries rescored gives the mixture sum,
-bit for bit ``SumScore.statistic`` of each series. The goodness-of-fit
-statistics rank the whole series and share no work between the two.
+One loop, ``_trial_statistics``, scores the trials of every study, in blocks
+of max(1, BLOCK_VALUES // n) trials: one ``sample_mixture`` call draws a
+block's (rows, n) pairs, each row from its trial's own substream, and each
+detector scores the block in one call, each row bit for bit the statistic of
+that trial alone. At n = 1e4 a block is one trial. Because a mixture equals
+its null past the first k entries, the loop scores each block's pairs once
+per sum rule: the score rows of the clipped nulls give the null sums, and the
+same rows with their first k entries rescored give the mixture sums, bit for
+bit ``SumScore.statistic`` of each series. The goodness-of-fit statistics
+rank each whole series and share no work between the two.
 What a cell fixes is built once, not per trial: its detectors
 (``BoundarySpec.detector``), the m2 law's sampling table (``_m2_table``) and
 the statistics' t/n grid (``detectors._t_over_n``). An m1 law is built only for
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +45,12 @@ from .tokensource import M1_A_RANGE, M1_B_RANGE, entropy_of, least_favorable_ato
 
 NTP_MODES = ("m1", "m2")
 
-# Probabilities per block of m1 laws in sample_mixture: each (rows, V) float
-# temporary holds at most 128 KiB (one row if V is larger) however large
-# k * V grows. Once _keep_freed_heap has run, blocks of 1 << 14 to 1 << 17
-# values take the same time within noise on an m1 cell with k = 1000 at
-# V = 1000.
-M1_BLOCK_VALUES = 1 << 14
+# Values per block, for sample_mixture's m1 laws (rows, V) and for a cell's
+# trials (rows, n): each float temporary holds at most 128 KiB (one row if V or
+# n is larger) however large k * V or the trial count grows. Once
+# _keep_freed_heap has run, blocks of 1 << 14 to 1 << 17 values take the same
+# time within noise on an m1 cell with k = 1000 at V = 1000.
+BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,36 +106,48 @@ def _m2_table(delta: float, vocab_size: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def sample_mixture(cfg: MixtureConfig, rng: np.random.Generator) -> tuple[PivotSeries, PivotSeries]:
-    """One mixture draw and its null companion (same tail entries).
+def sample_mixture(cfg: MixtureConfig,
+                   rng: np.random.Generator | Sequence[np.random.Generator]) -> tuple[PivotSeries, PivotSeries]:
+    """One mixture draw and its null companion (same tail entries), or a block of them.
 
     Returns (mixture series, null series): the mixture replaces the first
     k = ceil(n * eps) entries of the null draw with watermarked-pivot samples.
-    The stream holds the n null uniforms, the k signal uniforms and, in m1, a
-    (k, 2) block of uniforms for the Zipf-tail shapes (a, b): the n + 3k values,
-    in order, that k ``make_m1`` calls would take. Every m1 law has 1 - delta
-    at token 0, so a signal uniform below it draws token 0 whatever the tail,
-    from the two-token block (1 - delta, delta), bit for bit the draw from its
-    full row. Only the other draws build their laws, M1_BLOCK_VALUES // V at a
-    time, so memory does not grow with k * V.
+    ``rng`` is one generator, for series of shape (n,), or a sequence of them,
+    for (rows, n) blocks whose row i is bit for bit the call on ``rng[i]``
+    alone. Each stream holds the n null uniforms, the k signal uniforms and, in
+    m1, a (k, 2) block of uniforms for the Zipf-tail shapes (a, b): the n + 3k
+    values, in order, that k ``make_m1`` calls would take. The signal draws of
+    all rows are pooled: m2 draws them in one table search; every m1 law has
+    1 - delta at token 0, so a signal uniform below it draws token 0 whatever
+    the tail, from the two-token block (1 - delta, delta), bit for bit the draw
+    from its full row. Only the other draws build their laws, BLOCK_VALUES // V
+    at a time, so memory does not grow with rows * k * V.
     """
-    y0 = rng.random(cfg.n)
+    one = isinstance(rng, np.random.Generator)
+    gens = [rng] if one else list(rng)
+    rows, k, m1 = len(gens), cfg.n_signal, cfg.ntp_mode == "m1"
+    y0, u, shapes = np.empty((rows, cfg.n)), np.empty((rows, k)), np.empty((rows, k if m1 else 0, 2))
+    for row, gen in enumerate(gens):  # each stream in the order one call draws it; m2 draws no shapes
+        for out in (y0, u, shapes):
+            gen.random(out=out[row])
     y1 = y0.copy()
-    k = cfg.n_signal
-    if cfg.ntp_mode == "m2":
-        y1[:k] = _table_sample(_m2_table(cfg.delta, cfg.vocab_size), rng.random(k))
+    if not m1:
+        y1[:, :k] = _table_sample(_m2_table(cfg.delta, cfg.vocab_size), u)
     else:
-        u = rng.random(k)
+        u, draws = u.ravel(), np.empty(u.size)
         lo, hi = np.transpose((M1_A_RANGE, M1_B_RANGE))
-        shapes = lo + (hi - lo) * rng.random((k, 2))  # (a, b) rows by rng.uniform's arithmetic
+        shapes = lo + (hi - lo) * shapes.reshape(-1, 2)  # (a, b) rows by rng.uniform's arithmetic
         top = 1.0 - cfg.delta  # entry 0 of every m1 law, as m1_rows writes it
         head, tail = np.flatnonzero(u < top), np.flatnonzero(u >= top)
         if head.size:
-            y1[head] = alt_sample(np.broadcast_to([top, cfg.delta], (head.size, 2)), u[head])
-        step = max(1, M1_BLOCK_VALUES // cfg.vocab_size)
+            draws[head] = alt_sample(np.broadcast_to([top, cfg.delta], (head.size, 2)), u[head])
+        step = max(1, BLOCK_VALUES // cfg.vocab_size)
         for i in range(0, tail.size, step):
             block = tail[i:i + step]
-            y1[block] = alt_sample(m1_rows(cfg.delta, cfg.vocab_size, shapes[block]), u[block])
+            draws[block] = alt_sample(m1_rows(cfg.delta, cfg.vocab_size, shapes[block]), u[block])
+        y1[:, :k] = draws.reshape(rows, k)
+    if one:
+        y0, y1 = y0[0], y1[0]
     return PivotSeries.from_y(y1), PivotSeries.from_y(y0)
 
 
@@ -143,31 +160,35 @@ def _keep_freed_heap() -> None:
     """Allocate and free one 16 MiB block, once per process, whose pages are
     never touched. Under glibc, freeing an mmapped block raises the dynamic
     M_MMAP_THRESHOLD to its size and M_TRIM_THRESHOLD to twice that
-    (mallopt(3)). Without it, the trials' ~80 KB temporaries at n = 1e4 are
-    freed at the heap top, trimmed back to the OS and faulted in again on every
-    statistic, which runs ~2x slower. A block of 32 MiB or more does nothing:
-    it is above DEFAULT_MMAP_THRESHOLD_MAX."""
+    (mallopt(3)). Without it, the temporaries of a block of trials, at most
+    128 KiB each (~80 KB for one trial at n = 1e4), are freed at the heap top,
+    trimmed back to the OS and faulted in again on every statistic, which runs
+    ~2x slower. A block of 32 MiB or more does nothing: it is above
+    DEFAULT_MMAP_THRESHOLD_MAX."""
     np.empty(1 << 21)
 
 
 def _trial_statistics(cfg: MixtureConfig, detectors: dict) -> dict[object, tuple[np.ndarray, np.ndarray]]:
     """Key -> (null statistics, mixture statistics) of each detector in ``detectors``
-    over the trials of ``cfg``; each scores trial t's pair from ``substream(cfg.seed, t)``."""
+    over the trials of ``cfg``; each scores trial t's pair from ``substream(cfg.seed, t)``.
+    The trials run in blocks of max(1, BLOCK_VALUES // n): one ``sample_mixture``
+    call per block, and one statistic call per detector and block."""
     _keep_freed_heap()
     stats = {key: (np.empty(cfg.trials), np.empty(cfg.trials)) for key in detectors}
-    k = cfg.n_signal
-    for t in range(cfg.trials):
-        mix, null = sample_mixture(cfg, substream(cfg.seed, t))
-        y0, y1_head = _clip(null.y), _clip(mix.y[:k])
+    k, rows = cfg.n_signal, max(1, BLOCK_VALUES // cfg.n)
+    for start in range(0, cfg.trials, rows):
+        block = slice(start, min(start + rows, cfg.trials))
+        mix, null = sample_mixture(cfg, [substream(cfg.seed, t) for t in range(cfg.trials)[block]])
+        y0, y1_head = _clip(null.y), _clip(mix.y[:, :k])
         for key, det in detectors.items():
             s0, s1 = stats[key]
             if isinstance(det, SumScore):  # its statistic of both series, rescoring only the k entries they differ in
                 h = _score_terms(y0, det.kind)
-                s0[t] = h.sum()
-                h[:k] = _score_terms(y1_head, det.kind)
-                s1[t] = h.sum()
+                s0[block] = h.sum(axis=-1)
+                h[:, :k] = _score_terms(y1_head, det.kind)
+                s1[block] = h.sum(axis=-1)
             else:
-                s0[t], s1[t] = det.statistic(null), det.statistic(mix)
+                s0[block], s1[block] = det.statistic(null), det.statistic(mix)
     return stats
 
 

@@ -55,7 +55,7 @@ class PivotSeries:
 
     @property
     def n(self) -> int:
-        return int(self.y.size)
+        return int(self.y.shape[-1])
 
 
 def pivot_series(seq, key, vocab_size: int) -> PivotSeries:

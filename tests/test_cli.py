@@ -392,10 +392,24 @@ class TestDetect:
                    *flags, "--out", str(tmp_path / "v.json")) == 2
         assert run("calibrate", "--n", "100", *flags, "--out", str(tmp_path / "c.json")) == 2
         lines = capsys.readouterr().err.splitlines()
-        # one line per command, each naming the rule the flag breaks
+        # one line per command, each naming the rule the flag breaks; --n is
+        # not at fault, so calibrate's line does not name it
         assert len(lines) == 2 and all(line.startswith("usage error: ") for line in lines)
         assert all(BAD_DETECTOR_FLAGS[flags] in line for line in lines)
+        assert "cannot calibrate" not in lines[1]
         assert not os.path.exists(tmp_path / "v.json") and not os.path.exists(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("flags, rule", [
+        (("--n", "0"), "need n >= 1, got 0"),
+        (("--n", "0", "--detector", "sum"), "need n >= 1, got 0"),
+        (("--n", "30", "--alpha", "1e-30"), "accuracy"),
+    ], ids=["n0", "n0_sum", "alpha_below_accuracy"])
+    def test_calibrate_names_n_for_what_n_decides(self, tmp_path, capsys, flags, rule):
+        # the detector at n and its critical value refuse these: the line names --n
+        assert run("calibrate", *flags, "--out", str(tmp_path / "c.json")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"usage error: cannot calibrate at --n {flags[1]}: ")
+        assert rule in lines[0] and not os.path.exists(tmp_path / "c.json")
 
     @pytest.mark.parametrize("flags, unread", [
         (("--detector", "hc"), ("--s", "3")),

@@ -28,7 +28,7 @@ from gumbelmark import (
 from gumbelmark import experiments
 from gumbelmark.calibrate import tradeoff_curve
 from gumbelmark.experiments import (
-    M1_BLOCK_VALUES,
+    BLOCK_VALUES,
     NTP_MODES,
     PI2_OVER_6_MINUS_1,
     SUM_CRIT_GRIDS,
@@ -153,7 +153,7 @@ class TestSampleMixture:
                 rng = substream(6, t)
                 rng.random(n)
                 tail = int((rng.random(cfg.n_signal) >= 1.0 - cfg.delta).sum())
-                assert reach(tail, cfg.n_signal, max(1, M1_BLOCK_VALUES // vocab)), (t, tail)
+                assert reach(tail, cfg.n_signal, max(1, BLOCK_VALUES // vocab)), (t, tail)
             mix, null = sample_mixture(cfg, substream(6, t))
             y1, y0 = loop_sample_mixture(cfg, substream(6, t))
             assert np.array_equal(null.y, y0)
@@ -174,16 +174,38 @@ class TestSampleMixture:
 
     @pytest.mark.parametrize("mode, per_signal", [("m2", 1), ("m1", 3)])
     def test_stream_layout(self, mode, per_signal):
-        # y0, then one uniform per signal entry; m1 adds make_m1's two shape draws
+        # y0, then one uniform per signal entry; m1 adds make_m1's two shape
+        # draws. A block call takes the same values from each row's generator
         cfg = MixtureConfig(n=300, p=0.3, q=0.4, vocab_size=12, ntp_mode=mode, seed=5)
         k = cfg.n_signal
-        for t in range(3):
-            rng = substream(5, t)
-            _, null = sample_mixture(cfg, rng)
-            assert np.array_equal(null.y, substream(5, t).random(cfg.n))
-            fresh = substream(5, t)
-            fresh.random(cfg.n + per_signal * k)
-            assert rng.random() == fresh.random()
+        ones = [substream(5, t) for t in range(3)]
+        rows = [substream(5, t) for t in range(3)]
+        block_null = sample_mixture(cfg, rows)[1].y
+        for t, (one, row) in enumerate(zip(ones, rows)):
+            _, null = sample_mixture(cfg, one)
+            for got, rng in ((null.y, one), (block_null[t], row)):
+                assert np.array_equal(got, substream(5, t).random(cfg.n))
+                fresh = substream(5, t)
+                fresh.random(cfg.n + per_signal * k)
+                assert rng.random() == fresh.random()
+
+    @pytest.mark.parametrize("mode, q, vocab, trials", [
+        ("m2", 0.4, 50, 5),
+        ("m1", 0.4, 50, 5),
+        # delta = 0.77: most signal draws reach the tail, and the tail laws of
+        # all rows fill 4 per block, so blocks straddle rows
+        ("m1", 0.05, 4000, 7),
+        ("m2", 0.4, 50, 1),
+    ], ids=["m2", "m1", "m1_tail_blocks", "m2_one_row"])
+    def test_block_rows_are_one_generator_calls(self, mode, q, vocab, trials):
+        # row i of a block call equals the call on its i-th generator alone, bit for bit
+        cfg = MixtureConfig(n=200, p=0.2, q=q, vocab_size=vocab, ntp_mode=mode, seed=16)
+        mix, null = sample_mixture(cfg, [substream(16, t) for t in range(trials)])
+        assert mix.y.shape == null.y.shape == (trials, cfg.n) and mix.n == null.n == cfg.n
+        for t in range(trials):
+            one_mix, one_null = sample_mixture(cfg, substream(16, t))
+            assert np.array_equal(mix.y[t], one_mix.y) and np.array_equal(mix.p[t], one_mix.p), t
+            assert np.array_equal(null.y[t], one_null.y) and np.array_equal(null.p[t], one_null.p), t
 
     # ten evenly spaced draws (every (size // 10)-th) of the signal entries of
     # a cell's trials, the first k of each, so that every pin is a draw of
@@ -252,11 +274,102 @@ def loop_histogram_study(cfg, s_values, c_plus, alpha):
     return samples, power
 
 
+def loop_trial_statistics(cfg, detectors):
+    """Each detector's own statistic of each trial's pair, drawn one trial at a
+    time: the oracle for the blocks of trials that the studies score."""
+    stats = {key: (np.empty(cfg.trials), np.empty(cfg.trials)) for key in detectors}
+    for t in range(cfg.trials):
+        mix, null = sample_mixture(cfg, substream(cfg.seed, t))
+        for key, det in detectors.items():
+            stats[key][0][t], stats[key][1][t] = det.statistic(null), det.statistic(mix)
+    return stats
+
+
+def record_block_rows(monkeypatch):
+    """The number of trials of each ``sample_mixture`` call the studies make, in call order."""
+    rows, sampler = [], experiments.sample_mixture
+    monkeypatch.setattr(experiments, "sample_mixture", lambda cfg, rngs: rows.append(len(rngs)) or sampler(cfg, rngs))
+    return rows
+
+
+# n = 300: blocks of BLOCK_VALUES // 300 = 54 trials, so 120 trials make
+# three blocks, the last one partial
+BLOCK_CELL = dict(n=300, p=0.3, q=0.4, vocab_size=50, trials=120)
+BLOCK_ROWS = [54, 54, 12]
+# every detector kind a cell scores: TrGoF over its s range at two c+, HC and each sum rule
+EVERY_DETECTOR = {
+    **{(s, c): TrGoF(s, c) for s in (2.0, 1.5, 1.0, 0.5, 0.0, -0.5, -1.0) for c in (0.0, 0.003)},
+    **{("hc", c): HigherCriticism(c_plus=c) for c in (0.0, 0.003)},
+    **{k.label(): SumScore(k) for k in (ARS, LOG, ind(0.5), opt(0.1))},
+}
+
+
+class TestTrialBlocks:
+    def test_rows_per_block(self, monkeypatch):
+        # max(1, BLOCK_VALUES // n) trials per sampler call, the last block partial
+        rows = record_block_rows(monkeypatch)
+        for n, trials, want in ((300, 120, BLOCK_ROWS), (1000, 40, [16, 16, 8]), (16_384, 2, [1, 1]),
+                                (20_000, 3, [1, 1, 1]), (10_000, 1, [1])):
+            rows.clear()
+            experiments._trial_statistics(MixtureConfig(n=n, p=0.5, q=0.4, vocab_size=20, trials=trials),
+                                          {"ars": SumScore(ARS)})
+            assert rows == want and want == [min(max(1, BLOCK_VALUES // n), trials - i)
+                                             for i in range(0, trials, max(1, BLOCK_VALUES // n))]
+
+    @pytest.mark.parametrize("mode", NTP_MODES)
+    def test_statistics_match_per_trial_loop(self, monkeypatch, mode):
+        cfg = MixtureConfig(**BLOCK_CELL, ntp_mode=mode, seed=17)
+        rows = record_block_rows(monkeypatch)
+        stats = experiments._trial_statistics(cfg, EVERY_DETECTOR)
+        assert rows == BLOCK_ROWS
+        monkeypatch.undo()
+        want = loop_trial_statistics(cfg, EVERY_DETECTOR)
+        assert list(stats) == list(want)
+        for key, (s0, s1) in want.items():
+            assert np.array_equal(stats[key][0], s0) and np.array_equal(stats[key][1], s1), key
+
+    @pytest.mark.parametrize("mode", NTP_MODES)
+    def test_min_error_cell_matches_per_trial_loop(self, monkeypatch, mode):
+        specs = [BoundarySpec(name=f"trgof_{s:g}", kind="trgof", s=s, c_plus_rule=c)
+                 for s in (2.0, 1.0, 0.0, -1.0) for c in ("0", "1/n")]
+        specs += [BoundarySpec(name="hc", kind="hc")]
+        specs += [BoundarySpec(name=k.label(), kind="sum", score_kind=k) for k in (ARS, LOG, ind(0.5), opt(0.1))]
+        cfg = MixtureConfig(**BLOCK_CELL, ntp_mode=mode, seed=18)
+        rows = record_block_rows(monkeypatch)
+        errs = min_error_cell(cfg, specs)
+        assert rows == BLOCK_ROWS
+        monkeypatch.undo()
+        stats = loop_trial_statistics(cfg, {sp.name: sp.detector(cfg.n) for sp in specs})
+        assert errs == {name: float(tradeoff_curve(s0, s1).sum(axis=1).min()) for name, (s0, s1) in stats.items()}
+
+    def test_memory_is_bounded_at_long_series(self):
+        # bound set before the first run: the per-trial loop this replaced
+        # peaked at 1.07 MB on this cell (tracemalloc, second call, numpy 2.4);
+        # at n = 1e4 a block is one trial, so the peak stays under 1.2 MB
+        bound = 1.2e6
+        specs = [BoundarySpec(name=f"trgof_{s:g}", kind="trgof", s=s) for s in (2.0, 1.0)]
+        specs += [BoundarySpec(name="hc", kind="hc")]
+        specs += [BoundarySpec(name=k.label(), kind="sum", score_kind=k) for k in (ARS, LOG, ind(0.5), opt(0.1))]
+        for mode in NTP_MODES:
+            cfg = MixtureConfig(n=10_000, p=0.25, q=0.4, vocab_size=1000, ntp_mode=mode, trials=3, seed=7)
+            assert max(1, BLOCK_VALUES // cfg.n) == 1
+            detectors = {sp.name: sp.detector(cfg.n) for sp in specs}
+            experiments._trial_statistics(cfg, detectors)  # the caches a cell builds once
+            tracemalloc.start()
+            try:
+                experiments._trial_statistics(cfg, detectors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (mode, peak)
+
+
 class TestHistogramStudy:
     @pytest.mark.parametrize("mode", NTP_MODES)
     @pytest.mark.parametrize("c_plus", ["0", "1/n"])
     def test_matches_per_trial_loop(self, mode, c_plus):
-        cfg = MixtureConfig(n=300, p=0.3, q=0.4, vocab_size=50, ntp_mode=mode, trials=30, seed=14)
+        # three blocks of trials, the last one partial
+        cfg = MixtureConfig(**BLOCK_CELL, ntp_mode=mode, seed=14)
         cp = resolve_c_plus(c_plus, cfg.n)
         study = histogram_study(cfg, [TrGoF(s, cp) for s in (2.0, 1.0, 0.0)], alpha=0.1)
         samples, power = loop_histogram_study(cfg, [2.0, 1.0, 0.0], cp, alpha=0.1)

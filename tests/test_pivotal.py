@@ -349,3 +349,9 @@ class TestPivotSeries:
     def test_from_y(self):
         piv = PivotSeries.from_y([0.25, 0.75])
         assert np.allclose(piv.p, [0.75, 0.25])
+
+    def test_length_of_a_block_is_its_series_length(self):
+        # a (rows, n) block holds rows series of length n, not one of rows * n
+        block = PivotSeries.from_y(np.full((3, 7), 0.5))
+        assert block.n == 7 and PivotSeries.from_y(block.y[1]).n == 7
+        assert PivotSeries.from_y(np.full(5, 0.5)).n == 5
