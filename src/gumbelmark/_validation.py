@@ -10,29 +10,26 @@ PROB_SUM_TOL = 1e-12
 
 
 def check_ntp_dist(probs) -> np.ndarray:
-    """Validate a next-token probability vector and return it as a float array.
-
-    Requires every entry >= 0, a total within 1e-12 of 1, and support over at
-    least two indices (vocabulary size >= 2).
-    """
+    """A next-token law as a float array: a 1-d vector over V >= 2 that passes ``check_ntp_rows`` as a block of one."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("NTP distribution must be a 1-d vector over a vocabulary of size >= 2")
-    if np.any(p < 0.0):
-        raise ValueError("NTP distribution has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"NTP distribution sums to {total!r}, not 1 within {PROB_SUM_TOL}")
+    check_ntp_rows(p[None])
     return p
 
 
 def check_ntp_rows(probs) -> np.ndarray:
-    """``check_ntp_dist`` applied to each row of a (k, V) block."""
+    """A (k, V) block of next-token laws as a float array, V >= 2, under the one rule of every law:
+    entries >= 0 and a total within PROB_SUM_TOL of 1. A bad block names its first off total as one law does."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ValueError("NTP block must be a (k, V) array with V >= 2")
-    if np.any(p < 0.0) or np.any(np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL):
-        raise ValueError(f"an NTP row has negative entries or a total off 1 by more than {PROB_SUM_TOL}")
+    if np.any(p < 0.0):
+        raise ValueError("NTP distribution has negative entries")
+    totals = p.sum(axis=1)
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= PROB_SUM_TOL))  # a NaN total is off too
+    if off.size:
+        raise ValueError(f"NTP distribution sums to {float(totals[off[0]])!r}, not 1 within {PROB_SUM_TOL}")
     return p
 
 
@@ -94,6 +91,13 @@ def check_token_ids(tokens, vocab_size: int = 2**32, name: str = "tokens") -> No
                 raise ValueError(f"{name} contains id {t} outside the 4-byte range")
             if t >= vocab_size:
                 raise ValueError(f"{name} contains id {t} >= vocab size {vocab_size}")
+
+
+def check_scored_sequence(tokens, m: int, vocab_size: int) -> None:
+    """A token sequence the verifier can score: ids in [0, vocab_size) and a position past the first m."""
+    check_token_ids(tokens, vocab_size, name="sequence")
+    if len(tokens) <= m:
+        raise ValueError(f"sequence of length {len(tokens)} has no scored positions for m={m}")
 
 
 def name_non_integer_id(tokens, name: str = "tokens") -> None:

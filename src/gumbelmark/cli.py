@@ -13,7 +13,9 @@ JSON line (``_write_seq``).
 
 The parser is built on the first ``main`` call and shared by every later one
 (``parse_args`` never changes it): a caller that loops over ``main`` skips the
-~1.5 ms rebuild, and importing this module builds none.
+~1.5 ms rebuild, and importing this module builds none. It holds names, not
+functions: ``main`` looks up ``cmd_<command>`` and ``cmd_experiment``
+``_suite_<suite>`` when they run, so a patched command is the one that runs.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
 breach.
@@ -114,7 +116,11 @@ def _write_manifest(path: str, command: str, config: dict, seed, outputs: list[s
     }
     if timings is not None:
         manifest["timings_s"] = {stage: round(sec, 6) for stage, sec in timings.items()}
-    _write_json(path, manifest)
+    try:
+        _write_json(path, manifest)
+    except ValueError:  # a flag the command does not read may hold NaN or infinity, which JSON lacks:
+        manifest["config"] = json.loads(json.dumps(config), parse_constant=str)  # "NaN", "Infinity", "-Infinity"
+        _write_json(path, manifest)
 
 
 def _resolve_key(args) -> Key:
@@ -319,8 +325,8 @@ def _suite_sumboundary(args) -> list[str]:
 
 
 def _suite_efficiency(args) -> list[str]:
-    if not (args.step > 0.0 and 0.0 < args.delta_min <= args.delta_max < 1.0):
-        raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and --step > 0, "
+    if not (0.0 < args.step < math.inf and 0.0 < args.delta_min <= args.delta_max < 1.0):
+        raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and a finite --step > 0, "
                          f"got {args.delta_min}, {args.delta_max} and {args.step}")
     deltas = np.arange(args.delta_min, args.delta_max + 1e-12, args.step)
     with _flags(f"--eps {args.eps}: "):  # on a δ grid in range, optimal_rate can refuse only ε
@@ -384,19 +390,9 @@ def _suite_tolerance(args) -> list[str]:
     return [path]
 
 
-_SUITES = {
-    "hist": _suite_hist,
-    "boundary": _suite_boundary,
-    "sumboundary": _suite_sumboundary,
-    "efficiency": _suite_efficiency,
-    "gapcheck": _suite_gapcheck,
-    "tolerance": _suite_tolerance,
-}
-
-
 def cmd_experiment(args) -> int:
     started = time.time()
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "suite", "key") and v is not None}
+    config = {k: v for k, v in vars(args).items() if k not in ("suite", "key") and v is not None}
     args.out_dir = os.path.realpath(args.out_dir)  # ".." and symlinks resolved as the kernel does
     made, head = [], args.out_dir
     while not os.path.exists(head):  # the out dir and each ancestor makedirs makes, deepest first
@@ -404,7 +400,7 @@ def cmd_experiment(args) -> int:
         head = os.path.dirname(head)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        outputs = _SUITES[args.suite](args)  # the suite checks the flags it reads
+        outputs = globals()[f"_suite_{args.suite}"](args)  # the suite checks the flags it reads
     except BaseException:
         for path in made:  # a failed suite leaves no directory it made and wrote nothing into
             if os.path.isdir(path) and not os.listdir(path):
@@ -451,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--null", action="store_true", help="unwatermarked control sequence")
     g.add_argument("--masking", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("edit", help="apply simulated human edits")
     e.add_argument("--in", dest="infile", required=True)
@@ -460,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--vocab-size", type=int, required=True, dest="vocab_size")
     e.add_argument("--key", default=None)
     e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_edit)
 
     d = sub.add_parser("detect", help="score a sequence and decide")
     d.add_argument("--in", dest="infile", required=True)
@@ -470,16 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="calibrate the critical value first: exact null law for trgof/hc, CLT for sum")
     d.add_argument("--out", required=True)
     _add_detector_args(d)
-    d.set_defaults(func=cmd_detect)
 
     c = sub.add_parser("calibrate", help="compute a critical value")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--out", required=True)
     _add_detector_args(c)
-    c.set_defaults(func=cmd_calibrate)
 
     x = sub.add_parser("experiment", help="run an experiment suite")
-    x.add_argument("suite", choices=sorted(_SUITES))
+    x.add_argument("suite", choices=("boundary", "efficiency", "gapcheck", "hist", "sumboundary", "tolerance"))
     x.add_argument("--n", type=int, default=1000)
     x.add_argument("--p", type=float, default=0.2)
     x.add_argument("--q", type=float, default=0.5)
@@ -503,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--n-test", type=int, default=105, dest="n_test")
     x.add_argument("--delta", type=float, default=0.3)
     x.add_argument("--out-dir", required=True, dest="out_dir")
-    x.set_defaults(func=cmd_experiment)
 
     for p in (g, e, d, c, x):
         p.add_argument("--seed", type=_seed_arg, default=0)
@@ -517,7 +508,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

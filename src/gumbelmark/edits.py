@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_fraction, check_vocab_size
+from ._validation import check_fraction, check_scored_sequence, check_vocab_size
 from .pivotal import pivot_series
 from .watermark import EDITED, PROMPT, TokenSeq
 
@@ -34,6 +34,7 @@ class EditPlan:
         if kind not in ("sub", "ins", "del"):
             raise ValueError(f"random edits are sub/ins/del, got {kind!r} (adv: apply_adversarial_edit)")
         vocab_size = check_vocab_size(vocab_size)
+        check_scored_sequence(seq.tokens, seq.m, vocab_size)  # only a sequence the verifier can score is edited
         self.seq = seq
         self.kind = kind
         rng = np.random.default_rng(seed)

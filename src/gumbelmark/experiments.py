@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_vocab_size
+from ._validation import check_fraction, check_vocab_size
 from .calibrate import tradeoff_curve
 # perfbench/ imports SUM_CRIT_GRIDS and BoundarySpec from this module
 from .detectors import SUM_CRIT_GRIDS, BoundarySpec, ScoreKind, SumScore, _score_terms, score
@@ -68,8 +68,8 @@ class MixtureConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if not 0.0 <= self.p <= 1.0 or not 0.0 <= self.q <= 1.0:
-            raise ValueError("exponents p, q must lie in [0, 1]")
+        check_fraction(self.p, "p")
+        check_fraction(self.q, "q")
         if self.ntp_mode not in NTP_MODES:
             raise ValueError(f"ntp mode must be one of {NTP_MODES}")
         check_vocab_size(self.vocab_size)  # n >= 2 and V >= 2 before the floor divides by their logs

@@ -18,6 +18,9 @@ distinct probabilities as one group-major table (``_group_sum``), groups on
 the leading axis. ``_clip`` is the one clip of pivots and p-values, for the
 statistics and for ``alt_sample``'s draws alike.
 
+A ``PivotSeries`` stores the pivots y alone and derives p = 1 - y on each
+read, so its p-values cannot disagree with its pivots.
+
 Null expectations E[g(Y)], Y ~ U(0, 1), are integrals over [0, 1], which
 ``_null_expectation`` computes by tanh-sinh quadrature.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_ntp_dist, check_ntp_rows, check_token_ids, check_unit_open, name_non_integer_id
+from ._validation import check_ntp_dist, check_ntp_rows, check_scored_sequence, check_unit_open, name_non_integer_id
 from .prf import _sequence_uniforms
 
 _CLIP = 2.0**-53  # p-values and pivots are clipped to [_CLIP, 1 - _CLIP]; 1 - y >= _CLIP for a float y < 1
@@ -43,15 +46,17 @@ def _clip(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PivotSeries:
-    """Per-position pivots y and p-values p = 1 - y."""
+    """Per-position pivots y, of shape (n,) or (rows, n), and their p-values p = 1 - y."""
 
     y: np.ndarray
-    p: np.ndarray
 
     @classmethod
     def from_y(cls, y) -> "PivotSeries":
-        y = np.asarray(y, dtype=float)
-        return cls(y=y, p=1.0 - y)
+        return cls(y=np.asarray(y, dtype=float))
+
+    @property
+    def p(self) -> np.ndarray:
+        return 1.0 - self.y
 
     @property
     def n(self) -> int:
@@ -68,9 +73,7 @@ def pivot_series(seq, key, vocab_size: int) -> PivotSeries:
     out of range or, when packing them fails, not an integer.
     """
     tokens, m = seq.tokens, int(seq.m)
-    check_token_ids(tokens, vocab_size, name="sequence")
-    if len(tokens) <= m:
-        raise ValueError(f"sequence of length {len(tokens)} has no scored positions for m={m}")
+    check_scored_sequence(tokens, m, vocab_size)
     try:
         y = _sequence_uniforms(key, tokens, m)
     except struct.error:

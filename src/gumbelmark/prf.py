@@ -64,9 +64,6 @@ class Key:
             raise ValueError(f"invalid hex key: {s!r}") from exc
         return cls(raw)
 
-    def hex(self) -> str:
-        return self.data.hex()
-
 
 def _as_key(key) -> Key:
     if isinstance(key, Key):

@@ -714,6 +714,18 @@ class TestExperimentSuites:
         assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--p", "2", "p must lie in [0, 1], got 2.0"),
+        ("--q", "nan", "q must lie in [0, 1], got nan"),
+    ], ids=["p", "q_nan"])
+    def test_mixture_exponent_names_itself(self, tmp_path, capsys, monkeypatch, flag, value, rule):
+        # MixtureConfig checks p and q by check_fraction, which names the one at fault
+        stub_first_work(monkeypatch, "hist")
+        assert run("experiment", "hist", flag, value, "--out-dir", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --n 1000, ") and err.endswith(f": {rule}\n") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv, unread, outputs", [
         (("efficiency", "--delta-min", "0.05", "--delta-max", "0.3", "--step", "0.05"),
          ("--vocab-size", "1", "--n", "1", "--trials", "0", "--s", "3"), ["efficiency.csv"]),
@@ -831,6 +843,18 @@ class TestParser:
             s_lists.append(read_json(os.path.join(out_dir, "manifest.json"))["config"]["s_list"])
         assert s_lists == [[1.0], [2.0, 1.5, 1.0, 0.5, 0.0]]
 
+    def test_commands_are_looked_up_when_they_run(self, tmp_path, monkeypatch):
+        # the parser holds names, not functions: a command or suite patched
+        # after the first main call (a stub, a tracer's wrapper) is the one run
+        assert run("calibrate", "--n", "50", "--out", str(tmp_path / "c.json")) == 0
+        ran = []
+        monkeypatch.setattr(cli, "cmd_detect", lambda args: ran.append(("detect", args.infile)) or 0)
+        monkeypatch.setattr(cli, "_suite_efficiency", lambda args: ran.append(("efficiency", args.eps)) or [])
+        assert run("detect", "--in", "seq.json", "--critical-value", "1", "--out", "v.json") == 0
+        assert run("experiment", "efficiency", "--eps", "0.5", "--out-dir", str(tmp_path / "eff")) == 0
+        assert ran == [("detect", "seq.json"), ("efficiency", 0.5)]
+        assert read_json(str(tmp_path / "eff" / "manifest.json"))["outputs"] == []
+
     @pytest.mark.parametrize("argv", [
         ("generate", "--null", "--n", "10"),
         ("edit", "--in", "{seq}", "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20"),
@@ -935,3 +959,175 @@ class TestRemainingSuites:
         res = tolerance_limit(seq, "del", decide, 9, child_seed(3, 4, 0), 200)
         assert read_csv_rows(os.path.join(out_dir, "tolerance.csv"))[3] == f"0,del,{res.fraction!r},True"
         assert res.fraction == 0.625 and min(lengths) < 3
+
+
+# ---------------------------------------------------------------------------
+# the bad-input corpus: every malformed sequence file and every out-of-range
+# numeric flag exits 2 or 3 with one line; a flag the command does not read
+# changes nothing. --seed is left out: argparse's own type check refuses a
+# negative seed before any command runs (test_negative_seed_is_usage_error)
+# ---------------------------------------------------------------------------
+
+# a valid sequence over V = 20 with m = 2; each malformed file breaks it in one place
+GOOD_SEQ = {"tokens": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3], "provenance": ["P", "P"] + ["W", "S"] * 4, "m": 2}
+
+
+def seq_text(**fields) -> str:
+    """GOOD_SEQ as JSON with ``fields`` replaced; a field set to None is left out."""
+    return json.dumps({k: v for k, v in dict(GOOD_SEQ, **fields).items() if v is not None})
+
+
+def with_entry(name: str, i: int, value) -> list:
+    entries = list(GOOD_SEQ[name])
+    entries[i] = value
+    return entries
+
+
+BAD_SEQ_FILES = {
+    "empty": "",
+    "not_json": "tokens: 3 1 4",
+    "json_list": "[3, 1, 4]",
+    "no_tokens": seq_text(tokens=None),
+    "no_provenance": seq_text(provenance=None),
+    "no_m": seq_text(m=None),
+    "bool_id": seq_text(tokens=with_entry("tokens", 4, True)),
+    "float_id": seq_text(tokens=with_entry("tokens", 4, 4.5)),
+    "negative_id": seq_text(tokens=with_entry("tokens", 4, -1)),
+    "id_past_4_bytes": seq_text(tokens=with_entry("tokens", 4, 2**32)),
+    "id_at_vocab": seq_text(tokens=with_entry("tokens", 4, 20)),
+    "provenance_short": seq_text(provenance=GOOD_SEQ["provenance"][:-1]),
+    "provenance_unknown_flag": seq_text(provenance=with_entry("provenance", 4, "X")),
+    "watermark_in_prompt": seq_text(provenance=with_entry("provenance", 0, "W")),
+    "negative_m": seq_text(m=-1),
+    "float_m": seq_text(m=2.5),
+    "m_at_length": seq_text(provenance=["P", "P"] + ["S"] * 8, m=10),
+    "deeply_nested": "[" * 100000,
+}
+
+FILE_COMMANDS = {
+    "detect": ("detect", "--vocab-size", "20", "--critical-value", "1"),
+    "edit_sub": ("edit", "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20"),
+    "edit_ins": ("edit", "--edit", "ins", "--fraction", "0.1", "--vocab-size", "20"),
+    "edit_del": ("edit", "--edit", "del", "--fraction", "0.1", "--vocab-size", "20"),
+    "edit_adv": ("edit", "--edit", "adv", "--fraction", "0.1", "--vocab-size", "20"),
+}
+
+NONFINITE = ("nan", "inf", "-inf")
+COUNT = ("0", "-1")  # an int flag that counts, or a length: each must be at least 1
+VOCAB = ("0", "-1", "1")
+FRACTION = (*NONFINITE, "-0.1", "1.5")  # a [0, 1] flag
+OPEN_UNIT = (*NONFINITE, "0", "-0.1", "1", "1.5")  # a (0, 1) flag
+S_VALUES = (*NONFINITE, "-1.5", "3")  # TrGoF's s lies in [-1, 2]
+C_PLUS = (*NONFINITE, "-0.1", "2")
+
+# base argv of each command (each one fast), then each flag it reads with the
+# values out of its range; "{seq}" is a valid sequence file over V = 20
+DETECTOR_FLAGS = {"--s": S_VALUES, "--c-plus": C_PLUS, "--alpha": OPEN_UNIT, "--critical-value": NONFINITE}
+FLAG_COMMANDS = {
+    "generate": (("generate", "--key", KEY, "--n", "20", "--vocab-size", "20"), {
+        "--vocab-size": VOCAB, "--n": COUNT, "--m": COUNT, "--delta": OPEN_UNIT,
+        "--delta-min": OPEN_UNIT, "--delta-max": OPEN_UNIT}),
+    "edit": (("edit", "--in", "{seq}", "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20"), {
+        "--fraction": FRACTION, "--vocab-size": (*VOCAB, "2")}),
+    "detect": (("detect", "--in", "{seq}", "--key", KEY, "--critical-value", "1"), {
+        "--vocab-size": (*VOCAB, "2"), **DETECTOR_FLAGS}),
+    "detect_opt": (("detect", "--in", "{seq}", "--key", KEY, "--critical-value", "1", "--detector", "sum",
+                    "--score", "opt"), {
+        "--delta0": (*OPEN_UNIT, "1e-300")}),
+    "detect_ind": (("detect", "--in", "{seq}", "--key", KEY, "--critical-value", "1", "--detector", "sum",
+                    "--score", "ind"), {
+        "--delta0": OPEN_UNIT}),
+    "calibrate": (("calibrate", "--n", "50"), {"--n": COUNT, **DETECTOR_FLAGS}),
+    "calibrate_opt": (("calibrate", "--n", "50", "--detector", "sum", "--score", "opt"), {
+        "--delta0": (*OPEN_UNIT, "1e-300")}),
+    "experiment_hist": (("experiment", "hist", "--n", "50", "--trials", "2", "--vocab-size", "5", "--s-list", "2"), {
+        "--n": (*COUNT, "1"), "--trials": COUNT, "--vocab-size": VOCAB, "--p": (*NONFINITE, "-1", "1.5"),
+        "--q": (*NONFINITE, "0", "-1", "1.5"), "--s-list": S_VALUES, "--c-plus": C_PLUS, "--alpha": OPEN_UNIT}),
+    "experiment_boundary": (("experiment", "boundary", "--n", "50", "--grid", "2", "--trials", "2",
+                             "--vocab-size", "5"), {
+        "--grid": VOCAB, "--n": (*COUNT, "1"), "--trials": COUNT, "--vocab-size": VOCAB, "--s": S_VALUES,
+        "--c-plus": C_PLUS}),
+    "experiment_sumboundary": (("experiment", "sumboundary", "--n", "50", "--grid", "2", "--trials", "2",
+                                "--vocab-size", "5"), {
+        "--grid": VOCAB, "--n": (*COUNT, "1"), "--trials": COUNT, "--vocab-size": VOCAB}),
+    "experiment_efficiency": (("experiment", "efficiency", "--delta-max", "0.05", "--step", "0.02"), {
+        "--eps": (*NONFINITE, "0", "-1", "1.5"), "--delta-min": (*NONFINITE, "0", "-1", "1"),
+        "--delta-max": (*NONFINITE, "0", "-1", "1"), "--step": (*NONFINITE, "0", "-1")}),
+    "experiment_gapcheck": (("experiment", "gapcheck", "--trials", "10"), {"--trials": COUNT}),
+    "experiment_tolerance": (("experiment", "tolerance", "--key", KEY, "--vocab-size", "20", "--n0", "20",
+                              "--n-test", "6", "--m", "5", "--trials", "1"), {
+        "--trials": COUNT, "--n0": COUNT, "--m": COUNT, "--n-test": COUNT, "--vocab-size": VOCAB,
+        "--delta": OPEN_UNIT, "--s": S_VALUES, "--c-plus": C_PLUS, "--alpha": OPEN_UNIT}),
+}
+
+# numeric flags each command has but does not read, set all at once to each
+# kind of bad value (an int flag takes only the finite ones)
+EXPERIMENT_INT_FLAGS = ("--n", "--grid", "--trials", "--vocab-size", "--m", "--n0", "--n-test")
+EXPERIMENT_FLOAT_FLAGS = ("--p", "--q", "--s", "--s-list", "--c-plus", "--alpha", "--eps", "--delta-min",
+                          "--delta-max", "--step", "--delta")
+
+
+def unread_by(suite: str, flags: tuple) -> tuple:
+    return tuple(f for f in flags if f not in FLAG_COMMANDS[f"experiment_{suite}"][1])
+
+
+UNREAD_FLAGS = {
+    "generate_delta": ((), ("--delta",)),
+    "detect": (("--reps", "--outer"), ()),
+    "detect_sum": (("--reps", "--outer"), ("--s", "--c-plus", "--delta0")),
+    "detect_hc": ((), ("--s", "--delta0")),
+    "calibrate": (("--reps", "--outer"), ("--delta0",)),
+    **{f"experiment_{suite}": (unread_by(suite, EXPERIMENT_INT_FLAGS), unread_by(suite, EXPERIMENT_FLOAT_FLAGS))
+       for suite in ("hist", "boundary", "sumboundary", "efficiency", "gapcheck", "tolerance")},
+}
+UNREAD_BASE = {"generate_delta": FLAG_COMMANDS["generate"][0] + ("--delta-min", "0.2", "--delta-max", "0.4"),
+               "detect_sum": FLAG_COMMANDS["detect"][0] + ("--detector", "sum"),
+               "detect_hc": FLAG_COMMANDS["detect"][0] + ("--detector", "hc")}
+UNREAD_VALUES = {"nan": ("nan", None), "inf": ("inf", None), "-inf": ("-inf", None), "0": ("0", "0"),
+                 "-1": ("-1", "-1"), "huge": ("1e300", "1000000000000")}
+
+
+def bad_input_cases() -> list:
+    cases = []
+    for file_name, text in BAD_SEQ_FILES.items():
+        for cmd_name, argv in FILE_COMMANDS.items():
+            cases.append(pytest.param(text, (*argv, "--in", "{seq}", "--key", KEY), True,
+                                      id=f"file-{file_name}-{cmd_name}"))
+    for cmd_name, (argv, flags) in FLAG_COMMANDS.items():
+        for flag, values in flags.items():
+            for value in values:
+                cases.append(pytest.param(None, (*argv, f"{flag}={value}"), True,
+                                          id=f"flag-{cmd_name}-{flag[2:]}={value}"))
+    for cmd_name, (int_flags, float_flags) in UNREAD_FLAGS.items():
+        argv = UNREAD_BASE.get(cmd_name) or FLAG_COMMANDS[cmd_name][0]
+        for label, (float_value, int_value) in UNREAD_VALUES.items():
+            unread = [f"{f}={float_value}" for f in float_flags]
+            if int_value is not None:
+                unread += [f"{f}={int_value}" for f in int_flags]
+            if unread:
+                cases.append(pytest.param(None, (*argv, *unread), False, id=f"unread-{cmd_name}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("text, argv, refused", bad_input_cases())
+def test_bad_input_exits_with_one_line(seq_file, tmp_path, capsys, text, argv, refused):
+    # a refused input exits 2 or 3 with one usage or data error line and writes
+    # nothing; a run whose bad values sit only in unread flags exits 0, and its
+    # manifest, which records them, is strict JSON
+    if text is not None:
+        seq = tmp_path / "bad.json"
+        seq.write_text(text)
+    else:
+        seq = seq_file
+    out = str(tmp_path / "out")
+    target = ("--out-dir", out) if argv[0] == "experiment" else ("--out", out)
+    code = run(*(a.format(seq=seq) for a in argv), *target)
+    err = capsys.readouterr().err
+    if refused:
+        assert code in (2, 3), (code, err)
+        assert err.count("\n") == 1 and err.startswith(("usage error: ", "data error: ")), err
+        assert not os.path.exists(out)
+    else:
+        assert (code, err) == (0, "")
+        manifest = os.path.join(out, "manifest.json") if argv[0] == "experiment" else out + ".manifest.json"
+        json.loads(read_text(manifest), parse_constant=pytest.fail)

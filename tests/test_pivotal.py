@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -229,12 +230,25 @@ class TestAltSample:
         (np.full((2, 2, 2), 0.5), 0.5, "1-d vector over a vocabulary of size >= 2"),
         ([-0.5, 1.5], 0.5, "negative entries"),
         ([0.5, 0.4], 0.5, "sums to"),
-        (np.array([[0.5, 0.5], [0.3, 0.6]]), [0.5, 0.5], "NTP row has negative entries or a total off 1"),
+        (np.array([[0.5, 0.5], [0.3, 0.6]]), [0.5, 0.5], "NTP distribution sums to 0.8999999999999999, not 1"),
         (np.array([[0.5, 0.5], [0.3, 0.7]]), [0.5], r"a block of 2 laws needs u of shape \(2,\)"),
+        (np.array([[0.5, 0.5], [0.3, 0.7], [-0.5, 1.5]]), [0.5] * 3, "^NTP distribution has negative entries$"),
+        ([math.nan, 0.5], 0.3, "^NTP distribution sums to nan, not 1"),
+        (np.array([[0.5, 0.5], [math.nan, 1.0]]), [0.3, 0.3], "^NTP distribution sums to nan, not 1"),
     ])
     def test_error_messages(self, probs, u, message):
         with pytest.raises(ValueError, match=message):
             alt_sample(probs, u)
+
+    def test_block_reports_its_first_off_total_as_one_law_does(self):
+        # row 1 sums to 0.9, row 2 to 1.2: the first off total is named, in the
+        # words check_ntp_dist uses for one law
+        block = np.array([[0.5, 0.5], [0.4, 0.5], [0.6, 0.6]])
+        message = "NTP distribution sums to 0.9, not 1 within 1e-12"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            alt_sample(block, [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            alt_sample(block[1], 0.5)
 
     def test_end_clamp_takes_last_token_with_mass(self):
         # the total rounds to 1 - 1e-13 < u: u lands on token 1, the last with
@@ -355,3 +369,13 @@ class TestPivotSeries:
         block = PivotSeries.from_y(np.full((3, 7), 0.5))
         assert block.n == 7 and PivotSeries.from_y(block.y[1]).n == 7
         assert PivotSeries.from_y(np.full(5, 0.5)).n == 5
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 40)], ids=["series", "block"])
+    def test_p_is_derived_from_y(self, shape):
+        # y is the one field: no series can carry p-values that disagree with it
+        assert [f.name for f in dataclasses.fields(PivotSeries)] == ["y"]
+        y = np.random.default_rng(3).random(shape)
+        with pytest.raises(TypeError):
+            PivotSeries(y=y, p=1.0 - y)
+        series = PivotSeries.from_y(y)
+        assert series.p.shape == shape and series.p.tobytes() == (1.0 - series.y).tobytes()
