@@ -6,10 +6,10 @@ configuration, seed, tool and library versions, output paths, and wall-clock
 time: ``<out>.manifest.json`` beside a single output, ``<out-dir>/manifest.json``
 for an experiment suite.
 
-Every file is UTF-8 and written by one helper per format: CSV with a header
-row, '.' decimals and '\\n' line endings (``_write_csv``); JSON with indent 2,
-sorted keys and a trailing newline (``_write_json``); token sequences as one
-JSON line (``_write_seq``).
+Every file goes through one writer (``_write_file``): filled as ``<path>.tmp``
+and renamed over its target, it is whole or absent, UTF-8 with '\\n' endings.
+CSV has a header row and '.' decimals; JSON has indent 2, sorted keys and a
+trailing newline; a token sequence is one JSON line.
 
 The parser is built on the first ``main`` call and shared by every later one
 (``parse_args`` never changes it): a caller that loops over ``main`` skips the
@@ -17,8 +17,8 @@ The parser is built on the first ``main`` call and shared by every later one
 functions: ``main`` looks up ``cmd_<command>`` and ``cmd_experiment``
 ``_suite_<suite>`` when they run, so a patched command is the one that runs.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
-breach.
+Exit codes: 0 success, 2 usage error (one ``usage error:`` line, also for an
+argument argparse refuses), 3 data error, 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -62,6 +63,11 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an argument argparse refuses: one usage error line, not its usage block
+        raise UsageError(message)
+
+
 @contextlib.contextmanager
 def _flags(context: str = ""):
     """Run library code on flag values, whose ranges the library owns: a
@@ -72,35 +78,36 @@ def _flags(context: str = ""):
         raise UsageError(f"{context}{exc}") from exc
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """A header row, then ``rows`` as they are produced (a generator streams),
-    into ``path + ".tmp"``, renamed to ``path`` once every row is written."""
+def _write_file(path: str, fill) -> None:
+    """``fill(fh)`` writes ``path + ".tmp"``, renamed to ``path`` once filled;
+    if anything raises, the temporary goes and ``path`` is left as it was."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+            fill(fh)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the rows raised: no partial CSV is left
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """A header row, then ``rows`` as they are produced (a generator streams)."""
+    _write_file(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(itertools.chain([header], rows)))
 
 
 def _write_json(path: str, obj) -> None:
     """A NaN or infinity is not JSON: a ValueError naming ``path``, and no file."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def _write_seq(path: str, seq: TokenSeq) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(seq.to_json())
-        fh.write("\n")
+    _write_file(path, lambda fh: fh.write(seq.to_json() + "\n"))
 
 
 def _write_manifest(path: str, command: str, config: dict, seed, outputs: list[str], started: float,
@@ -431,8 +438,8 @@ def _add_detector_args(p: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gumbelmark",
-                                 description="Gumbel-max watermarking with truncated goodness-of-fit detection")
+    ap = _Parser(prog="gumbelmark",
+                 description="Gumbel-max watermarking with truncated goodness-of-fit detection")
     ap.add_argument("--version", action="version", version=f"gumbelmark {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -502,13 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)  # every subparser is a _Parser too
         return globals()[f"cmd_{args.command}"](args)
+    except SystemExit:  # --help and --version, which print and exit 0
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -223,6 +223,49 @@ class TestByteGoldens:
         assert "Warning" not in capsys.readouterr().err
 
 
+# a run that writes the targets, a second run whose write fails once its
+# temporary is filled, and the suffix of the target whose os.replace fails
+# (None: a CSV row raises mid-file); "{seq}" is a sequence file, "{out}" tmp_path
+TOLERANCE_ARGS = ("experiment", "tolerance", "--key", KEY, "--n0", "40", "--n-test", "30", "--m", "5",
+                  "--trials", "1", "--out-dir", "{out}/tol")
+FAILED_WRITES = {
+    "sequence": (("generate", "--key", KEY, *GEN_ARGS, "--out", "{out}/seq.json"), ("--seed", "6"), "seq.json",
+                 ("seq.json", "seq.json.manifest.json")),
+    "verdict": (("detect", "--in", "{seq}", "--key", KEY, "--critical-value", "1", "--out", "{out}/v.json"),
+                ("--calibrate",), "v.json", ("v.json", "v.json.manifest.json")),
+    "manifest": (("detect", "--in", "{seq}", "--key", KEY, "--critical-value", "1", "--out", "{out}/v.json"),
+                 ("--calibrate",), "v.json.manifest.json", ("v.json.manifest.json",)),
+    "calibration": (("calibrate", "--n", "50", "--out", "{out}/c.json"), ("--n", "60"), "c.json",
+                    ("c.json", "c.json.manifest.json")),
+    "csv": (TOLERANCE_ARGS, ("--alpha", "1e-30"), None, ("tol/tolerance.csv", "tol/manifest.json")),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_WRITES)
+def test_failed_write_leaves_the_old_file(seq_file, tmp_path, capsys, monkeypatch, case):
+    # every file goes through one temp-and-rename writer: a write that fails
+    # after its temporary is filled exits 3 and leaves the target it would
+    # have replaced byte for byte, and no temporary
+    first, changed, fail_suffix, kept = FAILED_WRITES[case]
+    argv = [a.format(seq=seq_file, out=tmp_path) for a in first]
+    assert run(*argv) == 0
+    before = {name: read_text(str(tmp_path / name), "rb") for name in kept}
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(fail_suffix):
+            assert os.path.getsize(src) > 0, "the temporary is filled before it replaces its target"
+            raise OSError(f"cannot replace {dst}")
+        return real_replace(src, dst)
+
+    if fail_suffix is not None:
+        monkeypatch.setattr(os, "replace", replace)
+    assert run(*argv, *changed) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert {name: read_text(str(tmp_path / name), "rb") for name in kept} == before
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 # a detector flag out of its range, and the text of the rule it breaks
 BAD_DETECTOR_FLAGS = {
     ("--detector", "trgof", "--s", "3"): "s must lie in [-1, 2], got 3.0",
@@ -820,10 +863,16 @@ class TestParser:
     def test_errors_leave_the_parser_usable(self, seq_file, tmp_path, capsys):
         reused, fresh = str(tmp_path / "reused.json"), str(tmp_path / "fresh.json")
         detect = ("detect", "--in", seq_file, "--key", KEY, "--calibrate", "--out")
+        # an argument argparse refuses is one usage error line, not its usage block
         assert run(*detect, reused, "--no-such-flag") == 2
-        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --no-such-flag\n"
+        assert run("calibrate", "--n", "1.5", "--out", reused) == 2
+        assert capsys.readouterr().err == "usage error: argument --n: invalid int value: '1.5'\n"
+        assert not os.path.exists(reused)
         assert run("--version") == 0
         assert capsys.readouterr().out == f"gumbelmark {__version__}\n"
+        assert run("calibrate", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: gumbelmark calibrate")
         assert run(*detect, reused) == 0
         cli.build_parser.cache_clear()
         assert run(*detect, fresh) == 0
@@ -1087,6 +1136,16 @@ UNREAD_VALUES = {"nan": ("nan", None), "inf": ("inf", None), "-inf": ("-inf", No
                  "-1": ("-1", "-1"), "huge": ("1e300", "1000000000000")}
 
 
+# arguments argparse itself refuses: a value an int flag or --seed cannot
+# take, an unknown flag, a missing required flag or subcommand
+ARGPARSE_INT_FLAGS = {"generate": ("--vocab-size", "--n", "--m"), "edit": ("--vocab-size",),
+                      "detect": ("--vocab-size", "--reps", "--outer"), "calibrate": ("--n", "--reps", "--outer"),
+                      "experiment_gapcheck": EXPERIMENT_INT_FLAGS}
+ARGPARSE_MISSING = {"generate-n": ("generate", "--null"), "edit-edit": ("edit", "--in", "{seq}", "--fraction", "0.1"),
+                    "detect-in": ("detect", "--key", KEY, "--critical-value", "1"), "calibrate-n": ("calibrate",),
+                    "experiment-suite": ("experiment",)}
+
+
 def bad_input_cases() -> list:
     cases = []
     for file_name, text in BAD_SEQ_FILES.items():
@@ -1098,6 +1157,13 @@ def bad_input_cases() -> list:
             for value in values:
                 cases.append(pytest.param(None, (*argv, f"{flag}={value}"), True,
                                           id=f"flag-{cmd_name}-{flag[2:]}={value}"))
+    for cmd_name, int_flags in ARGPARSE_INT_FLAGS.items():
+        argv = FLAG_COMMANDS[cmd_name][0]
+        for bad in (*(f"{f}={v}" for f in (*int_flags, "--seed") for v in ("1.5", "x")), "--seed=-1",
+                    "--no-such-flag"):
+            cases.append(pytest.param(None, (*argv, bad), True, id=f"argparse-{cmd_name}-{bad[2:]}"))
+    for label, argv in ARGPARSE_MISSING.items():
+        cases.append(pytest.param(None, argv, True, id=f"argparse-missing-{label}"))
     for cmd_name, (int_flags, float_flags) in UNREAD_FLAGS.items():
         argv = UNREAD_BASE.get(cmd_name) or FLAG_COMMANDS[cmd_name][0]
         for label, (float_value, int_value) in UNREAD_VALUES.items():
