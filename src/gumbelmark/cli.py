@@ -1,10 +1,11 @@
 """Command-line interface: generate, edit, detect, calibrate, experiment.
 
 All randomness flows from --seed through named substreams; no ambient
-entropy. Every run writes a manifest JSON recording the command, full
-configuration, seed, tool and library versions, output paths, and wall-clock
-time: ``<out>.manifest.json`` beside a single output, ``<out-dir>/manifest.json``
-for an experiment suite.
+entropy. Each command returns its run's record, and ``main`` writes the
+manifest from it: command, full configuration, seed, tool and library versions,
+outputs with the SHA-256 of each as read back from disk, and wall-clock time
+(``detect`` adds its stage times), at ``<out>.manifest.json`` beside a single
+output or ``<out-dir>/manifest.json`` for a suite. A command that raises writes none.
 
 Every file goes through one writer (``_write_file``): filled as ``<path>.tmp``
 and renamed over its target, it is whole or absent, UTF-8 with '\\n' endings.
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -35,6 +37,7 @@ import platform
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -110,19 +113,24 @@ def _write_seq(path: str, seq: TokenSeq) -> None:
     _write_file(path, lambda fh: fh.write(seq.to_json() + "\n"))
 
 
-def _write_manifest(path: str, command: str, config: dict, seed, outputs: list[str], started: float,
-                    timings: dict | None = None) -> None:
+def _write_manifest(args, record: dict, started: float) -> None:
+    """The manifest of the run whose command returned ``record``; each output
+    is pinned by the SHA-256 of its bytes as read back from disk."""
+    suite = args.command == "experiment"
+    config, outputs = record["config"], record["outputs"]
     manifest = {
-        "command": command,
+        "command": f"experiment {args.suite}" if suite else args.command,
         "config": config,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "library_versions": {"python": platform.python_version(), "numpy": np.__version__},  # all the package loads
         "outputs": outputs,
+        "output_sha256": {out: hashlib.sha256(Path(out).read_bytes()).hexdigest() for out in outputs},
         "wall_clock_s": round(time.time() - started, 6),
     }
-    if timings is not None:
-        manifest["timings_s"] = {stage: round(sec, 6) for stage, sec in timings.items()}
+    if "timings_s" in record:
+        manifest["timings_s"] = {stage: round(sec, 6) for stage, sec in record["timings_s"].items()}
+    path = os.path.join(args.out_dir, "manifest.json") if suite else args.out + ".manifest.json"
     try:
         _write_json(path, manifest)
     except ValueError:  # a flag the command does not read may hold NaN or infinity, which JSON lacks:
@@ -195,8 +203,7 @@ def _c_plus_arg(text: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    started = time.time()
+def cmd_generate(args) -> dict:
     with _flags(f"--n {args.n} and --m {args.m}: "):
         cfg = GenConfig(n=args.n, m=args.m, masking=args.masking, seed=child_seed(args.seed, 1))
     with _flags():
@@ -208,13 +215,11 @@ def cmd_generate(args) -> int:
         key = _resolve_key(args)
         seq = generate(source, key, prompt, cfg)
     _write_seq(args.out, seq)
-    config = {k: getattr(args, k) for k in ("n", "m", "vocab_size", "delta", "delta_min", "delta_max", "masking", "null")}
-    _write_manifest(args.out + ".manifest.json", "generate", config, args.seed, [args.out], started)
-    return EXIT_OK
+    return {"config": {k: getattr(args, k) for k in ("n", "m", "vocab_size", "delta", "delta_min", "delta_max",
+                                                     "masking", "null")}, "outputs": [args.out]}
 
 
-def cmd_edit(args) -> int:
-    started = time.time()
+def cmd_edit(args) -> dict:
     with _flags():
         check_vocab_size(args.vocab_size)
         check_fraction(args.fraction, "--fraction")
@@ -224,13 +229,11 @@ def cmd_edit(args) -> int:
     else:
         out = apply_random_edit(seq, args.edit, args.fraction, args.vocab_size, args.seed)
     _write_seq(args.out, out)
-    config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile}
-    _write_manifest(args.out + ".manifest.json", "edit", config, args.seed, [args.out], started)
-    return EXIT_OK
+    return {"config": {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile},
+            "outputs": [args.out]}
 
 
-def cmd_detect(args) -> int:
-    started = time.time()
+def cmd_detect(args) -> dict:
     if args.critical_value is None and not args.calibrate:
         raise UsageError("need --critical-value or --calibrate")
     if args.vocab_size is not None:
@@ -261,22 +264,18 @@ def cmd_detect(args) -> int:
     }
     t4 = time.perf_counter()
     _write_json(args.out, verdict)
-    config = {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}
-    timings = {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}
-    _write_manifest(args.out + ".manifest.json", "detect", config, args.seed, [args.out], started, timings)
-    return EXIT_OK
+    return {"config": {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}, "outputs": [args.out],
+            "timings_s": {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}}
 
 
-def cmd_calibrate(args) -> int:
-    started = time.time()
+def cmd_calibrate(args) -> dict:
     with _flags():
         spec = _detector_spec(args)
     with _flags(f"cannot calibrate at --n {args.n}: "):  # the detector and critical_value own the least n
         detector = spec.detector(args.n).fit(args.n, args.alpha)
     config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
     _write_json(args.out, dict(config, critical_value=detector.critical_value))
-    _write_manifest(args.out + ".manifest.json", "calibrate", config, args.seed, [args.out], started)
-    return EXIT_OK
+    return {"config": config, "outputs": [args.out]}
 
 
 def _suite_hist(args) -> list[str]:
@@ -397,8 +396,7 @@ def _suite_tolerance(args) -> list[str]:
     return [path]
 
 
-def cmd_experiment(args) -> int:
-    started = time.time()
+def cmd_experiment(args) -> dict:
     config = {k: v for k, v in vars(args).items() if k not in ("suite", "key") and v is not None}
     args.out_dir = os.path.realpath(args.out_dir)  # ".." and symlinks resolved as the kernel does
     made, head = [], args.out_dir
@@ -413,9 +411,7 @@ def cmd_experiment(args) -> int:
             if os.path.isdir(path) and not os.listdir(path):
                 os.rmdir(path)
         raise
-    _write_manifest(os.path.join(args.out_dir, "manifest.json"), f"experiment {args.suite}", config,
-                    args.seed, outputs, started)
-    return EXIT_OK
+    return {"config": config, "outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # every subparser is a _Parser too
-        return globals()[f"cmd_{args.command}"](args)
+        started = time.time()
+        _write_manifest(args, globals()[f"cmd_{args.command}"](args), started)  # a command that raises writes none
+        return EXIT_OK
     except SystemExit:  # --help and --version, which print and exit 0
         return EXIT_OK
     except UsageError as exc:

@@ -264,6 +264,44 @@ def test_failed_write_leaves_the_old_file(seq_file, tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.startswith("data error: ")
     assert {name: read_text(str(tmp_path / name), "rb") for name in kept} == before
     assert list(tmp_path.rglob("*.tmp")) == []
+    if case == "manifest":  # the new verdict beside the old manifest: its pinned digest tells them apart
+        verdict = str(tmp_path / "v.json")
+        assert read_json(verdict + ".manifest.json")["output_sha256"][verdict] != sha256_of(verdict)
+
+
+# each command's run: its argv ("{seq}" a sequence file, "{out}" the out dir),
+# where its manifest sits, the command it records, and its outputs
+MANIFESTS = {
+    "generate": (("generate", "--key", KEY, *GEN_ARGS, "--out", "{out}/seq.json"), "seq.json.manifest.json",
+                 "generate", ("seq.json",)),
+    "edit": (("edit", "--in", "{seq}", "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20", "--seed", "4",
+              "--out", "{out}/e.json"), "e.json.manifest.json", "edit", ("e.json",)),
+    "detect": (("detect", "--in", "{seq}", "--key", KEY, "--calibrate", "--seed", "2", "--out", "{out}/v.json"),
+               "v.json.manifest.json", "detect", ("v.json",)),
+    "calibrate": (("calibrate", "--n", "50", "--seed", "3", "--out", "{out}/c.json"), "c.json.manifest.json",
+                  "calibrate", ("c.json",)),
+    "suite": (("experiment", "hist", "--n", "50", "--trials", "2", "--vocab-size", "5", "--s-list", "1",
+               "--seed", "8", "--out-dir", "{out}/h"), "h/manifest.json", "experiment hist",
+              ("h/hist_samples.csv", "h/hist_power.json")),
+}
+
+
+@pytest.mark.parametrize("case", MANIFESTS)
+def test_manifest_pins_each_output(seq_file, tmp_path, case):
+    # main writes every manifest from the record its command returns: at its
+    # path, naming the command, the seed and the outputs, each output pinned
+    # by the SHA-256 of the bytes on disk
+    argv, manifest_name, command, names = MANIFESTS[case]
+    out = os.path.realpath(tmp_path)
+    argv = [a.format(seq=seq_file, out=out) for a in argv]
+    assert run(*argv) == 0
+    manifest = read_json(os.path.join(out, manifest_name))
+    outputs = [os.path.join(out, name) for name in names]
+    assert manifest["command"] == command and manifest["outputs"] == outputs
+    assert manifest["seed"] == int(argv[argv.index("--seed") + 1])
+    assert manifest["output_sha256"] == {path: sha256_of(path) for path in outputs}
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        [os.path.basename(manifest_name), *map(os.path.basename, names)] + (["h"] if case == "suite" else []))
 
 
 # a detector flag out of its range, and the text of the rule it breaks
@@ -369,7 +407,8 @@ class TestDetect:
         assert weak["p_value"] == null_sf(det, 300, weak["statistic"]) > 1e-3
         manifest = read_json(out + ".manifest.json")
         assert set(manifest) == {"command", "config", "seed", "version", "library_versions", "outputs",
-                                 "wall_clock_s", "timings_s"}
+                                 "output_sha256", "wall_clock_s", "timings_s"}
+        assert manifest["output_sha256"] == {out: sha256_of(out)}
         # the package loads no other library, though the test suite has loaded scipy
         versions = manifest["library_versions"]
         assert versions == {"python": platform.python_version(), "numpy": np.__version__}
@@ -897,11 +936,13 @@ class TestParser:
         # after the first main call (a stub, a tracer's wrapper) is the one run
         assert run("calibrate", "--n", "50", "--out", str(tmp_path / "c.json")) == 0
         ran = []
-        monkeypatch.setattr(cli, "cmd_detect", lambda args: ran.append(("detect", args.infile)) or 0)
+        monkeypatch.setattr(cli, "cmd_detect",
+                            lambda args: ran.append(("detect", args.infile)) or {"config": {}, "outputs": []})
         monkeypatch.setattr(cli, "_suite_efficiency", lambda args: ran.append(("efficiency", args.eps)) or [])
-        assert run("detect", "--in", "seq.json", "--critical-value", "1", "--out", "v.json") == 0
+        assert run("detect", "--in", "seq.json", "--critical-value", "1", "--out", str(tmp_path / "v.json")) == 0
         assert run("experiment", "efficiency", "--eps", "0.5", "--out-dir", str(tmp_path / "eff")) == 0
         assert ran == [("detect", "seq.json"), ("efficiency", 0.5)]
+        assert read_json(str(tmp_path / "v.json.manifest.json"))["outputs"] == []
         assert read_json(str(tmp_path / "eff" / "manifest.json"))["outputs"] == []
 
     @pytest.mark.parametrize("argv", [
