@@ -118,7 +118,8 @@ def gumbel_decode(probs, xi):
 
 
 def _prompt_windows(prompt: list[int], m: int) -> set[tuple[int, ...]]:
-    return {tuple(prompt[i : i + m]) for i in range(len(prompt) - m + 1)}
+    """The contexts of the prompt's tokens past its m-th; the first generated token's is not one."""
+    return {tuple(prompt[i : i + m]) for i in range(len(prompt) - m)}
 
 
 def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:

@@ -112,17 +112,19 @@ class TestGenerate:
 
 # sha256 of the bytes each command writes, recorded before generate and
 # generate_null shared one loop and random edits took plain arguments; the
-# opt_0.9 verdict re-pinned when verdicts dropped their p_value_floor field
+# opt_0.9 verdict re-pinned when verdicts dropped their p_value_floor field,
+# and every watermarked one when the first generated token's context stopped
+# counting as seen (null and no_masking kept theirs)
 GOLDEN_SHA256 = {
-    "generate": "2487e70d333eae8a592579937f22e580ceb16128de8d9fa59094313c5434a591",
+    "generate": "c5c399001b9e5b24db806ccbbee07ce6974a87efda5e8d636c1e09d3c6ebbee0",
     "null": "58ee7c36a744d1aaeabe4d06ca44997a58186adb9d0dbae24ce7809f9f31d2ae",
     "no_masking": "f7be964c64d24f1a6e80e3c0443b7acfba9dd5f165e28a596b4cc9874b8a15ef",
-    "sub": "cd561e12672e871e4749c5cba1b54a9cfb2d4e2ddc271538ab0b5658a05d6ede",
-    "ins": "72678bbcdbfa3e3a4d35db5a8c9eb2c1561f5da2393ae5b56655099ee5dab81d",
-    "del": "3a9d12fbf35ec9c5d45cfea75e0d4e2d4c9aca20223567f01982f635997aa87b",
-    "adv": "df19bc8b4be753865bab35115f402a7b0e4795d549a84ec27a99d48d9ecbe276",
-    "tolerance": "ce2b607955a32804fef4d10d2e697bd4b4838fbf1b6040ca820e8b7327ebbc01",
-    "opt_0.9": "fb55157be6626838d5c4f1d13b274169cf0e0bce8a42b2a37e08bc2fd14f8508",
+    "sub": "6a8755164db17a6e990a599d78c8bb3957be792cfca47501562c25d98406e64d",
+    "ins": "e45045abfdb918807c3247f6e5977b3bd49bc431a3d116e8ce540e609f1cb6d0",
+    "del": "73faa3766fee76bc917bf7125e1bc885e45803d7e1b18fe77f68afcf431ff353",
+    "adv": "b8c0f27ecad2d7752314c97e1cf3b902e718836632b47735c709ed881130420c",
+    "tolerance": "a33216e82f4720a6457b433f18c50fbc0a4ab61adb456bb7ae4a29fef3b33957",
+    "opt_0.9": "3a0197f42f421d2ad2ee788f5d26423ae28f9ca45eddbed456a7a55932e9ffaa",
 }
 GEN_ARGS = ("--n", "80", "--m", "2", "--vocab-size", "20", "--seed", "5")
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,17 @@ class TestGenerate:
         seq = generate(src, self.key, [0, 1, 0, 1, 1], GenConfig(n=50, m=5, masking=True, seed=1))
         assert "S" in seq.provenance[5:]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_generated_token_is_watermarked(self, seed):
+        # the windows a prompt marks seen are the contexts of its own tokens
+        # past the m-th: a prompt of exactly m tokens marks none, so the first
+        # generated token is watermarked; a prompt that already used the first
+        # token's context leaves it sampled
+        src = ToySource(1000, (0.3, 0.3), seed=seed)
+        cfg = GenConfig(n=5, m=5, masking=True, seed=seed)
+        assert generate(src, self.key, self.prompt, cfg).provenance[5] == "W"
+        assert generate(src, self.key, [0, 1, 0, 1], replace(cfg, m=2)).provenance[4] == "S"
+
     @pytest.mark.parametrize("vocab", [2, 5, 20])
     def test_watermarked_token_is_decoded_prf_vector(self, vocab):
         # generate hashes and decodes unchecked; each W token must be what the
@@ -147,7 +160,7 @@ def reference_generate(source, key, prompt, cfg):
     window's uniforms are made afresh through the public functions."""
     tokens, prov = list(prompt), ["P"] * len(prompt)
     fallback = np.random.default_rng(cfg.seed)
-    seen = {tuple(prompt[i : i + cfg.m]) for i in range(len(prompt) - cfg.m + 1)} if cfg.masking else set()
+    seen = {tuple(prompt[i : i + cfg.m]) for i in range(len(prompt) - cfg.m)} if cfg.masking else set()
     for _ in range(cfg.n):
         window = tuple(tokens[-cfg.m :])
         probs = toy_next_dist(source, tokens)
