@@ -114,8 +114,7 @@ def _write_seq(path: str, seq: TokenSeq) -> None:
 
 
 def _write_manifest(args, record: dict, started: float) -> None:
-    """The manifest of the run whose command returned ``record``; each output
-    is pinned by the SHA-256 of its bytes as read back from disk."""
+    """The manifest of the run whose command returned ``record``, each output pinned by its SHA-256 on disk."""
     suite = args.command == "experiment"
     config, outputs = record["config"], record["outputs"]
     manifest = {
@@ -215,8 +214,8 @@ def cmd_generate(args) -> dict:
         key = _resolve_key(args)
         seq = generate(source, key, prompt, cfg)
     _write_seq(args.out, seq)
-    return {"config": {k: getattr(args, k) for k in ("n", "m", "vocab_size", "delta", "delta_min", "delta_max",
-                                                     "masking", "null")}, "outputs": [args.out]}
+    config = {k: getattr(args, k) for k in ("n", "m", "vocab_size", "delta", "delta_min", "delta_max", "masking", "null")}
+    return {"config": config, "outputs": [args.out]}
 
 
 def cmd_edit(args) -> dict:
@@ -229,8 +228,8 @@ def cmd_edit(args) -> dict:
     else:
         out = apply_random_edit(seq, args.edit, args.fraction, args.vocab_size, args.seed)
     _write_seq(args.out, out)
-    return {"config": {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile},
-            "outputs": [args.out]}
+    config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile}
+    return {"config": config, "outputs": [args.out]}
 
 
 def cmd_detect(args) -> dict:
@@ -264,8 +263,9 @@ def cmd_detect(args) -> dict:
     }
     t4 = time.perf_counter()
     _write_json(args.out, verdict)
-    return {"config": {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}, "outputs": [args.out],
-            "timings_s": {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}}
+    config = {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}
+    timings = {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}
+    return {"config": config, "outputs": [args.out], "timings_s": timings}
 
 
 def cmd_calibrate(args) -> dict:

@@ -118,8 +118,7 @@ def gumbel_decode(probs, xi):
 
 
 def _prompt_windows(prompt: list[int], m: int) -> set[tuple[int, ...]]:
-    """The contexts of the prompt's tokens past its m-th; the first generated token's is not one."""
-    return {tuple(prompt[i : i + m]) for i in range(len(prompt) - m)}
+    return {tuple(prompt[i : i + m]) for i in range(len(prompt) - m)}  # the contexts of its tokens past the m-th
 
 
 def generate(source: ToySource, key, prompt, cfg: GenConfig) -> TokenSeq:
