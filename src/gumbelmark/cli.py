@@ -6,6 +6,9 @@ manifest from it: command, full configuration, seed, tool and library versions,
 outputs with the SHA-256 of each as read back from disk, and wall-clock time
 (``detect`` adds its stage times), at ``<out>.manifest.json`` beside a single
 output or ``<out-dir>/manifest.json`` for a suite. A command that raises writes none.
+Each path it records is the ``os.path.realpath`` of the one the run used, found
+from any directory. Its configuration is serialized one way: a NaN or infinity,
+which JSON lacks, is the string "NaN", "Infinity" or "-Infinity".
 
 Every file goes through one writer (``_write_file``): filled as ``<path>.tmp``
 and renamed over its target, it is whole or absent, UTF-8 with '\\n' endings.
@@ -19,7 +22,8 @@ functions: ``main`` looks up ``cmd_<command>`` and ``cmd_experiment``
 ``_suite_<suite>`` when they run, so a patched command is the one that runs.
 
 Exit codes: 0 success, 2 usage error (one ``usage error:`` line, also for an
-argument argparse refuses), 3 data error, 4 internal invariant breach.
+argument argparse refuses), 3 data error (also an array too large to
+allocate), 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -116,10 +120,10 @@ def _write_seq(path: str, seq: TokenSeq) -> None:
 def _write_manifest(args, record: dict, started: float) -> None:
     """The manifest of the run whose command returned ``record``, each output pinned by its SHA-256 on disk."""
     suite = args.command == "experiment"
-    config, outputs = record["config"], record["outputs"]
+    outputs = [os.path.realpath(out) for out in record["outputs"]]  # found from any directory
     manifest = {
         "command": f"experiment {args.suite}" if suite else args.command,
-        "config": config,
+        "config": json.loads(json.dumps(record["config"]), parse_constant=str),  # an unread flag may be NaN
         "seed": args.seed,
         "version": __version__,
         "library_versions": {"python": platform.python_version(), "numpy": np.__version__},  # all the package loads
@@ -129,12 +133,7 @@ def _write_manifest(args, record: dict, started: float) -> None:
     }
     if "timings_s" in record:
         manifest["timings_s"] = {stage: round(sec, 6) for stage, sec in record["timings_s"].items()}
-    path = os.path.join(args.out_dir, "manifest.json") if suite else args.out + ".manifest.json"
-    try:
-        _write_json(path, manifest)
-    except ValueError:  # a flag the command does not read may hold NaN or infinity, which JSON lacks:
-        manifest["config"] = json.loads(json.dumps(config), parse_constant=str)  # "NaN", "Infinity", "-Infinity"
-        _write_json(path, manifest)
+    _write_json(os.path.join(args.out_dir, "manifest.json") if suite else args.out + ".manifest.json", manifest)
 
 
 def _resolve_key(args) -> Key:
@@ -174,6 +173,12 @@ def _detector_spec(args) -> BoundarySpec:
         score_kind = ScoreKind(args.score, args.delta0 if args.score in ("ind", "opt") else None)
     return BoundarySpec(name=args.detector, kind=args.detector, s=args.s, c_plus_rule=args.c_plus,
                         score_kind=score_kind)
+
+
+def _trgof_spec(s: float, c_plus, flag: str = "--s") -> BoundarySpec:
+    """The TrGoF spec of a suite; a value it refuses is a usage error naming ``flag`` and --c-plus."""
+    with _flags(f"{flag} {s} and --c-plus {c_plus}: "):
+        return BoundarySpec(name=f"trgof_s{s:g}", kind="trgof", s=s, c_plus_rule=c_plus)
 
 
 def _s_list(text: str) -> list[float]:
@@ -228,7 +233,8 @@ def cmd_edit(args) -> dict:
     else:
         out = apply_random_edit(seq, args.edit, args.fraction, args.vocab_size, args.seed)
     _write_seq(args.out, out)
-    config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size, "in": args.infile}
+    config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size,
+              "in": os.path.realpath(args.infile)}
     return {"config": config, "outputs": [args.out]}
 
 
@@ -263,7 +269,7 @@ def cmd_detect(args) -> dict:
     }
     t4 = time.perf_counter()
     _write_json(args.out, verdict)
-    config = {"detector": detector.to_config(), "alpha": args.alpha, "in": args.infile}
+    config = {"detector": detector.to_config(), "alpha": args.alpha, "in": os.path.realpath(args.infile)}
     timings = {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}
     return {"config": config, "outputs": [args.out], "timings_s": timings}
 
@@ -282,11 +288,7 @@ def _suite_hist(args) -> list[str]:
     with _flags(f"--n {args.n}, --trials {args.trials}, --vocab-size {args.vocab_size}, --p {args.p}, --q {args.q}: "):
         cfg = MixtureConfig(n=args.n, p=args.p, q=args.q, vocab_size=args.vocab_size, ntp_mode=args.mode,
                             trials=args.trials, seed=args.seed)
-    detectors = []
-    for s in args.s_list:
-        with _flags(f"--s-list entry {s} and --c-plus {args.c_plus}: "):
-            spec = BoundarySpec(name=f"trgof_s{s:g}", kind="trgof", s=s, c_plus_rule=args.c_plus)
-            detectors.append(spec.detector(cfg.n))
+    detectors = [_trgof_spec(s, args.c_plus, "--s-list entry").detector(cfg.n) for s in args.s_list]
     with _flags(f"--alpha {args.alpha}: "):
         check_alpha(args.alpha)
     study = histogram_study(cfg, detectors, alpha=args.alpha)
@@ -315,9 +317,7 @@ def _write_boundary(args, specs: list[BoundarySpec], name: str) -> list[str]:
 
 
 def _suite_boundary(args) -> list[str]:
-    with _flags(f"--s {args.s} and --c-plus {args.c_plus}: "):
-        spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
-    return _write_boundary(args, [spec], "boundary.csv")
+    return _write_boundary(args, [_trgof_spec(args.s, args.c_plus)], "boundary.csv")
 
 
 def _suite_sumboundary(args) -> list[str]:
@@ -369,8 +369,7 @@ def _suite_tolerance(args) -> list[str]:
         raise UsageError(f"--n-test must exceed --m to leave a scored position, got {args.n_test} and --m {args.m}")
     with _flags(f"--vocab-size {args.vocab_size} and --delta {args.delta}: "):
         source = ToySource(args.vocab_size, (args.delta, args.delta), seed=0)
-    with _flags(f"--s {args.s} and --c-plus {args.c_plus}: "):
-        spec = BoundarySpec(name=f"trgof_s{args.s:g}", kind="trgof", s=args.s, c_plus_rule=args.c_plus)
+    spec = _trgof_spec(args.s, args.c_plus)
     with _flags(f"--alpha {args.alpha}: "):
         check_alpha(args.alpha)
     key = _resolve_key(args)
@@ -397,8 +396,8 @@ def _suite_tolerance(args) -> list[str]:
 
 
 def cmd_experiment(args) -> dict:
-    config = {k: v for k, v in vars(args).items() if k not in ("suite", "key") and v is not None}
     args.out_dir = os.path.realpath(args.out_dir)  # ".." and symlinks resolved as the kernel does
+    config = {k: v for k, v in vars(args).items() if k not in ("suite", "key") and v is not None}
     made, head = [], args.out_dir
     while not os.path.exists(head):  # the out dir and each ancestor makedirs makes, deepest first
         made.append(head)
@@ -515,7 +514,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # a MemoryError: an array too large for this host
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except AssertionError as exc:

@@ -77,7 +77,7 @@ class TestGenerate:
         assert len(seq) == 55
         assert "W" in seq.provenance
         manifest = read_json(out + ".manifest.json")
-        assert manifest["outputs"] == [out]
+        assert manifest["outputs"] == [os.path.realpath(out)]
         assert manifest["command"] == "generate"
 
     def test_null_has_no_watermark(self, tmp_path):
@@ -268,7 +268,8 @@ def test_failed_write_leaves_the_old_file(seq_file, tmp_path, capsys, monkeypatc
     assert list(tmp_path.rglob("*.tmp")) == []
     if case == "manifest":  # the new verdict beside the old manifest: its pinned digest tells them apart
         verdict = str(tmp_path / "v.json")
-        assert read_json(verdict + ".manifest.json")["output_sha256"][verdict] != sha256_of(verdict)
+        pinned = read_json(verdict + ".manifest.json")["output_sha256"][os.path.realpath(verdict)]
+        assert pinned != sha256_of(verdict)
 
 
 # each command's run: its argv ("{seq}" a sequence file, "{out}" the out dir),
@@ -291,17 +292,61 @@ MANIFESTS = {
 @pytest.mark.parametrize("case", MANIFESTS)
 def test_manifest_pins_each_output(seq_file, tmp_path, case):
     # main writes every manifest from the record its command returns: at its
-    # path, naming the command, the seed and the outputs, each output pinned
-    # by the SHA-256 of the bytes on disk
+    # path, naming the command, the seed and the outputs (each resolved), each
+    # output pinned by the SHA-256 of the bytes on disk
     argv, manifest_name, command, names = MANIFESTS[case]
-    out = os.path.realpath(tmp_path)
-    argv = [a.format(seq=seq_file, out=out) for a in argv]
+    argv = [a.format(seq=seq_file, out=tmp_path) for a in argv]
     assert run(*argv) == 0
-    manifest = read_json(os.path.join(out, manifest_name))
-    outputs = [os.path.join(out, name) for name in names]
+    manifest = read_json(str(tmp_path / manifest_name))
+    outputs = [os.path.realpath(tmp_path / name) for name in names]
     assert manifest["command"] == command and manifest["outputs"] == outputs
     assert manifest["seed"] == int(argv[argv.index("--seed") + 1])
     assert manifest["output_sha256"] == {path: sha256_of(path) for path in outputs}
+
+
+def test_manifest_paths_are_found_from_any_directory(tmp_path, monkeypatch):
+    # a run given relative paths writes at them, and its manifest records each
+    # path resolved: read from another directory, every output is there and
+    # matches its pinned digest, and every input is there too
+    (tmp_path / "run").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    runs = {
+        "seq.json": ("generate", "--key", KEY, *GEN_ARGS),
+        "e.json": ("edit", "--in", "seq.json", "--edit", "sub", "--fraction", "0.1", "--vocab-size", "20"),
+        "v.json": ("detect", "--in", "e.json", "--key", KEY, "--calibrate"),
+        "c.json": ("calibrate", "--n", "50"),
+    }
+    for out, argv in runs.items():
+        assert run(*argv, "--out", out) == 0
+    assert run("experiment", "efficiency", "--delta-max", "0.05", "--out-dir", "eff") == 0
+    assert sorted(os.listdir()) == sorted(["eff", *runs, *(f"{out}.manifest.json" for out in runs)])
+    manifests = [f"{out}.manifest.json" for out in runs] + ["eff/manifest.json"]
+    manifests = [read_json(path) for path in manifests]
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for manifest in manifests:
+        outputs = manifest["outputs"]
+        assert outputs and all(os.path.isabs(path) and os.path.isfile(path) for path in outputs)
+        assert manifest["output_sha256"] == {path: sha256_of(path) for path in outputs}
+    run_dir = os.path.realpath(tmp_path / "run")
+    assert [m["config"]["in"] for m in manifests[1:3]] == [os.path.join(run_dir, "seq.json"),
+                                                          os.path.join(run_dir, "e.json")]
+    assert manifests[4]["config"]["out_dir"] == os.path.join(run_dir, "eff")
+
+
+def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # an array too large for the host (a tiny --step) exits 3 with one line,
+    # and the suite leaves no out dir; the stub raises, so no array is asked for
+    message = "Unable to allocate 6.48 TiB for an array with shape (890000000001,) and data type float64"
+
+    def too_large(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_suite_efficiency", too_large)
+    out_dir = tmp_path / "eff"
+    assert run("experiment", "efficiency", "--step", "1e-12", "--out-dir", str(out_dir)) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out_dir.exists()
 
 
 # a detector flag out of its range, and the text of the rule it breaks
@@ -408,7 +453,7 @@ class TestDetect:
         manifest = read_json(out + ".manifest.json")
         assert set(manifest) == {"command", "config", "seed", "version", "library_versions", "outputs",
                                  "output_sha256", "wall_clock_s", "timings_s"}
-        assert manifest["output_sha256"] == {out: sha256_of(out)}
+        assert manifest["output_sha256"] == {os.path.realpath(out): sha256_of(out)}
         # the package loads no other library, though the test suite has loaded scipy
         versions = manifest["library_versions"]
         assert versions == {"python": platform.python_version(), "numpy": np.__version__}
