@@ -1,14 +1,14 @@
 """Command-line interface: generate, edit, detect, calibrate, experiment.
 
 All randomness flows from --seed through named substreams; no ambient
-entropy. Each command returns its run's record, and ``main`` writes the
-manifest from it: command, full configuration, seed, tool and library versions,
-outputs with the SHA-256 of each as read back from disk, and wall-clock time
-(``detect`` adds its stage times), at ``<out>.manifest.json`` beside a single
-output or ``<out-dir>/manifest.json`` for a suite. A command that raises writes none.
-Each path it records is the ``os.path.realpath`` of the one the run used, found
-from any directory. Its configuration is serialized one way: a NaN or infinity,
-which JSON lacks, is the string "NaN", "Infinity" or "-Infinity".
+entropy. Each command returns its outputs (``detect`` adds its stage times), and
+``main`` writes the manifest: command, configuration, seed, tool and library
+versions, each output's SHA-256 as read back from disk, and wall-clock time, at
+``<out>.manifest.json`` or ``<out-dir>/manifest.json``. A command that raises
+writes none. The configuration is every parsed flag (``--in`` as ``infile``) but
+the key and those left unset, each path the ``os.path.realpath`` of the one used,
+and a NaN or infinity the string "NaN", "Infinity" or "-Infinity". What a run
+fits (a detector's c+ and critical value) lives in the outputs the manifest pins.
 
 Every file goes through one writer (``_write_file``): filled as ``<path>.tmp``
 and renamed over its target, it is whole or absent, UTF-8 with '\\n' endings.
@@ -118,12 +118,15 @@ def _write_seq(path: str, seq: TokenSeq) -> None:
 
 
 def _write_manifest(args, record: dict, started: float) -> None:
-    """The manifest of the run whose command returned ``record``, each output pinned by its SHA-256 on disk."""
+    """The manifest of the run whose command returned ``record``: its parsed flags, the key and every
+    unset one left out, and each output pinned by its SHA-256 on disk. Every path is resolved."""
     suite = args.command == "experiment"
+    config = {k: os.path.realpath(v) if k in ("infile", "out", "out_dir") else v
+              for k, v in vars(args).items() if k not in ("suite", "key") and v is not None}
     outputs = [os.path.realpath(out) for out in record["outputs"]]  # found from any directory
     manifest = {
         "command": f"experiment {args.suite}" if suite else args.command,
-        "config": json.loads(json.dumps(record["config"]), parse_constant=str),  # an unread flag may be NaN
+        "config": json.loads(json.dumps(config), parse_constant=str),  # a flag may be NaN
         "seed": args.seed,
         "version": __version__,
         "library_versions": {"python": platform.python_version(), "numpy": np.__version__},  # all the package loads
@@ -219,8 +222,7 @@ def cmd_generate(args) -> dict:
         key = _resolve_key(args)
         seq = generate(source, key, prompt, cfg)
     _write_seq(args.out, seq)
-    config = {k: getattr(args, k) for k in ("n", "m", "vocab_size", "delta", "delta_min", "delta_max", "masking", "null")}
-    return {"config": config, "outputs": [args.out]}
+    return {"outputs": [args.out]}
 
 
 def cmd_edit(args) -> dict:
@@ -233,9 +235,7 @@ def cmd_edit(args) -> dict:
     else:
         out = apply_random_edit(seq, args.edit, args.fraction, args.vocab_size, args.seed)
     _write_seq(args.out, out)
-    config = {"edit": args.edit, "fraction": args.fraction, "vocab_size": args.vocab_size,
-              "in": os.path.realpath(args.infile)}
-    return {"config": config, "outputs": [args.out]}
+    return {"outputs": [args.out]}
 
 
 def cmd_detect(args) -> dict:
@@ -269,9 +269,8 @@ def cmd_detect(args) -> dict:
     }
     t4 = time.perf_counter()
     _write_json(args.out, verdict)
-    config = {"detector": detector.to_config(), "alpha": args.alpha, "in": os.path.realpath(args.infile)}
     timings = {"load": t1 - t0, "pivots": t2 - t1, "calibrate": t3 - t2, "score": t4 - t3}
-    return {"config": config, "outputs": [args.out], "timings_s": timings}
+    return {"outputs": [args.out], "timings_s": timings}
 
 
 def cmd_calibrate(args) -> dict:
@@ -279,9 +278,9 @@ def cmd_calibrate(args) -> dict:
         spec = _detector_spec(args)
     with _flags(f"cannot calibrate at --n {args.n}: "):  # the detector and critical_value own the least n
         detector = spec.detector(args.n).fit(args.n, args.alpha)
-    config = {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha}
-    _write_json(args.out, dict(config, critical_value=detector.critical_value))
-    return {"config": config, "outputs": [args.out]}
+    _write_json(args.out, {"detector": detector.to_config(), "n": args.n, "alpha": args.alpha,
+                           "critical_value": detector.critical_value})
+    return {"outputs": [args.out]}
 
 
 def _suite_hist(args) -> list[str]:
@@ -335,6 +334,7 @@ def _suite_efficiency(args) -> list[str]:
         raise UsageError(f"need 0 < --delta-min <= --delta-max < 1 and a finite --step > 0, "
                          f"got {args.delta_min}, {args.delta_max} and {args.step}")
     deltas = np.arange(args.delta_min, args.delta_max + 1e-12, args.step)
+    deltas = deltas[deltas < 1.0]  # the stop's slack, or rounding in the last step, can reach δ = 1
     with _flags(f"--eps {args.eps}: "):  # on a δ grid in range, optimal_rate can refuse only ε
         rows = rate_curve(deltas, args.eps)
     if not np.all(np.diff(rows[:, 2]) >= -1e-9):
@@ -397,7 +397,6 @@ def _suite_tolerance(args) -> list[str]:
 
 def cmd_experiment(args) -> dict:
     args.out_dir = os.path.realpath(args.out_dir)  # ".." and symlinks resolved as the kernel does
-    config = {k: v for k, v in vars(args).items() if k not in ("suite", "key") and v is not None}
     made, head = [], args.out_dir
     while not os.path.exists(head):  # the out dir and each ancestor makedirs makes, deepest first
         made.append(head)
@@ -410,7 +409,7 @@ def cmd_experiment(args) -> dict:
             if os.path.isdir(path) and not os.listdir(path):
                 os.rmdir(path)
         raise
-    return {"config": config, "outputs": outputs}
+    return {"outputs": outputs}
 
 
 # ---------------------------------------------------------------------------

@@ -329,9 +329,42 @@ def test_manifest_paths_are_found_from_any_directory(tmp_path, monkeypatch):
         assert outputs and all(os.path.isabs(path) and os.path.isfile(path) for path in outputs)
         assert manifest["output_sha256"] == {path: sha256_of(path) for path in outputs}
     run_dir = os.path.realpath(tmp_path / "run")
-    assert [m["config"]["in"] for m in manifests[1:3]] == [os.path.join(run_dir, "seq.json"),
-                                                          os.path.join(run_dir, "e.json")]
+    assert [m["config"]["infile"] for m in manifests[1:3]] == [os.path.join(run_dir, "seq.json"),
+                                                              os.path.join(run_dir, "e.json")]
     assert manifests[4]["config"]["out_dir"] == os.path.join(run_dir, "eff")
+
+
+# each command's run, every one given the key, whose manifest must record its
+# parsed flags by the one rule: no suite, no key, no unset flag, each path
+# resolved, a NaN as "NaN"; "{seq}" is a sequence file, "{out}" the out dir
+CONFIG_RUNS = {
+    "generate": ("generate", "--key", KEY, *GEN_ARGS, "--out", "{out}/seq.json"),
+    "edit": ("edit", "--in", "{seq}", "--edit", "adv", "--fraction", "0.1", "--vocab-size", "20", "--key", KEY,
+             "--out", "{out}/e.json"),
+    "detect": ("detect", "--in", "{seq}", "--key", KEY, "--vocab-size", "20", "--calibrate",
+               "--critical-value", "5", "--out", "{out}/v.json"),
+    "calibrate": ("calibrate", "--n", "50", "--detector", "sum", "--s", "nan", "--out", "{out}/c.json"),
+    "suite": ("experiment", "hist", "--n", "50", "--trials", "2", "--vocab-size", "5", "--s-list", "1",
+              "--key", KEY, "--out-dir", "{out}/h"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_RUNS)
+def test_manifest_config_is_the_parsed_flags(seq_file, tmp_path, case):
+    argv = [a.format(seq=seq_file, out=tmp_path) for a in CONFIG_RUNS[case]]
+    assert run(*argv) == 0
+    parsed = vars(cli.build_parser().parse_args(argv))
+    want = {k: os.path.realpath(v) if k in ("infile", "out", "out_dir") else v
+            for k, v in parsed.items() if k not in ("suite", "key") and v is not None}
+    text = read_text(parsed["out"] + ".manifest.json" if "out" in parsed
+                     else os.path.join(parsed["out_dir"], "manifest.json"))
+    config = json.loads(text)["config"]
+    assert config == json.loads(json.dumps(want), parse_constant=str)
+    assert KEY not in text
+    if case == "detect":  # the flags that set the pivots and the threshold
+        assert (config["vocab_size"], config["calibrate"], config["critical_value"]) == (20, True, 5.0)
+    if case == "calibrate":
+        assert config["s"] == "NaN"
 
 
 def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch):
@@ -704,7 +737,10 @@ class TestCalibrateCmd:
         res = read_json(out)
         want = critical_value(TrGoF(s=2.0, c_plus=0.01), 100, 0.01)
         assert res["critical_value"] == res["detector"]["critical_value"] == want
-        assert read_json(out + ".manifest.json")["config"]["detector"] == res["detector"]
+        assert res["detector"] == TrGoF(s=2.0, c_plus=0.01).fit(100, 0.01).to_config()
+        # the manifest records the flags as given; the fitted detector is the output it pins
+        config = read_json(out + ".manifest.json")["config"]
+        assert (config["critical_value"], config["n"]) == (5.0, 100)
 
     def test_sum_clt(self, tmp_path):
         out = str(tmp_path / "calib.json")
@@ -881,6 +917,18 @@ class TestExperimentSuites:
         manifest = read_json(os.path.join(out_dir, "manifest.json"))
         assert manifest["outputs"]
 
+    @pytest.mark.parametrize("delta_max, step, points", [
+        ("0.9999999999995", "0.5", 1),  # the stop's 1e-12 slack reaches 1
+        ("0.9999999999999989", "0.01020408163265306", 49),  # 0.5 + 49 steps rounds to 1.0000000000000004
+    ])
+    def test_efficiency_grid_stops_below_one(self, tmp_path, delta_max, step, points):
+        # a --delta-max just below 1 puts no grid point on or past δ = 1
+        out_dir = str(tmp_path / "eff")
+        assert run("experiment", "efficiency", "--delta-min", "0.5", "--delta-max", delta_max,
+                   "--step", step, "--out-dir", out_dir) == 0
+        deltas = [float(r.split(",")[0]) for r in read_csv_rows(os.path.join(out_dir, "efficiency.csv"))[1:]]
+        assert len(deltas) == points and deltas[0] == 0.5 and max(deltas) < 1.0
+
     def test_hist_suite(self, tmp_path):
         out_dir = str(tmp_path / "hist")
         rc = run("experiment", "hist", "--n", "300", "--p", "0.1", "--q", "0.3",
@@ -981,14 +1029,16 @@ class TestParser:
         # after the first main call (a stub, a tracer's wrapper) is the one run
         assert run("calibrate", "--n", "50", "--out", str(tmp_path / "c.json")) == 0
         ran = []
-        monkeypatch.setattr(cli, "cmd_detect",
-                            lambda args: ran.append(("detect", args.infile)) or {"config": {}, "outputs": []})
+        monkeypatch.setattr(cli, "cmd_detect", lambda args: ran.append(("detect", args.infile)) or {"outputs": []})
         monkeypatch.setattr(cli, "_suite_efficiency", lambda args: ran.append(("efficiency", args.eps)) or [])
         assert run("detect", "--in", "seq.json", "--critical-value", "1", "--out", str(tmp_path / "v.json")) == 0
         assert run("experiment", "efficiency", "--eps", "0.5", "--out-dir", str(tmp_path / "eff")) == 0
         assert ran == [("detect", "seq.json"), ("efficiency", 0.5)]
-        assert read_json(str(tmp_path / "v.json.manifest.json"))["outputs"] == []
-        assert read_json(str(tmp_path / "eff" / "manifest.json"))["outputs"] == []
+        manifest = read_json(str(tmp_path / "v.json.manifest.json"))
+        assert manifest["outputs"] == [] and manifest["config"]["infile"] == os.path.realpath("seq.json")
+        assert manifest["config"]["critical_value"] == 1.0
+        manifest = read_json(str(tmp_path / "eff" / "manifest.json"))
+        assert manifest["outputs"] == [] and manifest["config"]["eps"] == 0.5
 
     @pytest.mark.parametrize("argv", [
         ("generate", "--null", "--n", "10"),
